@@ -335,11 +335,11 @@ def load_dfa(text: str) -> Dfa:
             alphabet = tuple(rest)
         elif key == "states":
             states = {int(s) for s in rest}
-        elif key == "initial":
+        elif key == "initial" and len(rest) == 1:
             initial = int(rest[0])
         elif key == "accepting":
             accepting = {int(s) for s in rest}
-        elif key == "transition":
+        elif key == "transition" and len(rest) == 3:
             src, tok, dst = rest
             transitions[(int(src), tok)] = int(dst)
         else:

@@ -31,6 +31,20 @@ def _env_int(name: str, default: int) -> int:
     return int(value) if value else default
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _open_unit_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie strictly between 0 and 1, got {value}")
+    return value
+
+
 def _write_resolved_config(out_dir: Path, payload: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.json").write_text(
@@ -39,13 +53,15 @@ def _write_resolved_config(out_dir: Path, payload: dict) -> None:
 
 TRAIN_SIZE_FIELDS = ("n_train", "train_len", "n_dev", "dev_len",
                      "embed_dim", "hidden_dim")
+# Command line argument -> ExtractionConfig field.
+EXTRACTION_FIELDS = {"kappa": "kappa", "data": "n_strings", "length": "string_len"}
 
 
 def _training_config(args: argparse.Namespace, language: int) -> TrainingConfig:
     if getattr(args, "full", False):
         return harness.full_scale_config(language, args.seed)
     cfg = TrainingConfig(language, args.seed)
-    if getattr(args, "epochs", None):
+    if getattr(args, "epochs", None) is not None:
         cfg = dataclasses.replace(cfg, epochs=args.epochs)
     overrides = {f: getattr(args, f) for f in TRAIN_SIZE_FIELDS
                  if getattr(args, f, None) is not None}
@@ -53,11 +69,11 @@ def _training_config(args: argparse.Namespace, language: int) -> TrainingConfig:
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    languages = (args.language,) if getattr(args, "language", None) else LANGUAGE_IDS
-    extraction = ExtractionConfig(
-        kappa=getattr(args, "kappa", 0.01) or 0.01,
-        n_strings=getattr(args, "data", 300) or 300,
-        string_len=getattr(args, "length", 10) or 10)
+    language = getattr(args, "language", None)
+    languages = LANGUAGE_IDS if language is None else (language,)
+    extraction = ExtractionConfig(**{name: getattr(args, arg)
+                                     for arg, name in EXTRACTION_FIELDS.items()
+                                     if getattr(args, arg, None) is not None})
     return ExperimentConfig(languages=languages, extraction=extraction,
                             threads=args.threads)
 
@@ -204,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--language", type=int, choices=LANGUAGE_IDS, default=None)
     parser.add_argument("--seed", type=int,
                         default=_env_int(harness.SEED_ENV_VAR, 0))
-    parser.add_argument("--threads", type=int,
+    parser.add_argument("--threads", type=_positive_int,
                         default=_env_int(harness.THREADS_ENV_VAR, 1))
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file overriding argument defaults")
@@ -219,36 +235,36 @@ def build_parser() -> argparse.ArgumentParser:
                            dest=field)
 
     p_train = sub.add_parser("train", help="train a recognizer", parents=[sizes])
-    p_train.add_argument("--epochs", type=int, default=None)
+    p_train.add_argument("--epochs", type=_positive_int, default=None)
     p_train.add_argument("--full", action="store_true",
                          help="use the full-scale training protocol")
     p_train.set_defaults(func=cmd_train)
 
     p_extract = sub.add_parser("extract", help="state-merging extraction",
                                parents=[sizes])
-    p_extract.add_argument("--data", type=int, default=300)
-    p_extract.add_argument("--kappa", type=float, default=0.01)
+    p_extract.add_argument("--data", type=_positive_int, default=300)
+    p_extract.add_argument("--kappa", type=_open_unit_float, default=0.01)
     p_extract.add_argument("--length", type=int, default=10)
-    p_extract.add_argument("--epochs", type=int, default=None)
+    p_extract.add_argument("--epochs", type=_positive_int, default=None)
     p_extract.set_defaults(func=cmd_extract, full=False)
 
     p_baseline = sub.add_parser("baseline", help="k-means extraction baseline",
                                 parents=[sizes])
-    p_baseline.add_argument("--data", type=int, default=300)
+    p_baseline.add_argument("--data", type=_positive_int, default=300)
     p_baseline.add_argument("--length", type=int, default=10)
-    p_baseline.add_argument("--k", type=int, default=20)
-    p_baseline.add_argument("--epochs", type=int, default=None)
+    p_baseline.add_argument("--k", type=_positive_int, default=20)
+    p_baseline.add_argument("--epochs", type=_positive_int, default=None)
     p_baseline.set_defaults(func=cmd_baseline, full=False)
 
     p_eval = sub.add_parser("eval", help="evaluate a stored DFA against a model",
                             parents=[sizes])
-    p_eval.add_argument("--epochs", type=int, default=None)
+    p_eval.add_argument("--epochs", type=_positive_int, default=None)
     p_eval.add_argument("--dfa", required=True)
     p_eval.set_defaults(func=cmd_eval, full=False)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweeps")
     p_sweep.add_argument("kind", choices=("data", "kappa", "epochs"))
-    p_sweep.add_argument("--kappa", type=float, default=0.01)
+    p_sweep.add_argument("--kappa", type=_open_unit_float, default=0.01)
     p_sweep.set_defaults(func=cmd_sweep, full=False)
 
     p_table2 = sub.add_parser("table2", help="reproduce the accuracy table")

@@ -5,7 +5,7 @@ vectors are nearly parallel, then determinize and minimize."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,92 +95,19 @@ def build_prefix_tree(model: RnnModel, strings: list[str]) -> PrefixTree:
     return PrefixTree(model.alphabet, edges, list(labels), list(features))
 
 
-@dataclass
-class MergeAutomaton:
-    """Mutable working automaton for the merge loop; transitions are sets, so
-    merging may introduce nondeterminism."""
-    alphabet: tuple[str, ...]
-    states: set[int]
-    initial: int
-    transitions: dict[tuple[int, str], set[int]] = field(default_factory=dict)
-    accepting: set[int] = field(default_factory=set)
-    features: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self._incoming: dict[int, set[tuple[int, str]]] = {q: set() for q in self.states}
-        for (src, token), dsts in self.transitions.items():
-            for dst in dsts:
-                self._incoming[dst].add((src, token))
-
-    @classmethod
-    def from_tree(cls, tree: PrefixTree) -> "MergeAutomaton":
-        return cls(tree.alphabet, set(range(tree.n_states)), tree.root,
-                   {key: {dst} for key, dst in tree.edges.items()},
-                   {q for q, acc in enumerate(tree.labels) if acc},
-                   {q: tree.features[q] for q in range(tree.n_states)})
-
-    def merge(self, q_dead: int, q_keep: int) -> "MergeAutomaton":
-        """Delete q_dead, rerouting its incoming edges to q_keep and adding its
-        outgoing edges to q_keep's; q_keep keeps its own feature vector."""
-        if q_dead == q_keep:
-            raise ValueError("cannot merge a state with itself")
-        if q_dead not in self.states or q_keep not in self.states:
-            raise ValueError("merge involves a deleted state")
-        incoming = list(self._incoming.pop(q_dead))
-        outgoing = [(token, dst) for (src, token), dsts in list(self.transitions.items())
-                    if src == q_dead for dst in dsts]
-        for src, token in incoming:
-            self.transitions[(src, token)].discard(q_dead)
-        for token, dst in outgoing:
-            self.transitions.pop((q_dead, token), None)
-            if dst != q_dead:
-                self._incoming[dst].discard((q_dead, token))
-        for src, token in incoming:
-            src = q_keep if src == q_dead else src
-            self.transitions.setdefault((src, token), set()).add(q_keep)
-            self._incoming[q_keep].add((src, token))
-        for token, dst in outgoing:
-            dst = q_keep if dst == q_dead else dst
-            self.transitions.setdefault((q_keep, token), set()).add(dst)
-            self._incoming[dst].add((q_keep, token))
-        self.transitions = {k: v for k, v in self.transitions.items() if v}
-        self.states.discard(q_dead)
-        self.accepting.discard(q_dead)
-        self.features.pop(q_dead, None)
-        if self.initial == q_dead:
-            self.initial = q_keep
-        return self
-
-    def to_nfa(self) -> Nfa:
-        return Nfa(self.alphabet, set(self.states), self.initial,
-                   {k: set(v) for k, v in self.transitions.items()}, set(self.accepting))
-
-
-def should_merge(auto: MergeAutomaton, q_i: int, q_j: int, policy: MergePolicy) -> bool:
-    """Labels must agree exactly and cosine similarity must strictly exceed
-    1 - kappa; a zero-norm feature never matches anything."""
-    if q_i not in auto.states or q_j not in auto.states:
-        raise ValueError("comparison involves a deleted state")
-    if (q_i in auto.accepting) != (q_j in auto.accepting):
-        return False
-    f_i, f_j = auto.features[q_i], auto.features[q_j]
-    n_i, n_j = np.linalg.norm(f_i), np.linalg.norm(f_j)
-    if n_i == 0.0 or n_j == 0.0:
-        logger.warning("zero-norm feature at state %d/%d treated as never similar", q_i, q_j)
-        return False
-    return float(f_i @ f_j) / (n_i * n_j) > 1.0 - policy.kappa
-
-
 def merge_all(tree: PrefixTree, policy: MergePolicy) -> Nfa:
-    """Fold deeper states into earlier (shallower) ones until no candidate
-    pair satisfies the policy.
+    """Quotient of the prefix tree by a representative map.
 
-    Scan order: q_i runs over BFS ids descending, q_j ascending.  A single
-    descending pass is exhaustive here because a merge never changes any
-    surviving state's label or feature vector, so the pair predicate is
-    static and a restart could only repeat failed checks.
+    Scan order: q_i runs over BFS ids descending.  Its candidates are the
+    alive states with the same label whose hidden vectors are nearly parallel
+    (cosine > 1 - kappa); a zero-norm feature never matches.  A match folds
+    q_i into the lowest candidate and marks q_i dead.  A single pass is
+    exhaustive because merging never changes a surviving state's label or
+    feature vector, so the pair predicate is static.  The merged machine is
+    the tree with every state replaced by the end of its representative
+    chain, as in RPNI's quotient of the prefix-tree acceptor; merging may
+    therefore create self-loops and nondeterminism.
     """
-    auto = MergeAutomaton.from_tree(tree)
     n = tree.n_states
     feats = np.stack(tree.features)
     norms = np.linalg.norm(feats, axis=1)
@@ -190,19 +117,29 @@ def merge_all(tree: PrefixTree, policy: MergePolicy) -> Nfa:
     unit = np.divide(feats, norms[:, None], out=np.zeros_like(feats), where=~degenerate[:, None])
     labels = np.array(tree.labels)
     alive = np.ones(n, dtype=bool)
+    rep = np.arange(n)
     threshold = 1.0 - policy.kappa
     for q_i in range(n - 1, -1, -1):
+        if degenerate[q_i]:
+            continue
         sims = unit @ unit[q_i]
         candidates = alive & (labels == labels[q_i]) & (sims > threshold)
         candidates[q_i] = False
-        if degenerate[q_i]:
-            candidates[:] = False
-        matches = np.nonzero(candidates)[0]
+        matches = np.flatnonzero(candidates)
         if matches.size:
-            q_j = int(matches[0])
-            auto.merge(q_i, q_j)
+            rep[q_i] = matches[0]
             alive[q_i] = False
-    return auto.to_nfa()
+    # A target is alive when chosen and a dead state is never chosen, so the
+    # chains are acyclic; pointer jumping reaches their fixed points.
+    while not np.array_equal(rep[rep], rep):
+        rep = rep[rep]
+    rep_of = rep.tolist()
+    transitions: dict[tuple[int, str], set[int]] = {}
+    for (src, token), dst in tree.edges.items():
+        transitions.setdefault((rep_of[src], token), set()).add(rep_of[dst])
+    states = set(np.flatnonzero(alive).tolist())
+    return Nfa(tree.alphabet, states, rep_of[tree.root], transitions,
+               {q for q in states if tree.labels[q]})
 
 
 @dataclass

@@ -205,6 +205,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_dfa("format dfa 99\n")
 
+    @pytest.mark.parametrize("line", ["initial", "initial 0 1", "initial x",
+                                      "transition 0 a", "transition 0 a 0 1", "trans 0 a 0"])
+    def test_rejects_malformed_line(self, line):
+        text = save_dfa(Dfa(("a",), {0}, 0, {(0, "a"): 0}, set())) + line + "\n"
+        with pytest.raises(ValueError):
+            load_dfa(text)
+
     def test_validation_rejects_stray_transition(self):
         with pytest.raises(ValueError):
             Dfa(("a",), {0}, 0, {(0, "a"): 5}, set())

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from statemerge.automata import load_dfa, save_dfa
-from statemerge.cli import build_parser, main
+from statemerge.cli import _experiment_config, _training_config, build_parser, main
 from statemerge.languages import gold_dfa
 
 TINY_ARGS = ["--n-train", "40", "--train-len", "6", "--n-dev", "20",
@@ -29,6 +29,26 @@ class TestParser:
     def test_extract_requires_language(self, capsys):
         with pytest.raises(SystemExit):
             main(["extract"])
+
+    @pytest.mark.parametrize("argv", [
+        ["extract", "--kappa", "0"], ["extract", "--kappa", "1"],
+        ["extract", "--kappa", "-0.5"], ["extract", "--kappa", "nan"],
+        ["sweep", "kappa", "--kappa", "1.5"], ["extract", "--data", "0"],
+        ["baseline", "--data", "-3"], ["baseline", "--k", "0"],
+        ["train", "--epochs", "0"], ["extract", "--epochs", "-1"],
+        ["--threads", "-4", "table2"], ["--threads", "0", "table2"]])
+    def test_out_of_range_values_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--language", "1"] + argv)
+        assert exc.value.code == 2
+        assert "must" in capsys.readouterr().err
+
+    def test_explicit_values_kept(self):
+        args = build_parser().parse_args(["--language", "1", "extract", "--kappa", "0.5",
+                                          "--data", "1", "--length", "0", "--epochs", "1"])
+        extraction = _experiment_config(args).extraction
+        assert (extraction.kappa, extraction.n_strings, extraction.string_len) == (0.5, 1, 0)
+        assert _training_config(args, 1).epochs == 1
 
     def test_seed_env_default(self, monkeypatch):
         monkeypatch.setenv("STATEMERGE_SEED", "7")
@@ -84,6 +104,12 @@ class TestErrorsAndUtilities:
     def test_missing_dfa_file_exits_nonzero(self, tmp_path, capsys):
         code = run_cli(["export-dot", "--dfa", str(tmp_path / "nope.dfa")])
         assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_malformed_dfa_file_exits_nonzero(self, tmp_path, capsys):
+        dfa_path = tmp_path / "bad.dfa"
+        dfa_path.write_text(save_dfa(gold_dfa(1)) + "initial\n")
+        assert run_cli(["export-dot", "--dfa", str(dfa_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_export_dot_stdout_and_file(self, tmp_path, capsys):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from statemerge.automata import determinize, isomorphic, minimize
-from statemerge.extraction import (MergeAutomaton, MergePolicy, PrefixTree,
-                                   build_prefix_tree, extract, merge_all,
-                                   should_merge, train_set_fidelity)
+from statemerge.automata import Nfa, determinize, isomorphic, minimize
+from statemerge.extraction import (MergePolicy, PrefixTree, build_prefix_tree,
+                                   extract, merge_all, train_set_fidelity)
 from statemerge.languages import ALPHABET
 from statemerge.rnn import decisions, forward, init_model
 
@@ -72,30 +71,33 @@ class TestBuildPrefixTree:
             build_prefix_tree(small_model(), ["ax"])
 
 
-def toy_automaton(labels, features, edges):
-    n = len(labels)
-    return MergeAutomaton(ALPHABET, set(range(n)), 0,
-                          {key: set(dsts) for key, dsts in edges.items()},
-                          {i for i, acc in enumerate(labels) if acc},
-                          {i: np.asarray(f, dtype=float) for i, f in enumerate(features)})
+def toy_tree(labels, features, edges):
+    return PrefixTree(ALPHABET, dict(edges), list(labels),
+                      [np.asarray(f, dtype=float) for f in features])
+
+
+def merged_states(labels, features, kappa, edges=()):
+    return merge_all(toy_tree(labels, features, edges), MergePolicy(kappa)).states
 
 
 class TestShouldMerge:
     def test_similar_and_consistent(self):
-        auto = toy_automaton([True, True], [[1.0, 0.0], [0.999, 0.01]], {})
-        assert should_merge(auto, 0, 1, MergePolicy(0.01))
+        # States 1 and 2 agree; 2 folds into the lower BFS id.
+        assert merged_states([False, True, True], [[0.0, 1.0], [1.0, 0.0], [0.999, 0.01]],
+                             0.01) == {0, 1}
 
     def test_label_mismatch_blocks(self):
-        auto = toy_automaton([True, False], [[1.0, 0.0], [1.0, 0.0]], {})
-        assert not should_merge(auto, 0, 1, MergePolicy(0.5))
+        assert merged_states([True, False], [[1.0, 0.0], [1.0, 0.0]], 0.5) == {0, 1}
 
     def test_dissimilar_blocks(self):
-        auto = toy_automaton([False, False], [[1.0, 0.0], [0.5, 0.866]], {})
-        assert not should_merge(auto, 0, 1, MergePolicy(0.01))
+        assert merged_states([False, False], [[1.0, 0.0], [0.5, 0.866]], 0.01) == {0, 1}
 
     def test_zero_norm_never_similar(self, caplog):
-        auto = toy_automaton([True, True], [[0.0, 0.0], [1.0, 0.0]], {})
-        assert not should_merge(auto, 0, 1, MergePolicy(0.9))
+        with caplog.at_level("WARNING", logger="statemerge.extraction"):
+            states = merged_states([True] * 4, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                                   0.9)
+        assert states == {0, 1, 2}
+        assert "2 zero-norm features" in caplog.text
 
     def test_kappa_range_validated(self):
         with pytest.raises(ValueError):
@@ -106,31 +108,79 @@ class TestShouldMerge:
 
 class TestMerge:
     def test_reroute_creates_self_loop(self):
-        auto = toy_automaton([True, True], [[1, 0], [1, 0]], {(0, "a"): {1}})
-        auto.merge(1, 0)
-        assert auto.transitions == {(0, "a"): {0}}
-        assert auto.states == {0}
+        merged = merge_all(toy_tree([True, True], [[1, 0], [1, 0]], {(0, "a"): 1}),
+                           MergePolicy(0.01))
+        assert merged.transitions == {(0, "a"): {0}}
+        assert merged.states == {0}
 
     def test_union_can_create_nondeterminism(self):
-        auto = toy_automaton([False] * 4, [[1, 0]] * 4,
-                             {(0, "b"): {2}, (1, "b"): {3}})
-        auto.merge(0, 1)
-        assert auto.transitions[(1, "b")] == {2, 3}
+        tree = toy_tree([False, False, True, True], [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                        {(0, "a"): 1, (0, "b"): 2, (1, "b"): 3})
+        merged = merge_all(tree, MergePolicy(0.01))
+        assert merged.transitions == {(0, "a"): {0}, (0, "b"): {2, 3}}
 
     def test_survivor_keeps_own_feature(self):
-        auto = toy_automaton([True, True], [[1.0, 0.0], [0.8, 0.6]], {})
-        keep_feature = auto.features[1].copy()
-        auto.merge(0, 1)
-        assert np.array_equal(auto.features[1], keep_feature)
-        assert auto.initial == 1  # initial marker moved off the deleted state
+        # 3 folds into 1 (cosine 0.906 > 0.85).  State 2 is as close to 3 as 3
+        # is to 1, but 3 is dead and 1 is compared by its own feature
+        # (cosine 0.643), so 2 survives.
+        degrees = np.radians([0.0, 25.0, 50.0])
+        on_circle = [[0.0, np.cos(d), np.sin(d)] for d in degrees]
+        features = [[1.0, 0.0, 0.0], on_circle[0], on_circle[2], on_circle[1]]
+        assert merged_states([True] * 4, features, 0.15) == {0, 1, 2}
 
-    def test_merge_deleted_state_rejected(self):
-        auto = toy_automaton([True, True, True], [[1, 0]] * 3, {})
-        auto.merge(2, 0)
-        with pytest.raises(ValueError):
-            auto.merge(2, 1)
-        with pytest.raises(ValueError):
-            auto.merge(1, 1)
+    def test_root_survives_as_initial(self):
+        # Every state agrees with the root, so all fold into it.
+        tree = toy_tree([True] * 3, [[1.0, 0.0], [0.8, 0.6], [0.9, 0.1]],
+                        {(0, "a"): 1, (1, "b"): 2})
+        merged = merge_all(tree, MergePolicy(0.5))
+        assert merged.initial == 0
+        assert merged.states == {0}
+        assert merged.accepting == {0}
+
+
+def reference_merge(tree, kappa):
+    """The same scan, applying each merge literally to (src, token, dst) triples."""
+    feats = np.stack(tree.features)
+    norms = np.linalg.norm(feats, axis=1)
+    triples = {(src, token, dst) for (src, token), dst in tree.edges.items()}
+    alive, initial = set(range(tree.n_states)), tree.root
+    for q_i in range(tree.n_states - 1, -1, -1):
+        for q_j in sorted(alive - {q_i}):
+            if (tree.labels[q_i] == tree.labels[q_j] and norms[q_i] > 0 and norms[q_j] > 0
+                    and feats[q_i] @ feats[q_j] / (norms[q_i] * norms[q_j]) > 1 - kappa):
+                def sub(q): return q_j if q == q_i else q
+                triples = {(sub(src), token, sub(dst)) for src, token, dst in triples}
+                alive.discard(q_i)
+                initial = sub(initial)
+                break
+    transitions = {}
+    for src, token, dst in triples:
+        transitions.setdefault((src, token), set()).add(dst)
+    return Nfa(tree.alphabet, alive, initial, transitions, {q for q in alive if tree.labels[q]})
+
+
+def random_tree(rng, n_states, dim=3):
+    edges = {}
+    for q in range(1, n_states):
+        free = [(p, token) for p in range(q) for token in ALPHABET if (p, token) not in edges]
+        edges[free[rng.integers(len(free))]] = q
+    features = rng.normal(size=(n_states, dim))
+    for q in range(1, n_states):
+        kind = rng.random()
+        if kind < 0.3:  # near-duplicate of an earlier row
+            features[q] = features[rng.integers(q)] + 1e-6 * rng.normal(size=dim)
+        elif kind < 0.4:
+            features[q] = 0.0
+    labels = [bool(x) for x in rng.integers(0, 2, size=n_states)]
+    return PrefixTree(ALPHABET, edges, labels, list(features))
+
+
+class TestMergeReference:
+    def test_matches_literal_merges_on_random_trees(self, rng):
+        for _ in range(300):
+            tree = random_tree(rng, int(rng.integers(1, 25)))
+            kappa = float(rng.uniform(0.001, 0.999))
+            assert merge_all(tree, MergePolicy(kappa)) == reference_merge(tree, kappa)
 
 
 class TestMergeAll:
