@@ -26,11 +26,6 @@ from .languages import LANGUAGE_IDS
 logger = logging.getLogger(__name__)
 
 
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return int(value) if value else default
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -78,14 +73,28 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
                             threads=args.threads)
 
 
-def _load_config_file(args: argparse.Namespace) -> None:
-    if args.config:
-        overrides = json.loads(Path(args.config).read_text())
-        for key, value in overrides.items():
-            if hasattr(args, key):
-                setattr(args, key, value)
-            else:
-                raise SystemExit(f"unknown config key {key!r} in {args.config}")
+def _load_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Apply JSON config values through the converter and range check of the
+    option each one sets; a rejected value exits with status 2."""
+    if not args.config:
+        return
+    overrides = json.loads(Path(args.config).read_text())
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {a.dest: a for p in (parser, subparsers.choices[args.command])
+               for a in p._actions}
+    for key, value in overrides.items():
+        if not hasattr(args, key):
+            raise SystemExit(f"unknown config key {key!r} in {args.config}")
+        action = actions.get(key)
+        if action is not None and action.type is not None:
+            try:
+                value = action.type(str(value))
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                parser.error(f"config key {key!r} in {args.config}: {exc}")
+            if action.choices is not None and value not in action.choices:
+                parser.error(f"config key {key!r} in {args.config}: "
+                             f"{value!r} not in {list(action.choices)}")
+        setattr(args, key, value)
 
 
 def _trained_model(args: argparse.Namespace, language: int):
@@ -218,10 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="statemerge",
                                      description="DFA extraction from RNN recognizers")
     parser.add_argument("--language", type=int, choices=LANGUAGE_IDS, default=None)
+    # String defaults go through `type`, so the environment gets the same checks.
     parser.add_argument("--seed", type=int,
-                        default=_env_int(harness.SEED_ENV_VAR, 0))
+                        default=os.environ.get(harness.SEED_ENV_VAR) or "0")
     parser.add_argument("--threads", type=_positive_int,
-                        default=_env_int(harness.THREADS_ENV_VAR, 1))
+                        default=os.environ.get(harness.THREADS_ENV_VAR) or "1")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file overriding argument defaults")
     parser.add_argument("--out", type=str, default="out",
@@ -283,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    _load_config_file(args)
+    _load_config_file(parser, args)
     if args.command in ("extract", "baseline", "eval") and args.language is None:
         parser.error(f"{args.command} requires --language")
     try:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import Dfa, Nfa, determinize, minimize
-from .rnn import RnnModel, forward
+from .rnn import RnnModel, forward_many
 
 logger = logging.getLogger(__name__)
 
@@ -22,7 +22,7 @@ class PrefixTree:
     alphabet: tuple[str, ...]
     edges: dict[tuple[int, str], int]
     labels: list[bool]
-    features: list[np.ndarray]
+    features: np.ndarray  # (n_states, d); row q is the hidden state of state q
     root: int = 0
 
     @property
@@ -80,9 +80,9 @@ def build_prefix_tree(model: RnnModel, strings: list[str]) -> PrefixTree:
              for node in range(len(children))
              for token, child in children[node].items()}
     labels: list[bool | None] = [None] * len(children)
-    features: list[np.ndarray | None] = [None] * len(children)
-    for w in set(strings):
-        result = forward(model, w)
+    features = np.empty((len(children), model.hidden_dim))
+    unique = list(dict.fromkeys(strings))
+    for w, result in zip(unique, forward_many(model, unique)):
         decided = result.yhat > 0.5
         node = 0
         for i in range(len(w) + 1):
@@ -92,7 +92,7 @@ def build_prefix_tree(model: RnnModel, strings: list[str]) -> PrefixTree:
                 features[q] = result.hidden[i]
             if i < len(w):
                 node = children[node][w[i]]
-    return PrefixTree(model.alphabet, edges, list(labels), list(features))
+    return PrefixTree(model.alphabet, edges, labels, features)
 
 
 def merge_all(tree: PrefixTree, policy: MergePolicy) -> Nfa:
@@ -109,7 +109,7 @@ def merge_all(tree: PrefixTree, policy: MergePolicy) -> Nfa:
     therefore create self-loops and nondeterminism.
     """
     n = tree.n_states
-    feats = np.stack(tree.features)
+    feats = tree.features
     norms = np.linalg.norm(feats, axis=1)
     degenerate = norms == 0.0
     if degenerate.any():

@@ -260,30 +260,14 @@ class FidelityResult:
     prefix_vs_rnn: float   # per-prefix agreement, logged as a secondary metric
 
 
-def model_prefix_decisions(model: RnnModel, strings: list[str]) -> dict[str, list[bool]]:
-    """Per-prefix decisions for many strings, batched by length."""
-    by_len: dict[int, list[str]] = {}
-    for w in set(strings):
-        by_len.setdefault(len(w), []).append(w)
-    out: dict[str, list[bool]] = {}
-    for group in by_len.values():
-        ids = np.array([[model.bos] + model.token_ids(w) for w in group])
-        hidden = rnn._forward_ids(model.params, ids)
-        preds = rnn._head_probs(model.params, hidden) > 0.5  # (T, B)
-        for i, w in enumerate(group):
-            out[w] = [bool(p) for p in preds[:, i]]
-    return out
-
-
 def fidelity(dfa: Dfa, model: RnnModel, eval_set: list[LabeledSample]) -> FidelityResult:
     if not eval_set:
         raise ValueError("eval set must be nonempty")
-    rnn_verdicts = model_prefix_decisions(model, [s.x for s in eval_set])
     agree_rnn = agree_gold = 0
     prefix_agree = prefix_total = 0
-    for sample in eval_set:
+    for sample, result in zip(eval_set, rnn.forward_many(model, [s.x for s in eval_set])):
         dfa_preds = prefix_decisions(dfa, sample.x)
-        rnn_preds = rnn_verdicts[sample.x]
+        rnn_preds = (result.yhat > 0.5).tolist()
         agree_rnn += dfa_preds[-1] == rnn_preds[-1]
         agree_gold += dfa_preds[-1] == sample.y[-1]
         prefix_agree += sum(p == q for p, q in zip(dfa_preds, rnn_preds))

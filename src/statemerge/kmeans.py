@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import Dfa, minimize
-from .rnn import RnnModel, forward
+from .rnn import RnnModel, forward_many
 
 MAX_LLOYD_ITERATIONS = 100
 
@@ -18,27 +18,23 @@ MAX_LLOYD_ITERATIONS = 100
 @dataclass
 class HiddenStateDataset:
     """One record per visited prefix position, with the successor link needed
-    to vote on transitions."""
+    to vote on transitions.  Record 0 is the empty prefix of the first string."""
     points: np.ndarray          # (N, d) hidden states
     labels: np.ndarray          # (N,) bool, model decision on the prefix
     successor: list[tuple[int, str, int] | None]  # (index, token, next index)
-    initial_index: int          # position of a bos-state record
 
 
 def collect_hidden_states(model: RnnModel, strings: list[str]) -> HiddenStateDataset:
     if not strings:
         raise ValueError("need at least one string")
-    points: list[np.ndarray] = []
-    labels: list[bool] = []
+    results = forward_many(model, strings)
     successor: list[tuple[int, str, int] | None] = []
     for w in strings:
-        result = forward(model, w)
-        base = len(points)
-        for i in range(len(w) + 1):
-            points.append(result.hidden[i])
-            labels.append(bool(result.yhat[i] > 0.5))
-            successor.append((base + i, w[i], base + i + 1) if i < len(w) else None)
-    return HiddenStateDataset(np.stack(points), np.array(labels), successor, 0)
+        base = len(successor)
+        successor.extend((base + i, token, base + i + 1) for i, token in enumerate(w))
+        successor.append(None)
+    return HiddenStateDataset(np.concatenate([r.hidden for r in results]),
+                              np.concatenate([r.yhat > 0.5 for r in results]), successor)
 
 
 def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
@@ -110,6 +106,6 @@ def kmeans_extract(model: RnnModel, strings: list[str], k: int,
         transition_votes.setdefault(key, Counter())[int(assignments[dst])] += 1
     transitions = {key: min(c for c, n in votes.items() if n == max(votes.values()))
                    for key, votes in transition_votes.items()}
-    initial = int(assignments[data.initial_index])
+    initial = int(assignments[0])
     raw = Dfa(model.alphabet, set(range(k)), initial, transitions, accepting)
     return minimize(raw)

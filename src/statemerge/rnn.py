@@ -103,10 +103,25 @@ def _head_probs(params: dict[str, np.ndarray], hidden: np.ndarray) -> np.ndarray
     return exp[..., 1] / exp.sum(axis=-1)
 
 
+def forward_many(model: RnnModel, strings: list[str]) -> list[ForwardResult]:
+    """Hidden states and prefix probabilities for every string, in input
+    order.  Strings of one length run as one batch, so a result can differ
+    from the same string run alone in the last bits of its floats."""
+    by_len: dict[int, list[int]] = {}
+    for i, w in enumerate(strings):
+        by_len.setdefault(len(w), []).append(i)
+    results: list[ForwardResult | None] = [None] * len(strings)
+    for group in by_len.values():
+        ids = np.array([[model.bos] + model.token_ids(strings[i]) for i in group])
+        hidden = _forward_ids(model.params, ids)  # (T, B, d)
+        yhat = _head_probs(model.params, hidden)  # (T, B)
+        for j, i in enumerate(group):
+            results[i] = ForwardResult(hidden=hidden[:, j], yhat=yhat[:, j])
+    return results
+
+
 def forward(model: RnnModel, w: str) -> ForwardResult:
-    ids = np.array([[model.bos] + model.token_ids(w)])
-    hidden = _forward_ids(model.params, ids)[:, 0, :]
-    return ForwardResult(hidden=hidden, yhat=_head_probs(model.params, hidden))
+    return forward_many(model, [w])[0]
 
 
 def decisions(model: RnnModel, w: str) -> list[bool]:
@@ -223,18 +238,12 @@ def _batch_arrays(model: RnnModel, samples: list[LabeledSample]) -> tuple[np.nda
 
 def evaluate(model: RnnModel, samples: list[LabeledSample]) -> tuple[float, float]:
     """(per-prefix accuracy, full-string accuracy) against stored labels."""
-    by_len: dict[int, list[LabeledSample]] = {}
-    for s in samples:
-        by_len.setdefault(len(s.x), []).append(s)
     correct = total = string_correct = 0
-    for group in by_len.values():
-        ids, labels = _batch_arrays(model, group)
-        hidden = _forward_ids(model.params, ids)
-        preds = _head_probs(model.params, hidden) > 0.5  # (T, B)
-        match = preds.T == labels.astype(bool)
+    for sample, result in zip(samples, forward_many(model, [s.x for s in samples])):
+        match = (result.yhat > 0.5) == np.array(sample.y)
         correct += int(match.sum())
         total += match.size
-        string_correct += int(match[:, -1].sum())
+        string_correct += int(match[-1])
     return correct / total, string_correct / len(samples)
 
 
@@ -292,22 +301,18 @@ def saturation_level(model: RnnModel, strings: list[str]) -> float:
     unit-norm sign pattern; sign(0) counts as +1."""
     if not strings:
         raise ValueError("need at least one string")
-    d = model.hidden_dim
-    worst = 0.0
-    measured = False
-    for w in strings:
-        for h in forward(model, w).hidden:
-            norm = float(np.linalg.norm(h))
-            if norm == 0.0:
-                logger.warning("zero hidden state excluded from saturation measurement")
-                continue
-            sign = np.where(h >= 0, 1.0, -1.0)
-            eps = float(np.linalg.norm(h / norm - sign / math.sqrt(d)))
-            worst = max(worst, eps)
-            measured = True
-    if not measured:
+    hidden = np.concatenate([r.hidden for r in forward_many(model, strings)])
+    norms = np.linalg.norm(hidden, axis=1)
+    degenerate = norms == 0.0
+    if degenerate.all():
         raise ValueError("all hidden states were degenerate")
-    return worst
+    if degenerate.any():
+        logger.warning("%d zero hidden states excluded from saturation measurement",
+                       int(degenerate.sum()))
+    kept = hidden[~degenerate]
+    sign = np.where(kept >= 0, 1.0, -1.0)
+    unit = kept / norms[~degenerate, None]
+    return float(np.linalg.norm(unit - sign / math.sqrt(model.hidden_dim), axis=1).max())
 
 
 def kappa_bound(d: int, eps: float) -> float | None:

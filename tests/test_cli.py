@@ -43,6 +43,21 @@ class TestParser:
         assert exc.value.code == 2
         assert "must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, env", [
+        ({"threads": -4}, {}), ({"kappa": 0}, {}), ({"data": 0}, {}),
+        ({"language": 9}, {}), ({"threads": "x"}, {}),
+        ({}, {"STATEMERGE_THREADS": "-4"}), ({}, {"STATEMERGE_THREADS": "x"}),
+        ({}, {"STATEMERGE_SEED": "x"})])
+    def test_config_and_env_values_checked(self, config, env, tmp_path, monkeypatch, capsys):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(["--language", "1", "--config", str(cfg), "extract"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_explicit_values_kept(self):
         args = build_parser().parse_args(["--language", "1", "extract", "--kappa", "0.5",
                                           "--data", "1", "--length", "0", "--epochs", "1"])
@@ -55,6 +70,8 @@ class TestParser:
         # The default is captured at parser build time.
         args = build_parser().parse_args(["table2"])
         assert args.seed == 7
+        monkeypatch.setenv("STATEMERGE_THREADS", "3")
+        assert build_parser().parse_args(["table2"]).threads == 3
 
 
 @pytest.fixture(scope="module")

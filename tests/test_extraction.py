@@ -72,8 +72,7 @@ class TestBuildPrefixTree:
 
 
 def toy_tree(labels, features, edges):
-    return PrefixTree(ALPHABET, dict(edges), list(labels),
-                      [np.asarray(f, dtype=float) for f in features])
+    return PrefixTree(ALPHABET, dict(edges), list(labels), np.array(features, dtype=float))
 
 
 def merged_states(labels, features, kappa, edges=()):
@@ -140,7 +139,7 @@ class TestMerge:
 
 def reference_merge(tree, kappa):
     """The same scan, applying each merge literally to (src, token, dst) triples."""
-    feats = np.stack(tree.features)
+    feats = tree.features
     norms = np.linalg.norm(feats, axis=1)
     triples = {(src, token, dst) for (src, token), dst in tree.edges.items()}
     alive, initial = set(range(tree.n_states)), tree.root
@@ -172,7 +171,7 @@ def random_tree(rng, n_states, dim=3):
         elif kind < 0.4:
             features[q] = 0.0
     labels = [bool(x) for x in rng.integers(0, 2, size=n_states)]
-    return PrefixTree(ALPHABET, edges, labels, list(features))
+    return PrefixTree(ALPHABET, edges, labels, features)
 
 
 class TestMergeReference:
@@ -196,7 +195,7 @@ class TestMergeAll:
 
     def test_high_tolerance_collapses_by_label(self):
         # All features closely aligned: only the label classes can survive.
-        features = [np.array([1.0, 0.01 * i]) for i in range(5)]
+        features = np.array([[1.0, 0.01 * i] for i in range(5)])
         tree = PrefixTree(ALPHABET,
                           {(0, "a"): 1, (0, "b"): 2, (1, "a"): 3, (1, "b"): 4},
                           [True, False, False, True, False], features)
@@ -229,7 +228,7 @@ class TestMergeAll:
 
 
 def _max_offdiag_cosine(tree):
-    feats = np.stack(tree.features)
+    feats = tree.features
     norms = np.linalg.norm(feats, axis=1, keepdims=True)
     unit = feats / norms
     sims = unit @ unit.T

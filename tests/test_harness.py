@@ -10,15 +10,15 @@ import statistics
 import numpy as np
 import pytest
 
-from statemerge.automata import Dfa
+from statemerge.automata import Dfa, prefix_decisions
 from statemerge.harness import (ExperimentConfig, ExtractionConfig, ResultRow,
                                 TrainingConfig, best_model, ensure_trained,
                                 eval_set_for, extraction_strings, fidelity,
                                 load_finished_run, metrics_to_csv,
-                                model_prefix_decisions, rows_to_csv, run_extraction,
+                                rows_to_csv, run_extraction,
                                 run_kmeans_baseline, summarize,
                                 train_recognizer)
-from statemerge.languages import ALPHABET, membership, sample_eval_set
+from statemerge.languages import ALPHABET, gold_dfa, labeled, membership, sample_eval_set
 from statemerge.rnn import (EpochMetrics, decisions, init_model, load_checkpoint,
                             save_checkpoint)
 
@@ -98,10 +98,13 @@ class TestFidelity:
 
     def test_prefix_decisions_match_per_string_forward(self, rng):
         model = init_model(ALPHABET, 4, 8, rng)
-        strings = ["", "a", "ab", "bba", "abab"]
-        batched = model_prefix_decisions(model, strings)
-        for w in strings:
-            assert batched[w] == list(decisions(model, w))
+        dfa = gold_dfa(3)
+        eval_set = [labeled(3, w) for w in ["", "a", "ab", "bba", "abab", "ab", "bbab"]]
+        result = fidelity(dfa, model, eval_set)
+        pairs = [(prefix_decisions(dfa, s.x), decisions(model, s.x)) for s in eval_set]
+        agree = [p == q for dfa_preds, rnn_preds in pairs for p, q in zip(dfa_preds, rnn_preds)]
+        assert result.prefix_vs_rnn == sum(agree) / len(agree)
+        assert result.vs_rnn == sum(d[-1] == r[-1] for d, r in pairs) / len(pairs)
 
     def test_empty_eval_set_rejected(self, rng):
         dfa = Dfa(ALPHABET, {0}, 0, {}, set())

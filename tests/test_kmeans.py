@@ -5,7 +5,7 @@ import pytest
 
 from statemerge.automata import run
 from statemerge.kmeans import collect_hidden_states, kmeans, kmeans_extract
-from statemerge.rnn import init_model
+from statemerge.rnn import forward, init_model
 
 
 def small_model(seed, d=8):
@@ -20,6 +20,10 @@ class TestCollectHiddenStates:
         assert len(data.points) == 3 + 2 + 1
         assert len(data.labels) == len(data.points)
         assert len(data.successor) == len(data.points)
+        # kmeans_extract reads record 0 as the initial state: the empty prefix.
+        first = forward(m, "ab")
+        np.testing.assert_allclose(data.points[0], first.hidden[0], rtol=0, atol=1e-12)
+        assert data.labels[0] == (first.yhat[0] > 0.5)
 
     def test_successor_links(self):
         m = small_model(0)
@@ -27,7 +31,6 @@ class TestCollectHiddenStates:
         assert data.successor[0] == (0, "a", 1)
         assert data.successor[1] == (1, "b", 2)
         assert data.successor[2] is None
-        assert data.initial_index == 0
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

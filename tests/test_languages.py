@@ -153,6 +153,7 @@ class TestDatasetFormat:
         samples = sample_balanced(5, 12, 8, rng) + [labeled(5, "")]
         text = save_dataset(samples, language=5, seed=0, note="len 12")
         assert load_dataset(text) == samples
+        assert text.endswith("\n\t1\n")  # ε is written as an empty first field
 
     def test_header_present(self, rng):
         text = save_dataset(sample_balanced(1, 3, 2, rng), language=1, seed=9)

@@ -6,7 +6,7 @@ import pytest
 from statemerge import rnn
 from statemerge.languages import ALPHABET, labeled, sample_balanced
 from statemerge.rnn import (AdamWHyper, AdamWState, Checkpoint, TrainingError,
-                            adamw_step, decisions, forward, init_model,
+                            adamw_step, decisions, forward, forward_many, init_model,
                             kappa_bound, load_checkpoint, loss_and_grads,
                             model_from_checkpoint, saturation_level,
                             save_checkpoint, train)
@@ -59,6 +59,23 @@ class TestForward:
         m = init_model(ALPHABET, 4, 8, rng)
         with pytest.raises(ValueError):
             forward(m, "az")
+
+
+class TestForwardMany:
+    def test_matches_per_string_forward_in_input_order(self, rng):
+        m = init_model(ALPHABET, 4, 8, rng)
+        strings = ["abab", "", "b", "ba", "abab", "aab", "", "bbbba", "ab"]
+        results = forward_many(m, strings)
+        assert len(results) == len(strings)
+        for w, result in zip(strings, results):
+            single = forward(m, w)
+            assert result.hidden.shape == (len(w) + 1, 8)
+            np.testing.assert_allclose(result.hidden, single.hidden, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(result.yhat, single.yhat, rtol=0, atol=1e-12)
+            assert list(result.yhat > 0.5) == decisions(m, w)
+
+    def test_empty_list(self, rng):
+        assert forward_many(init_model(ALPHABET, 4, 8, rng), []) == []
 
 
 class TestDecisions:
