@@ -351,11 +351,12 @@ def reproduce_table2(config: ExperimentConfig, models: dict[int, RnnModel]
                      ) -> tuple[list[ResultRow], dict[tuple[int, str], Table2Summary]]:
     """State-merging extraction and k-means baseline per language and seed."""
     jobs = [(language, seed) for language in config.languages for seed in config.seeds]
+    eval_sets = {language: eval_set_for(language, config) for language in config.languages}
 
     def one(job: tuple[int, int]) -> list[ResultRow]:
         language, seed = job
         model = models[language]
-        eval_set = eval_set_for(language, config)
+        eval_set = eval_sets[language]
         row_sm, _ = run_extraction(model, language, seed, 0, config, eval_set)
         row_km, _ = run_kmeans_baseline(model, language, seed, 0, config, eval_set)
         return [row_sm, row_km]

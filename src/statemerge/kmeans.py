@@ -4,7 +4,6 @@ transitions."""
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,24 +16,21 @@ MAX_LLOYD_ITERATIONS = 100
 
 @dataclass
 class HiddenStateDataset:
-    """One record per visited prefix position, with the successor link needed
-    to vote on transitions.  Record 0 is the empty prefix of the first string."""
+    """One record per visited prefix position, the records of a string in
+    order, so record i + 1 is record i's successor unless next_token[i] is
+    -1.  Record 0 is the empty prefix of the first string."""
     points: np.ndarray          # (N, d) hidden states
     labels: np.ndarray          # (N,) bool, model decision on the prefix
-    successor: list[tuple[int, str, int] | None]  # (index, token, next index)
+    next_token: np.ndarray      # (N,) alphabet index of the token read next, -1 at a string's end
 
 
 def collect_hidden_states(model: RnnModel, strings: list[str]) -> HiddenStateDataset:
     if not strings:
         raise ValueError("need at least one string")
     results = forward_many(model, strings)
-    successor: list[tuple[int, str, int] | None] = []
-    for w in strings:
-        base = len(successor)
-        successor.extend((base + i, token, base + i + 1) for i, token in enumerate(w))
-        successor.append(None)
+    next_token = np.concatenate([model.token_ids(w) + [-1] for w in strings])
     return HiddenStateDataset(np.concatenate([r.hidden for r in results]),
-                              np.concatenate([r.yhat > 0.5 for r in results]), successor)
+                              np.concatenate([r.yhat > 0.5 for r in results]), next_token)
 
 
 def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
@@ -57,7 +53,28 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
 
 def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """One Lloyd run; centroids seeded from k distinct points, empty
-    clusters reseeded to the point farthest from its assigned centroid."""
+    clusters reseeded to the point farthest from its assigned centroid.
+
+    The result is bit for bit that of ranking every point against every
+    centroid by the exact sum of (x - c)**2 over the d coordinates, with
+    ties to the lowest centroid id, at the cost of one GEMM per iteration:
+
+    - Each row is ranked by the expansion ||x||^2 - 2 x.c + ||c||^2.  The
+      expansion and the exact sum each round by about d * eps *
+      (||x||^2 + ||c||^2), far below tol = 1e-9 (||x||^2 + max ||c||^2)
+      (plus 1e-300, which keeps tol positive when the norms underflow).
+    - So a centroid whose exact sum is no larger than that of the
+      expansion's winner lies within 2 tol of the row minimum.  Every row
+      with a second centroid that close is re-ranked by the exact sum.
+    - The re-ranking repeats the exact ranking's per-row arithmetic (a
+      pairwise sum over a contiguous axis of length d) and its argmin, so it
+      gives the same bits and the same tie-break.
+
+    The re-ranking cannot be dropped.  Saturated hidden states give
+    duplicate and near-duplicate points, so a point can sit exactly on one
+    centroid with another a few ulps away, or on two identical centroids.
+    The exact sums rank those by the last bits, which the expansion's
+    rounding can reverse."""
     n = len(points)
     if k < 1:
         raise ValueError("k must be positive")
@@ -65,10 +82,18 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.nda
         raise ValueError(f"need at least k={k} points, got {n}")
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
     assignments = np.full(n, -1)
+    sq_norms = np.einsum("ij,ij->i", points, points)
     for _ in range(MAX_LLOYD_ITERATIONS):
-        dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        c_sq = np.einsum("ij,ij->i", centroids, centroids)
+        dists = sq_norms[:, None] - 2 * (points @ centroids.T) + c_sq
         new_assignments = dists.argmin(axis=1)
-        point_dists = dists[np.arange(n), new_assignments]
+        tol = 1e-9 * (sq_norms + c_sq.max()) + 1e-300
+        cutoff = dists[np.arange(n), new_assignments] + 2 * tol
+        rows = np.flatnonzero(np.count_nonzero(dists <= cutoff[:, None], axis=1) > 1)
+        new_assignments[rows] = (((points[rows, None, :] - centroids[None, :, :]) ** 2)
+                                 .sum(axis=2).argmin(axis=1))
+        if len(np.unique(new_assignments)) < k:  # the only case that reseeds
+            point_dists = ((points - centroids[new_assignments]) ** 2).sum(axis=1)
         for c in range(k):
             members = new_assignments == c
             if members.any():
@@ -92,20 +117,15 @@ def kmeans_extract(model: RnnModel, strings: list[str], k: int,
     id).  Unreachable clusters are pruned and the result minimized."""
     data = collect_hidden_states(model, strings)
     assignments, _ = kmeans(data.points, k, rng)
-    accept_votes: dict[int, Counter] = {c: Counter() for c in range(k)}
-    for idx, label in enumerate(data.labels):
-        accept_votes[int(assignments[idx])][bool(label)] += 1
-    accepting = {c for c, votes in accept_votes.items()
-                 if votes[True] > votes[False]}
-    transition_votes: dict[tuple[int, str], Counter] = {}
-    for link in data.successor:
-        if link is None:
-            continue
-        src, token, dst = link
-        key = (int(assignments[src]), token)
-        transition_votes.setdefault(key, Counter())[int(assignments[dst])] += 1
-    transitions = {key: min(c for c, n in votes.items() if n == max(votes.values()))
-                   for key, votes in transition_votes.items()}
+    accept_votes = np.bincount(assignments, weights=data.labels, minlength=k)
+    accepting = np.flatnonzero(2 * accept_votes > np.bincount(assignments, minlength=k))
+    sigma = len(model.alphabet)
+    links = np.flatnonzero(data.next_token >= 0)
+    codes = (assignments[links] * sigma + data.next_token[links]) * k + assignments[links + 1]
+    votes = np.bincount(codes, minlength=k * sigma * k).reshape(k * sigma, k)
+    voted = np.flatnonzero(votes.any(axis=1))
+    transitions = {(int(row) // sigma, model.alphabet[row % sigma]): int(dst)
+                   for row, dst in zip(voted, votes[voted].argmax(axis=1))}
     initial = int(assignments[0])
-    raw = Dfa(model.alphabet, set(range(k)), initial, transitions, accepting)
+    raw = Dfa(model.alphabet, set(range(k)), initial, transitions, set(accepting.tolist()))
     return minimize(raw)

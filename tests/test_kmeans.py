@@ -1,10 +1,13 @@
 """Tests for the clustering baseline: Lloyd's algorithm and the DFA read-off."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from statemerge.automata import run
-from statemerge.kmeans import collect_hidden_states, kmeans, kmeans_extract
+from statemerge.kmeans import (HiddenStateDataset, collect_hidden_states, kmeans,
+                               kmeans_extract)
 from statemerge.rnn import forward, init_model
 
 
@@ -19,7 +22,7 @@ class TestCollectHiddenStates:
         # One record per prefix position, including the empty prefix.
         assert len(data.points) == 3 + 2 + 1
         assert len(data.labels) == len(data.points)
-        assert len(data.successor) == len(data.points)
+        assert len(data.next_token) == len(data.points)
         # kmeans_extract reads record 0 as the initial state: the empty prefix.
         first = forward(m, "ab")
         np.testing.assert_allclose(data.points[0], first.hidden[0], rtol=0, atol=1e-12)
@@ -27,10 +30,18 @@ class TestCollectHiddenStates:
 
     def test_successor_links(self):
         m = small_model(0)
-        data = collect_hidden_states(m, ["ab"])
-        assert data.successor[0] == (0, "a", 1)
-        assert data.successor[1] == (1, "b", 2)
-        assert data.successor[2] is None
+        strings = ["ab", "", "b"]
+        data = collect_hidden_states(m, strings)
+        # Record i + 1 follows record i on the token next_token[i]; -1 ends a string.
+        assert data.next_token.tolist() == [0, 1, -1, -1, 1, -1]
+        base = 0
+        for w in strings:
+            hidden = forward(m, w).hidden
+            np.testing.assert_allclose(data.points[base:base + len(w) + 1], hidden,
+                                       rtol=0, atol=1e-12)
+            assert data.next_token[base + len(w)] == -1
+            base += len(w) + 1
+        assert base == len(data.points)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -90,6 +101,111 @@ class TestKmeans:
             single = distortion(*kmeans(points, 6, np.random.default_rng(seed), n_init=1))
             multi = distortion(*kmeans(points, 6, np.random.default_rng(seed), n_init=10))
             assert multi <= single + 1e-9
+
+
+def reference_kmeans(points, k, rng, n_init=10):
+    """kmeans with every point ranked against every centroid by the exact
+    sum of squares over the (N, k, d) broadcast: the oracle for the ranking
+    by the distance expansion."""
+    best = None
+    for _ in range(n_init):
+        n = len(points)
+        centroids = points[rng.choice(n, size=k, replace=False)].copy()
+        assignments = np.full(n, -1)
+        for _ in range(100):
+            dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            new_assignments = dists.argmin(axis=1)
+            point_dists = dists[np.arange(n), new_assignments]
+            for c in range(k):
+                members = new_assignments == c
+                if members.any():
+                    centroids[c] = points[members].mean(axis=0)
+                else:
+                    farthest = int(point_dists.argmax())
+                    centroids[c] = points[farthest]
+                    new_assignments[farthest] = c
+                    point_dists[farthest] = 0.0
+            if np.array_equal(new_assignments, assignments):
+                break
+            assignments = new_assignments
+        dist = float(((points - centroids[assignments]) ** 2).sum())
+        if best is None or dist < best[0]:
+            best = (dist, assignments, centroids)
+    return best[1], best[2]
+
+
+def hidden_like_points(seed):
+    """Points like saturated hidden states: tanh of wide normals, so many
+    coordinates are exactly +-1, with whole rows duplicated, and k up to n."""
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+    points = np.tanh(rng.normal(size=(n, d)) * rng.choice([0.5, 3.0, 30.0]))
+    copies = rng.integers(0, n, size=int(rng.integers(0, n)))
+    points[rng.integers(0, n, size=len(copies))] = points[copies]
+    return points, int(rng.integers(1, n + 1))
+
+
+class TestLloydReference:
+    SEEDS = range(200)
+
+    def test_matches_exact_ranking(self):
+        for seed in self.SEEDS:
+            points, k = hidden_like_points(seed)
+            a, c = kmeans(points, k, np.random.default_rng(seed), n_init=3)
+            ref_a, ref_c = reference_kmeans(points, k, np.random.default_rng(seed), n_init=3)
+            assert np.array_equal(a, ref_a), seed
+            assert np.array_equal(c, ref_c), seed
+
+    def test_identical_seed_centroids_rank_as_exact_ties(self):
+        # Seeding picks two identical points, so every row has two centroids
+        # at one exact distance and the first iteration re-ranks every row.
+        base = np.tanh(np.random.default_rng(5).normal(size=(6, 7)) * 3.0)
+        points = np.concatenate([base, base, base])
+        for seed in range(20):
+            seeded = points[np.random.default_rng(seed).choice(len(points), size=9,
+                                                               replace=False)]
+            if len(np.unique(seeded, axis=0)) < len(seeded):
+                break
+        else:
+            pytest.fail("no seed picks two identical points")
+        a, c = kmeans(points, 9, np.random.default_rng(seed), n_init=1)
+        ref_a, ref_c = reference_kmeans(points, 9, np.random.default_rng(seed), n_init=1)
+        assert np.array_equal(a, ref_a)
+        assert np.array_equal(c, ref_c)
+
+
+class TestReadOff:
+    """kmeans_extract's votes on a hand-built dataset and fixed clusters."""
+
+    def extract(self, monkeypatch, labels, next_token, assignments, k):
+        module = importlib.import_module("statemerge.kmeans")
+        data = HiddenStateDataset(np.zeros((len(labels), 1)), np.array(labels),
+                                  np.array(next_token))
+        monkeypatch.setattr(module, "collect_hidden_states", lambda model, strings: data)
+        monkeypatch.setattr(module, "kmeans",
+                            lambda points, k, rng: (np.array(assignments), None))
+        return kmeans_extract(small_model(0), ["unused"], k, np.random.default_rng(0))
+
+    def test_acceptance_tie_rejects(self, monkeypatch):
+        # Records of "a": the empty prefix accepted, "a" rejected, one cluster.
+        dfa = self.extract(monkeypatch, [True, False], [0, -1], [0, 0], 1)
+        assert not dfa.accepts("") and not dfa.accepts("a")
+
+    def test_acceptance_majority_accepts(self, monkeypatch):
+        dfa = self.extract(monkeypatch, [True, False, True], [0, 1, -1], [0, 0, 0], 1)
+        assert dfa.accepts("") and dfa.accepts("ab")
+
+    @pytest.mark.parametrize("assignments, accepts_a", [
+        ([0, 2, 0, 1], True),    # the lower id, accepting, wins the tie
+        ([0, 1, 0, 2], False),   # the lower id, rejecting, wins the tie
+    ])
+    def test_transition_tie_goes_to_lowest_cluster(self, monkeypatch, assignments,
+                                                   accepts_a):
+        # Two strings "a": cluster 0 reads a once into each of clusters 1 and 2;
+        # only the second string's "a" record is accepted.
+        dfa = self.extract(monkeypatch, [False, False, False, True], [0, -1, 0, -1],
+                           assignments, 3)
+        assert dfa.accepts("a") == accepts_a
 
 
 class TestKmeansExtract:
