@@ -329,8 +329,13 @@ def load_dfa(text: str) -> Dfa:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0].split() != ["format", "dfa", str(DFA_FORMAT_VERSION)]:
         raise ValueError("unrecognized DFA file header")
+    seen: set[str] = set()
     for line in lines[1:]:
         key, *rest = line.split()
+        if key in seen:
+            raise ValueError(f"repeated DFA file line: {line!r}")
+        if key != "transition":
+            seen.add(key)
         if key == "alphabet":
             alphabet = tuple(rest)
         elif key == "states":
@@ -341,6 +346,8 @@ def load_dfa(text: str) -> Dfa:
             accepting = {int(s) for s in rest}
         elif key == "transition" and len(rest) == 3:
             src, tok, dst = rest
+            if (int(src), tok) in transitions:
+                raise ValueError(f"repeated DFA file line: {line!r}")
             transitions[(int(src), tok)] = int(dst)
         else:
             raise ValueError(f"unrecognized DFA file line: {line!r}")

@@ -33,6 +33,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _open_unit_float(text: str) -> float:
     value = float(text)
     if not 0.0 < value < 1.0:
@@ -78,19 +85,25 @@ def _load_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace)
     option each one sets; a rejected value exits with status 2."""
     if not args.config:
         return
-    overrides = json.loads(Path(args.config).read_text())
+    try:
+        overrides = json.loads(Path(args.config).read_text())
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read config {args.config}: {exc}")
+    if not isinstance(overrides, dict):
+        parser.error(f"config {args.config} must hold a JSON object")
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     actions = {a.dest: a for p in (parser, subparsers.choices[args.command])
                for a in p._actions}
     for key, value in overrides.items():
         if not hasattr(args, key):
-            raise SystemExit(f"unknown config key {key!r} in {args.config}")
+            parser.error(f"unknown config key {key!r} in {args.config}")
         action = actions.get(key)
-        if action is not None and action.type is not None:
-            try:
-                value = action.type(str(value))
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                parser.error(f"config key {key!r} in {args.config}: {exc}")
+        if action is not None:
+            if action.type is not None:
+                try:
+                    value = action.type(str(value))
+                except (argparse.ArgumentTypeError, ValueError) as exc:
+                    parser.error(f"config key {key!r} in {args.config}: {exc}")
             if action.choices is not None and value not in action.choices:
                 parser.error(f"config key {key!r} in {args.config}: "
                              f"{value!r} not in {list(action.choices)}")
@@ -241,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sizes = argparse.ArgumentParser(add_help=False)
     for field in TRAIN_SIZE_FIELDS:
-        sizes.add_argument(f"--{field.replace('_', '-')}", type=int, default=None,
-                           dest=field)
+        sizes.add_argument(f"--{field.replace('_', '-')}", default=None, dest=field,
+                           type=_nonnegative_int if field.endswith("_len") else int)
 
     p_train = sub.add_parser("train", help="train a recognizer", parents=[sizes])
     p_train.add_argument("--epochs", type=_positive_int, default=None)
@@ -254,14 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
                                parents=[sizes])
     p_extract.add_argument("--data", type=_positive_int, default=300)
     p_extract.add_argument("--kappa", type=_open_unit_float, default=0.01)
-    p_extract.add_argument("--length", type=int, default=10)
+    p_extract.add_argument("--length", type=_nonnegative_int, default=10)
     p_extract.add_argument("--epochs", type=_positive_int, default=None)
     p_extract.set_defaults(func=cmd_extract, full=False)
 
     p_baseline = sub.add_parser("baseline", help="k-means extraction baseline",
                                 parents=[sizes])
     p_baseline.add_argument("--data", type=_positive_int, default=300)
-    p_baseline.add_argument("--length", type=int, default=10)
+    p_baseline.add_argument("--length", type=_nonnegative_int, default=10)
     p_baseline.add_argument("--k", type=_positive_int, default=20)
     p_baseline.add_argument("--epochs", type=_positive_int, default=None)
     p_baseline.set_defaults(func=cmd_baseline, full=False)

@@ -14,6 +14,9 @@ from .rnn import RnnModel, forward_many
 
 logger = logging.getLogger(__name__)
 
+# Similarity entries per row block of merge_all (float64, about 0.5 MB).
+CELLS = 1 << 16
+
 
 @dataclass
 class PrefixTree:
@@ -98,15 +101,16 @@ def build_prefix_tree(model: RnnModel, strings: list[str]) -> PrefixTree:
 def merge_all(tree: PrefixTree, policy: MergePolicy) -> Nfa:
     """Quotient of the prefix tree by a representative map.
 
-    Scan order: q_i runs over BFS ids descending.  Its candidates are the
-    alive states with the same label whose hidden vectors are nearly parallel
-    (cosine > 1 - kappa); a zero-norm feature never matches.  A match folds
-    q_i into the lowest candidate and marks q_i dead.  A single pass is
-    exhaustive because merging never changes a surviving state's label or
-    feature vector, so the pair predicate is static.  The merged machine is
-    the tree with every state replaced by the end of its representative
-    chain, as in RPNI's quotient of the prefix-tree acceptor; merging may
-    therefore create self-loops and nondeterminism.
+    rep[i] is the lowest j < i with labels[j] == labels[i] and
+    cos(i, j) > 1 - kappa, or i when no such j exists.  This is the scan that
+    visits BFS ids descending and folds each state into its lowest alive
+    match: every lower id is still alive when q_i is visited, and an alive
+    higher id q_k never matches q_i, since q_k saw q_i as a live candidate and
+    would have been folded.  A zero-norm feature has cosine 0 with every row
+    and 1 - kappa > 0, so it never matches.  The merged machine is the tree
+    with every state replaced by the end of its representative chain, as in
+    RPNI's quotient of the prefix-tree acceptor; merging may therefore create
+    self-loops and nondeterminism.
     """
     n = tree.n_states
     feats = tree.features
@@ -116,28 +120,24 @@ def merge_all(tree: PrefixTree, policy: MergePolicy) -> Nfa:
         logger.warning("%d zero-norm features treated as never similar", int(degenerate.sum()))
     unit = np.divide(feats, norms[:, None], out=np.zeros_like(feats), where=~degenerate[:, None])
     labels = np.array(tree.labels)
-    alive = np.ones(n, dtype=bool)
-    rep = np.arange(n)
     threshold = 1.0 - policy.kappa
-    for q_i in range(n - 1, -1, -1):
-        if degenerate[q_i]:
-            continue
-        sims = unit @ unit[q_i]
-        candidates = alive & (labels == labels[q_i]) & (sims > threshold)
-        candidates[q_i] = False
-        matches = np.flatnonzero(candidates)
-        if matches.size:
-            rep[q_i] = matches[0]
-            alive[q_i] = False
-    # A target is alive when chosen and a dead state is never chosen, so the
-    # chains are acyclic; pointer jumping reaches their fixed points.
+    rep = np.arange(n)
+    rows = max(1, CELLS // n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        match = unit[start:stop] @ unit[:stop].T > threshold
+        match &= labels[start:stop, None] == labels[:stop]
+        match &= np.tri(stop - start, stop, start - 1, dtype=bool)  # j < i
+        found = np.flatnonzero(match.any(axis=1))
+        rep[start + found] = match[found].argmax(axis=1)
+    # rep[i] <= i, so the chains descend; pointer jumping reaches their ends.
     while not np.array_equal(rep[rep], rep):
         rep = rep[rep]
     rep_of = rep.tolist()
     transitions: dict[tuple[int, str], set[int]] = {}
     for (src, token), dst in tree.edges.items():
         transitions.setdefault((rep_of[src], token), set()).add(rep_of[dst])
-    states = set(np.flatnonzero(alive).tolist())
+    states = set(np.flatnonzero(rep == np.arange(n)).tolist())
     return Nfa(tree.alphabet, states, rep_of[tree.root], transitions,
                {q for q in states if tree.labels[q]})
 

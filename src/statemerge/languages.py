@@ -96,6 +96,8 @@ def labeled(language: int, w: str) -> LabeledSample:
 def _accepting_counts(dfa: Dfa, max_len: int) -> dict[int, list[int]]:
     """counts[q][r] = number of length-r strings accepted starting from q.
     Exact bignum arithmetic; missing transitions contribute nothing."""
+    if max_len < 0:
+        raise ValueError(f"length must be nonnegative, got {max_len}")
     counts = {q: [0] * (max_len + 1) for q in dfa.states}
     for q in dfa.states:
         counts[q][0] = 1 if q in dfa.accepting else 0

@@ -212,6 +212,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_dfa(text)
 
+    @pytest.mark.parametrize("line", ["alphabet a", "states 0 1", "initial 1", "accepting 1",
+                                      "transition 0 a 0"])
+    def test_rejects_repeated_line(self, line):
+        text = save_dfa(Dfa(("a",), {0, 1}, 0, {(0, "a"): 1}, {1})) + line + "\n"
+        with pytest.raises(ValueError, match="repeated"):
+            load_dfa(text)
+
     def test_validation_rejects_stray_transition(self):
         with pytest.raises(ValueError):
             Dfa(("a",), {0}, 0, {(0, "a"): 5}, set())

@@ -36,7 +36,9 @@ class TestParser:
         ["sweep", "kappa", "--kappa", "1.5"], ["extract", "--data", "0"],
         ["baseline", "--data", "-3"], ["baseline", "--k", "0"],
         ["train", "--epochs", "0"], ["extract", "--epochs", "-1"],
-        ["--threads", "-4", "table2"], ["--threads", "0", "table2"]])
+        ["--threads", "-4", "table2"], ["--threads", "0", "table2"],
+        ["extract", "--length", "-1"], ["baseline", "--length", "-2"],
+        ["train", "--train-len", "-1"], ["eval", "--dfa", "x", "--dev-len", "-1"]])
     def test_out_of_range_values_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--language", "1"] + argv)
@@ -47,7 +49,8 @@ class TestParser:
         ({"threads": -4}, {}), ({"kappa": 0}, {}), ({"data": 0}, {}),
         ({"language": 9}, {}), ({"threads": "x"}, {}),
         ({}, {"STATEMERGE_THREADS": "-4"}), ({}, {"STATEMERGE_THREADS": "x"}),
-        ({}, {"STATEMERGE_SEED": "x"})])
+        ({}, {"STATEMERGE_SEED": "x"}), ({"length": -1}, {}), ({"train_len": -1}, {}),
+        ({"dev_len": -3}, {}), ({"no_such_key": 1}, {})])
     def test_config_and_env_values_checked(self, config, env, tmp_path, monkeypatch, capsys):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -55,6 +58,19 @@ class TestParser:
         cfg.write_text(json.dumps(config))
         with pytest.raises(SystemExit) as exc:
             main(["--language", "1", "--config", str(cfg), "extract"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, argv", [
+        (None, ["extract"]), ("{", ["extract"]), ("[1, 2]", ["extract"]),
+        ('{"kind": "bogus"}', ["sweep", "data"])], ids=["missing", "malformed", "non-object",
+                                                        "bad-choice"])
+    def test_bad_config_file_exits_2(self, text, argv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["--language", "1", "--config", str(cfg)] + argv)
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from statemerge import extraction
 from statemerge.automata import Nfa, determinize, isomorphic, minimize
 from statemerge.extraction import (MergePolicy, PrefixTree, build_prefix_tree,
                                    extract, merge_all, train_set_fidelity)
@@ -175,9 +176,12 @@ def random_tree(rng, n_states, dim=3):
 
 
 class TestMergeReference:
-    def test_matches_literal_merges_on_random_trees(self, rng):
+    # CELLS = 1 gives one row per block and 256 a few, so folds cross block seams.
+    @pytest.mark.parametrize("cells", [extraction.CELLS, 256, 1])
+    def test_matches_literal_merges_on_random_trees(self, rng, cells, monkeypatch):
+        monkeypatch.setattr(extraction, "CELLS", cells)
         for _ in range(300):
-            tree = random_tree(rng, int(rng.integers(1, 25)))
+            tree = random_tree(rng, int(rng.integers(1, 61)))
             kappa = float(rng.uniform(0.001, 0.999))
             assert merge_all(tree, MergePolicy(kappa)) == reference_merge(tree, kappa)
 

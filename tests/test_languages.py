@@ -127,6 +127,14 @@ class TestBalancedSampler:
         with pytest.raises(ValueError):
             sample_balanced(1, 5, 1, rng)
 
+    def test_negative_length_rejected(self, rng):
+        with pytest.raises(ValueError, match="nonnegative"):
+            positive_count(1, -1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_balanced(1, -1, 10, rng)
+        with pytest.raises(ValueError, match="nonnegative"):
+            sample_uniform_positive(1, -1, rng)
+
 
 class TestEvalSampler:
     def test_counts_and_lengths(self, rng):
