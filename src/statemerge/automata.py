@@ -139,108 +139,57 @@ def determinize(nfa: Nfa) -> Dfa:
     return Dfa(nfa.alphabet, set(ids.values()), 0, transitions, accepting)
 
 
-def _reachable(dfa: Dfa) -> set[int]:
-    seen = {dfa.initial}
-    queue = deque([dfa.initial])
-    while queue:
-        state = queue.popleft()
-        for token in dfa.alphabet:
-            dst = dfa.transitions.get((state, token))
-            if dst is not None and dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-    return seen
-
-
-def _completed_table(dfa: Dfa, states: set[int]) -> tuple[list[int], dict[tuple[int, str], int], int]:
-    """Reachable states plus an explicit sink, with a total transition table."""
-    sink = max(states) + 1
-    ordered = sorted(states) + [sink]
-    table: dict[tuple[int, str], int] = {}
-    for state in ordered:
-        for token in dfa.alphabet:
-            if state == sink:
-                table[(state, token)] = sink
-            else:
-                table[(state, token)] = dfa.transitions.get((state, token), sink)
-    return ordered, table, sink
-
-
-def _hopcroft(states: list[int], alphabet: tuple[str, ...],
-              table: dict[tuple[int, str], int], accepting: set[int]) -> dict[int, int]:
-    """Partition refinement; returns state -> block id."""
-    final = frozenset(s for s in states if s in accepting)
-    nonfinal = frozenset(states) - final
-    partition: set[frozenset[int]] = {p for p in (final, nonfinal) if p}
-    worklist: set[frozenset[int]] = set(partition)
-    preimage: dict[tuple[int, str], set[int]] = {}
-    for (src, tok), dst in table.items():
-        preimage.setdefault((dst, tok), set()).add(src)
-    while worklist:
-        splitter = worklist.pop()
-        for token in alphabet:
-            x = set()
-            for dst in splitter:
-                x |= preimage.get((dst, token), set())
-            if not x:
-                continue
-            for block in list(partition):
-                inter = block & x
-                diff = block - x
-                if not inter or not diff:
-                    continue
-                partition.remove(block)
-                partition.add(frozenset(inter))
-                partition.add(frozenset(diff))
-                if block in worklist:
-                    worklist.remove(block)
-                    worklist.add(frozenset(inter))
-                    worklist.add(frozenset(diff))
-                else:
-                    worklist.add(frozenset(inter) if len(inter) <= len(diff) else frozenset(diff))
-    block_of: dict[int, int] = {}
-    for i, block in enumerate(sorted(partition, key=min)):
-        for state in block:
-            block_of[state] = i
-    return block_of
-
-
 def minimize(dfa: Dfa) -> Dfa:
     """Unique minimal machine for the same language, in the partial-transition
     convention: the dead sink is collapsed back into the undefined state and
-    dropped from the state set (kept only when it is the initial state)."""
+    dropped from the state set (kept only when it is the initial state).
+
+    Moore refinement (Moore 1956) over every state plus one explicit sink:
+    each round relabels a row by its block and its successors' blocks, until
+    the block count stops growing.  Unreachable states may share a block with
+    reachable ones, but the renumbering walk from the initial block never
+    visits a block that only they occupy."""
     dfa.validate()
-    reachable = _reachable(dfa)
-    ordered, table, sink = _completed_table(dfa, reachable)
-    accepting = dfa.accepting & reachable
-    block_of = _hopcroft(ordered, dfa.alphabet, table, accepting)
-    sink_block = block_of[sink]
-    initial_block = block_of[dfa.initial]
+    states = sorted(dfa.states)
+    index = {state: i for i, state in enumerate(states)}
+    sink = len(states)
+    succ = [[index.get(dfa.transitions.get((state, token)), sink) for token in dfa.alphabet]
+            for state in states] + [[sink] * len(dfa.alphabet)]
+    block = [int(state in dfa.accepting) for state in states] + [0]
+    count = len(set(block))
+    while True:
+        labels: dict[tuple[int, ...], int] = {}
+        block = [labels.setdefault((block[i], *(block[j] for j in row)), len(labels))
+                 for i, row in enumerate(succ)]
+        if len(labels) == count:
+            break
+        count = len(labels)
+    dead, initial_block = block[sink], block[index[dfa.initial]]
+    if initial_block == dead:
+        # Empty language: keep the bare initial state, no transitions.
+        return Dfa(dfa.alphabet, {0}, 0, {}, set())
+    rep: dict[int, int] = {}
+    for i, b in enumerate(block):
+        rep.setdefault(b, i)
     # BFS renumbering from the initial block gives stable output ids.
     ids: dict[int, int] = {initial_block: 0}
     queue = deque([initial_block])
     transitions: dict[tuple[int, str], int] = {}
-    new_accepting: set[int] = set()
-    rep: dict[int, int] = {}
-    for state in ordered:
-        rep.setdefault(block_of[state], state)
+    accepting: set[int] = set()
     while queue:
-        block = queue.popleft()
-        bid = ids[block]
-        if rep[block] in accepting:
-            new_accepting.add(bid)
-        for token in dfa.alphabet:
-            dst_block = block_of[table[(rep[block], token)]]
-            if dst_block == sink_block and dst_block != initial_block:
+        b = queue.popleft()
+        bid = ids[b]
+        if states[rep[b]] in dfa.accepting:
+            accepting.add(bid)
+        for token, dst in zip(dfa.alphabet, succ[rep[b]]):
+            dst_block = block[dst]
+            if dst_block == dead:
                 continue
             if dst_block not in ids:
                 ids[dst_block] = len(ids)
                 queue.append(dst_block)
             transitions[(bid, token)] = ids[dst_block]
-    if initial_block == sink_block:
-        # Empty language: keep the bare initial state, no transitions.
-        return Dfa(dfa.alphabet, {0}, 0, {}, set())
-    return Dfa(dfa.alphabet, set(ids.values()), 0, transitions, new_accepting)
+    return Dfa(dfa.alphabet, set(ids.values()), 0, transitions, accepting)
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import logging
 import os
-import statistics
 import sys
 from pathlib import Path
 
@@ -82,7 +81,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _load_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Apply JSON config values through the converter and range check of the
-    option each one sets; a rejected value exits with status 2."""
+    option each one sets.  A key must name an option of the top-level parser
+    or of the chosen subcommand; anything else exits with status 2."""
     if not args.config:
         return
     try:
@@ -92,21 +92,24 @@ def _load_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace)
     if not isinstance(overrides, dict):
         parser.error(f"config {args.config} must hold a JSON object")
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # The subcommand, help and the config path itself cannot be set from a config.
     actions = {a.dest: a for p in (parser, subparsers.choices[args.command])
-               for a in p._actions}
+               for a in p._actions if a.dest not in ("command", "help", "config")}
     for key, value in overrides.items():
-        if not hasattr(args, key):
-            parser.error(f"unknown config key {key!r} in {args.config}")
         action = actions.get(key)
-        if action is not None:
-            if action.type is not None:
-                try:
-                    value = action.type(str(value))
-                except (argparse.ArgumentTypeError, ValueError) as exc:
-                    parser.error(f"config key {key!r} in {args.config}: {exc}")
-            if action.choices is not None and value not in action.choices:
-                parser.error(f"config key {key!r} in {args.config}: "
-                             f"{value!r} not in {list(action.choices)}")
+        if action is None:
+            parser.error(f"config key {key!r} in {args.config} is not an option "
+                         f"of {args.command}")
+        if action.type is not None:
+            try:
+                value = action.type(str(value))
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                parser.error(f"config key {key!r} in {args.config}: {exc}")
+        if action.nargs == 0 and not isinstance(value, bool):
+            parser.error(f"config key {key!r} in {args.config}: {value!r} is not true or false")
+        if action.choices is not None and value not in action.choices:
+            parser.error(f"config key {key!r} in {args.config}: "
+                         f"{value!r} not in {list(action.choices)}")
         setattr(args, key, value)
 
 
@@ -178,15 +181,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_table2(args: argparse.Namespace) -> int:
     out = Path(args.out)
     config = _experiment_config(args)
-    models = {}
-    for language in config.languages:
-        checkpoints, _ = ensure_trained(_training_config(args, language),
-                                        out / "models")
-        models[language] = best_model(checkpoints)
+    models = {language: _trained_model(args, language)[0] for language in config.languages}
     rows, summary = harness.reproduce_table2(config, models)
     out.mkdir(parents=True, exist_ok=True)
     (out / "table2_rows.csv").write_text(rows_to_csv(rows))
-    _write_resolved_config(out, json.loads(config.to_json()))
+    _write_resolved_config(out, dataclasses.asdict(config))
     for (language, method), s in sorted(summary.items()):
         print(f"tomita {language} {method:13s}: {100 * s.mean_acc:6.2f} "
               f"± {100 * s.std_acc:.2f}, sizes {s.sizes}")
@@ -198,10 +197,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "data":
-        models = {}
-        for language in config.languages:
-            checkpoints, _ = ensure_trained(_training_config(args, language), out / "models")
-            models[language] = best_model(checkpoints)
+        models = {language: _trained_model(args, language)[0]
+                  for language in config.languages}
         rows = harness.sweep_data_size(config, models)
         (out / "sweep_data.csv").write_text(rows_to_csv(rows))
     elif args.kind == "kappa":
@@ -221,7 +218,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             checkpoints[language] = ckpts
         rows = harness.sweep_epochs(config, checkpoints)
         (out / "sweep_epochs.csv").write_text(rows_to_csv(rows))
-    _write_resolved_config(out, json.loads(config.to_json()))
+    _write_resolved_config(out, dataclasses.asdict(config))
     print(f"wrote sweep results to {out}")
     return 0
 
@@ -269,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--kappa", type=_open_unit_float, default=0.01)
     p_extract.add_argument("--length", type=_nonnegative_int, default=10)
     p_extract.add_argument("--epochs", type=_positive_int, default=None)
-    p_extract.set_defaults(func=cmd_extract, full=False)
+    p_extract.set_defaults(func=cmd_extract)
 
     p_baseline = sub.add_parser("baseline", help="k-means extraction baseline",
                                 parents=[sizes])
@@ -277,26 +274,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_baseline.add_argument("--length", type=_nonnegative_int, default=10)
     p_baseline.add_argument("--k", type=_positive_int, default=20)
     p_baseline.add_argument("--epochs", type=_positive_int, default=None)
-    p_baseline.set_defaults(func=cmd_baseline, full=False)
+    p_baseline.set_defaults(func=cmd_baseline)
 
     p_eval = sub.add_parser("eval", help="evaluate a stored DFA against a model",
                             parents=[sizes])
     p_eval.add_argument("--epochs", type=_positive_int, default=None)
     p_eval.add_argument("--dfa", required=True)
-    p_eval.set_defaults(func=cmd_eval, full=False)
+    p_eval.set_defaults(func=cmd_eval)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweeps")
     p_sweep.add_argument("kind", choices=("data", "kappa", "epochs"))
     p_sweep.add_argument("--kappa", type=_open_unit_float, default=0.01)
-    p_sweep.set_defaults(func=cmd_sweep, full=False)
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_table2 = sub.add_parser("table2", help="reproduce the accuracy table")
-    p_table2.set_defaults(func=cmd_table2, full=False)
+    p_table2.set_defaults(func=cmd_table2)
 
     p_dot = sub.add_parser("export-dot", help="render a stored DFA as DOT")
     p_dot.add_argument("--dfa", required=True)
     p_dot.add_argument("--out-file", default=None)
-    p_dot.set_defaults(func=cmd_export_dot, full=False)
+    p_dot.set_defaults(func=cmd_export_dot)
 
     return parser
 
@@ -304,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _load_config_file(parser, args)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    _load_config_file(parser, args)
     if args.command in ("extract", "baseline", "eval") and args.language is None:
         parser.error(f"{args.command} requires --language")
     try:

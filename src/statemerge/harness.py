@@ -85,14 +85,6 @@ class ExperimentConfig:
     eval_max_len: int = 50
     threads: int = 1
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-
-RESULT_FIELDS = ("language", "method", "seed", "epoch", "data_count", "kappa",
-                 "acc_vs_rnn", "acc_vs_gold", "merged_size", "minimized_size",
-                 "wall_time")
-
 
 @dataclass
 class ResultRow:
@@ -107,6 +99,9 @@ class ResultRow:
     merged_size: int
     minimized_size: int
     wall_time: float
+
+
+RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
 def rows_to_csv(rows: list[ResultRow]) -> str:
@@ -404,26 +399,19 @@ def sweep_kappa(config: ExperimentConfig, model: RnnModel, language: int = 2,
     return results
 
 
-def sweep_epochs(config: ExperimentConfig, checkpoints: dict[int, list[Checkpoint]],
-                 epochs: tuple[int, ...] | None = None,
-                 grid: tuple[int, ...] = (300,)) -> list[ResultRow]:
-    """Extraction metrics per training epoch; merged_size here is the
+def sweep_epochs(config: ExperimentConfig,
+                 checkpoints: dict[int, list[Checkpoint]]) -> list[ResultRow]:
+    """Extraction metrics per training epoch and seed; merged_size here is the
     pre-minimization size."""
     rows = []
     for language, ckpts in checkpoints.items():
         eval_set = eval_set_for(language, config)
-        wanted = epochs if epochs is not None else tuple(
-            c.metadata["epoch"] for c in ckpts)
         for ckpt in ckpts:
-            epoch = ckpt.metadata["epoch"]
-            if epoch not in wanted:
-                continue
             model = rnn.model_from_checkpoint(ckpt, ALPHABET)
-            for n_strings in grid:
-                for seed in config.seeds:
-                    row, _ = run_extraction(model, language, seed, int(epoch), config,
-                                            eval_set, n_strings=n_strings)
-                    rows.append(row)
+            for seed in config.seeds:
+                row, _ = run_extraction(model, language, seed, int(ckpt.metadata["epoch"]),
+                                        config, eval_set)
+                rows.append(row)
     return rows
 
 

@@ -185,14 +185,13 @@ def sample_eval_set(language: int, count: int, max_len: int,
                     rng: np.random.Generator) -> list[LabeledSample]:
     """count strings with lengths uniform on {0..max_len}; per string a fair
     coin picks forced-positive (when feasible at that length) vs uniform."""
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    feasible = [positive_count(language, n) > 0 for n in range(max_len + 1)]
+    dfa = gold_dfa(language)
+    positives = _accepting_counts(dfa, max_len)[dfa.initial]
     samples = []
     for _ in range(count):
         length = int(rng.integers(0, max_len + 1))
         force_positive = bool(rng.integers(0, 2))
-        if force_positive and feasible[length]:
+        if force_positive and positives[length]:
             x = sample_uniform_positive(language, length, rng)
         else:
             x = _sample_uniform_string(length, rng)
@@ -212,10 +211,17 @@ def save_dataset(samples: list[LabeledSample], language: int, seed: int,
 
 
 def load_dataset(text: str) -> list[LabeledSample]:
+    """Inverse of save_dataset.  Raises ValueError unless the first line is
+    the format header and every record is a string, one tab and 0/1 labels."""
+    lines = text.splitlines()
+    if not lines or lines[0].split() != ["#", "dataset-format", str(DATASET_FORMAT_VERSION)]:
+        raise ValueError("unrecognized dataset file header")
     samples = []
-    for line in text.splitlines():
+    for line in lines[1:]:
         if not line or line.startswith("#"):
             continue
-        x, bits = line.split("\t")
+        x, tab, bits = line.partition("\t")
+        if not tab or not set(bits) <= {"0", "1"}:
+            raise ValueError(f"malformed dataset line: {line!r}")
         samples.append(LabeledSample(x, tuple(c == "1" for c in bits)))
     return samples

@@ -126,6 +126,25 @@ class TestMinimize:
             dfa = random_dfa(rng, int(rng.integers(2, 10)))
             assert len(minimize(dfa).states) == moore_minimize_size(dfa)
 
+    def test_canonical_under_renaming_and_unreachable_states(self, rng):
+        # The output ids depend on the language alone: renaming the states or
+        # adding states the initial state cannot reach gives an == machine.
+        for _ in range(200):
+            dfa = random_dfa(rng, int(rng.integers(1, 12)), edge_prob=rng.uniform(0.3, 1.0))
+            n = len(dfa.states)
+            total = n + int(rng.integers(0, 6))
+            transitions = dict(dfa.transitions)
+            for junk in range(n, total):
+                for token in dfa.alphabet:
+                    if rng.random() < 0.7:
+                        transitions[(junk, token)] = int(rng.integers(total))
+            accepting = dfa.accepting | {s for s in range(n, total) if rng.random() < 0.4}
+            name = dict(enumerate(rng.choice(10 * total, size=total, replace=False).tolist()))
+            renamed = Dfa(dfa.alphabet, set(name.values()), name[dfa.initial],
+                          {(name[s], t): name[d] for (s, t), d in transitions.items()},
+                          {name[s] for s in accepting})
+            assert minimize(renamed) == minimize(dfa)
+
     def test_empty_language_keeps_initial(self):
         dfa = Dfa(("a", "b"), {0, 1}, 0, {(0, "a"): 1, (1, "b"): 0}, set())
         result = minimize(dfa)

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from statemerge.automata import load_dfa, save_dfa
-from statemerge.cli import _experiment_config, _training_config, build_parser, main
+from statemerge.cli import (_experiment_config, _load_config_file, _training_config,
+                             build_parser, main)
 from statemerge.languages import gold_dfa
 
 TINY_ARGS = ["--n-train", "40", "--train-len", "6", "--n-dev", "20",
@@ -50,7 +51,9 @@ class TestParser:
         ({"language": 9}, {}), ({"threads": "x"}, {}),
         ({}, {"STATEMERGE_THREADS": "-4"}), ({}, {"STATEMERGE_THREADS": "x"}),
         ({}, {"STATEMERGE_SEED": "x"}), ({"length": -1}, {}), ({"train_len": -1}, {}),
-        ({"dev_len": -3}, {}), ({"no_such_key": 1}, {})])
+        ({"dev_len": -3}, {}), ({"no_such_key": 1}, {}), ({"func": 1}, {}),
+        ({"command": "train"}, {}), ({"full": True}, {}), ({"verbose": "no"}, {}),
+        ({"config": "other.json"}, {})])
     def test_config_and_env_values_checked(self, config, env, tmp_path, monkeypatch, capsys):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -73,6 +76,14 @@ class TestParser:
             main(["--language", "1", "--config", str(cfg)] + argv)
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_config_keys_of_the_command_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"full": True, "verbose": True, "epochs": 3, "seed": 4}))
+        parser = build_parser()
+        args = parser.parse_args(["--config", str(cfg), "train"])
+        _load_config_file(parser, args)
+        assert (args.full, args.verbose, args.epochs, args.seed) == (True, True, 3, 4)
 
     def test_explicit_values_kept(self):
         args = build_parser().parse_args(["--language", "1", "extract", "--kappa", "0.5",

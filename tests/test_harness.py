@@ -10,14 +10,14 @@ import statistics
 import numpy as np
 import pytest
 
-from statemerge.automata import Dfa, prefix_decisions
+from statemerge.automata import Dfa, load_dfa, prefix_decisions
 from statemerge.harness import (ExperimentConfig, ExtractionConfig, ResultRow,
                                 TrainingConfig, best_model, ensure_trained,
                                 eval_set_for, extraction_strings, fidelity,
                                 load_finished_run, metrics_to_csv,
                                 rows_to_csv, run_extraction,
-                                run_kmeans_baseline, summarize,
-                                train_recognizer)
+                                run_kmeans_baseline, summarize, sweep_epochs,
+                                sweep_kappa, train_recognizer)
 from statemerge.languages import ALPHABET, gold_dfa, labeled, membership, sample_eval_set
 from statemerge.rnn import (EpochMetrics, decisions, init_model, load_checkpoint,
                             save_checkpoint)
@@ -243,3 +243,25 @@ class TestExperiments:
         row, dfa = run_kmeans_baseline(model, 1, 0, 0, SMALL_EXPERIMENT)
         assert row.method == "kmeans"
         assert row.minimized_size == len(dfa.states)
+
+
+class TestSweeps:
+    CONFIG = dataclasses.replace(SMALL_EXPERIMENT, seeds=(0, 1))
+
+    def test_sweep_epochs_row_per_epoch_and_seed(self, tiny_run):
+        _, _, checkpoints, _ = tiny_run
+        rows = sweep_epochs(self.CONFIG, {1: checkpoints})
+        assert [(r.epoch, r.seed) for r in rows] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+        assert all(r.language == 1 and r.data_count == 40 for r in rows)
+
+    def test_sweep_kappa_writes_machines(self, tiny_run, tmp_path):
+        _, _, checkpoints, _ = tiny_run
+        results = sweep_kappa(self.CONFIG, best_model(checkpoints), 1,
+                              kappas=(0.5, 0.01), out_dir=tmp_path)
+        assert [row.kappa for row, _ in results] == [0.5, 0.01]
+        for row, report in results:
+            tag = f"tomita1_kappa{row.kappa}"
+            assert (tmp_path / f"{tag}_merged.dot").read_text().startswith("digraph")
+            assert (tmp_path / f"{tag}_final.dot").read_text().startswith("digraph")
+            assert load_dfa((tmp_path / f"{tag}_final.dfa").read_text()) == report.final
+        assert len(list(tmp_path.iterdir())) == 6

@@ -167,6 +167,16 @@ class TestDatasetFormat:
         text = save_dataset(sample_balanced(1, 3, 2, rng), language=1, seed=9)
         assert text.startswith("# dataset-format 1\n# language 1 seed 9")
 
+    @pytest.mark.parametrize("text", [
+        "", "ab\t110\n", "# dataset-format 2\nab\t110\n", "# language 1\nab\t110\n",
+        "# dataset-format 1\nab110\n", "# dataset-format 1\nab\t1x0\n",
+        "# dataset-format 1\nab\t120\n", "# dataset-format 1\nab\t110\t1\n"],
+        ids=["empty", "no-header", "other-version", "other-first-line", "no-tab",
+             "label-x", "label-2", "two-tabs"])
+    def test_malformed_file_rejected(self, text):
+        with pytest.raises(ValueError):
+            load_dataset(text)
+
     def test_label_length_validated(self):
         with pytest.raises(ValueError):
             LabeledSample("ab", (True,))
