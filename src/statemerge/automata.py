@@ -1,14 +1,14 @@
 """Finite automata: execution, determinization, minimization, equivalence, serialization.
 
 Machines use a *partial* transition function: a missing (state, token) entry
-denotes the absorbing undefined state, written None in run traces and kept
-outside the state set.  State ids are plain ints.
+denotes the absorbing undefined state, written None and kept outside the
+state set.  State ids are plain ints.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DFA_FORMAT_VERSION = 1
 
@@ -92,25 +92,14 @@ class Nfa:
         return bool(current & self.accepting)
 
 
-@dataclass
-class RunTrace:
-    states: list[int | None] = field(default_factory=list)
-    accepted: bool = False
-
-
-def run(dfa: Dfa, w: str) -> RunTrace:
-    """Execute the machine on w, recording the state after each prefix."""
-    states: list[int | None] = [dfa.initial]
-    for token in w:
-        states.append(dfa.step(states[-1], token))
-    final = states[-1]
-    return RunTrace(states=states, accepted=final is not None and final in dfa.accepting)
-
-
 def prefix_decisions(dfa: Dfa, w: str) -> list[bool]:
     """Acceptance verdict for every prefix of w, entry 0 being the empty string."""
-    trace = run(dfa, w)
-    return [s is not None and s in dfa.accepting for s in trace.states]
+    state: int | None = dfa.initial
+    verdicts = [state in dfa.accepting]
+    for token in w:
+        state = dfa.step(state, token)
+        verdicts.append(state in dfa.accepting)
+    return verdicts
 
 
 def determinize(nfa: Nfa) -> Dfa:
@@ -270,34 +259,28 @@ def save_dfa(dfa: Dfa) -> str:
 
 
 def load_dfa(text: str) -> Dfa:
-    alphabet: tuple[str, ...] = ()
-    states: set[int] = set()
-    initial = 0
-    accepting: set[int] = set()
-    transitions: dict[tuple[int, str], int] = {}
+    """Parse the save_dfa form: the header, then each of alphabet, states,
+    initial and accepting exactly once, and any number of transitions."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0].split() != ["format", "dfa", str(DFA_FORMAT_VERSION)]:
         raise ValueError("unrecognized DFA file header")
-    seen: set[str] = set()
+    fields: dict[str, list[str]] = {}
+    transitions: dict[tuple[int, str], int] = {}
     for line in lines[1:]:
         key, *rest = line.split()
-        if key in seen:
-            raise ValueError(f"repeated DFA file line: {line!r}")
-        if key != "transition":
-            seen.add(key)
-        if key == "alphabet":
-            alphabet = tuple(rest)
-        elif key == "states":
-            states = {int(s) for s in rest}
-        elif key == "initial" and len(rest) == 1:
-            initial = int(rest[0])
-        elif key == "accepting":
-            accepting = {int(s) for s in rest}
-        elif key == "transition" and len(rest) == 3:
+        if key == "transition" and len(rest) == 3:
             src, tok, dst = rest
             if (int(src), tok) in transitions:
                 raise ValueError(f"repeated DFA file line: {line!r}")
             transitions[(int(src), tok)] = int(dst)
+        elif key in ("alphabet", "states", "accepting") or (key == "initial" and len(rest) == 1):
+            if key in fields:
+                raise ValueError(f"repeated DFA file line: {line!r}")
+            fields[key] = rest
         else:
             raise ValueError(f"unrecognized DFA file line: {line!r}")
-    return Dfa(alphabet, states, initial, transitions, accepting)
+    missing = [key for key in ("alphabet", "states", "initial", "accepting") if key not in fields]
+    if missing:
+        raise ValueError(f"DFA file has no {', '.join(missing)} line")
+    return Dfa(tuple(fields["alphabet"]), {int(s) for s in fields["states"]},
+               int(fields["initial"][0]), transitions, {int(s) for s in fields["accepting"]})

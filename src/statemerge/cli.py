@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from . import harness, rnn
@@ -25,18 +26,13 @@ from .languages import LANGUAGE_IDS
 logger = logging.getLogger(__name__)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
 
 
 def _open_unit_float(text: str) -> float:
@@ -240,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     # String defaults go through `type`, so the environment gets the same checks.
     parser.add_argument("--seed", type=int,
                         default=os.environ.get(harness.SEED_ENV_VAR) or "0")
-    parser.add_argument("--threads", type=_positive_int,
+    parser.add_argument("--threads", type=_int_at_least(1),
                         default=os.environ.get(harness.THREADS_ENV_VAR) or "1")
     parser.add_argument("--config", type=str, default=None,
                         help="JSON file overriding argument defaults")
@@ -252,33 +248,34 @@ def build_parser() -> argparse.ArgumentParser:
     sizes = argparse.ArgumentParser(add_help=False)
     for field in TRAIN_SIZE_FIELDS:
         sizes.add_argument(f"--{field.replace('_', '-')}", default=None, dest=field,
-                           type=_nonnegative_int if field.endswith("_len") else int)
+                           type=_int_at_least(0) if field.endswith("_len") else int)
 
     p_train = sub.add_parser("train", help="train a recognizer", parents=[sizes])
-    p_train.add_argument("--epochs", type=_positive_int, default=None)
+    p_train.add_argument("--epochs", type=_int_at_least(1), default=None)
     p_train.add_argument("--full", action="store_true",
                          help="use the full-scale training protocol")
     p_train.set_defaults(func=cmd_train)
 
     p_extract = sub.add_parser("extract", help="state-merging extraction",
                                parents=[sizes])
-    p_extract.add_argument("--data", type=_positive_int, default=300)
+    # A balanced draw needs a positive and a negative string.
+    p_extract.add_argument("--data", type=_int_at_least(2), default=300)
     p_extract.add_argument("--kappa", type=_open_unit_float, default=0.01)
-    p_extract.add_argument("--length", type=_nonnegative_int, default=10)
-    p_extract.add_argument("--epochs", type=_positive_int, default=None)
+    p_extract.add_argument("--length", type=_int_at_least(0), default=10)
+    p_extract.add_argument("--epochs", type=_int_at_least(1), default=None)
     p_extract.set_defaults(func=cmd_extract)
 
     p_baseline = sub.add_parser("baseline", help="k-means extraction baseline",
                                 parents=[sizes])
-    p_baseline.add_argument("--data", type=_positive_int, default=300)
-    p_baseline.add_argument("--length", type=_nonnegative_int, default=10)
-    p_baseline.add_argument("--k", type=_positive_int, default=20)
-    p_baseline.add_argument("--epochs", type=_positive_int, default=None)
+    p_baseline.add_argument("--data", type=_int_at_least(2), default=300)
+    p_baseline.add_argument("--length", type=_int_at_least(0), default=10)
+    p_baseline.add_argument("--k", type=_int_at_least(1), default=20)
+    p_baseline.add_argument("--epochs", type=_int_at_least(1), default=None)
     p_baseline.set_defaults(func=cmd_baseline)
 
     p_eval = sub.add_parser("eval", help="evaluate a stored DFA against a model",
                             parents=[sizes])
-    p_eval.add_argument("--epochs", type=_positive_int, default=None)
+    p_eval.add_argument("--epochs", type=_int_at_least(1), default=None)
     p_eval.add_argument("--dfa", required=True)
     p_eval.set_defaults(func=cmd_eval)
 

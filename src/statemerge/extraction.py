@@ -56,46 +56,23 @@ class MergePolicy:
 
 
 def build_prefix_tree(model: RnnModel, strings: list[str]) -> PrefixTree:
+    """The states are the distinct prefixes of the strings, numbered by length
+    and then alphabet order, which is BFS order from the root with children in
+    alphabet order.  Each state takes its label and hidden state from the first
+    distinct string, in input order, that has it as a prefix."""
     if not strings:
         raise ValueError("need at least one string")
-    # Raw trie with insertion-order ids, then a BFS renumbering pass.
-    children: list[dict[str, int]] = [{}]
-    for w in strings:
-        node = 0
-        for token in w:
-            if token not in model.alphabet:
-                raise ValueError(f"token {token!r} not in alphabet {model.alphabet}")
-            nxt = children[node].get(token)
-            if nxt is None:
-                nxt = len(children)
-                children[node][token] = nxt
-                children.append({})
-            node = nxt
-    bfs_id: dict[int, int] = {0: 0}
-    order = [0]
-    for node in order:
-        for token in model.alphabet:
-            child = children[node].get(token)
-            if child is not None:
-                bfs_id[child] = len(bfs_id)
-                order.append(child)
-    edges = {(bfs_id[node], token): bfs_id[child]
-             for node in range(len(children))
-             for token, child in children[node].items()}
-    labels: list[bool | None] = [None] * len(children)
-    features = np.empty((len(children), model.hidden_dim))
     unique = list(dict.fromkeys(strings))
+    rows: dict[str, tuple[bool, np.ndarray]] = {}
     for w, result in zip(unique, forward_many(model, unique)):
-        decided = result.yhat > 0.5
-        node = 0
-        for i in range(len(w) + 1):
-            q = bfs_id[node]
-            if labels[q] is None:
-                labels[q] = bool(decided[i])
-                features[q] = result.hidden[i]
-            if i < len(w):
-                node = children[node][w[i]]
-    return PrefixTree(model.alphabet, edges, labels, features)
+        for i, row in enumerate(zip(result.accepts.tolist(), result.hidden)):
+            rows.setdefault(w[:i], row)
+    rank = {ord(token): chr(i) for i, token in enumerate(model.alphabet)}
+    prefixes = sorted(rows, key=lambda p: (len(p), p.translate(rank)))
+    ids = {p: q for q, p in enumerate(prefixes)}
+    edges = {(ids[p[:-1]], p[-1]): ids[p] for p in prefixes[1:]}
+    return PrefixTree(model.alphabet, edges, [rows[p][0] for p in prefixes],
+                      np.array([rows[p][1] for p in prefixes]))
 
 
 def merge_all(tree: PrefixTree, policy: MergePolicy) -> Nfa:
@@ -155,18 +132,13 @@ class ExtractionReport:
 
 def train_set_fidelity(final: Dfa, tree: PrefixTree) -> float:
     """Fraction of distinct training prefixes on which the extracted machine
-    agrees with the labels recorded in the tree."""
-    agree = 0
-    stack: list[tuple[int, int | None]] = [(tree.root, final.initial)]
-    while stack:
-        node, state = stack.pop()
-        accept = state is not None and state in final.accepting
-        if accept == tree.labels[node]:
-            agree += 1
-        for token in tree.alphabet:
-            child = tree.edges.get((node, token))
-            if child is not None:
-                stack.append((child, final.step(state, token)))
+    agrees with the labels recorded in the tree.  A parent's BFS id is below
+    its child's, so the edges in child order reach each state after its parent."""
+    states: list[int | None] = [final.initial] * tree.n_states
+    for (src, token), dst in sorted(tree.edges.items(), key=lambda edge: edge[1]):
+        states[dst] = final.step(states[src], token)
+    agree = sum((state in final.accepting) == label
+                for state, label in zip(states, tree.labels))
     return agree / tree.n_states
 
 

@@ -262,7 +262,7 @@ def fidelity(dfa: Dfa, model: RnnModel, eval_set: list[LabeledSample]) -> Fideli
     prefix_agree = prefix_total = 0
     for sample, result in zip(eval_set, rnn.forward_many(model, [s.x for s in eval_set])):
         dfa_preds = prefix_decisions(dfa, sample.x)
-        rnn_preds = (result.yhat > 0.5).tolist()
+        rnn_preds = result.accepts.tolist()
         agree_rnn += dfa_preds[-1] == rnn_preds[-1]
         agree_gold += dfa_preds[-1] == sample.y[-1]
         prefix_agree += sum(p == q for p, q in zip(dfa_preds, rnn_preds))

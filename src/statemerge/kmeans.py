@@ -30,7 +30,7 @@ def collect_hidden_states(model: RnnModel, strings: list[str]) -> HiddenStateDat
     results = forward_many(model, strings)
     next_token = np.concatenate([model.token_ids(w) + [-1] for w in strings])
     return HiddenStateDataset(np.concatenate([r.hidden for r in results]),
-                              np.concatenate([r.yhat > 0.5 for r in results]), next_token)
+                              np.concatenate([r.accepts for r in results]), next_token)
 
 
 def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,

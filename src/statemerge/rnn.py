@@ -55,6 +55,11 @@ class ForwardResult:
     hidden: np.ndarray  # (n+1, d); row i is the state after prefix w[:i]
     yhat: np.ndarray    # (n+1,); probability each prefix is in the language
 
+    @property
+    def accepts(self) -> np.ndarray:
+        """Per-prefix accept decisions; an exact 0.5 tie resolves to reject."""
+        return self.yhat > 0.5
+
 
 def init_model(alphabet: tuple[str, ...], embed_dim: int, hidden_dim: int,
                rng: np.random.Generator) -> RnnModel:
@@ -125,8 +130,8 @@ def forward(model: RnnModel, w: str) -> ForwardResult:
 
 
 def decisions(model: RnnModel, w: str) -> list[bool]:
-    """Per-prefix accept decisions; an exact 0.5 tie resolves to reject."""
-    return [bool(p) for p in forward(model, w).yhat > 0.5]
+    """Per-prefix accept decisions (see ForwardResult.accepts)."""
+    return forward(model, w).accepts.tolist()
 
 
 def loss_and_grads(params: dict[str, np.ndarray], ids: np.ndarray,
@@ -240,7 +245,7 @@ def evaluate(model: RnnModel, samples: list[LabeledSample]) -> tuple[float, floa
     """(per-prefix accuracy, full-string accuracy) against stored labels."""
     correct = total = string_correct = 0
     for sample, result in zip(samples, forward_many(model, [s.x for s in samples])):
-        match = (result.yhat > 0.5) == np.array(sample.y)
+        match = result.accepts == np.array(sample.y)
         correct += int(match.sum())
         total += match.size
         string_correct += int(match[-1])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from statemerge.automata import (AlphabetError, Dfa, Nfa, determinize, equivalent,
                                  isomorphic, load_dfa, minimize, prefix_decisions,
-                                 run, save_dfa, to_dot)
+                                 save_dfa, to_dot)
 from statemerge.languages import gold_dfa
 
 from conftest import all_strings, random_dfa, random_nfa, same_language, moore_minimize_size
@@ -14,31 +14,33 @@ AB_STAR = gold_dfa(2)  # the (ab)* two-state machine
 
 
 class TestRun:
+    """Running a machine: the verdicts prefix_decisions reads off each prefix."""
+
     def test_accepts_ab(self):
-        trace = run(AB_STAR, "ab")
-        assert trace.accepted
-        assert trace.states == [0, 1, 0]
+        assert prefix_decisions(AB_STAR, "ab")[-1]
 
     def test_rejects_aba(self):
-        assert not run(AB_STAR, "aba").accepted
+        assert not prefix_decisions(AB_STAR, "aba")[-1]
 
     def test_rejects_abb_via_undefined(self):
-        trace = run(AB_STAR, "abb")
-        assert trace.states[-1] is None
-        assert not trace.accepted
+        assert AB_STAR.transitions.get((0, "b")) is None
+        assert prefix_decisions(AB_STAR, "abb") == [True, False, True, False]
 
     def test_token_outside_alphabet(self):
         with pytest.raises(AlphabetError):
-            run(AB_STAR, "abc")
+            prefix_decisions(AB_STAR, "abc")
 
     @given(st.text(alphabet="ab", max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_undefined_is_absorbing(self, w):
-        trace = run(AB_STAR, w)
-        if None in trace.states:
-            first = trace.states.index(None)
-            assert all(s is None for s in trace.states[first:])
-            assert not trace.accepted
+        verdicts = prefix_decisions(AB_STAR, w)
+        assert verdicts == [AB_STAR.accepts(w[:i]) for i in range(len(w) + 1)]
+        state = AB_STAR.initial
+        for i, token in enumerate(w):
+            state = AB_STAR.transitions.get((state, token))
+            if state is None:
+                assert not any(verdicts[i + 1:])
+                break
 
 
 class TestPrefixDecisions:
@@ -237,6 +239,13 @@ class TestSerialization:
         text = save_dfa(Dfa(("a",), {0, 1}, 0, {(0, "a"): 1}, {1})) + line + "\n"
         with pytest.raises(ValueError, match="repeated"):
             load_dfa(text)
+
+    @pytest.mark.parametrize("key", ["alphabet", "states", "initial", "accepting"])
+    def test_rejects_missing_line(self, key):
+        text = save_dfa(Dfa(("a", "b"), {0, 1}, 1, {(0, "a"): 1}, {1}))
+        kept = [ln for ln in text.splitlines() if ln.split()[0] != key]
+        with pytest.raises(ValueError, match=f"no {key} line"):
+            load_dfa("\n".join(kept) + "\n")
 
     def test_validation_rejects_stray_transition(self):
         with pytest.raises(ValueError):

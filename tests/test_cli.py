@@ -39,7 +39,8 @@ class TestParser:
         ["train", "--epochs", "0"], ["extract", "--epochs", "-1"],
         ["--threads", "-4", "table2"], ["--threads", "0", "table2"],
         ["extract", "--length", "-1"], ["baseline", "--length", "-2"],
-        ["train", "--train-len", "-1"], ["eval", "--dfa", "x", "--dev-len", "-1"]])
+        ["train", "--train-len", "-1"], ["eval", "--dfa", "x", "--dev-len", "-1"],
+        ["extract", "--data", "1"], ["baseline", "--data", "1"]])
     def test_out_of_range_values_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--language", "1"] + argv)
@@ -53,7 +54,7 @@ class TestParser:
         ({}, {"STATEMERGE_SEED": "x"}), ({"length": -1}, {}), ({"train_len": -1}, {}),
         ({"dev_len": -3}, {}), ({"no_such_key": 1}, {}), ({"func": 1}, {}),
         ({"command": "train"}, {}), ({"full": True}, {}), ({"verbose": "no"}, {}),
-        ({"config": "other.json"}, {})])
+        ({"config": "other.json"}, {}), ({"data": 1}, {})])
     def test_config_and_env_values_checked(self, config, env, tmp_path, monkeypatch, capsys):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -87,9 +88,9 @@ class TestParser:
 
     def test_explicit_values_kept(self):
         args = build_parser().parse_args(["--language", "1", "extract", "--kappa", "0.5",
-                                          "--data", "1", "--length", "0", "--epochs", "1"])
+                                          "--data", "2", "--length", "0", "--epochs", "1"])
         extraction = _experiment_config(args).extraction
-        assert (extraction.kappa, extraction.n_strings, extraction.string_len) == (0.5, 1, 0)
+        assert (extraction.kappa, extraction.n_strings, extraction.string_len) == (0.5, 2, 0)
         assert _training_config(args, 1).epochs == 1
 
     def test_seed_env_default(self, monkeypatch):

@@ -6,7 +6,7 @@ from statemerge.automata import Nfa, determinize, isomorphic, minimize
 from statemerge.extraction import (MergePolicy, PrefixTree, build_prefix_tree,
                                    extract, merge_all, train_set_fidelity)
 from statemerge.languages import ALPHABET
-from statemerge.rnn import decisions, forward, init_model
+from statemerge.rnn import decisions, forward, forward_many, init_model
 
 
 def small_model(seed=0):
@@ -40,6 +40,24 @@ class TestBuildPrefixTree:
         assert tree.edges[(0, "b")] == 2
         assert tree.edges[(1, "b")] == 3
         assert tree.edges[(2, "a")] == 4
+
+    def test_bfs_numbering_follows_model_alphabet(self):
+        m = init_model(("b", "a"), 4, 8, np.random.default_rng(0))
+        tree = build_prefix_tree(m, ["ab", "ba"])
+        # Children in the model's alphabet order: root, q_b, q_a, q_ba, q_ab.
+        assert tree.edges == {(0, "b"): 1, (0, "a"): 2, (1, "a"): 3, (2, "b"): 4}
+
+    def test_first_distinct_string_supplies_each_state(self):
+        m = small_model(5)
+        strings = ["abab", "ab", "abba", "abab", "a"]
+        unique = list(dict.fromkeys(strings))
+        results = forward_many(m, unique)
+        tree = build_prefix_tree(m, strings)
+        for prefix in {w[:i] for w in unique for i in range(len(w) + 1)}:
+            first = next(j for j, w in enumerate(unique) if w.startswith(prefix))
+            q = tree.state_of(prefix)
+            assert np.array_equal(tree.features[q], results[first].hidden[len(prefix)])
+            assert tree.labels[q] == results[first].accepts[len(prefix)]
 
     def test_labels_and_features_from_model(self):
         m = small_model()

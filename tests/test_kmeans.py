@@ -5,7 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
-from statemerge.automata import run
+from statemerge.automata import prefix_decisions
 from statemerge.kmeans import (HiddenStateDataset, collect_hidden_states, kmeans,
                                kmeans_extract)
 from statemerge.rnn import forward, init_model
@@ -216,7 +216,7 @@ class TestKmeansExtract:
         dfa = kmeans_extract(m, self.STRINGS, 4, np.random.default_rng(0))
         assert dfa.alphabet == m.alphabet
         for w in self.STRINGS:
-            run(dfa, w)
+            assert len(prefix_decisions(dfa, w)) == len(w) + 1
 
     def test_deterministic_given_seed(self):
         m = small_model(2)
