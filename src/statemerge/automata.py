@@ -282,5 +282,7 @@ def load_dfa(text: str) -> Dfa:
     missing = [key for key in ("alphabet", "states", "initial", "accepting") if key not in fields]
     if missing:
         raise ValueError(f"DFA file has no {', '.join(missing)} line")
+    if any(len(tok) != 1 for tok in fields["alphabet"]):
+        raise ValueError(f"DFA alphabet tokens must be single characters: {fields['alphabet']}")
     return Dfa(tuple(fields["alphabet"]), {int(s) for s in fields["states"]},
                int(fields["initial"][0]), transitions, {int(s) for s in fields["accepting"]})

@@ -3,7 +3,8 @@
 Subcommands: train, extract, baseline, eval, sweep {data,kappa,epochs},
 table2, export-dot.  Every run writes its resolved configuration next to its
 outputs.  STATEMERGE_SEED and STATEMERGE_THREADS provide environment-variable
-defaults for --seed and --threads.
+defaults for --seed and --threads.  An argument @FILE is replaced in place by
+FILE's arguments, one per line; a later argument overrides an earlier one.
 """
 
 from __future__ import annotations
@@ -48,21 +49,20 @@ def _write_resolved_config(out_dir: Path, payload: dict) -> None:
         json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
 
 
-TRAIN_SIZE_FIELDS = ("n_train", "train_len", "n_dev", "dev_len",
-                     "embed_dim", "hidden_dim")
+# Command line argument -> converter, for the TrainingConfig field of that name.
+TRAINING_FIELDS = {"n_train": int, "train_len": _int_at_least(0), "n_dev": int,
+                   "dev_len": _int_at_least(0), "embed_dim": int, "hidden_dim": int,
+                   "epochs": _int_at_least(1)}
 # Command line argument -> ExtractionConfig field.
 EXTRACTION_FIELDS = {"kappa": "kappa", "data": "n_strings", "length": "string_len"}
 
 
 def _training_config(args: argparse.Namespace, language: int) -> TrainingConfig:
-    if getattr(args, "full", False):
-        return harness.full_scale_config(language, args.seed)
-    cfg = TrainingConfig(language, args.seed)
-    if getattr(args, "epochs", None) is not None:
-        cfg = dataclasses.replace(cfg, epochs=args.epochs)
-    overrides = {f: getattr(args, f) for f in TRAIN_SIZE_FIELDS
-                 if getattr(args, f, None) is not None}
-    return dataclasses.replace(cfg, **overrides)
+    """The full-scale or default config, with every explicit training flag on top."""
+    base = (harness.full_scale_config(language, args.seed) if getattr(args, "full", False)
+            else TrainingConfig(language, args.seed))
+    return dataclasses.replace(base, **{f: getattr(args, f) for f in TRAINING_FIELDS
+                                        if getattr(args, f, None) is not None})
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -75,40 +75,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
                             threads=args.threads)
 
 
-def _load_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Apply JSON config values through the converter and range check of the
-    option each one sets.  A key must name an option of the top-level parser
-    or of the chosen subcommand; anything else exits with status 2."""
-    if not args.config:
-        return
-    try:
-        overrides = json.loads(Path(args.config).read_text())
-    except (OSError, ValueError) as exc:
-        parser.error(f"cannot read config {args.config}: {exc}")
-    if not isinstance(overrides, dict):
-        parser.error(f"config {args.config} must hold a JSON object")
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    # The subcommand, help and the config path itself cannot be set from a config.
-    actions = {a.dest: a for p in (parser, subparsers.choices[args.command])
-               for a in p._actions if a.dest not in ("command", "help", "config")}
-    for key, value in overrides.items():
-        action = actions.get(key)
-        if action is None:
-            parser.error(f"config key {key!r} in {args.config} is not an option "
-                         f"of {args.command}")
-        if action.type is not None:
-            try:
-                value = action.type(str(value))
-            except (argparse.ArgumentTypeError, ValueError) as exc:
-                parser.error(f"config key {key!r} in {args.config}: {exc}")
-        if action.nargs == 0 and not isinstance(value, bool):
-            parser.error(f"config key {key!r} in {args.config}: {value!r} is not true or false")
-        if action.choices is not None and value not in action.choices:
-            parser.error(f"config key {key!r} in {args.config}: "
-                         f"{value!r} not in {list(action.choices)}")
-        setattr(args, key, value)
-
-
 def _trained_model(args: argparse.Namespace, language: int):
     cfg = _training_config(args, language)
     checkpoints, _ = ensure_trained(cfg, Path(args.out) / "models")
@@ -117,6 +83,7 @@ def _trained_model(args: argparse.Namespace, language: int):
 
 def cmd_train(args: argparse.Namespace) -> int:
     out = Path(args.out)
+    configs = []
     for language in (args.language,) if args.language else LANGUAGE_IDS:
         cfg = _training_config(args, language)
         checkpoints, metrics = ensure_trained(cfg, out / "models")
@@ -124,7 +91,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"tomita {language}: {len(checkpoints)} checkpoints, "
               f"final dev accuracy {final.dev_accuracy:.4f}, "
               f"param norm {final.param_norm:.2f}")
-        _write_resolved_config(out, dataclasses.asdict(cfg))
+        configs.append(dataclasses.asdict(cfg))
+    _write_resolved_config(out, {"training": configs})
     return 0
 
 
@@ -230,52 +198,49 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="statemerge",
-                                     description="DFA extraction from RNN recognizers")
+    parser = argparse.ArgumentParser(
+        prog="statemerge", description="DFA extraction from RNN recognizers",
+        fromfile_prefix_chars="@",
+        epilog="@FILE reads arguments from FILE, one per line (--opt=value), in "
+               "place; top-level options go before the subcommand, and a later "
+               "argument overrides an earlier one.")
     parser.add_argument("--language", type=int, choices=LANGUAGE_IDS, default=None)
     # String defaults go through `type`, so the environment gets the same checks.
     parser.add_argument("--seed", type=int,
                         default=os.environ.get(harness.SEED_ENV_VAR) or "0")
     parser.add_argument("--threads", type=_int_at_least(1),
                         default=os.environ.get(harness.THREADS_ENV_VAR) or "1")
-    parser.add_argument("--config", type=str, default=None,
-                        help="JSON file overriding argument defaults")
     parser.add_argument("--out", type=str, default="out",
                         help="output directory")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sizes = argparse.ArgumentParser(add_help=False)
-    for field in TRAIN_SIZE_FIELDS:
-        sizes.add_argument(f"--{field.replace('_', '-')}", default=None, dest=field,
-                           type=_int_at_least(0) if field.endswith("_len") else int)
+    training = argparse.ArgumentParser(add_help=False)
+    for field, convert in TRAINING_FIELDS.items():
+        training.add_argument(f"--{field.replace('_', '-')}", type=convert, default=None,
+                              dest=field)
+    sample = argparse.ArgumentParser(add_help=False)
+    # A balanced draw needs a positive and a negative string.
+    sample.add_argument("--data", type=_int_at_least(2), default=300)
+    sample.add_argument("--length", type=_int_at_least(0), default=10)
 
-    p_train = sub.add_parser("train", help="train a recognizer", parents=[sizes])
-    p_train.add_argument("--epochs", type=_int_at_least(1), default=None)
+    p_train = sub.add_parser("train", help="train a recognizer", parents=[training])
     p_train.add_argument("--full", action="store_true",
-                         help="use the full-scale training protocol")
+                         help="start from the full-scale training protocol")
     p_train.set_defaults(func=cmd_train)
 
     p_extract = sub.add_parser("extract", help="state-merging extraction",
-                               parents=[sizes])
-    # A balanced draw needs a positive and a negative string.
-    p_extract.add_argument("--data", type=_int_at_least(2), default=300)
+                               parents=[training, sample])
     p_extract.add_argument("--kappa", type=_open_unit_float, default=0.01)
-    p_extract.add_argument("--length", type=_int_at_least(0), default=10)
-    p_extract.add_argument("--epochs", type=_int_at_least(1), default=None)
     p_extract.set_defaults(func=cmd_extract)
 
     p_baseline = sub.add_parser("baseline", help="k-means extraction baseline",
-                                parents=[sizes])
-    p_baseline.add_argument("--data", type=_int_at_least(2), default=300)
-    p_baseline.add_argument("--length", type=_int_at_least(0), default=10)
+                                parents=[training, sample])
     p_baseline.add_argument("--k", type=_int_at_least(1), default=20)
-    p_baseline.add_argument("--epochs", type=_int_at_least(1), default=None)
     p_baseline.set_defaults(func=cmd_baseline)
 
     p_eval = sub.add_parser("eval", help="evaluate a stored DFA against a model",
-                            parents=[sizes])
-    p_eval.add_argument("--epochs", type=_int_at_least(1), default=None)
+                            parents=[training])
     p_eval.add_argument("--dfa", required=True)
     p_eval.set_defaults(func=cmd_eval)
 
@@ -298,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _load_config_file(parser, args)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     if args.command in ("extract", "baseline", "eval") and args.language is None:

@@ -260,13 +260,18 @@ def fidelity(dfa: Dfa, model: RnnModel, eval_set: list[LabeledSample]) -> Fideli
         raise ValueError("eval set must be nonempty")
     agree_rnn = agree_gold = 0
     prefix_agree = prefix_total = 0
-    for sample, result in zip(eval_set, rnn.forward_many(model, [s.x for s in eval_set])):
-        dfa_preds = prefix_decisions(dfa, sample.x)
-        rnn_preds = result.accepts.tolist()
-        agree_rnn += dfa_preds[-1] == rnn_preds[-1]
-        agree_gold += dfa_preds[-1] == sample.y[-1]
-        prefix_agree += sum(p == q for p, q in zip(dfa_preds, rnn_preds))
-        prefix_total += len(dfa_preds)
+    by_len: dict[int, list[LabeledSample]] = {}
+    for sample in eval_set:
+        by_len.setdefault(len(sample.x), []).append(sample)
+    # One forward_many batch per length, so only one group's hidden states are alive.
+    for group in by_len.values():
+        runs = [r.accepts.tolist() for r in rnn.forward_many(model, [s.x for s in group])]
+        for sample, rnn_preds in zip(group, runs):
+            dfa_preds = prefix_decisions(dfa, sample.x)
+            agree_rnn += dfa_preds[-1] == rnn_preds[-1]
+            agree_gold += dfa_preds[-1] == sample.y[-1]
+            prefix_agree += sum(p == q for p, q in zip(dfa_preds, rnn_preds))
+            prefix_total += len(dfa_preds)
     return FidelityResult(agree_rnn / len(eval_set), agree_gold / len(eval_set),
                           prefix_agree / prefix_total)
 

@@ -247,6 +247,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"no {key} line"):
             load_dfa("\n".join(kept) + "\n")
 
+    def test_rejects_multi_character_token(self):
+        text = "format dfa 1\nalphabet ab\nstates 0\ninitial 0\naccepting 0\ntransition 0 ab 0\n"
+        with pytest.raises(ValueError, match="single characters"):
+            load_dfa(text)
+
     def test_validation_rejects_stray_transition(self):
         with pytest.raises(ValueError):
             Dfa(("a",), {0}, 0, {(0, "a"): 5}, set())

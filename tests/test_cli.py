@@ -5,8 +5,7 @@ import json
 import pytest
 
 from statemerge.automata import load_dfa, save_dfa
-from statemerge.cli import (_experiment_config, _load_config_file, _training_config,
-                             build_parser, main)
+from statemerge.cli import _experiment_config, _training_config, build_parser, main
 from statemerge.languages import gold_dfa
 
 TINY_ARGS = ["--n-train", "40", "--train-len", "6", "--n-dev", "20",
@@ -16,6 +15,12 @@ TINY_ARGS = ["--n-train", "40", "--train-len", "6", "--n-dev", "20",
 
 def run_cli(args):
     return main(args)
+
+
+def write_args(path, lines):
+    """Write an argument file, one argument per line; return its @ reference."""
+    path.write_text("".join(f"{line}\n" for line in lines))
+    return f"@{path}"
 
 
 class TestParser:
@@ -47,44 +52,58 @@ class TestParser:
         assert exc.value.code == 2
         assert "must" in capsys.readouterr().err
 
+    # Each case holds the arguments after --language 1: an argument file with
+    # them exits 2, as the same arguments typed do.  Cases 11-16 name options
+    # the command lacks or give a flag a value; cases 5-7 are bad environment
+    # defaults.
     @pytest.mark.parametrize("config, env", [
-        ({"threads": -4}, {}), ({"kappa": 0}, {}), ({"data": 0}, {}),
-        ({"language": 9}, {}), ({"threads": "x"}, {}),
-        ({}, {"STATEMERGE_THREADS": "-4"}), ({}, {"STATEMERGE_THREADS": "x"}),
-        ({}, {"STATEMERGE_SEED": "x"}), ({"length": -1}, {}), ({"train_len": -1}, {}),
-        ({"dev_len": -3}, {}), ({"no_such_key": 1}, {}), ({"func": 1}, {}),
-        ({"command": "train"}, {}), ({"full": True}, {}), ({"verbose": "no"}, {}),
-        ({"config": "other.json"}, {}), ({"data": 1}, {})])
+        (["--threads=-4", "extract"], {}), (["extract", "--kappa=0"], {}),
+        (["extract", "--data=0"], {}), (["--language=9", "extract"], {}),
+        (["--threads=x", "extract"], {}),
+        (["extract"], {"STATEMERGE_THREADS": "-4"}), (["extract"], {"STATEMERGE_THREADS": "x"}),
+        (["extract"], {"STATEMERGE_SEED": "x"}), (["extract", "--length=-1"], {}),
+        (["extract", "--train-len=-1"], {}), (["extract", "--dev-len=-3"], {}),
+        (["--no-such-key=1", "extract"], {}), (["--func=1", "extract"], {}),
+        (["--command=train", "extract"], {}), (["extract", "--full"], {}),
+        (["--verbose=no", "extract"], {}), (["--config=other.json", "extract"], {}),
+        (["extract", "--data=1"], {})])
     def test_config_and_env_values_checked(self, config, env, tmp_path, monkeypatch, capsys):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        with pytest.raises(SystemExit) as exc:
-            main(["--language", "1", "--config", str(cfg), "extract"])
-        assert exc.value.code == 2
-        assert "error:" in capsys.readouterr().err
+        for tail in ([write_args(tmp_path / "run.args", config)], config):
+            with pytest.raises(SystemExit) as exc:
+                main(["--language", "1"] + tail)
+            assert exc.value.code == 2
+            assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, argv", [
-        (None, ["extract"]), ("{", ["extract"]), ("[1, 2]", ["extract"]),
-        ('{"kind": "bogus"}', ["sweep", "data"])], ids=["missing", "malformed", "non-object",
-                                                        "bad-choice"])
+        (None, []),
+        # Two arguments on one line read as one argument, which nothing accepts.
+        ("extract\n--kappa 0.2\n", []),
+        # A JSON object where arguments belong is one unrecognized argument.
+        ('{"kappa": 0.2}\n', ["extract"]),
+        ("bogus\n", ["sweep"])], ids=["missing", "malformed", "non-object", "bad-choice"])
     def test_bad_config_file_exits_2(self, text, argv, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
+        path = tmp_path / "run.args"
         if text is not None:
-            cfg.write_text(text)
+            path.write_text(text)
         with pytest.raises(SystemExit) as exc:
-            main(["--language", "1", "--config", str(cfg)] + argv)
+            main(["--language", "1"] + argv + [f"@{path}"])
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_config_keys_of_the_command_accepted(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"full": True, "verbose": True, "epochs": 3, "seed": 4}))
+        typed = ["--seed=4", "--verbose", "train", "--full", "--epochs=3"]
         parser = build_parser()
-        args = parser.parse_args(["--config", str(cfg), "train"])
-        _load_config_file(parser, args)
+        args = parser.parse_args([write_args(tmp_path / "run.args", typed)])
+        assert args == parser.parse_args(typed)
         assert (args.full, args.verbose, args.epochs, args.seed) == (True, True, 3, 4)
+
+    def test_full_keeps_explicit_training_flags(self):
+        args = build_parser().parse_args(["train", "--full", "--epochs", "3",
+                                          "--n-train", "50"])
+        cfg = _training_config(args, 2)
+        assert (cfg.epochs, cfg.n_train, cfg.train_len, cfg.dev_len) == (3, 50, 100, 200)
 
     def test_explicit_values_kept(self):
         args = build_parser().parse_args(["--language", "1", "extract", "--kappa", "0.5",
@@ -112,7 +131,8 @@ def out_dir(tmp_path_factory):
 
 class TestTrainExtractEval:
     def test_train_artifacts(self, out_dir):
-        assert (out_dir / "resolved_config.json").exists()
+        resolved = json.loads((out_dir / "resolved_config.json").read_text())
+        assert [cfg["language"] for cfg in resolved["training"]] == [1]
         model_dirs = list((out_dir / "models").glob("tomita1_seed0_*"))
         assert len(model_dirs) == 1
         assert (model_dirs[0] / "DONE").exists()
@@ -168,17 +188,22 @@ class TestErrorsAndUtilities:
         assert "digraph" in out_file.read_text()
 
     def test_config_file_overrides(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 3}))
-        args_out = tmp_path / "o"
-        dfa_path = tmp_path / "gold1.dfa"
-        dfa_path.write_text(save_dfa(gold_dfa(1)))
-        assert run_cli(["--config", str(cfg), "--out", str(args_out),
-                        "export-dot", "--dfa", str(dfa_path),
-                        "--out-file", str(tmp_path / "x.dot")]) == 0
+        # Arguments apply in order: the file beats the --seed before it, and
+        # the --kappa typed after a file beats the file's.
+        seed_file = write_args(tmp_path / "seed.args", ["--seed=5"])
+        kappa_file = write_args(tmp_path / "kappa.args", ["--kappa=0.3"])
+        args = build_parser().parse_args(["--language", "1", "--seed", "2", seed_file,
+                                          "extract", kappa_file, "--kappa", "0.2"])
+        assert (args.seed, _experiment_config(args).extraction.kappa) == (5, 0.2)
 
     def test_config_file_unknown_key(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"no_such_option": 1}))
-        with pytest.raises(SystemExit):
-            run_cli(["--config", str(cfg), "table2"])
+        with pytest.raises(SystemExit) as exc:
+            run_cli([write_args(tmp_path / "run.args", ["--no-such-option=1"]), "table2"])
+        assert exc.value.code == 2
+
+
+def test_train_all_languages_records_each_config(tmp_path):
+    assert run_cli(["--out", str(tmp_path), "train"] + TINY_ARGS) == 0
+    resolved = json.loads((tmp_path / "resolved_config.json").read_text())
+    assert [cfg["language"] for cfg in resolved["training"]] == list(range(1, 8))
+    assert all(cfg["epochs"] == 2 for cfg in resolved["training"])

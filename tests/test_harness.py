@@ -19,8 +19,8 @@ from statemerge.harness import (ExperimentConfig, ExtractionConfig, ResultRow,
                                 run_kmeans_baseline, summarize, sweep_epochs,
                                 sweep_kappa, train_recognizer)
 from statemerge.languages import ALPHABET, gold_dfa, labeled, membership, sample_eval_set
-from statemerge.rnn import (EpochMetrics, decisions, init_model, load_checkpoint,
-                            save_checkpoint)
+from statemerge.rnn import (EpochMetrics, decisions, forward_many, init_model,
+                            load_checkpoint, save_checkpoint)
 
 
 TINY = dict(n_train=40, train_len=6, n_dev=20, dev_len=8,
@@ -105,6 +105,21 @@ class TestFidelity:
         agree = [p == q for dfa_preds, rnn_preds in pairs for p, q in zip(dfa_preds, rnn_preds)]
         assert result.prefix_vs_rnn == sum(agree) / len(agree)
         assert result.vs_rnn == sum(d[-1] == r[-1] for d, r in pairs) / len(pairs)
+
+    def test_matches_one_pass_over_the_whole_set(self, rng):
+        # Grouping by length forms the batches forward_many forms, so the
+        # counts equal those of one forward_many call over the whole set.
+        model = init_model(ALPHABET, 4, 8, rng)
+        dfa = gold_dfa(4)
+        eval_set = sample_eval_set(4, 300, 12, rng)
+        runs = [r.accepts.tolist() for r in forward_many(model, [s.x for s in eval_set])]
+        pairs = [(prefix_decisions(dfa, s.x), r) for s, r in zip(eval_set, runs)]
+        agree = [p == q for dfa_preds, rnn_preds in pairs for p, q in zip(dfa_preds, rnn_preds)]
+        result = fidelity(dfa, model, eval_set)
+        assert result.prefix_vs_rnn == sum(agree) / len(agree)
+        assert result.vs_rnn == sum(d[-1] == r[-1] for d, r in pairs) / len(pairs)
+        assert result.vs_gold == sum(d[-1] == s.y[-1]
+                                     for (d, _), s in zip(pairs, eval_set)) / len(pairs)
 
     def test_empty_eval_set_rejected(self, rng):
         dfa = Dfa(ALPHABET, {0}, 0, {}, set())
