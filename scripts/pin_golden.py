@@ -1,0 +1,134 @@
+"""Write tests/golden.txt, the outputs that tests/test_golden.py pins.
+
+Usage: PYTHONPATH=src python scripts/pin_golden.py [-]
+
+Runs the pinned experiments on the committed fixture models
+(``perfbench/fixtures``, each checked against its sha256 in
+``perfbench/expected.json``) and overwrites tests/golden.txt, or prints the
+same text to stdout when given ``-``.  The header names the numpy and BLAS
+builds.  Only a change that is meant to change these outputs rewrites the
+file.
+
+BLAS runs on one thread: the thread count changes the last bits of the
+hidden states, and k-means can turn those into another machine (Tomita 4,
+seed 1 gives 4 states at one thread and 3 at two).
+"""
+import os
+import sys
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+
+import contextlib  # noqa: E402
+import gzip  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import logging  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from statemerge import harness, rnn  # noqa: E402
+from statemerge.automata import save_dfa  # noqa: E402
+from statemerge.harness import (ExperimentConfig, ExtractionConfig, eval_set_for,  # noqa: E402
+                                run_extraction, run_kmeans_baseline)
+from statemerge.languages import sample_balanced, save_dataset  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden.txt"
+LANGUAGES = tuple(range(1, 8))
+SEEDS = (0, 1, 2)
+KAPPAS = (0.01, 0.4)
+CONFIG = ExperimentConfig(n_eval=100, extraction=ExtractionConfig(n_strings=100))
+HEADER = ["# Golden outputs of tests/test_golden.py, written by scripts/pin_golden.py.",
+          "# eval_set LANGUAGE SHA256(save_dataset)",
+          "# evaluate LANGUAGE SHA256(save_dataset of the next language's set) "
+          "PREFIX_ACCURACY STRING_ACCURACY",
+          "# state_merging LANGUAGE KAPPA SEED SHA256(save_dfa) TRIE,MERGED,MINIMIZED "
+          "DETERMINIZED TRAIN_FIDELITY VS_RNN VS_GOLD PREFIX_VS_RNN",
+          "# kmeans LANGUAGE K SEED SHA256(save_dfa) STATES VS_RNN VS_GOLD PREFIX_VS_RNN"]
+
+
+def platform() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
+            "one BLAS thread")
+
+
+def fixture_models() -> dict[int, rnn.RnnModel]:
+    """The benchmark's fixture models, each checked against its pinned sha256."""
+    pins = json.loads((ROOT / "perfbench" / "expected.json").read_text())["fixtures"]
+    models = {}
+    for language in LANGUAGES:
+        name = f"tomita{language}.ckpt.gz"
+        data = (ROOT / "perfbench" / "fixtures" / name).read_bytes()
+        if hashlib.sha256(data).hexdigest() != pins[name]:
+            raise SystemExit(f"{name} does not match its sha256 in perfbench/expected.json")
+        ckpt, alphabet = rnn.load_checkpoint(gzip.decompress(data).decode())
+        models[language] = rnn.model_from_checkpoint(ckpt, alphabet)
+    return models
+
+
+@contextlib.contextmanager
+def recorded_fidelity():
+    """Collect every FidelityResult that harness.fidelity returns."""
+    results, original = [], harness.fidelity
+
+    def record(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    harness.fidelity = record
+    try:
+        yield results
+    finally:
+        harness.fidelity = original
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def scores(fid) -> str:
+    return f"{fid.vs_rnn!r} {fid.vs_gold!r} {fid.prefix_vs_rnn!r}"
+
+
+def golden_lines() -> list[str]:
+    lines = []
+    with recorded_fidelity() as scored:
+        for language, model in fixture_models().items():
+            eval_set = eval_set_for(language, CONFIG)
+            lines.append(f"eval_set {language} {sha(save_dataset(eval_set, language, 999))}")
+            # Labelled by the next language, so that the accuracies fall short of 1.
+            other = language % 7 + 1
+            balanced = sample_balanced(other, 20, 200, np.random.default_rng([language, 7]))
+            accuracy, string_accuracy = rnn.evaluate(model, balanced)
+            lines.append(f"evaluate {language} {sha(save_dataset(balanced, other, 7))} "
+                         f"{accuracy!r} {string_accuracy!r}")
+            for kappa in KAPPAS:
+                for seed in SEEDS:
+                    _, report = run_extraction(model, language, seed, 0, CONFIG, kappa=kappa)
+                    sizes = ",".join(map(str, report.sizes))
+                    lines.append(f"state_merging {language} {kappa} {seed} "
+                                 f"{sha(save_dfa(report.final))} {sizes} "
+                                 f"{report.determinized_size} {report.train_fidelity!r} "
+                                 f"{scores(scored[-1])}")
+            for seed in SEEDS:
+                _, dfa = run_kmeans_baseline(model, language, seed, 0, CONFIG)
+                lines.append(f"kmeans {language} {CONFIG.kmeans_k} {seed} "
+                             f"{sha(save_dfa(dfa))} {len(dfa.states)} {scores(scored[-1])}")
+    return lines
+
+
+def main(argv: list[str]) -> None:
+    logging.disable(logging.WARNING)  # kappa 0.4 overmerges, and extract says so
+    text = "\n".join(HEADER + [f"# {platform()}"] + golden_lines()) + "\n"
+    if argv == ["-"]:
+        sys.stdout.write(text)
+    else:
+        GOLDEN.write_text(text)
+        print(f"wrote {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

@@ -102,6 +102,19 @@ def prefix_decisions(dfa: Dfa, w: str) -> list[bool]:
     return verdicts
 
 
+def successor_table(dfa: Dfa, alphabet: tuple[str, ...]) -> tuple[list[int], list[list[int]]]:
+    """The machine completed with a sink: its states in ascending order, and a
+    row per state plus a last, self-looping sink row, where row i, column j is
+    the row of states[i]'s successor on alphabet[j] (a token of alphabet)."""
+    if not set(alphabet) <= set(dfa.alphabet):
+        raise AlphabetError(f"tokens {alphabet} not all in alphabet {dfa.alphabet}")
+    states = sorted(dfa.states)
+    index = {state: i for i, state in enumerate(states)}
+    sink = len(states)
+    return states, [[index.get(dfa.transitions.get((state, token)), sink) for token in alphabet]
+                    for state in states] + [[sink] * len(alphabet)]
+
+
 def determinize(nfa: Nfa) -> Dfa:
     """Subset construction; unreachable subsets are never built and the empty
     subset stays implicit as the undefined state."""
@@ -139,11 +152,8 @@ def minimize(dfa: Dfa) -> Dfa:
     reachable ones, but the renumbering walk from the initial block never
     visits a block that only they occupy."""
     dfa.validate()
-    states = sorted(dfa.states)
-    index = {state: i for i, state in enumerate(states)}
+    states, succ = successor_table(dfa, dfa.alphabet)
     sink = len(states)
-    succ = [[index.get(dfa.transitions.get((state, token)), sink) for token in dfa.alphabet]
-            for state in states] + [[sink] * len(dfa.alphabet)]
     block = [int(state in dfa.accepting) for state in states] + [0]
     count = len(set(block))
     while True:
@@ -153,7 +163,7 @@ def minimize(dfa: Dfa) -> Dfa:
         if len(labels) == count:
             break
         count = len(labels)
-    dead, initial_block = block[sink], block[index[dfa.initial]]
+    dead, initial_block = block[sink], block[states.index(dfa.initial)]
     if initial_block == dead:
         # Empty language: keep the bare initial state, no transitions.
         return Dfa(dfa.alphabet, {0}, 0, {}, set())

@@ -135,8 +135,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     dfa = load_dfa(Path(args.dfa).read_text())
     model, _ = _trained_model(args, args.language)
     config = _experiment_config(args)
-    eval_set = harness.eval_set_for(args.language, config)
-    result = fidelity(dfa, model, eval_set)
+    reference = rnn.eval_reference(model, harness.eval_set_for(args.language, config))
+    result = fidelity(dfa, reference)
     print(f"fidelity vs RNN {result.vs_rnn:.4f}, vs gold {result.vs_gold:.4f}, "
           f"per-prefix vs RNN {result.prefix_vs_rnn:.4f}")
     return 0
@@ -246,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="parameter sweeps")
     p_sweep.add_argument("kind", choices=("data", "kappa", "epochs"))
-    p_sweep.add_argument("--kappa", type=_open_unit_float, default=0.01)
+    p_sweep.add_argument("--kappa", type=_open_unit_float, default=None)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_table2 = sub.add_parser("table2", help="reproduce the accuracy table")
@@ -267,6 +267,8 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     if args.command in ("extract", "baseline", "eval") and args.language is None:
         parser.error(f"{args.command} requires --language")
+    if args.command == "sweep" and args.kind == "kappa" and args.kappa is not None:
+        parser.error("sweep kappa runs its own kappa grid and takes no --kappa")
     try:
         return args.func(args)
     except (ValueError, rnn.TrainingError, FileNotFoundError) as exc:

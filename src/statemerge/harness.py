@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import rnn
-from .automata import Dfa, determinize, prefix_decisions, save_dfa, to_dot
+from .automata import Dfa, determinize, save_dfa, successor_table, to_dot
 from .extraction import ExtractionReport, extract
 from .kmeans import kmeans_extract
 from .languages import ALPHABET, LabeledSample, sample_balanced, sample_eval_set
-from .rnn import AdamWHyper, Checkpoint, RnnModel, best_checkpoint
+from .rnn import AdamWHyper, Checkpoint, EvalReference, RnnModel, best_checkpoint, eval_reference
 
 logger = logging.getLogger(__name__)
 
@@ -255,24 +255,22 @@ class FidelityResult:
     prefix_vs_rnn: float   # per-prefix agreement, logged as a secondary metric
 
 
-def fidelity(dfa: Dfa, model: RnnModel, eval_set: list[LabeledSample]) -> FidelityResult:
-    if not eval_set:
-        raise ValueError("eval set must be nonempty")
-    agree_rnn = agree_gold = 0
-    prefix_agree = prefix_total = 0
-    by_len: dict[int, list[LabeledSample]] = {}
-    for sample in eval_set:
-        by_len.setdefault(len(sample.x), []).append(sample)
-    # One forward_many batch per length, so only one group's hidden states are alive.
-    for group in by_len.values():
-        runs = [r.accepts.tolist() for r in rnn.forward_many(model, [s.x for s in group])]
-        for sample, rnn_preds in zip(group, runs):
-            dfa_preds = prefix_decisions(dfa, sample.x)
-            agree_rnn += dfa_preds[-1] == rnn_preds[-1]
-            agree_gold += dfa_preds[-1] == sample.y[-1]
-            prefix_agree += sum(p == q for p, q in zip(dfa_preds, rnn_preds))
-            prefix_total += len(dfa_preds)
-    return FidelityResult(agree_rnn / len(eval_set), agree_gold / len(eval_set),
+def fidelity(dfa: Dfa, reference: EvalReference) -> FidelityResult:
+    """Agreement of the machine with the model and the labels, walking every
+    eval string at once through the machine's successor table."""
+    states, succ = successor_table(dfa, reference.alphabet)
+    # A last column for the padding token, on which every row stays put.
+    table = np.array([row + [i] for i, row in enumerate(succ)])
+    accepting = np.array([state in dfa.accepting for state in states] + [False])
+    walk = np.full((len(reference.ids), reference.ids.shape[1] + 1), states.index(dfa.initial))
+    for t, column in enumerate(reference.ids.T):
+        walk[:, t + 1] = table[walk[:, t], column]
+    verdicts = accepting[walk]
+    agree = verdicts == reference.decisions
+    prefixes = reference.prefixes
+    agree_rnn, agree_gold, prefix_agree, prefix_total = (int(np.count_nonzero(a)) for a in (
+        agree[:, -1], verdicts[:, -1] == reference.labels[:, -1], agree & prefixes, prefixes))
+    return FidelityResult(agree_rnn / len(verdicts), agree_gold / len(verdicts),
                           prefix_agree / prefix_total)
 
 
@@ -292,7 +290,7 @@ def eval_set_for(language: int, config: ExperimentConfig) -> list[LabeledSample]
 
 def run_extraction(model: RnnModel, language: int, seed: int, epoch: int,
                    config: ExperimentConfig,
-                   eval_set: list[LabeledSample] | None = None,
+                   reference: EvalReference | None = None,
                    n_strings: int | None = None,
                    kappa: float | None = None,
                    string_len: int | None = None) -> tuple[ResultRow, ExtractionReport]:
@@ -301,10 +299,10 @@ def run_extraction(model: RnnModel, language: int, seed: int, epoch: int,
     kappa = kappa if kappa is not None else ext.kappa
     string_len = string_len if string_len is not None else ext.string_len
     strings = extraction_strings(language, n_strings, string_len, seed)
-    eval_set = eval_set if eval_set is not None else eval_set_for(language, config)
+    reference = reference or eval_reference(model, eval_set_for(language, config))
     start = time.perf_counter()
     report = extract(model, strings, kappa)
-    fid = fidelity(report.final, model, eval_set)
+    fid = fidelity(report.final, reference)
     row = ResultRow(language, "state_merging", seed, epoch, n_strings, kappa,
                     fid.vs_rnn, fid.vs_gold, report.sizes[1], report.sizes[2],
                     time.perf_counter() - start)
@@ -313,13 +311,13 @@ def run_extraction(model: RnnModel, language: int, seed: int, epoch: int,
 
 def run_kmeans_baseline(model: RnnModel, language: int, seed: int, epoch: int,
                         config: ExperimentConfig,
-                        eval_set: list[LabeledSample] | None = None) -> tuple[ResultRow, Dfa]:
+                        reference: EvalReference | None = None) -> tuple[ResultRow, Dfa]:
     ext = config.extraction
     strings = extraction_strings(language, ext.n_strings, ext.string_len, seed)
-    eval_set = eval_set if eval_set is not None else eval_set_for(language, config)
+    reference = reference or eval_reference(model, eval_set_for(language, config))
     start = time.perf_counter()
     dfa = kmeans_extract(model, strings, config.kmeans_k, _rng(seed, language, 20))
-    fid = fidelity(dfa, model, eval_set)
+    fid = fidelity(dfa, reference)
     row = ResultRow(language, "kmeans", seed, epoch, ext.n_strings, 0.0,
                     fid.vs_rnn, fid.vs_gold, len(dfa.states), len(dfa.states),
                     time.perf_counter() - start)
@@ -351,14 +349,15 @@ def reproduce_table2(config: ExperimentConfig, models: dict[int, RnnModel]
                      ) -> tuple[list[ResultRow], dict[tuple[int, str], Table2Summary]]:
     """State-merging extraction and k-means baseline per language and seed."""
     jobs = [(language, seed) for language in config.languages for seed in config.seeds]
-    eval_sets = {language: eval_set_for(language, config) for language in config.languages}
+    references = {language: eval_reference(models[language], eval_set_for(language, config))
+                  for language in config.languages}
 
     def one(job: tuple[int, int]) -> list[ResultRow]:
         language, seed = job
         model = models[language]
-        eval_set = eval_sets[language]
-        row_sm, _ = run_extraction(model, language, seed, 0, config, eval_set)
-        row_km, _ = run_kmeans_baseline(model, language, seed, 0, config, eval_set)
+        reference = references[language]
+        row_sm, _ = run_extraction(model, language, seed, 0, config, reference)
+        row_km, _ = run_kmeans_baseline(model, language, seed, 0, config, reference)
         return [row_sm, row_km]
 
     if config.threads > 1:
@@ -375,11 +374,11 @@ def sweep_data_size(config: ExperimentConfig, models: dict[int, RnnModel],
                     string_len: int = 15) -> list[ResultRow]:
     rows = []
     for language in config.languages:
-        eval_set = eval_set_for(language, config)
+        reference = eval_reference(models[language], eval_set_for(language, config))
         for n_strings in grid:
             for seed in config.seeds:
                 row, _ = run_extraction(models[language], language, seed, 0, config,
-                                        eval_set, n_strings=n_strings,
+                                        reference, n_strings=n_strings,
                                         string_len=string_len)
                 rows.append(row)
     return rows
@@ -389,10 +388,10 @@ def sweep_kappa(config: ExperimentConfig, model: RnnModel, language: int = 2,
                 kappas: tuple[float, ...] = (0.5, 0.4, 0.01),
                 out_dir: Path | None = None) -> list[tuple[ResultRow, ExtractionReport]]:
     results = []
-    eval_set = eval_set_for(language, config)
+    reference = eval_reference(model, eval_set_for(language, config))
     for kappa in kappas:
         row, report = run_extraction(model, language, config.seeds[0], 0, config,
-                                     eval_set, kappa=kappa)
+                                     reference, kappa=kappa)
         results.append((row, report))
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -413,9 +412,10 @@ def sweep_epochs(config: ExperimentConfig,
         eval_set = eval_set_for(language, config)
         for ckpt in ckpts:
             model = rnn.model_from_checkpoint(ckpt, ALPHABET)
+            reference = eval_reference(model, eval_set)
             for seed in config.seeds:
                 row, _ = run_extraction(model, language, seed, int(ckpt.metadata["epoch"]),
-                                        config, eval_set)
+                                        config, reference)
                 rows.append(row)
     return rows
 
@@ -424,9 +424,9 @@ def min_data_for_full_fidelity(model: RnnModel, language: int, seed: int,
                                config: ExperimentConfig,
                                grid: tuple[int, ...]) -> int | None:
     """Smallest grid entry at which extraction reaches 100% fidelity."""
-    eval_set = eval_set_for(language, config)
+    reference = eval_reference(model, eval_set_for(language, config))
     for n_strings in sorted(grid):
-        row, _ = run_extraction(model, language, seed, 0, config, eval_set,
+        row, _ = run_extraction(model, language, seed, 0, config, reference,
                                 n_strings=n_strings)
         if row.acc_vs_rnn == 1.0:
             return n_strings

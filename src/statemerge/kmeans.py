@@ -4,46 +4,24 @@ transitions."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .automata import Dfa, minimize
 from .rnn import RnnModel, forward_many
 
 MAX_LLOYD_ITERATIONS = 100
+N_INIT = 10
 
 
-@dataclass
-class HiddenStateDataset:
-    """One record per visited prefix position, the records of a string in
-    order, so record i + 1 is record i's successor unless next_token[i] is
-    -1.  Record 0 is the empty prefix of the first string."""
-    points: np.ndarray          # (N, d) hidden states
-    labels: np.ndarray          # (N,) bool, model decision on the prefix
-    next_token: np.ndarray      # (N,) alphabet index of the token read next, -1 at a string's end
-
-
-def collect_hidden_states(model: RnnModel, strings: list[str]) -> HiddenStateDataset:
-    if not strings:
-        raise ValueError("need at least one string")
-    results = forward_many(model, strings)
-    next_token = np.concatenate([model.token_ids(w) + [-1] for w in strings])
-    return HiddenStateDataset(np.concatenate([r.hidden for r in results]),
-                              np.concatenate([r.accepts for r in results]), next_token)
-
-
-def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
-           n_init: int = 10) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's algorithm, restarted n_init times from fresh seed points with
+def kmeans(points: np.ndarray, k: int,
+           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's algorithm, restarted N_INIT times from fresh seed points with
     the lowest-distortion run kept.  A single run converges to an
     init-dependent local minimum; on near-saturated hidden states a bad draw
     leaves two natural clusters sharing a centroid, and the restarts make the
     read-off automaton stable across sampling seeds."""
-    if n_init < 1:
-        raise ValueError("n_init must be positive")
     best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for _ in range(n_init):
+    for _ in range(N_INIT):
         assignments, centroids = _lloyd(points, k, rng)
         dist = float(((points - centroids[assignments]) ** 2).sum())
         if best is None or dist < best[0]:
@@ -115,13 +93,21 @@ def kmeans_extract(model: RnnModel, strings: list[str], k: int,
     acceptance by majority label vote (ties reject), transitions by majority
     successor-cluster vote weighted by occurrence (ties to the lowest cluster
     id).  Unreachable clusters are pruned and the result minimized."""
-    data = collect_hidden_states(model, strings)
-    assignments, _ = kmeans(data.points, k, rng)
-    accept_votes = np.bincount(assignments, weights=data.labels, minlength=k)
+    if not strings:
+        raise ValueError("need at least one string")
+    # One record per visited prefix position, the records of a string in
+    # order, so record i + 1 is record i's successor unless next_token[i] is
+    # -1 (a string's end).  Record 0 is the empty prefix of the first string.
+    # The forward batches are dropped before clustering, which sets the peak.
+    points, labels = map(np.concatenate, zip(*[(r.hidden, r.accepts)
+                                               for r in forward_many(model, strings)]))
+    next_token = np.concatenate([model.token_ids(w) + [-1] for w in strings])
+    assignments, _ = kmeans(points, k, rng)
+    accept_votes = np.bincount(assignments, weights=labels, minlength=k)
     accepting = np.flatnonzero(2 * accept_votes > np.bincount(assignments, minlength=k))
     sigma = len(model.alphabet)
-    links = np.flatnonzero(data.next_token >= 0)
-    codes = (assignments[links] * sigma + data.next_token[links]) * k + assignments[links + 1]
+    links = np.flatnonzero(next_token >= 0)
+    codes = (assignments[links] * sigma + next_token[links]) * k + assignments[links + 1]
     votes = np.bincount(codes, minlength=k * sigma * k).reshape(k * sigma, k)
     voted = np.flatnonzero(votes.any(axis=1))
     transitions = {(int(row) // sigma, model.alphabet[row % sigma]): int(dst)

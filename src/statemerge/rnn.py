@@ -241,14 +241,46 @@ def _batch_arrays(model: RnnModel, samples: list[LabeledSample]) -> tuple[np.nda
     return ids, labels
 
 
+@dataclass(frozen=True)
+class EvalReference:
+    """One model's decisions on a labelled sample set.  Row i is sample i, padded
+    to the longest string with token id len(alphabet) and its last label and decision."""
+    alphabet: tuple[str, ...]
+    ids: np.ndarray        # (n, T) int, the alphabet index of each token
+    lengths: np.ndarray    # (n,) int
+    labels: np.ndarray     # (n, T + 1) bool, the stored label of each prefix
+    decisions: np.ndarray  # (n, T + 1) bool, the model's decision on each prefix
+
+    @property
+    def prefixes(self) -> np.ndarray:  # (n, T + 1) bool, True where t <= lengths[i]
+        return np.arange(self.decisions.shape[1]) <= self.lengths[:, None]
+
+
+def eval_reference(model: RnnModel, samples: list[LabeledSample]) -> EvalReference:
+    """Built once per (model, sample set), and then scored against any number of machines."""
+    if not samples:
+        raise ValueError("need at least one sample")
+    lengths = np.array([len(s.x) for s in samples])
+    ids = np.full((len(samples), lengths.max()), len(model.alphabet))
+    labels, decisions = np.empty((2, len(samples), lengths.max() + 1), dtype=bool)
+    # One forward_many batch per length, so only one group's hidden states are alive.
+    for length in dict.fromkeys(lengths.tolist()):
+        rows = np.flatnonzero(lengths == length)
+        strings = [samples[i].x for i in rows]
+        ids[rows, :length] = [model.token_ids(w) for w in strings]
+        labels[rows, :length + 1] = [samples[i].y for i in rows]
+        decisions[rows, :length + 1] = [r.accepts for r in forward_many(model, strings)]
+        for padded in (labels, decisions):
+            padded[rows, length + 1:] = padded[rows, length:length + 1]
+    return EvalReference(model.alphabet, ids, lengths, labels, decisions)
+
+
 def evaluate(model: RnnModel, samples: list[LabeledSample]) -> tuple[float, float]:
     """(per-prefix accuracy, full-string accuracy) against stored labels."""
-    correct = total = string_correct = 0
-    for sample, result in zip(samples, forward_many(model, [s.x for s in samples])):
-        match = result.accepts == np.array(sample.y)
-        correct += int(match.sum())
-        total += match.size
-        string_correct += int(match[-1])
+    reference = eval_reference(model, samples)
+    match = reference.labels == reference.decisions
+    correct, total, string_correct = (int(np.count_nonzero(a)) for a in (
+        match & reference.prefixes, reference.prefixes, match[:, -1]))
     return correct / total, string_correct / len(samples)
 
 

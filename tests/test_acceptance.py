@@ -32,11 +32,11 @@ import pytest
 
 from statemerge.automata import Dfa, determinize, equivalent, minimize
 from statemerge.extraction import MergePolicy, build_prefix_tree, merge_all
-from statemerge.harness import (ExperimentConfig, best_model, ensure_trained,
+from statemerge.harness import (ExperimentConfig, best_model, ensure_trained, eval_set_for,
                                 full_scale_config, min_data_for_full_fidelity,
                                 run_extraction, run_kmeans_baseline)
 from statemerge.languages import ALPHABET, gold_dfa, membership
-from statemerge.rnn import (init_model, kappa_bound, loss_and_grads,
+from statemerge.rnn import (eval_reference, init_model, kappa_bound, loss_and_grads,
                             model_from_checkpoint)
 
 from conftest import all_strings, random_dfa, random_nfa, same_language
@@ -78,6 +78,14 @@ def trained():
         models[language] = best_model(checkpoints)
         all_metrics[language] = metrics
     return models, all_metrics
+
+
+@pytest.fixture(scope="session")
+def references(trained):
+    """Each best model's decisions on CONFIG's eval set, computed once."""
+    models, _ = trained
+    return {language: eval_reference(models[language], eval_set_for(language, CONFIG))
+            for language in LANGUAGES}
 
 
 @pytest.fixture(scope="session")
@@ -204,14 +212,14 @@ class TestCriterion7TrainingSanity:
 
 
 class TestCriterion1StateMerging:
-    def test_table_reproduction(self, trained):
+    def test_table_reproduction(self, trained, references):
         models, _ = trained
         failures = []
         t7_fidelities, t7_gold_hits = [], 0
         for language in LANGUAGES:
             for seed in SEEDS:
                 row, report = run_extraction(models[language], language, seed, 0,
-                                             CONFIG)
+                                             CONFIG, references[language])
                 if report.train_fidelity != 1.0:
                     failures.append(f"t{language}s{seed}: train fidelity "
                                     f"{report.train_fidelity:.4f}")
@@ -236,14 +244,14 @@ class TestCriterion1StateMerging:
 
 
 class TestCriterion2KmeansBaseline:
-    def test_baseline_table(self, trained):
+    def test_baseline_table(self, trained, references):
         models, _ = trained
         failures = []
         t7_fidelities, t7_sizes = [], []
         for language in LANGUAGES:
             for seed in SEEDS:
                 row, _ = run_kmeans_baseline(models[language], language, seed, 0,
-                                             CONFIG)
+                                             CONFIG, references[language])
                 if language == 7:
                     t7_fidelities.append(row.acc_vs_rnn)
                     t7_sizes.append(row.minimized_size)
@@ -265,9 +273,9 @@ class TestCriterion2KmeansBaseline:
 
 
 class TestCriterion3SampleEfficiency:
-    def test_forty_strings_suffice(self, trained):
+    def test_forty_strings_suffice(self, trained, references):
         models, _ = trained
-        row, report = run_extraction(models[5], 5, 0, 0, CONFIG,
+        row, report = run_extraction(models[5], 5, 0, 0, CONFIG, references[5],
                                      n_strings=40, string_len=10)
         ok = equivalent(report.final, gold_dfa(5))
         verdict(3, "sample efficiency", ok,
@@ -277,10 +285,10 @@ class TestCriterion3SampleEfficiency:
 
 
 class TestCriterion4KappaSensitivity:
-    def test_overmerge_and_recovery(self, trained):
+    def test_overmerge_and_recovery(self, trained, references):
         models, _ = trained
-        _, coarse = run_extraction(models[2], 2, 0, 0, CONFIG, kappa=0.5)
-        _, fine = run_extraction(models[2], 2, 0, 0, CONFIG, kappa=0.01)
+        _, coarse = run_extraction(models[2], 2, 0, 0, CONFIG, references[2], kappa=0.5)
+        _, fine = run_extraction(models[2], 2, 0, 0, CONFIG, references[2], kappa=0.01)
         overmerged = not equivalent(coarse.final, gold_dfa(2))
         recovered = (equivalent(fine.final, gold_dfa(2))
                      and fine.sizes[2] == GOLD_SIZES[2])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from statemerge.automata import (AlphabetError, Dfa, Nfa, determinize, equivalent,
                                  isomorphic, load_dfa, minimize, prefix_decisions,
-                                 save_dfa, to_dot)
+                                 save_dfa, successor_table, to_dot)
 from statemerge.languages import gold_dfa
 
 from conftest import all_strings, random_dfa, random_nfa, same_language, moore_minimize_size
@@ -93,6 +93,19 @@ def fig2c_four_state_tomita2():
     edges = {(0, "a"): 1, (1, "b"): 0, (0, "b"): 2, (2, "b"): 3,
              (3, "a"): 3, (3, "b"): 3}
     return Dfa(("a", "b"), {0, 1, 2, 3}, 0, edges, {0})
+
+
+class TestSuccessorTable:
+    def test_columns_by_token_with_a_sink_row(self):
+        dfa = Dfa(("a", "b", "c"), {5, 9}, 9, {(9, "a"): 5, (5, "b"): 9, (5, "c"): 5}, {9})
+        states, succ = successor_table(dfa, ("b", "a"))
+        assert states == [5, 9]
+        # Rows: state 5, state 9, the sink; columns: b, a.
+        assert succ == [[1, 2], [2, 0], [2, 2]]
+
+    def test_token_outside_the_machine_rejected(self):
+        with pytest.raises(AlphabetError):
+            successor_table(Dfa(("a",), {0}, 0, {}, {0}), ("a", "b"))
 
 
 class TestMinimize:

@@ -55,7 +55,7 @@ class TestParser:
     # Each case holds the arguments after --language 1: an argument file with
     # them exits 2, as the same arguments typed do.  Cases 11-16 name options
     # the command lacks or give a flag a value; cases 5-7 are bad environment
-    # defaults.
+    # defaults; case 18 gives sweep kappa a --kappa its grid would ignore.
     @pytest.mark.parametrize("config, env", [
         (["--threads=-4", "extract"], {}), (["extract", "--kappa=0"], {}),
         (["extract", "--data=0"], {}), (["--language=9", "extract"], {}),
@@ -66,7 +66,7 @@ class TestParser:
         (["--no-such-key=1", "extract"], {}), (["--func=1", "extract"], {}),
         (["--command=train", "extract"], {}), (["extract", "--full"], {}),
         (["--verbose=no", "extract"], {}), (["--config=other.json", "extract"], {}),
-        (["extract", "--data=1"], {})])
+        (["extract", "--data=1"], {}), (["sweep", "kappa", "--kappa=0.3"], {})])
     def test_config_and_env_values_checked(self, config, env, tmp_path, monkeypatch, capsys):
         for name, value in env.items():
             monkeypatch.setenv(name, value)
@@ -111,6 +111,13 @@ class TestParser:
         extraction = _experiment_config(args).extraction
         assert (extraction.kappa, extraction.n_strings, extraction.string_len) == (0.5, 2, 0)
         assert _training_config(args, 1).epochs == 1
+
+    def test_sweep_kappa_reaches_the_data_and_epoch_sweeps(self):
+        parse = build_parser().parse_args
+        for kind in ("data", "epochs"):
+            args = parse(["sweep", kind, "--kappa", "0.3"])
+            assert _experiment_config(args).extraction.kappa == 0.3
+        assert _experiment_config(parse(["sweep", "kappa"])).extraction.kappa == 0.01
 
     def test_seed_env_default(self, monkeypatch):
         monkeypatch.setenv("STATEMERGE_SEED", "7")

@@ -10,8 +10,8 @@ import statistics
 import numpy as np
 import pytest
 
-from statemerge.automata import Dfa, load_dfa, prefix_decisions
-from statemerge.harness import (ExperimentConfig, ExtractionConfig, ResultRow,
+from statemerge.automata import AlphabetError, Dfa, load_dfa, prefix_decisions
+from statemerge.harness import (ExperimentConfig, ExtractionConfig, FidelityResult, ResultRow,
                                 TrainingConfig, best_model, ensure_trained,
                                 eval_set_for, extraction_strings, fidelity,
                                 load_finished_run, metrics_to_csv,
@@ -19,8 +19,10 @@ from statemerge.harness import (ExperimentConfig, ExtractionConfig, ResultRow,
                                 run_kmeans_baseline, summarize, sweep_epochs,
                                 sweep_kappa, train_recognizer)
 from statemerge.languages import ALPHABET, gold_dfa, labeled, membership, sample_eval_set
-from statemerge.rnn import (EpochMetrics, decisions, forward_many, init_model,
-                            load_checkpoint, save_checkpoint)
+from statemerge.rnn import (EpochMetrics, decisions, eval_reference, forward_many,
+                            init_model, load_checkpoint, save_checkpoint)
+
+from conftest import random_dfa
 
 
 TINY = dict(n_train=40, train_len=6, n_dev=20, dev_len=8,
@@ -85,6 +87,23 @@ class TestSummarize:
         assert set(summary) == {(1, "state_merging"), (1, "kmeans")}
 
 
+def rename(dfa, ids):
+    """The machine with state q renamed ids[q]."""
+    return Dfa(dfa.alphabet, {ids[q] for q in dfa.states}, ids[dfa.initial],
+               {(ids[q], t): ids[r] for (q, t), r in dfa.transitions.items()},
+               {ids[q] for q in dfa.accepting})
+
+
+def per_string_fidelity(dfa, model, eval_set):
+    """The oracle: each string's machine verdicts by prefix_decisions against
+    the model's decisions on that string run alone, counted string by string."""
+    pairs = [(prefix_decisions(dfa, s.x), decisions(model, s.x)) for s in eval_set]
+    agree = [p == q for dfa_preds, rnn_preds in pairs for p, q in zip(dfa_preds, rnn_preds)]
+    return FidelityResult(sum(d[-1] == r[-1] for d, r in pairs) / len(pairs),
+                          sum(d[-1] == s.y[-1] for (d, _), s in zip(pairs, eval_set)) / len(pairs),
+                          sum(agree) / len(agree))
+
+
 class TestFidelity:
     def test_accept_all_dfa_matches_label_rate(self, rng):
         # A one-state accept-all machine agrees with the stored labels exactly
@@ -92,7 +111,7 @@ class TestFidelity:
         dfa = Dfa(ALPHABET, {0}, 0, {(0, "a"): 0, (0, "b"): 0}, {0})
         model = init_model(ALPHABET, 4, 8, rng)
         eval_set = sample_eval_set(4, 200, 10, rng)
-        result = fidelity(dfa, model, eval_set)
+        result = fidelity(dfa, eval_reference(model, eval_set))
         positive_rate = sum(s.y[-1] for s in eval_set) / len(eval_set)
         assert result.vs_gold == pytest.approx(positive_rate)
 
@@ -100,32 +119,51 @@ class TestFidelity:
         model = init_model(ALPHABET, 4, 8, rng)
         dfa = gold_dfa(3)
         eval_set = [labeled(3, w) for w in ["", "a", "ab", "bba", "abab", "ab", "bbab"]]
-        result = fidelity(dfa, model, eval_set)
-        pairs = [(prefix_decisions(dfa, s.x), decisions(model, s.x)) for s in eval_set]
-        agree = [p == q for dfa_preds, rnn_preds in pairs for p, q in zip(dfa_preds, rnn_preds)]
-        assert result.prefix_vs_rnn == sum(agree) / len(agree)
-        assert result.vs_rnn == sum(d[-1] == r[-1] for d, r in pairs) / len(pairs)
+        result = fidelity(dfa, eval_reference(model, eval_set))
+        assert result == per_string_fidelity(dfa, model, eval_set)
 
     def test_matches_one_pass_over_the_whole_set(self, rng):
-        # Grouping by length forms the batches forward_many forms, so the
-        # counts equal those of one forward_many call over the whole set.
+        # The reference's batches, one per length, are the batches of one
+        # forward_many call over the whole set.
         model = init_model(ALPHABET, 4, 8, rng)
         dfa = gold_dfa(4)
         eval_set = sample_eval_set(4, 300, 12, rng)
         runs = [r.accepts.tolist() for r in forward_many(model, [s.x for s in eval_set])]
         pairs = [(prefix_decisions(dfa, s.x), r) for s, r in zip(eval_set, runs)]
         agree = [p == q for dfa_preds, rnn_preds in pairs for p, q in zip(dfa_preds, rnn_preds)]
-        result = fidelity(dfa, model, eval_set)
+        result = fidelity(dfa, eval_reference(model, eval_set))
         assert result.prefix_vs_rnn == sum(agree) / len(agree)
         assert result.vs_rnn == sum(d[-1] == r[-1] for d, r in pairs) / len(pairs)
         assert result.vs_gold == sum(d[-1] == s.y[-1]
                                      for (d, _), s in zip(pairs, eval_set)) / len(pairs)
 
+    def test_table_walk_matches_per_string_oracle(self, rng):
+        model = init_model(ALPHABET, 4, 8, rng)
+        eval_set = sample_eval_set(5, 150, 9, rng)
+        reference = eval_reference(model, eval_set)
+        machines = [gold_dfa(5),
+                    # The gold machine with its alphabet listed in the other order.
+                    Dfa(("b", "a"), *dataclasses.astuple(gold_dfa(5))[1:]),
+                    # A machine over a larger alphabet, with state ids {5, 9}.
+                    Dfa(("a", "b", "c"), {5, 9}, 9,
+                        {(9, "a"): 5, (5, "b"): 9, (5, "c"): 5, (9, "c"): 9}, {9})]
+        for _ in range(30):
+            dfa = random_dfa(rng, int(rng.integers(1, 8)))
+            ids = rng.choice(100, size=len(dfa.states), replace=False).tolist()
+            machines.append(rename(dfa, ids))
+        for dfa in machines:
+            assert fidelity(dfa, reference) == per_string_fidelity(dfa, model, eval_set)
+
+    def test_machine_missing_a_token_rejected(self, rng):
+        model = init_model(ALPHABET, 4, 8, rng)
+        reference = eval_reference(model, [labeled(1, "aa")])
+        with pytest.raises(AlphabetError):
+            fidelity(Dfa(("a",), {0}, 0, {(0, "a"): 0}, {0}), reference)
+
     def test_empty_eval_set_rejected(self, rng):
-        dfa = Dfa(ALPHABET, {0}, 0, {}, set())
         model = init_model(ALPHABET, 4, 8, rng)
         with pytest.raises(ValueError):
-            fidelity(dfa, model, [])
+            eval_reference(model, [])
 
 
 class TestTrainingCache:

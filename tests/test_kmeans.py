@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from statemerge.automata import prefix_decisions
-from statemerge.kmeans import (HiddenStateDataset, collect_hidden_states, kmeans,
-                               kmeans_extract)
-from statemerge.rnn import forward, init_model
+from statemerge.kmeans import kmeans, kmeans_extract
+from statemerge.rnn import ForwardResult, forward, init_model
+
+
+# The module: the package attribute statemerge.kmeans is the function.
+kmeans_module = importlib.import_module("statemerge.kmeans")
 
 
 def small_model(seed, d=8):
@@ -16,36 +19,56 @@ def small_model(seed, d=8):
 
 
 class TestCollectHiddenStates:
-    def test_record_count(self):
-        m = small_model(0)
-        data = collect_hidden_states(m, ["ab", "a", ""])
-        # One record per prefix position, including the empty prefix.
-        assert len(data.points) == 3 + 2 + 1
-        assert len(data.labels) == len(data.points)
-        assert len(data.next_token) == len(data.points)
-        # kmeans_extract reads record 0 as the initial state: the empty prefix.
-        first = forward(m, "ab")
-        np.testing.assert_allclose(data.points[0], first.hidden[0], rtol=0, atol=1e-12)
-        assert data.labels[0] == (first.yhat[0] > 0.5)
+    """The records kmeans_extract clusters: one per visited prefix position,
+    a string's records in order, the first string's empty prefix first."""
 
-    def test_successor_links(self):
+    @staticmethod
+    def records(monkeypatch, model, strings):
+        """(points clustered, raw machine read off) with every record in a
+        cluster of its own, so cluster i is record i."""
+        seen = {}
+
+        def one_cluster_each(points, k, rng):
+            seen["points"] = points
+            return np.arange(len(points)), None
+
+        monkeypatch.setattr(kmeans_module, "kmeans", one_cluster_each)
+        monkeypatch.setattr(kmeans_module, "minimize", lambda dfa: dfa)
+        n = sum(len(w) + 1 for w in strings)
+        dfa = kmeans_extract(model, strings, n, np.random.default_rng(0))
+        return seen["points"], dfa
+
+    def test_record_count(self, monkeypatch):
+        m = small_model(0)
+        points, dfa = self.records(monkeypatch, m, ["ab", "a", ""])
+        # One record per prefix position, including the empty prefix.
+        assert len(points) == 3 + 2 + 1
+        # Record 0, the empty prefix of "ab", is the initial state.
+        first = forward(m, "ab")
+        np.testing.assert_allclose(points[0], first.hidden[0], rtol=0, atol=1e-12)
+        assert dfa.initial == 0
+        assert (0 in dfa.accepting) == (first.yhat[0] > 0.5)
+
+    def test_successor_links(self, monkeypatch):
         m = small_model(0)
         strings = ["ab", "", "b"]
-        data = collect_hidden_states(m, strings)
-        # Record i + 1 follows record i on the token next_token[i]; -1 ends a string.
-        assert data.next_token.tolist() == [0, 1, -1, -1, 1, -1]
+        points, dfa = self.records(monkeypatch, m, strings)
+        # Record i + 1 follows record i on the string's next token, and no
+        # record follows a string's last one.
+        assert dfa.transitions == {(0, "a"): 1, (1, "b"): 2, (4, "b"): 5}
         base = 0
         for w in strings:
-            hidden = forward(m, w).hidden
-            np.testing.assert_allclose(data.points[base:base + len(w) + 1], hidden,
+            result = forward(m, w)
+            np.testing.assert_allclose(points[base:base + len(w) + 1], result.hidden,
                                        rtol=0, atol=1e-12)
-            assert data.next_token[base + len(w)] == -1
+            accepted = [q in dfa.accepting for q in range(base, base + len(w) + 1)]
+            assert accepted == result.accepts.tolist()
             base += len(w) + 1
-        assert base == len(data.points)
+        assert base == len(points)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            collect_hidden_states(small_model(0), [])
+            kmeans_extract(small_model(0), [], 1, np.random.default_rng(0))
 
 
 class TestKmeans:
@@ -88,18 +111,18 @@ class TestKmeans:
             kmeans(points, 0, rng)
         with pytest.raises(ValueError):
             kmeans(points, 5, rng)
-        with pytest.raises(ValueError):
-            kmeans(points, 2, rng, n_init=0)
 
-    def test_restarts_never_worse_than_single_run(self):
+    def test_restarts_never_worse_than_single_run(self, monkeypatch):
         points = np.random.default_rng(11).normal(size=(60, 3))
 
         def distortion(a, c):
             return float(((points - c[a]) ** 2).sum())
 
         for seed in range(5):
-            single = distortion(*kmeans(points, 6, np.random.default_rng(seed), n_init=1))
-            multi = distortion(*kmeans(points, 6, np.random.default_rng(seed), n_init=10))
+            multi = distortion(*kmeans(points, 6, np.random.default_rng(seed)))
+            with monkeypatch.context() as patch:
+                patch.setattr(kmeans_module, "N_INIT", 1)
+                single = distortion(*kmeans(points, 6, np.random.default_rng(seed)))
             assert multi <= single + 1e-9
 
 
@@ -148,15 +171,16 @@ def hidden_like_points(seed):
 class TestLloydReference:
     SEEDS = range(200)
 
-    def test_matches_exact_ranking(self):
+    def test_matches_exact_ranking(self, monkeypatch):
+        monkeypatch.setattr(kmeans_module, "N_INIT", 3)
         for seed in self.SEEDS:
             points, k = hidden_like_points(seed)
-            a, c = kmeans(points, k, np.random.default_rng(seed), n_init=3)
+            a, c = kmeans(points, k, np.random.default_rng(seed))
             ref_a, ref_c = reference_kmeans(points, k, np.random.default_rng(seed), n_init=3)
             assert np.array_equal(a, ref_a), seed
             assert np.array_equal(c, ref_c), seed
 
-    def test_identical_seed_centroids_rank_as_exact_ties(self):
+    def test_identical_seed_centroids_rank_as_exact_ties(self, monkeypatch):
         # Seeding picks two identical points, so every row has two centroids
         # at one exact distance and the first iteration re-ranks every row.
         base = np.tanh(np.random.default_rng(5).normal(size=(6, 7)) * 3.0)
@@ -168,7 +192,8 @@ class TestLloydReference:
                 break
         else:
             pytest.fail("no seed picks two identical points")
-        a, c = kmeans(points, 9, np.random.default_rng(seed), n_init=1)
+        monkeypatch.setattr(kmeans_module, "N_INIT", 1)
+        a, c = kmeans(points, 9, np.random.default_rng(seed))
         ref_a, ref_c = reference_kmeans(points, 9, np.random.default_rng(seed), n_init=1)
         assert np.array_equal(a, ref_a)
         assert np.array_equal(c, ref_c)
@@ -177,22 +202,23 @@ class TestLloydReference:
 class TestReadOff:
     """kmeans_extract's votes on a hand-built dataset and fixed clusters."""
 
-    def extract(self, monkeypatch, labels, next_token, assignments, k):
-        module = importlib.import_module("statemerge.kmeans")
-        data = HiddenStateDataset(np.zeros((len(labels), 1)), np.array(labels),
-                                  np.array(next_token))
-        monkeypatch.setattr(module, "collect_hidden_states", lambda model, strings: data)
-        monkeypatch.setattr(module, "kmeans",
+    def extract(self, monkeypatch, strings, labels, assignments, k):
+        """Read off the machine of the given records: strings with the
+        model's decision on each prefix, all hidden states zero."""
+        results = [ForwardResult(np.zeros((len(w) + 1, 1)), np.array(y, dtype=float))
+                   for w, y in zip(strings, labels)]
+        monkeypatch.setattr(kmeans_module, "forward_many", lambda model, strings: results)
+        monkeypatch.setattr(kmeans_module, "kmeans",
                             lambda points, k, rng: (np.array(assignments), None))
-        return kmeans_extract(small_model(0), ["unused"], k, np.random.default_rng(0))
+        return kmeans_extract(small_model(0), strings, k, np.random.default_rng(0))
 
     def test_acceptance_tie_rejects(self, monkeypatch):
         # Records of "a": the empty prefix accepted, "a" rejected, one cluster.
-        dfa = self.extract(monkeypatch, [True, False], [0, -1], [0, 0], 1)
+        dfa = self.extract(monkeypatch, ["a"], [[True, False]], [0, 0], 1)
         assert not dfa.accepts("") and not dfa.accepts("a")
 
     def test_acceptance_majority_accepts(self, monkeypatch):
-        dfa = self.extract(monkeypatch, [True, False, True], [0, 1, -1], [0, 0, 0], 1)
+        dfa = self.extract(monkeypatch, ["ab"], [[True, False, True]], [0, 0, 0], 1)
         assert dfa.accepts("") and dfa.accepts("ab")
 
     @pytest.mark.parametrize("assignments, accepts_a", [
@@ -203,7 +229,7 @@ class TestReadOff:
                                                    accepts_a):
         # Two strings "a": cluster 0 reads a once into each of clusters 1 and 2;
         # only the second string's "a" record is accepted.
-        dfa = self.extract(monkeypatch, [False, False, False, True], [0, -1, 0, -1],
+        dfa = self.extract(monkeypatch, ["a", "a"], [[False, False], [False, True]],
                            assignments, 3)
         assert dfa.accepts("a") == accepts_a
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from statemerge import rnn
-from statemerge.languages import ALPHABET, labeled, sample_balanced
+from statemerge.languages import ALPHABET, labeled, sample_balanced, sample_eval_set
 from statemerge.rnn import (AdamWHyper, AdamWState, Checkpoint, TrainingError,
-                            adamw_step, decisions, forward, forward_many, init_model,
-                            kappa_bound, load_checkpoint, loss_and_grads,
-                            model_from_checkpoint, saturation_level,
+                            adamw_step, decisions, eval_reference, evaluate, forward,
+                            forward_many, init_model, kappa_bound, load_checkpoint,
+                            loss_and_grads, model_from_checkpoint, saturation_level,
                             save_checkpoint, train)
 
 
@@ -89,6 +89,41 @@ class TestDecisions:
         m.params["w_out"] = np.zeros_like(m.params["w_out"])
         m.params["b_out"] = np.zeros_like(m.params["b_out"])
         assert decisions(m, "ab") == [False, False, False]
+
+
+def evaluate_per_sample(model, samples):
+    """The oracle: evaluate as a loop over the samples, one count each."""
+    correct = total = string_correct = 0
+    for sample, result in zip(samples, forward_many(model, [s.x for s in samples])):
+        match = result.accepts == np.array(sample.y)
+        correct += int(match.sum())
+        total += match.size
+        string_correct += int(match[-1])
+    return correct / total, string_correct / len(samples)
+
+
+class TestEvalReference:
+    def test_rows_pad_with_the_last_prefix(self, rng):
+        m = init_model(ALPHABET, 4, 8, rng)
+        samples = [labeled(2, "ab"), labeled(2, ""), labeled(2, "abab")]
+        ref = eval_reference(m, samples)
+        assert ref.ids.tolist() == [[0, 1, 2, 2], [2, 2, 2, 2], [0, 1, 0, 1]]
+        assert ref.lengths.tolist() == [2, 0, 4]
+        assert ref.labels.tolist() == [[True, False, True, True, True], [True] * 5,
+                                       [True, False, True, False, True]]
+        for row, s in enumerate(samples):
+            decided = decisions(m, s.x)
+            assert ref.decisions[row].tolist() == decided + decided[-1:] * (4 - len(s.x))
+            assert ref.prefixes[row].tolist() == [t <= len(s.x) for t in range(5)]
+
+    def test_evaluate_matches_per_sample_loop_on_mixed_lengths(self, rng):
+        for language in (2, 4, 6):
+            m = init_model(ALPHABET, 4, 8, rng)
+            samples = (sample_eval_set(language, 60, 12, rng)
+                       + sample_balanced(language, 7, 40, rng) + [labeled(language, "")])
+            result = evaluate(m, samples)
+            assert result == evaluate_per_sample(m, samples)
+            assert all(type(value) is float for value in result)
 
 
 class TestAdamW:
