@@ -31,7 +31,7 @@ import numpy as np  # noqa: E402
 from statemerge import harness, rnn  # noqa: E402
 from statemerge.automata import save_dfa  # noqa: E402
 from statemerge.harness import (ExperimentConfig, ExtractionConfig, eval_set_for,  # noqa: E402
-                                run_extraction, run_kmeans_baseline)
+                                extraction_strings, run_extraction, run_kmeans_baseline)
 from statemerge.languages import sample_balanced, save_dataset  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,10 +94,16 @@ def scores(fid) -> str:
 
 
 def golden_lines() -> list[str]:
+    """One eval set and reference per language, and one string set per
+    (language, seed) for every kappa and k-means."""
+    ext = CONFIG.extraction
     lines = []
     with recorded_fidelity() as scored:
         for language, model in fixture_models().items():
             eval_set = eval_set_for(language, CONFIG)
+            reference = rnn.eval_reference(model, eval_set)
+            strings = {seed: extraction_strings(language, ext.n_strings, ext.string_len, seed)
+                       for seed in SEEDS}
             lines.append(f"eval_set {language} {sha(save_dataset(eval_set, language, 999))}")
             # Labelled by the next language, so that the accuracies fall short of 1.
             other = language % 7 + 1
@@ -107,14 +113,16 @@ def golden_lines() -> list[str]:
                          f"{accuracy!r} {string_accuracy!r}")
             for kappa in KAPPAS:
                 for seed in SEEDS:
-                    _, report = run_extraction(model, language, seed, 0, CONFIG, kappa=kappa)
+                    _, report = run_extraction(model, language, seed, 0, strings[seed], kappa,
+                                               reference)
                     sizes = ",".join(map(str, report.sizes))
                     lines.append(f"state_merging {language} {kappa} {seed} "
                                  f"{sha(save_dfa(report.final))} {sizes} "
                                  f"{report.determinized_size} {report.train_fidelity!r} "
                                  f"{scores(scored[-1])}")
             for seed in SEEDS:
-                _, dfa = run_kmeans_baseline(model, language, seed, 0, CONFIG)
+                _, dfa = run_kmeans_baseline(model, language, seed, 0, strings[seed],
+                                             CONFIG.kmeans_k, reference)
                 lines.append(f"kmeans {language} {CONFIG.kmeans_k} {seed} "
                              f"{sha(save_dfa(dfa))} {len(dfa.states)} {scores(scored[-1])}")
     return lines

@@ -50,8 +50,10 @@ def _write_resolved_config(out_dir: Path, payload: dict) -> None:
 
 
 # Command line argument -> converter, for the TrainingConfig field of that name.
-TRAINING_FIELDS = {"n_train": int, "train_len": _int_at_least(0), "n_dev": int,
-                   "dev_len": _int_at_least(0), "embed_dim": int, "hidden_dim": int,
+# n_train and n_dev are at least 2: a balanced draw needs a positive and a negative string.
+TRAINING_FIELDS = {"n_train": _int_at_least(2), "train_len": _int_at_least(0),
+                   "n_dev": _int_at_least(2), "dev_len": _int_at_least(0),
+                   "embed_dim": _int_at_least(1), "hidden_dim": _int_at_least(1),
                    "epochs": _int_at_least(1)}
 # Command line argument -> ExtractionConfig field.
 EXTRACTION_FIELDS = {"kappa": "kappa", "data": "n_strings", "length": "string_len"}
@@ -100,7 +102,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
     out = Path(args.out)
     model, train_cfg = _trained_model(args, args.language)
     config = _experiment_config(args)
-    row, report = harness.run_extraction(model, args.language, args.seed, 0, config)
+    ext = config.extraction
+    strings = harness.extraction_strings(args.language, ext.n_strings, ext.string_len, args.seed)
+    reference = rnn.eval_reference(model, harness.eval_set_for(args.language, config))
+    row, report = harness.run_extraction(model, args.language, args.seed, 0, strings,
+                                         ext.kappa, reference)
     out.mkdir(parents=True, exist_ok=True)
     tag = f"tomita{args.language}_seed{args.seed}"
     (out / f"{tag}.dfa").write_text(save_dfa(report.final))
@@ -108,7 +114,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     (out / "results.csv").write_text(rows_to_csv([row]))
     _write_resolved_config(out, {"training": dataclasses.asdict(train_cfg),
                                  "experiment": dataclasses.asdict(config),
-                                 "cosine_threshold": 1.0 - config.extraction.kappa})
+                                 "cosine_threshold": 1.0 - ext.kappa})
     print(f"tomita {args.language}: sizes {report.sizes}, "
           f"fidelity vs RNN {row.acc_vs_rnn:.4f}, vs gold {row.acc_vs_gold:.4f}")
     return 0
@@ -118,7 +124,11 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     out = Path(args.out)
     model, train_cfg = _trained_model(args, args.language)
     config = dataclasses.replace(_experiment_config(args), kmeans_k=args.k)
-    row, dfa = harness.run_kmeans_baseline(model, args.language, args.seed, 0, config)
+    ext = config.extraction
+    strings = harness.extraction_strings(args.language, ext.n_strings, ext.string_len, args.seed)
+    reference = rnn.eval_reference(model, harness.eval_set_for(args.language, config))
+    row, dfa = harness.run_kmeans_baseline(model, args.language, args.seed, 0, strings,
+                                           config.kmeans_k, reference)
     out.mkdir(parents=True, exist_ok=True)
     tag = f"tomita{args.language}_seed{args.seed}_kmeans"
     (out / f"{tag}.dfa").write_text(save_dfa(dfa))
@@ -206,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                "argument overrides an earlier one.")
     parser.add_argument("--language", type=int, choices=LANGUAGE_IDS, default=None)
     # String defaults go through `type`, so the environment gets the same checks.
-    parser.add_argument("--seed", type=int,
+    parser.add_argument("--seed", type=_int_at_least(0),
                         default=os.environ.get(harness.SEED_ENV_VAR) or "0")
     parser.add_argument("--threads", type=_int_at_least(1),
                         default=os.environ.get(harness.THREADS_ENV_VAR) or "1")

@@ -136,8 +136,8 @@ def train_recognizer(config: TrainingConfig,
     metrics table, and the resolved config to out_dir.  Re-loads from disk if
     the directory already holds a finished run (see load_finished_run); any
     other directory is retrained from scratch.  Each file is written under a
-    temporary name and renamed into place, DONE last."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    temporary name and renamed into place, DONE last; out_dir is created
+    only then, so a run that raises leaves no directory behind."""
     cached = load_finished_run(config, out_dir)
     if cached is not None:
         return cached
@@ -154,6 +154,7 @@ def train_recognizer(config: TrainingConfig,
     checkpoints, metrics = rnn.train(model, train_set, dev_set, config.epochs,
                                      config.hyper(), rng_train,
                                      batch_size=config.batch_size, metadata=meta)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for ckpt in checkpoints:
         _write_atomic(out_dir / _checkpoint_name(ckpt.metadata["epoch"]),
                       rnn.save_checkpoint(ckpt, ALPHABET))
@@ -289,36 +290,24 @@ def eval_set_for(language: int, config: ExperimentConfig) -> list[LabeledSample]
 
 
 def run_extraction(model: RnnModel, language: int, seed: int, epoch: int,
-                   config: ExperimentConfig,
-                   reference: EvalReference | None = None,
-                   n_strings: int | None = None,
-                   kappa: float | None = None,
-                   string_len: int | None = None) -> tuple[ResultRow, ExtractionReport]:
-    ext = config.extraction
-    n_strings = n_strings if n_strings is not None else ext.n_strings
-    kappa = kappa if kappa is not None else ext.kappa
-    string_len = string_len if string_len is not None else ext.string_len
-    strings = extraction_strings(language, n_strings, string_len, seed)
-    reference = reference or eval_reference(model, eval_set_for(language, config))
+                   strings: list[str], kappa: float,
+                   reference: EvalReference) -> tuple[ResultRow, ExtractionReport]:
     start = time.perf_counter()
     report = extract(model, strings, kappa)
     fid = fidelity(report.final, reference)
-    row = ResultRow(language, "state_merging", seed, epoch, n_strings, kappa,
+    row = ResultRow(language, "state_merging", seed, epoch, len(strings), kappa,
                     fid.vs_rnn, fid.vs_gold, report.sizes[1], report.sizes[2],
                     time.perf_counter() - start)
     return row, report
 
 
 def run_kmeans_baseline(model: RnnModel, language: int, seed: int, epoch: int,
-                        config: ExperimentConfig,
-                        reference: EvalReference | None = None) -> tuple[ResultRow, Dfa]:
-    ext = config.extraction
-    strings = extraction_strings(language, ext.n_strings, ext.string_len, seed)
-    reference = reference or eval_reference(model, eval_set_for(language, config))
+                        strings: list[str], k: int,
+                        reference: EvalReference) -> tuple[ResultRow, Dfa]:
     start = time.perf_counter()
-    dfa = kmeans_extract(model, strings, config.kmeans_k, _rng(seed, language, 20))
+    dfa = kmeans_extract(model, strings, k, _rng(seed, language, 20))
     fid = fidelity(dfa, reference)
-    row = ResultRow(language, "kmeans", seed, epoch, ext.n_strings, 0.0,
+    row = ResultRow(language, "kmeans", seed, epoch, len(strings), 0.0,
                     fid.vs_rnn, fid.vs_gold, len(dfa.states), len(dfa.states),
                     time.perf_counter() - start)
     return row, dfa
@@ -347,17 +336,20 @@ def summarize(rows: list[ResultRow]) -> dict[tuple[int, str], Table2Summary]:
 
 def reproduce_table2(config: ExperimentConfig, models: dict[int, RnnModel]
                      ) -> tuple[list[ResultRow], dict[tuple[int, str], Table2Summary]]:
-    """State-merging extraction and k-means baseline per language and seed."""
+    """State-merging extraction and k-means baseline per language and seed,
+    both on one string set per (language, seed) and one eval set per language."""
+    ext = config.extraction
     jobs = [(language, seed) for language in config.languages for seed in config.seeds]
     references = {language: eval_reference(models[language], eval_set_for(language, config))
                   for language in config.languages}
 
     def one(job: tuple[int, int]) -> list[ResultRow]:
         language, seed = job
-        model = models[language]
-        reference = references[language]
-        row_sm, _ = run_extraction(model, language, seed, 0, config, reference)
-        row_km, _ = run_kmeans_baseline(model, language, seed, 0, config, reference)
+        model, reference = models[language], references[language]
+        strings = extraction_strings(language, ext.n_strings, ext.string_len, seed)
+        row_sm, _ = run_extraction(model, language, seed, 0, strings, ext.kappa, reference)
+        row_km, _ = run_kmeans_baseline(model, language, seed, 0, strings, config.kmeans_k,
+                                        reference)
         return [row_sm, row_km]
 
     if config.threads > 1:
@@ -377,9 +369,9 @@ def sweep_data_size(config: ExperimentConfig, models: dict[int, RnnModel],
         reference = eval_reference(models[language], eval_set_for(language, config))
         for n_strings in grid:
             for seed in config.seeds:
-                row, _ = run_extraction(models[language], language, seed, 0, config,
-                                        reference, n_strings=n_strings,
-                                        string_len=string_len)
+                strings = extraction_strings(language, n_strings, string_len, seed)
+                row, _ = run_extraction(models[language], language, seed, 0, strings,
+                                        config.extraction.kappa, reference)
                 rows.append(row)
     return rows
 
@@ -387,11 +379,12 @@ def sweep_data_size(config: ExperimentConfig, models: dict[int, RnnModel],
 def sweep_kappa(config: ExperimentConfig, model: RnnModel, language: int = 2,
                 kappas: tuple[float, ...] = (0.5, 0.4, 0.01),
                 out_dir: Path | None = None) -> list[tuple[ResultRow, ExtractionReport]]:
-    results = []
+    ext, seed = config.extraction, config.seeds[0]
+    strings = extraction_strings(language, ext.n_strings, ext.string_len, seed)
     reference = eval_reference(model, eval_set_for(language, config))
+    results = []
     for kappa in kappas:
-        row, report = run_extraction(model, language, config.seeds[0], 0, config,
-                                     reference, kappa=kappa)
+        row, report = run_extraction(model, language, seed, 0, strings, kappa, reference)
         results.append((row, report))
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -405,29 +398,32 @@ def sweep_kappa(config: ExperimentConfig, model: RnnModel, language: int = 2,
 
 def sweep_epochs(config: ExperimentConfig,
                  checkpoints: dict[int, list[Checkpoint]]) -> list[ResultRow]:
-    """Extraction metrics per training epoch and seed; merged_size here is the
-    pre-minimization size."""
+    """Extraction metrics per training epoch and seed, every epoch on the same
+    string sets and eval set; merged_size here is the pre-minimization size."""
+    ext = config.extraction
     rows = []
     for language, ckpts in checkpoints.items():
         eval_set = eval_set_for(language, config)
+        strings = {seed: extraction_strings(language, ext.n_strings, ext.string_len, seed)
+                   for seed in config.seeds}
         for ckpt in ckpts:
             model = rnn.model_from_checkpoint(ckpt, ALPHABET)
             reference = eval_reference(model, eval_set)
             for seed in config.seeds:
                 row, _ = run_extraction(model, language, seed, int(ckpt.metadata["epoch"]),
-                                        config, reference)
+                                        strings[seed], ext.kappa, reference)
                 rows.append(row)
     return rows
 
 
 def min_data_for_full_fidelity(model: RnnModel, language: int, seed: int,
-                               config: ExperimentConfig,
-                               grid: tuple[int, ...]) -> int | None:
+                               config: ExperimentConfig, grid: tuple[int, ...],
+                               reference: EvalReference) -> int | None:
     """Smallest grid entry at which extraction reaches 100% fidelity."""
-    reference = eval_reference(model, eval_set_for(language, config))
+    ext = config.extraction
     for n_strings in sorted(grid):
-        row, _ = run_extraction(model, language, seed, 0, config, reference,
-                                n_strings=n_strings)
+        strings = extraction_strings(language, n_strings, ext.string_len, seed)
+        row, _ = run_extraction(model, language, seed, 0, strings, ext.kappa, reference)
         if row.acc_vs_rnn == 1.0:
             return n_strings
     return None

@@ -212,7 +212,7 @@ def save_dataset(samples: list[LabeledSample], language: int, seed: int,
 
 def load_dataset(text: str) -> list[LabeledSample]:
     """Inverse of save_dataset.  Raises ValueError unless the first line is
-    the format header and every record is a string, one tab and 0/1 labels."""
+    the format header and every record is an ALPHABET string, a tab and 0/1 labels."""
     lines = text.splitlines()
     if not lines or lines[0].split() != ["#", "dataset-format", str(DATASET_FORMAT_VERSION)]:
         raise ValueError("unrecognized dataset file header")
@@ -221,7 +221,7 @@ def load_dataset(text: str) -> list[LabeledSample]:
         if not line or line.startswith("#"):
             continue
         x, tab, bits = line.partition("\t")
-        if not tab or not set(bits) <= {"0", "1"}:
+        if not tab or not set(bits) <= {"0", "1"} or not set(x) <= set(ALPHABET):
             raise ValueError(f"malformed dataset line: {line!r}")
         samples.append(LabeledSample(x, tuple(c == "1" for c in bits)))
     return samples

@@ -33,8 +33,9 @@ import pytest
 from statemerge.automata import Dfa, determinize, equivalent, minimize
 from statemerge.extraction import MergePolicy, build_prefix_tree, merge_all
 from statemerge.harness import (ExperimentConfig, best_model, ensure_trained, eval_set_for,
-                                full_scale_config, min_data_for_full_fidelity,
-                                run_extraction, run_kmeans_baseline)
+                                extraction_strings, full_scale_config,
+                                min_data_for_full_fidelity, run_extraction,
+                                run_kmeans_baseline)
 from statemerge.languages import ALPHABET, gold_dfa, membership
 from statemerge.rnn import (eval_reference, init_model, kappa_bound, loss_and_grads,
                             model_from_checkpoint)
@@ -47,6 +48,7 @@ GOLD_SIZES = {1: 1, 2: 2, 3: 4, 4: 3, 5: 4, 6: 3, 7: 4}
 LANGUAGES = tuple(range(1, 8))
 SEEDS = (0, 1, 2, 3, 4)
 CONFIG = ExperimentConfig()
+KAPPA = CONFIG.extraction.kappa
 
 
 def training_config(language):
@@ -81,11 +83,25 @@ def trained():
 
 
 @pytest.fixture(scope="session")
-def references(trained):
-    """Each best model's decisions on CONFIG's eval set, computed once."""
+def eval_sets():
+    """CONFIG's eval set per language, drawn once."""
+    return {language: eval_set_for(language, CONFIG) for language in LANGUAGES}
+
+
+@pytest.fixture(scope="session")
+def references(trained, eval_sets):
+    """Each best model's decisions on its eval set, computed once."""
     models, _ = trained
-    return {language: eval_reference(models[language], eval_set_for(language, CONFIG))
+    return {language: eval_reference(models[language], eval_sets[language])
             for language in LANGUAGES}
+
+
+@pytest.fixture(scope="session")
+def strings():
+    """CONFIG's extraction strings per (language, seed), drawn once."""
+    ext = CONFIG.extraction
+    return {(language, seed): extraction_strings(language, ext.n_strings, ext.string_len, seed)
+            for language in LANGUAGES for seed in SEEDS}
 
 
 @pytest.fixture(scope="session")
@@ -212,14 +228,15 @@ class TestCriterion7TrainingSanity:
 
 
 class TestCriterion1StateMerging:
-    def test_table_reproduction(self, trained, references):
+    def test_table_reproduction(self, trained, references, strings):
         models, _ = trained
         failures = []
         t7_fidelities, t7_gold_hits = [], 0
         for language in LANGUAGES:
             for seed in SEEDS:
                 row, report = run_extraction(models[language], language, seed, 0,
-                                             CONFIG, references[language])
+                                             strings[language, seed], KAPPA,
+                                             references[language])
                 if report.train_fidelity != 1.0:
                     failures.append(f"t{language}s{seed}: train fidelity "
                                     f"{report.train_fidelity:.4f}")
@@ -244,14 +261,15 @@ class TestCriterion1StateMerging:
 
 
 class TestCriterion2KmeansBaseline:
-    def test_baseline_table(self, trained, references):
+    def test_baseline_table(self, trained, references, strings):
         models, _ = trained
         failures = []
         t7_fidelities, t7_sizes = [], []
         for language in LANGUAGES:
             for seed in SEEDS:
                 row, _ = run_kmeans_baseline(models[language], language, seed, 0,
-                                             CONFIG, references[language])
+                                             strings[language, seed], CONFIG.kmeans_k,
+                                             references[language])
                 if language == 7:
                     t7_fidelities.append(row.acc_vs_rnn)
                     t7_sizes.append(row.minimized_size)
@@ -275,8 +293,8 @@ class TestCriterion2KmeansBaseline:
 class TestCriterion3SampleEfficiency:
     def test_forty_strings_suffice(self, trained, references):
         models, _ = trained
-        row, report = run_extraction(models[5], 5, 0, 0, CONFIG, references[5],
-                                     n_strings=40, string_len=10)
+        row, report = run_extraction(models[5], 5, 0, 0, extraction_strings(5, 40, 10, 0),
+                                     KAPPA, references[5])
         ok = equivalent(report.final, gold_dfa(5))
         verdict(3, "sample efficiency", ok,
                 f"tomita 5 from 40 strings of length 10: minimized size "
@@ -285,10 +303,10 @@ class TestCriterion3SampleEfficiency:
 
 
 class TestCriterion4KappaSensitivity:
-    def test_overmerge_and_recovery(self, trained, references):
+    def test_overmerge_and_recovery(self, trained, references, strings):
         models, _ = trained
-        _, coarse = run_extraction(models[2], 2, 0, 0, CONFIG, references[2], kappa=0.5)
-        _, fine = run_extraction(models[2], 2, 0, 0, CONFIG, references[2], kappa=0.01)
+        _, coarse = run_extraction(models[2], 2, 0, 0, strings[2, 0], 0.5, references[2])
+        _, fine = run_extraction(models[2], 2, 0, 0, strings[2, 0], 0.01, references[2])
         overmerged = not equivalent(coarse.final, gold_dfa(2))
         recovered = (equivalent(fine.final, gold_dfa(2))
                      and fine.sizes[2] == GOLD_SIZES[2])
@@ -300,31 +318,36 @@ class TestCriterion4KappaSensitivity:
 class TestCriterion5ImplicitMerging:
     GRID = (15, 25, 45, 75, 135, 200, 300, 500)
 
-    def test_training_shrinks_data_needs_and_sizes(self, epoch_checkpoints):
-        def epoch_model(language, epoch):
-            ckpt = next(c for c in epoch_checkpoints[language]
-                        if c.metadata["epoch"] == epoch)
-            return model_from_checkpoint(ckpt, ALPHABET)
-
-        def min_data(model, seed):
-            found = min_data_for_full_fidelity(model, 6, seed, CONFIG, self.GRID)
-            return found if found is not None else math.inf
-
+    def test_training_shrinks_data_needs_and_sizes(self, epoch_checkpoints, eval_sets, strings):
         final = {language: epoch_checkpoints[language][-1].metadata["epoch"]
                  for language in LANGUAGES}
-        early, late = epoch_model(6, 2), epoch_model(6, final[6])
-        early_needs = [min_data(early, seed) for seed in (0, 1, 2)]
-        late_needs = [min_data(late, seed) for seed in (0, 1, 2)]
+        # The model and its eval reference at epoch 2 and at the final epoch.
+        runs = {}
+        for language in LANGUAGES:
+            for ckpt in epoch_checkpoints[language]:
+                if ckpt.metadata["epoch"] in (2, final[language]):
+                    model = model_from_checkpoint(ckpt, ALPHABET)
+                    runs[language, ckpt.metadata["epoch"]] = (
+                        model, eval_reference(model, eval_sets[language]))
+
+        def min_data(epoch, seed):
+            model, reference = runs[6, epoch]
+            found = min_data_for_full_fidelity(model, 6, seed, CONFIG, self.GRID, reference)
+            return found if found is not None else math.inf
+
+        early_needs = [min_data(2, seed) for seed in (0, 1, 2)]
+        late_needs = [min_data(final[6], seed) for seed in (0, 1, 2)]
         data_ok = statistics.median(late_needs) < statistics.median(early_needs)
 
-        shrunk = 0
-        sizes = {}
-        for language in LANGUAGES:
-            _, rep2 = run_extraction(epoch_model(language, 2), language, 0, 2, CONFIG)
-            _, rep_final = run_extraction(epoch_model(language, final[language]),
-                                          language, 0, final[language], CONFIG)
-            sizes[language] = (rep2.sizes[1], rep_final.sizes[1])
-            shrunk += rep_final.sizes[1] <= rep2.sizes[1]
+        def merged_size(language, epoch):
+            model, reference = runs[language, epoch]
+            _, report = run_extraction(model, language, 0, epoch, strings[language, 0], KAPPA,
+                                       reference)
+            return report.sizes[1]
+
+        sizes = {language: (merged_size(language, 2), merged_size(language, final[language]))
+                 for language in LANGUAGES}
+        shrunk = sum(late <= early for early, late in sizes.values())
         size_ok = shrunk >= 5
         verdict(5, "implicit merging trends", data_ok and size_ok,
                 f"tomita 6 min data epoch 2 {early_needs} vs final epoch "

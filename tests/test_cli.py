@@ -45,7 +45,10 @@ class TestParser:
         ["--threads", "-4", "table2"], ["--threads", "0", "table2"],
         ["extract", "--length", "-1"], ["baseline", "--length", "-2"],
         ["train", "--train-len", "-1"], ["eval", "--dfa", "x", "--dev-len", "-1"],
-        ["extract", "--data", "1"], ["baseline", "--data", "1"]])
+        ["extract", "--data", "1"], ["baseline", "--data", "1"],
+        ["train", "--n-train", "1"], ["extract", "--n-dev", "1"],
+        ["train", "--embed-dim", "0"], ["baseline", "--hidden-dim", "0"],
+        ["--seed", "-1", "train"]])
     def test_out_of_range_values_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--language", "1"] + argv)
@@ -55,7 +58,8 @@ class TestParser:
     # Each case holds the arguments after --language 1: an argument file with
     # them exits 2, as the same arguments typed do.  Cases 11-16 name options
     # the command lacks or give a flag a value; cases 5-7 are bad environment
-    # defaults; case 18 gives sweep kappa a --kappa its grid would ignore.
+    # defaults, as is case 22; case 18 gives sweep kappa a --kappa its grid
+    # would ignore.
     @pytest.mark.parametrize("config, env", [
         (["--threads=-4", "extract"], {}), (["extract", "--kappa=0"], {}),
         (["extract", "--data=0"], {}), (["--language=9", "extract"], {}),
@@ -66,7 +70,9 @@ class TestParser:
         (["--no-such-key=1", "extract"], {}), (["--func=1", "extract"], {}),
         (["--command=train", "extract"], {}), (["extract", "--full"], {}),
         (["--verbose=no", "extract"], {}), (["--config=other.json", "extract"], {}),
-        (["extract", "--data=1"], {}), (["sweep", "kappa", "--kappa=0.3"], {})])
+        (["extract", "--data=1"], {}), (["sweep", "kappa", "--kappa=0.3"], {}),
+        (["train", "--n-train=1"], {}), (["train", "--hidden-dim=0"], {}),
+        (["--seed=-1", "train"], {}), (["train"], {"STATEMERGE_SEED": "-1"})])
     def test_config_and_env_values_checked(self, config, env, tmp_path, monkeypatch, capsys):
         for name, value in env.items():
             monkeypatch.setenv(name, value)

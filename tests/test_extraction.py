@@ -110,6 +110,14 @@ class TestShouldMerge:
     def test_dissimilar_blocks(self):
         assert merged_states([False, False], [[1.0, 0.0], [0.5, 0.866]], 0.01) == {0, 1}
 
+    def test_threshold_is_strict(self):
+        # cos((1, 0), (3, 4)) = 0.6, exactly 1 - 0.4 in float64: not above
+        # the threshold, so the states stay apart; a hair more kappa merges them.
+        assert 3 / 5 == 1 - 0.4
+        features = [[1.0, 0.0], [3.0, 4.0]]
+        assert merged_states([True, True], features, 0.4, {(0, "a"): 1}) == {0, 1}
+        assert merged_states([True, True], features, 0.41, {(0, "a"): 1}) == {0}
+
     def test_zero_norm_never_similar(self, caplog):
         with caplog.at_level("WARNING", logger="statemerge.extraction"):
             states = merged_states([True] * 4, [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],

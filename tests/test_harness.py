@@ -6,15 +6,17 @@ import io
 import logging
 import shutil
 import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from statemerge import harness
 from statemerge.automata import AlphabetError, Dfa, load_dfa, prefix_decisions
 from statemerge.harness import (ExperimentConfig, ExtractionConfig, FidelityResult, ResultRow,
                                 TrainingConfig, best_model, ensure_trained,
                                 eval_set_for, extraction_strings, fidelity,
-                                load_finished_run, metrics_to_csv,
+                                load_finished_run, metrics_to_csv, reproduce_table2,
                                 rows_to_csv, run_extraction,
                                 run_kmeans_baseline, summarize, sweep_epochs,
                                 sweep_kappa, train_recognizer)
@@ -187,6 +189,13 @@ class TestTrainingCache:
         assert sorted(p.name for p in out_dir.iterdir()) == [
             "DONE", "config.json", "epoch001.ckpt", "epoch002.ckpt", "metrics.csv"]
 
+    @pytest.mark.parametrize("change", [{"n_train": 1}, {"hidden_dim": 0}, {"seed": -1}])
+    def test_failed_run_leaves_nothing(self, tmp_path, change):
+        config = TrainingConfig(language=1, **dict(TINY, **change))
+        with pytest.raises(ValueError):
+            ensure_trained(config, tmp_path / "models")
+        assert list(tmp_path.iterdir()) == []
+
     def test_best_model_runs(self, tiny_run):
         _, _, checkpoints, _ = tiny_run
         model = best_model(checkpoints)
@@ -282,24 +291,59 @@ class TestExperiments:
     def test_run_extraction_row(self, tiny_run):
         _, _, checkpoints, _ = tiny_run
         model = best_model(checkpoints)
-        row, report = run_extraction(model, 1, 0, 0, SMALL_EXPERIMENT)
+        strings = extraction_strings(1, 40, 6, seed=0)
+        reference = eval_reference(model, eval_set_for(1, SMALL_EXPERIMENT))
+        row, report = run_extraction(model, 1, 0, 0, strings, 0.01, reference)
         assert row.method == "state_merging"
+        assert (row.data_count, row.kappa) == (40, 0.01)
         assert row.merged_size == report.sizes[1]
         assert row.minimized_size == report.sizes[2]
-        assert 0.0 <= row.acc_vs_rnn <= 1.0
+        assert row.acc_vs_rnn == fidelity(report.final, reference).vs_rnn
         # The extracted machine reproduces the model on its own training set.
         assert report.train_fidelity == 1.0
 
     def test_run_kmeans_row(self, tiny_run):
         _, _, checkpoints, _ = tiny_run
         model = best_model(checkpoints)
-        row, dfa = run_kmeans_baseline(model, 1, 0, 0, SMALL_EXPERIMENT)
-        assert row.method == "kmeans"
+        strings = extraction_strings(1, 40, 6, seed=0)
+        reference = eval_reference(model, eval_set_for(1, SMALL_EXPERIMENT))
+        row, dfa = run_kmeans_baseline(model, 1, 0, 0, strings, 3, reference)
+        assert (row.method, row.data_count) == ("kmeans", 40)
         assert row.minimized_size == len(dfa.states)
+        assert row.acc_vs_rnn == fidelity(dfa, reference).vs_rnn
 
 
 class TestSweeps:
     CONFIG = dataclasses.replace(SMALL_EXPERIMENT, seeds=(0, 1))
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Count the string sets and eval sets the experiments draw."""
+        counts = Counter()
+
+        def counted(name, draw):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return draw(*args, **kwargs)
+            return wrapper
+
+        for name in ("extraction_strings", "eval_set_for"):
+            monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+        return counts
+
+    def test_each_input_drawn_once(self, tiny_run, draws):
+        _, _, checkpoints, _ = tiny_run
+        model = best_model(checkpoints)
+        rows, _ = reproduce_table2(dataclasses.replace(self.CONFIG, languages=(1,)), {1: model})
+        assert [(r.seed, r.method) for r in rows] == [
+            (0, "state_merging"), (0, "kmeans"), (1, "state_merging"), (1, "kmeans")]
+        assert draws == {"extraction_strings": 2, "eval_set_for": 1}
+        draws.clear()
+        sweep_kappa(self.CONFIG, model, 1, kappas=(0.5, 0.01))
+        assert draws == {"extraction_strings": 1, "eval_set_for": 1}
+        draws.clear()
+        sweep_epochs(self.CONFIG, {1: checkpoints})
+        assert draws == {"extraction_strings": 2, "eval_set_for": 1}
 
     def test_sweep_epochs_row_per_epoch_and_seed(self, tiny_run):
         _, _, checkpoints, _ = tiny_run

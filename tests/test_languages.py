@@ -170,9 +170,10 @@ class TestDatasetFormat:
     @pytest.mark.parametrize("text", [
         "", "ab\t110\n", "# dataset-format 2\nab\t110\n", "# language 1\nab\t110\n",
         "# dataset-format 1\nab110\n", "# dataset-format 1\nab\t1x0\n",
-        "# dataset-format 1\nab\t120\n", "# dataset-format 1\nab\t110\t1\n"],
+        "# dataset-format 1\nab\t120\n", "# dataset-format 1\nab\t110\t1\n",
+        "# dataset-format 1\nxyz\t0000\n", "# dataset-format 1\nab\t110\naAb\t1000\n"],
         ids=["empty", "no-header", "other-version", "other-first-line", "no-tab",
-             "label-x", "label-2", "two-tabs"])
+             "label-x", "label-2", "two-tabs", "string-xyz", "string-capital"])
     def test_malformed_file_rejected(self, text):
         with pytest.raises(ValueError):
             load_dataset(text)
