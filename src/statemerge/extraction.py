@@ -126,8 +126,6 @@ class ExtractionReport:
     sizes: tuple[int, int, int]  # (trie, merged, minimized)
     determinized_size: int
     train_fidelity: float
-    kappa: float
-    data_count: int
 
 
 def train_set_fidelity(final: Dfa, tree: PrefixTree) -> float:
@@ -155,8 +153,6 @@ def extract(model: RnnModel, strings: list[str], kappa: float) -> ExtractionRepo
         sizes=(tree.n_states, len(merged.states), len(final.states)),
         determinized_size=len(det.states),
         train_fidelity=train_set_fidelity(final, tree),
-        kappa=kappa,
-        data_count=len(strings),
     )
     if report.train_fidelity < 1.0:
         logger.warning("extracted machine disagrees with the model on %.2f%% of training prefixes",

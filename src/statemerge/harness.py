@@ -12,6 +12,7 @@ import logging
 import os
 import statistics
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,12 +114,15 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
     return buf.getvalue()
 
 
+METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(rnn.EpochMetrics))
+
+
 def metrics_to_csv(metrics: list[rnn.EpochMetrics]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["epoch", "train_loss", "dev_accuracy", "dev_string_accuracy", "param_norm"])
+    writer.writerow(METRIC_FIELDS)
     for m in metrics:
-        writer.writerow([m.epoch, m.train_loss, m.dev_accuracy, m.dev_string_accuracy, m.param_norm])
+        writer.writerow([getattr(m, f) for f in METRIC_FIELDS])
     return buf.getvalue()
 
 
@@ -226,13 +230,11 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 def _load_metrics(path: Path) -> list[rnn.EpochMetrics]:
+    kinds = typing.get_type_hints(rnn.EpochMetrics)
     out = []
     with path.open() as fh:
         for record in csv.DictReader(fh):
-            out.append(rnn.EpochMetrics(int(record["epoch"]), float(record["train_loss"]),
-                                        float(record["dev_accuracy"]),
-                                        float(record["dev_string_accuracy"]),
-                                        float(record["param_norm"])))
+            out.append(rnn.EpochMetrics(**{f: kinds[f](record[f]) for f in METRIC_FIELDS}))
     return out
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import Dfa, prefix_decisions
+from .automata import Dfa, prefix_decisions, successor_table
 
 logger = logging.getLogger(__name__)
 
@@ -85,31 +85,24 @@ def membership(language: int, w: str) -> bool:
     return gold_dfa(language).accepts(w)
 
 
-def prefix_labels(language: int, w: str) -> tuple[bool, ...]:
-    return tuple(prefix_decisions(gold_dfa(language), w))
-
-
 def labeled(language: int, w: str) -> LabeledSample:
-    return LabeledSample(w, prefix_labels(language, w))
+    return LabeledSample(w, tuple(prefix_decisions(gold_dfa(language), w)))
 
 
-def _accepting_counts(dfa: Dfa, max_len: int) -> dict[int, list[int]]:
-    """counts[q][r] = number of length-r strings accepted starting from q.
-    Exact bignum arithmetic; missing transitions contribute nothing."""
+def _accepting_counts(language: int, max_len: int) -> tuple[Dfa, list[list[int]], list[list[int]]]:
+    """The gold machine, its successor_table (row 0 is the initial state, the
+    last row the sink) and counts[r][row] = number of length-r strings accepted
+    from that row, for every r <= max_len; the sink row counts 0.  Exact
+    bignum arithmetic."""
     if max_len < 0:
         raise ValueError(f"length must be nonnegative, got {max_len}")
-    counts = {q: [0] * (max_len + 1) for q in dfa.states}
-    for q in dfa.states:
-        counts[q][0] = 1 if q in dfa.accepting else 0
-    for r in range(1, max_len + 1):
-        for q in dfa.states:
-            total = 0
-            for token in dfa.alphabet:
-                dst = dfa.transitions.get((q, token))
-                if dst is not None:
-                    total += counts[dst][r - 1]
-            counts[q][r] = total
-    return counts
+    dfa = gold_dfa(language)
+    states, table = successor_table(dfa, ALPHABET)
+    counts = [[int(q in dfa.accepting) for q in states] + [0]]
+    for _ in range(max_len):
+        shorter = counts[-1]
+        counts.append([sum(shorter[dst] for dst in row) for row in table])
+    return dfa, table, counts
 
 
 def _randbelow(rng: np.random.Generator, n: int) -> int:
@@ -125,33 +118,35 @@ def _randbelow(rng: np.random.Generator, n: int) -> int:
             return r
 
 
+def _walk_positive(table: list[list[int]], counts: list[list[int]], length: int,
+                   rng: np.random.Generator) -> str:
+    """Uniform in-language string of the given length (which must have one):
+    each step picks a token weighted by its successor's accepting completions."""
+    row, out = 0, []
+    for r in range(length, 0, -1):
+        pick = _randbelow(rng, counts[r][row])
+        for token, dst in zip(ALPHABET, table[row]):
+            if pick < counts[r - 1][dst]:
+                out.append(token)
+                row = dst
+                break
+            pick -= counts[r - 1][dst]
+    return "".join(out)
+
+
 def positive_count(language: int, length: int) -> int:
-    dfa = gold_dfa(language)
-    return _accepting_counts(dfa, length)[dfa.initial][length]
+    _, _, counts = _accepting_counts(language, length)
+    return counts[length][0]
 
 
 def sample_uniform_positive(language: int, length: int, rng: np.random.Generator) -> str:
     """Uniform draw from the set of in-language strings of exactly the given
     length, by walking the gold DFA weighted with accepting-completion counts."""
-    dfa = gold_dfa(language)
-    counts = _accepting_counts(dfa, length)
-    total = counts[dfa.initial][length]
-    if total == 0:
+    _, table, counts = _accepting_counts(language, length)
+    if not counts[length][0]:
         raise InfeasibleLength(
             f"Tomita {language} contains no string of length {length}")
-    state = dfa.initial
-    out: list[str] = []
-    for r in range(length, 0, -1):
-        pick = _randbelow(rng, counts[state][r])
-        for token in dfa.alphabet:
-            dst = dfa.transitions.get((state, token))
-            weight = counts[dst][r - 1] if dst is not None else 0
-            if pick < weight:
-                out.append(token)
-                state = dst
-                break
-            pick -= weight
-    return "".join(out)
+    return _walk_positive(table, counts, length, rng)
 
 
 def _sample_uniform_string(length: int, rng: np.random.Generator) -> str:
@@ -167,35 +162,32 @@ def sample_balanced(language: int, length: int, count: int,
         raise ValueError("need at least 2 samples for a balanced draw")
     n_uniform = (count + 1) // 2
     n_positive = count // 2
-    feasible = positive_count(language, length) > 0
-    if not feasible and n_positive:
+    dfa, table, counts = _accepting_counts(language, length)
+    feasible = counts[length][0] > 0
+    if not feasible:
         logger.warning(
             "Tomita %d has no strings of length %d; sampling the positive half uniformly",
             language, length)
     samples = [_sample_uniform_string(length, rng) for _ in range(n_uniform)]
-    for _ in range(n_positive):
-        if feasible:
-            samples.append(sample_uniform_positive(language, length, rng))
-        else:
-            samples.append(_sample_uniform_string(length, rng))
-    return [labeled(language, x) for x in samples]
+    samples += [_walk_positive(table, counts, length, rng) if feasible
+                else _sample_uniform_string(length, rng) for _ in range(n_positive)]
+    return [LabeledSample(x, tuple(prefix_decisions(dfa, x))) for x in samples]
 
 
 def sample_eval_set(language: int, count: int, max_len: int,
                     rng: np.random.Generator) -> list[LabeledSample]:
     """count strings with lengths uniform on {0..max_len}; per string a fair
     coin picks forced-positive (when feasible at that length) vs uniform."""
-    dfa = gold_dfa(language)
-    positives = _accepting_counts(dfa, max_len)[dfa.initial]
+    dfa, table, counts = _accepting_counts(language, max_len)
     samples = []
     for _ in range(count):
         length = int(rng.integers(0, max_len + 1))
         force_positive = bool(rng.integers(0, 2))
-        if force_positive and positives[length]:
-            x = sample_uniform_positive(language, length, rng)
+        if force_positive and counts[length][0]:
+            x = _walk_positive(table, counts, length, rng)
         else:
             x = _sample_uniform_string(length, rng)
-        samples.append(labeled(language, x))
+        samples.append(LabeledSample(x, tuple(prefix_decisions(dfa, x))))
     return samples
 
 

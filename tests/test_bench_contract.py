@@ -1,8 +1,9 @@
 """The benchmark's contract with the package: every function that
-perfbench/tracer.py wraps exists, and every call that perfbench/run.py makes
-into the package binds to the current signature.  This only reads
-perfbench/; run.py is parsed, not imported, since importing it sets BLAS
-environment variables."""
+perfbench/tracer.py wraps exists, every count the tracer takes at a layer
+boundary reads a real call's arguments and result, and every call that
+perfbench/run.py makes into the package binds to the current signature.
+This only reads perfbench/; run.py is parsed, not imported, since importing
+it sets BLAS environment variables."""
 
 import ast
 import dataclasses
@@ -11,12 +12,17 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from statemerge import harness, rnn
+from statemerge import automata, extraction, harness, rnn
+from statemerge.languages import ALPHABET
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 RUN = ast.parse((PERFBENCH / "run.py").read_text())
+_spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+TRACER = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(TRACER)
 # The modules run.py reaches through its `harness` and `rnn` parameters.
 MODULES = {"harness": harness, "rnn": rnn}
 
@@ -31,14 +37,49 @@ def package_calls():
                    [kw.arg for kw in node.keywords])
 
 
+def layer(span_name):
+    module, name = span_name.split(".")
+    return getattr(importlib.import_module(f"{TRACER.PACKAGE}.{module}"), name)
+
+
 def test_traced_layers_exist():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    for module, names in tracer.LAYERS.items():
-        home = importlib.import_module(f"{tracer.PACKAGE}.{module}")
-        for name in names:
-            assert callable(getattr(home, name, None)), f"{module}.{name}"
+    for span_name in TRACER.SPAN_NAMES:
+        assert callable(layer(span_name)), span_name
+
+
+def counted_calls():
+    """One real call, as (args, kwargs), of every layer the tracer counts at,
+    on a tiny model; one call passes its first argument by keyword."""
+    rng = np.random.default_rng(0)
+    model = rnn.init_model(ALPHABET, 2, 3, rng)
+    strings = ["", "ab", "ba", "abb"]
+    tree = extraction.build_prefix_tree(model, strings)
+    policy = extraction.MergePolicy(0.1)
+    nfa = extraction.merge_all(tree, policy)
+    ckpt = rnn.Checkpoint(model.params, {"epoch": 1})
+    return {
+        "languages.sample_balanced": ((2, 4, 6, rng), {}),
+        "languages.sample_eval_set": ((2, 6, 4, rng), {}),
+        "rnn.forward": ((model, "ab"), {}),
+        "rnn.save_checkpoint": ((ckpt, ALPHABET), {}),
+        "rnn.load_checkpoint": ((), {"text": rnn.save_checkpoint(ckpt, ALPHABET)}),
+        "extraction.build_prefix_tree": ((model, strings), {}),
+        "extraction.merge_all": ((tree, policy), {}),
+        "automata.determinize": ((nfa,), {}),
+        "automata.minimize": ((automata.determinize(nfa),), {}),
+        "kmeans.kmeans": ((rng.normal(size=(6, 3)), 2, rng), {}),
+    }
+
+
+def test_counts_read_real_calls():
+    calls = counted_calls()
+    assert set(calls) == set(TRACER.COUNTS)
+    for span_name, (args, kwargs) in calls.items():
+        result = layer(span_name)(*args, **kwargs)
+        counts = TRACER.COUNTS[span_name](args, kwargs, result)
+        assert counts and set(counts) <= set(TRACER.COUNTER_NAMES), span_name
+        assert all(type(value) is int and value >= 0 for value in counts.values()), (
+            span_name, counts)
 
 
 def test_calls_bind():

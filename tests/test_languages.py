@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from statemerge import languages
 from statemerge.automata import equivalent, isomorphic, minimize
 from statemerge.languages import (InfeasibleLength, LabeledSample, gold_dfa,
                                   labeled, load_dataset, membership,
@@ -65,6 +66,14 @@ class TestMembership:
         oracle = REFERENCE_ORACLES[language]
         for w in all_strings(("a", "b"), 9):
             assert membership(language, w) == oracle(w), w
+
+
+class TestPositiveCount:
+    @pytest.mark.parametrize("language", range(1, 8))
+    def test_matches_brute_force_to_length_10(self, language):
+        oracle = REFERENCE_ORACLES[language]
+        brute = Counter(len(w) for w in all_strings(("a", "b"), 10) if oracle(w))
+        assert [positive_count(language, n) for n in range(11)] == [brute[n] for n in range(11)]
 
 
 class TestUniformPositive:
@@ -154,6 +163,20 @@ class TestEvalSampler:
     def test_labels_exact(self, rng):
         for s in sample_eval_set(7, 100, 15, rng):
             assert s == labeled(7, s.x)
+
+
+def test_one_gold_machine_per_sampler_call(monkeypatch, rng):
+    builds = []
+
+    def counted_gold_dfa(language):
+        builds.append(language)
+        return gold_dfa(language)
+
+    monkeypatch.setattr(languages, "gold_dfa", counted_gold_dfa)
+    sample_balanced(3, 20, 100, rng)
+    assert builds == [3]
+    sample_eval_set(5, 100, 20, rng)
+    assert builds == [3, 5]
 
 
 class TestDatasetFormat:
