@@ -118,7 +118,7 @@ def golden_lines() -> list[str]:
                     sizes = ",".join(map(str, report.sizes))
                     lines.append(f"state_merging {language} {kappa} {seed} "
                                  f"{sha(save_dfa(report.final))} {sizes} "
-                                 f"{report.determinized_size} {report.train_fidelity!r} "
+                                 f"{len(report.determinized.states)} {report.train_fidelity!r} "
                                  f"{scores(scored[-1])}")
             for seed in SEEDS:
                 _, dfa = run_kmeans_baseline(model, language, seed, 0, strings[seed],

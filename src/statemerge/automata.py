@@ -49,12 +49,7 @@ class Dfa:
         return self.transitions.get((state, token))
 
     def accepts(self, w: str) -> bool:
-        state: int | None = self.initial
-        for token in w:
-            state = self.step(state, token)
-            if state is None:
-                return False
-        return state in self.accepting
+        return prefix_decisions(self, w)[-1]
 
     def copy(self) -> "Dfa":
         return Dfa(self.alphabet, set(self.states), self.initial,
@@ -192,51 +187,12 @@ def minimize(dfa: Dfa) -> Dfa:
 
 
 def equivalent(a: Dfa, b: Dfa) -> bool:
-    """True iff both machines recognize the same language, by product
-    reachability over the implicitly completed machines."""
+    """True iff both machines recognize the same language: minimize numbers
+    its output canonically, so by Myhill-Nerode the language is equal exactly
+    when the minimal machines are ==."""
     if a.alphabet != b.alphabet:
         raise AlphabetError(f"alphabet mismatch: {a.alphabet} vs {b.alphabet}")
-    start = (a.initial, b.initial)
-    seen: set[tuple[int | None, int | None]] = {start}
-    queue: deque[tuple[int | None, int | None]] = deque([start])
-    while queue:
-        sa, sb = queue.popleft()
-        acc_a = sa is not None and sa in a.accepting
-        acc_b = sb is not None and sb in b.accepting
-        if acc_a != acc_b:
-            return False
-        for token in a.alphabet:
-            nxt = (a.step(sa, token), b.step(sb, token))
-            if nxt != (None, None) and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
-
-
-def isomorphic(a: Dfa, b: Dfa) -> bool:
-    """Structural identity up to a state renaming (reachable parts only)."""
-    if a.alphabet != b.alphabet or len(a.states) != len(b.states):
-        return False
-    mapping = {a.initial: b.initial}
-    queue = deque([a.initial])
-    while queue:
-        sa = queue.popleft()
-        sb = mapping[sa]
-        if (sa in a.accepting) != (sb in b.accepting):
-            return False
-        for token in a.alphabet:
-            da, db = a.transitions.get((sa, token)), b.transitions.get((sb, token))
-            if (da is None) != (db is None):
-                return False
-            if da is None:
-                continue
-            if da in mapping:
-                if mapping[da] != db:
-                    return False
-            else:
-                mapping[da] = db
-                queue.append(da)
-    return len(mapping) == len(a.states)
+    return minimize(a) == minimize(b)
 
 
 def to_dot(dfa: Dfa) -> str:

@@ -121,10 +121,9 @@ def merge_all(tree: PrefixTree, policy: MergePolicy) -> Nfa:
 
 @dataclass
 class ExtractionReport:
-    merged: Nfa
+    determinized: Dfa
     final: Dfa
     sizes: tuple[int, int, int]  # (trie, merged, minimized)
-    determinized_size: int
     train_fidelity: float
 
 
@@ -145,13 +144,12 @@ def extract(model: RnnModel, strings: list[str], kappa: float) -> ExtractionRepo
     policy = MergePolicy(kappa)
     tree = build_prefix_tree(model, strings)
     merged = merge_all(tree, policy)
-    det = determinize(merged)
-    final = minimize(det)
+    determinized = determinize(merged)
+    final = minimize(determinized)
     report = ExtractionReport(
-        merged=merged,
+        determinized=determinized,
         final=final,
         sizes=(tree.n_states, len(merged.states), len(final.states)),
-        determinized_size=len(det.states),
         train_fidelity=train_set_fidelity(final, tree),
     )
     if report.train_fidelity < 1.0:

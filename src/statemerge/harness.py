@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rnn
-from .automata import Dfa, determinize, save_dfa, successor_table, to_dot
+from .automata import Dfa, save_dfa, successor_table, to_dot
 from .extraction import ExtractionReport, extract
 from .kmeans import kmeans_extract
 from .languages import ALPHABET, LabeledSample, sample_balanced, sample_eval_set
@@ -181,8 +181,7 @@ def load_finished_run(config: TrainingConfig, out_dir: Path
         return None
 
     def reject(name: str, why: str) -> None:
-        logger.warning("cached run %s is not a finished run (%s: %s); retraining",
-                       out_dir, name, why)
+        logger.warning("cached run %s is not a finished run (%s: %s)", out_dir, name, why)
 
     try:
         stored = json.loads((out_dir / "config.json").read_text())
@@ -390,9 +389,8 @@ def sweep_kappa(config: ExperimentConfig, model: RnnModel, language: int = 2,
         results.append((row, report))
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
-            merged_dfa = determinize(report.merged)
             tag = f"tomita{language}_kappa{kappa}"
-            (out_dir / f"{tag}_merged.dot").write_text(to_dot(merged_dfa))
+            (out_dir / f"{tag}_merged.dot").write_text(to_dot(report.determinized))
             (out_dir / f"{tag}_final.dot").write_text(to_dot(report.final))
             (out_dir / f"{tag}_final.dfa").write_text(save_dfa(report.final))
     return results

@@ -379,20 +379,27 @@ def save_checkpoint(ckpt: Checkpoint, alphabet: tuple[str, ...]) -> str:
 
 
 def load_checkpoint(text: str) -> tuple[Checkpoint, tuple[str, ...]]:
+    """Parse the save_checkpoint form: the header, the alphabet line once,
+    each meta key at most once, and one param line (then its values line)
+    for each of PARAM_NAMES."""
     lines = text.splitlines()
     if not lines or lines[0].split() != ["format", "checkpoint", str(CHECKPOINT_FORMAT_VERSION)]:
         raise ValueError("unrecognized checkpoint header")
-    alphabet: tuple[str, ...] = ()
+    alphabet: tuple[str, ...] | None = None
     metadata: dict[str, object] = {}
     params: dict[str, np.ndarray] = {}
     i = 1
     while i < len(lines):
         line = lines[i]
         if line.startswith("alphabet "):
+            if alphabet is not None:
+                raise ValueError(f"repeated checkpoint line: {line!r}")
             alphabet = tuple(line.split()[1:])
             i += 1
         elif line.startswith("meta "):
             _, key, *rest = line.split()
+            if key in metadata:
+                raise ValueError(f"repeated checkpoint line: {line!r}")
             raw = " ".join(rest)
             try:
                 value: object = int(raw)
@@ -405,6 +412,10 @@ def load_checkpoint(text: str) -> tuple[Checkpoint, tuple[str, ...]]:
             i += 1
         elif line.startswith("param "):
             _, name, *shape = line.split()
+            if name not in PARAM_NAMES:
+                raise ValueError(f"unrecognized checkpoint line: {line!r}")
+            if name in params:
+                raise ValueError(f"repeated checkpoint line: {line!r}")
             shape_t = tuple(int(s) for s in shape)
             if i + 1 >= len(lines):
                 raise ValueError(f"checkpoint param {name} has no values line")
@@ -415,6 +426,10 @@ def load_checkpoint(text: str) -> tuple[Checkpoint, tuple[str, ...]]:
             i += 1
         else:
             raise ValueError(f"unrecognized checkpoint line: {line!r}")
+    missing = ["alphabet"] if alphabet is None else []
+    missing += [f"param {name}" for name in PARAM_NAMES if name not in params]
+    if missing:
+        raise ValueError(f"checkpoint has no {', '.join(missing)} line")
     return Checkpoint(params, metadata), alphabet
 
 

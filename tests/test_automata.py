@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statemerge.automata import (AlphabetError, Dfa, Nfa, determinize, equivalent,
-                                 isomorphic, load_dfa, minimize, prefix_decisions,
-                                 save_dfa, successor_table, to_dot)
+from statemerge.automata import (AlphabetError, Dfa, Nfa, determinize, equivalent, load_dfa,
+                                 minimize, prefix_decisions, save_dfa, successor_table, to_dot)
 from statemerge.languages import gold_dfa
 
 from conftest import all_strings, random_dfa, random_nfa, same_language, moore_minimize_size
@@ -29,6 +28,11 @@ class TestRun:
     def test_token_outside_alphabet(self):
         with pytest.raises(AlphabetError):
             prefix_decisions(AB_STAR, "abc")
+
+    def test_token_outside_alphabet_after_undefined(self):
+        # "b" leaves (ab)* at once; the "z" after it is still rejected.
+        with pytest.raises(AlphabetError):
+            AB_STAR.accepts("bz")
 
     @given(st.text(alphabet="ab", max_size=30))
     @settings(max_examples=200, deadline=None)
@@ -115,7 +119,7 @@ class TestMinimize:
         assert equivalent(result, AB_STAR)
 
     def test_already_minimal_is_isomorphic(self):
-        assert isomorphic(minimize(AB_STAR), AB_STAR)
+        assert minimize(AB_STAR) == AB_STAR
 
     def test_random_eight_state_equivalent(self, rng):
         for _ in range(20):
@@ -125,7 +129,7 @@ class TestMinimize:
     def test_idempotent(self, rng):
         for _ in range(20):
             once = minimize(random_dfa(rng, int(rng.integers(2, 9))))
-            assert isomorphic(minimize(once), once)
+            assert minimize(once) == once
 
     def test_no_pair_equivalent_after_minimize(self, rng):
         for _ in range(20):
@@ -206,6 +210,58 @@ class TestEquivalent:
             a = random_dfa(rng, int(rng.integers(2, 7)))
             b = random_dfa(rng, int(rng.integers(2, 7)))
             assert equivalent(a, b) == same_language(a, b, 12)
+
+    def test_equal_language_variants(self, rng):
+        for _ in range(200):
+            dfa = random_dfa(rng, int(rng.integers(1, 6)))
+            variant = equal_language_variant(dfa, rng)
+            assert equivalent(dfa, variant)
+            assert same_language(dfa, variant, 10)
+
+    def test_one_edit_mutants_agree_with_brute_force(self, rng):
+        # A machine of at most 3 states completes to at most 4, and its
+        # mutated variant has at most 10 states, all explicit, so a string
+        # telling their languages apart has length at most 4 + 10 - 2 = 12.
+        for _ in range(60):
+            dfa = random_dfa(rng, int(rng.integers(1, 4)))
+            mutant = one_edit_mutant(equal_language_variant(dfa, rng), rng)
+            assert equivalent(dfa, mutant) == same_language(dfa, mutant, 12)
+
+
+def equal_language_variant(dfa, rng):
+    """A machine for the language of dfa (states range(n)) with another
+    structure: each state split into two copies with every edge sent to
+    either copy, an explicit non-accepting sink for the missing edges, up to
+    three unreachable junk states, and every state renamed."""
+    n = len(dfa.states)
+    sink = 2 * n
+    total = sink + 1 + int(rng.integers(0, 4))
+    transitions = {(sink, token): sink for token in dfa.alphabet}
+    for state in range(2 * n):
+        for token in dfa.alphabet:
+            dst = dfa.transitions.get((state % n, token))
+            transitions[(state, token)] = sink if dst is None else dst + n * int(rng.integers(2))
+    for junk in range(sink + 1, total):
+        for token in dfa.alphabet:
+            transitions[(junk, token)] = int(rng.integers(total))
+    accepting = {s for s in range(2 * n) if s % n in dfa.accepting}
+    accepting |= {s for s in range(sink + 1, total) if rng.random() < 0.5}
+    name = rng.permutation(total).tolist()
+    return Dfa(dfa.alphabet, set(name), name[dfa.initial],
+               {(name[s], t): name[d] for (s, t), d in transitions.items()},
+               {name[s] for s in accepting})
+
+
+def one_edit_mutant(dfa, rng):
+    """dfa with one acceptance flip or one edge redirected to a random state."""
+    states = sorted(dfa.states)
+    accepting, transitions = set(dfa.accepting), dict(dfa.transitions)
+    if rng.random() < 0.5:
+        accepting ^= {states[rng.integers(len(states))]}
+    else:
+        edge = (states[rng.integers(len(states))], dfa.alphabet[rng.integers(len(dfa.alphabet))])
+        transitions[edge] = states[rng.integers(len(states))]
+    return Dfa(dfa.alphabet, set(states), dfa.initial, transitions, accepting)
 
 
 class TestDot:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from statemerge import languages
-from statemerge.automata import equivalent, isomorphic, minimize
+from statemerge.automata import minimize
 from statemerge.languages import (InfeasibleLength, LabeledSample, gold_dfa,
                                   labeled, load_dataset, membership,
                                   positive_count, sample_balanced,
@@ -48,7 +48,7 @@ class TestGoldDfas:
 
     def test_already_minimal(self):
         for i in range(1, 8):
-            assert isomorphic(minimize(gold_dfa(i)), gold_dfa(i))
+            assert minimize(gold_dfa(i)) == gold_dfa(i)
 
     def test_invalid_id(self):
         with pytest.raises(ValueError):

@@ -333,3 +333,24 @@ class TestCheckpointIO:
     def test_rejects_bad_header(self):
         with pytest.raises(ValueError):
             load_checkpoint("format checkpoint 42\n")
+
+    @staticmethod
+    def saved_lines(rng):
+        ckpt = Checkpoint(init_model(ALPHABET, 2, 3, rng).params, {"epoch": 7, "language": 3})
+        return save_checkpoint(ckpt, ALPHABET).splitlines()
+
+    @pytest.mark.parametrize("extra, why", [
+        ("alphabet a b", "repeated"), ("meta epoch 7", "repeated"), ("param b_out 2", "repeated"),
+        ("param w_extra 2", "unrecognized")])
+    def test_rejects_extra_line(self, rng, extra, why):
+        text = "\n".join(self.saved_lines(rng) + [extra, "0.0 0.0"]) + "\n"
+        with pytest.raises(ValueError, match=f"{why} checkpoint line: '{extra}'"):
+            load_checkpoint(text)
+
+    @pytest.mark.parametrize("dropped", ["alphabet", "param w_hh"])
+    def test_rejects_missing_line(self, rng, dropped):
+        lines = self.saved_lines(rng)
+        start = next(i for i, line in enumerate(lines) if line.startswith(dropped))
+        del lines[start:start + (2 if dropped.startswith("param") else 1)]
+        with pytest.raises(ValueError, match=f"no {dropped} line"):
+            load_checkpoint("\n".join(lines) + "\n")
