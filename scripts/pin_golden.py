@@ -19,7 +19,6 @@ import sys
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
 
-import contextlib  # noqa: E402
 import gzip  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
@@ -28,7 +27,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from statemerge import harness, rnn  # noqa: E402
+from statemerge import rnn  # noqa: E402
 from statemerge.automata import save_dfa  # noqa: E402
 from statemerge.harness import (ExperimentConfig, ExtractionConfig, eval_set_for,  # noqa: E402
                                 extraction_strings, run_extraction, run_kmeans_baseline)
@@ -69,28 +68,12 @@ def fixture_models() -> dict[int, rnn.RnnModel]:
     return models
 
 
-@contextlib.contextmanager
-def recorded_fidelity():
-    """Collect every FidelityResult that harness.fidelity returns."""
-    results, original = [], harness.fidelity
-
-    def record(*args, **kwargs):
-        results.append(original(*args, **kwargs))
-        return results[-1]
-
-    harness.fidelity = record
-    try:
-        yield results
-    finally:
-        harness.fidelity = original
-
-
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def scores(fid) -> str:
-    return f"{fid.vs_rnn!r} {fid.vs_gold!r} {fid.prefix_vs_rnn!r}"
+def scores(row) -> str:
+    return f"{row.acc_vs_rnn!r} {row.acc_vs_gold!r} {row.prefix_vs_rnn!r}"
 
 
 def golden_lines() -> list[str]:
@@ -98,33 +81,32 @@ def golden_lines() -> list[str]:
     (language, seed) for every kappa and k-means."""
     ext = CONFIG.extraction
     lines = []
-    with recorded_fidelity() as scored:
-        for language, model in fixture_models().items():
-            eval_set = eval_set_for(language, CONFIG)
-            reference = rnn.eval_reference(model, eval_set)
-            strings = {seed: extraction_strings(language, ext.n_strings, ext.string_len, seed)
-                       for seed in SEEDS}
-            lines.append(f"eval_set {language} {sha(save_dataset(eval_set, language, 999))}")
-            # Labelled by the next language, so that the accuracies fall short of 1.
-            other = language % 7 + 1
-            balanced = sample_balanced(other, 20, 200, np.random.default_rng([language, 7]))
-            accuracy, string_accuracy = rnn.evaluate(model, balanced)
-            lines.append(f"evaluate {language} {sha(save_dataset(balanced, other, 7))} "
-                         f"{accuracy!r} {string_accuracy!r}")
-            for kappa in KAPPAS:
-                for seed in SEEDS:
-                    _, report = run_extraction(model, language, seed, 0, strings[seed], kappa,
-                                               reference)
-                    sizes = ",".join(map(str, report.sizes))
-                    lines.append(f"state_merging {language} {kappa} {seed} "
-                                 f"{sha(save_dfa(report.final))} {sizes} "
-                                 f"{len(report.determinized.states)} {report.train_fidelity!r} "
-                                 f"{scores(scored[-1])}")
+    for language, model in fixture_models().items():
+        eval_set = eval_set_for(language, CONFIG)
+        reference = rnn.eval_reference(model, eval_set)
+        strings = {seed: extraction_strings(language, ext.n_strings, ext.string_len, seed)
+                   for seed in SEEDS}
+        lines.append(f"eval_set {language} {sha(save_dataset(eval_set, language, 999))}")
+        # Labelled by the next language, so that the accuracies fall short of 1.
+        other = language % 7 + 1
+        balanced = sample_balanced(other, 20, 200, np.random.default_rng([language, 7]))
+        accuracy, string_accuracy = rnn.evaluate(model, balanced)
+        lines.append(f"evaluate {language} {sha(save_dataset(balanced, other, 7))} "
+                     f"{accuracy!r} {string_accuracy!r}")
+        for kappa in KAPPAS:
             for seed in SEEDS:
-                _, dfa = run_kmeans_baseline(model, language, seed, 0, strings[seed],
-                                             CONFIG.kmeans_k, reference)
-                lines.append(f"kmeans {language} {CONFIG.kmeans_k} {seed} "
-                             f"{sha(save_dfa(dfa))} {len(dfa.states)} {scores(scored[-1])}")
+                row, report = run_extraction(model, language, seed, 0, strings[seed], kappa,
+                                             reference)
+                sizes = ",".join(map(str, report.sizes))
+                lines.append(f"state_merging {language} {kappa} {seed} "
+                             f"{sha(save_dfa(report.final))} {sizes} "
+                             f"{len(report.determinized.states)} {report.train_fidelity!r} "
+                             f"{scores(row)}")
+        for seed in SEEDS:
+            row, dfa = run_kmeans_baseline(model, language, seed, 0, strings[seed],
+                                           CONFIG.kmeans_k, reference)
+            lines.append(f"kmeans {language} {CONFIG.kmeans_k} {seed} "
+                         f"{sha(save_dfa(dfa))} {len(dfa.states)} {scores(row)}")
     return lines
 
 

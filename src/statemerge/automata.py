@@ -51,10 +51,6 @@ class Dfa:
     def accepts(self, w: str) -> bool:
         return prefix_decisions(self, w)[-1]
 
-    def copy(self) -> "Dfa":
-        return Dfa(self.alphabet, set(self.states), self.initial,
-                   dict(self.transitions), set(self.accepting))
-
 
 @dataclass
 class Nfa:

@@ -2,9 +2,8 @@
 
 Subcommands: train, extract, baseline, eval, sweep {data,kappa,epochs},
 table2, export-dot.  Every run writes its resolved configuration next to its
-outputs.  STATEMERGE_SEED and STATEMERGE_THREADS provide environment-variable
-defaults for --seed and --threads.  An argument @FILE is replaced in place by
-FILE's arguments, one per line; a later argument overrides an earlier one.
+outputs.  An argument @FILE is replaced in place by FILE's arguments, one per
+line; a later argument overrides an earlier one.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -215,11 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
                "place; top-level options go before the subcommand, and a later "
                "argument overrides an earlier one.")
     parser.add_argument("--language", type=int, choices=LANGUAGE_IDS, default=None)
-    # String defaults go through `type`, so the environment gets the same checks.
-    parser.add_argument("--seed", type=_int_at_least(0),
-                        default=os.environ.get(harness.SEED_ENV_VAR) or "0")
-    parser.add_argument("--threads", type=_int_at_least(1),
-                        default=os.environ.get(harness.THREADS_ENV_VAR) or "1")
+    parser.add_argument("--seed", type=_int_at_least(0), default=0)
+    parser.add_argument("--threads", type=_int_at_least(1), default=1)
     parser.add_argument("--out", type=str, default="out",
                         help="output directory")
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -281,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("sweep kappa runs its own kappa grid and takes no --kappa")
     try:
         return args.func(args)
-    except (ValueError, rnn.TrainingError, FileNotFoundError) as exc:
+    except (ValueError, rnn.TrainingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

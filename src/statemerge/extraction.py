@@ -21,19 +21,18 @@ CELLS = 1 << 16
 @dataclass
 class PrefixTree:
     """Trie over the training prefixes; states are numbered in BFS order from
-    the root, children visited in alphabet order."""
+    the root, state 0, children visited in alphabet order."""
     alphabet: tuple[str, ...]
     edges: dict[tuple[int, str], int]
     labels: list[bool]
     features: np.ndarray  # (n_states, d); row q is the hidden state of state q
-    root: int = 0
 
     @property
     def n_states(self) -> int:
         return len(self.labels)
 
     def state_of(self, prefix: str) -> int | None:
-        state = self.root
+        state = 0
         for token in prefix:
             nxt = self.edges.get((state, token))
             if nxt is None:
@@ -42,17 +41,8 @@ class PrefixTree:
         return state
 
     def as_dfa(self) -> Dfa:
-        return Dfa(self.alphabet, set(range(self.n_states)), self.root,
+        return Dfa(self.alphabet, set(range(self.n_states)), 0,
                    dict(self.edges), {q for q, acc in enumerate(self.labels) if acc})
-
-
-@dataclass(frozen=True)
-class MergePolicy:
-    kappa: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError("kappa must lie strictly between 0 and 1")
 
 
 def build_prefix_tree(model: RnnModel, strings: list[str]) -> PrefixTree:
@@ -75,7 +65,7 @@ def build_prefix_tree(model: RnnModel, strings: list[str]) -> PrefixTree:
                       np.array([rows[p][1] for p in prefixes]))
 
 
-def merge_all(tree: PrefixTree, policy: MergePolicy) -> Nfa:
+def merge_all(tree: PrefixTree, kappa: float) -> Nfa:
     """Quotient of the prefix tree by a representative map.
 
     rep[i] is the lowest j < i with labels[j] == labels[i] and
@@ -89,6 +79,8 @@ def merge_all(tree: PrefixTree, policy: MergePolicy) -> Nfa:
     RPNI's quotient of the prefix-tree acceptor; merging may therefore create
     self-loops and nondeterminism.
     """
+    if not 0.0 < kappa < 1.0:
+        raise ValueError("kappa must lie strictly between 0 and 1")
     n = tree.n_states
     feats = tree.features
     norms = np.linalg.norm(feats, axis=1)
@@ -97,7 +89,7 @@ def merge_all(tree: PrefixTree, policy: MergePolicy) -> Nfa:
         logger.warning("%d zero-norm features treated as never similar", int(degenerate.sum()))
     unit = np.divide(feats, norms[:, None], out=np.zeros_like(feats), where=~degenerate[:, None])
     labels = np.array(tree.labels)
-    threshold = 1.0 - policy.kappa
+    threshold = 1.0 - kappa
     rep = np.arange(n)
     rows = max(1, CELLS // n)
     for start in range(0, n, rows):
@@ -115,7 +107,7 @@ def merge_all(tree: PrefixTree, policy: MergePolicy) -> Nfa:
     for (src, token), dst in tree.edges.items():
         transitions.setdefault((rep_of[src], token), set()).add(rep_of[dst])
     states = set(np.flatnonzero(rep == np.arange(n)).tolist())
-    return Nfa(tree.alphabet, states, rep_of[tree.root], transitions,
+    return Nfa(tree.alphabet, states, rep_of[0], transitions,
                {q for q in states if tree.labels[q]})
 
 
@@ -141,9 +133,8 @@ def train_set_fidelity(final: Dfa, tree: PrefixTree) -> float:
 
 def extract(model: RnnModel, strings: list[str], kappa: float) -> ExtractionReport:
     """Full pipeline: prefix tree -> merge -> determinize -> minimize."""
-    policy = MergePolicy(kappa)
     tree = build_prefix_tree(model, strings)
-    merged = merge_all(tree, policy)
+    merged = merge_all(tree, kappa)
     determinized = determinize(merged)
     final = minimize(determinized)
     report = ExtractionReport(

@@ -28,9 +28,6 @@ from .rnn import AdamWHyper, Checkpoint, EvalReference, RnnModel, best_checkpoin
 
 logger = logging.getLogger(__name__)
 
-SEED_ENV_VAR = "STATEMERGE_SEED"
-THREADS_ENV_VAR = "STATEMERGE_THREADS"
-
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -97,6 +94,7 @@ class ResultRow:
     kappa: float
     acc_vs_rnn: float
     acc_vs_gold: float
+    prefix_vs_rnn: float
     merged_size: int
     minimized_size: int
     wall_time: float
@@ -254,7 +252,7 @@ def best_model(checkpoints: list[Checkpoint]) -> RnnModel:
 class FidelityResult:
     vs_rnn: float          # full-string agreement with the model
     vs_gold: float         # full-string agreement with the stored labels
-    prefix_vs_rnn: float   # per-prefix agreement, logged as a secondary metric
+    prefix_vs_rnn: float   # per-prefix agreement, a secondary metric
 
 
 def fidelity(dfa: Dfa, reference: EvalReference) -> FidelityResult:
@@ -297,8 +295,8 @@ def run_extraction(model: RnnModel, language: int, seed: int, epoch: int,
     report = extract(model, strings, kappa)
     fid = fidelity(report.final, reference)
     row = ResultRow(language, "state_merging", seed, epoch, len(strings), kappa,
-                    fid.vs_rnn, fid.vs_gold, report.sizes[1], report.sizes[2],
-                    time.perf_counter() - start)
+                    fid.vs_rnn, fid.vs_gold, fid.prefix_vs_rnn, report.sizes[1],
+                    report.sizes[2], time.perf_counter() - start)
     return row, report
 
 
@@ -309,8 +307,8 @@ def run_kmeans_baseline(model: RnnModel, language: int, seed: int, epoch: int,
     dfa = kmeans_extract(model, strings, k, _rng(seed, language, 20))
     fid = fidelity(dfa, reference)
     row = ResultRow(language, "kmeans", seed, epoch, len(strings), 0.0,
-                    fid.vs_rnn, fid.vs_gold, len(dfa.states), len(dfa.states),
-                    time.perf_counter() - start)
+                    fid.vs_rnn, fid.vs_gold, fid.prefix_vs_rnn, len(dfa.states),
+                    len(dfa.states), time.perf_counter() - start)
     return row, dfa
 
 

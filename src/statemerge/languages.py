@@ -1,5 +1,5 @@
-"""The seven Tomita languages over {a, b}: gold minimal DFAs, membership
-oracles, and seeded samplers for training and evaluation data."""
+"""The seven Tomita languages over {a, b}: gold minimal DFAs, per-prefix
+labels, and seeded samplers for training and evaluation data."""
 
 from __future__ import annotations
 
@@ -79,10 +79,6 @@ def gold_dfa(language: int) -> Dfa:
             (3, "a"): 3,
         })
     raise ValueError(f"unknown Tomita language id {language}; expected 1-7")
-
-
-def membership(language: int, w: str) -> bool:
-    return gold_dfa(language).accepts(w)
 
 
 def labeled(language: int, w: str) -> LabeledSample:
@@ -204,7 +200,8 @@ def save_dataset(samples: list[LabeledSample], language: int, seed: int,
 
 def load_dataset(text: str) -> list[LabeledSample]:
     """Inverse of save_dataset.  Raises ValueError unless the first line is
-    the format header and every record is an ALPHABET string, a tab and 0/1 labels."""
+    the format header and every record is an ALPHABET string, a tab and one
+    0/1 label per prefix."""
     lines = text.splitlines()
     if not lines or lines[0].split() != ["#", "dataset-format", str(DATASET_FORMAT_VERSION)]:
         raise ValueError("unrecognized dataset file header")
@@ -213,7 +210,8 @@ def load_dataset(text: str) -> list[LabeledSample]:
         if not line or line.startswith("#"):
             continue
         x, tab, bits = line.partition("\t")
-        if not tab or not set(bits) <= {"0", "1"} or not set(x) <= set(ALPHABET):
+        if (not tab or not set(bits) <= {"0", "1"} or not set(x) <= set(ALPHABET)
+                or len(bits) != len(x) + 1):
             raise ValueError(f"malformed dataset line: {line!r}")
         samples.append(LabeledSample(x, tuple(c == "1" for c in bits)))
     return samples

@@ -46,9 +46,6 @@ class RnnModel:
             bad = next(t for t in w if t not in self.alphabet)
             raise ValueError(f"token {bad!r} not in alphabet {self.alphabet}") from None
 
-    def copy(self) -> "RnnModel":
-        return RnnModel(self.alphabet, {k: v.copy() for k, v in self.params.items()})
-
 
 @dataclass
 class ForwardResult:
@@ -127,11 +124,6 @@ def forward_many(model: RnnModel, strings: list[str]) -> list[ForwardResult]:
 
 def forward(model: RnnModel, w: str) -> ForwardResult:
     return forward_many(model, [w])[0]
-
-
-def decisions(model: RnnModel, w: str) -> list[bool]:
-    """Per-prefix accept decisions (see ForwardResult.accepts)."""
-    return forward(model, w).accepts.tolist()
 
 
 def loss_and_grads(params: dict[str, np.ndarray], ids: np.ndarray,
@@ -302,10 +294,7 @@ def train(model: RnnModel, train_set: list[LabeledSample], dev_set: list[Labeled
         for start in range(0, len(order), batch_size):
             batch = [train_set[i] for i in order[start:start + batch_size]]
             ids, labels = _batch_arrays(model, batch)
-            try:
-                loss, grads = loss_and_grads(params, ids, labels)
-            except FloatingPointError as exc:
-                raise TrainingError(f"epoch {epoch} batch {n_batches}: {exc}") from exc
+            loss, grads = loss_and_grads(params, ids, labels)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch} batch {n_batches}")
             try:

@@ -33,12 +33,12 @@ import pytest
 
 from statemerge import harness
 from statemerge.automata import Dfa, determinize, equivalent, minimize
-from statemerge.extraction import MergePolicy, build_prefix_tree, merge_all
+from statemerge.extraction import build_prefix_tree, merge_all
 from statemerge.harness import (ExperimentConfig, best_model, ensure_trained, eval_set_for,
                                 extraction_strings, full_scale_config, load_finished_run,
                                 min_data_for_full_fidelity, run_extraction,
                                 run_kmeans_baseline)
-from statemerge.languages import ALPHABET, gold_dfa, membership
+from statemerge.languages import ALPHABET, gold_dfa
 from statemerge.rnn import (eval_reference, init_model, kappa_bound, loss_and_grads,
                             model_from_checkpoint)
 
@@ -208,7 +208,7 @@ class TestCriterion6Properties:
                        for _ in range(n)]
             tree = build_prefix_tree(m, strings)
             kappa = float(rng.uniform(0.001, 0.9))
-            merged = merge_all(tree, MergePolicy(kappa))
+            merged = merge_all(tree, kappa)
             # Every training string keeps a path, and positive strings keep a
             # path ending in an accepting state.
             for w in strings:
@@ -220,14 +220,14 @@ class TestCriterion6Properties:
                 if tree.labels[tree.state_of(w)]:
                     assert current & merged.accepting
         tree = build_prefix_tree(m, ["abba", "baab", "bb", "aaa"])
-        untouched = merge_all(tree, MergePolicy(1e-12))
+        untouched = merge_all(tree, 1e-12)
         assert set(untouched.states) == set(range(tree.n_states))
 
     def test_language_oracles(self):
         words = all_strings(ALPHABET, 12)
         for language in LANGUAGES:
-            oracle = REFERENCE_ORACLES[language]
-            disagreements = sum(membership(language, w) != oracle(w) for w in words)
+            oracle, gold = REFERENCE_ORACLES[language], gold_dfa(language)
+            disagreements = sum(gold.accepts(w) != oracle(w) for w in words)
             assert disagreements == 0
 
     def test_verdict(self):

@@ -54,8 +54,7 @@ def counted_calls():
     model = rnn.init_model(ALPHABET, 2, 3, rng)
     strings = ["", "ab", "ba", "abb"]
     tree = extraction.build_prefix_tree(model, strings)
-    policy = extraction.MergePolicy(0.1)
-    nfa = extraction.merge_all(tree, policy)
+    nfa = extraction.merge_all(tree, 0.1)
     ckpt = rnn.Checkpoint(model.params, {"epoch": 1})
     return {
         "languages.sample_balanced": ((2, 4, 6, rng), {}),
@@ -64,7 +63,7 @@ def counted_calls():
         "rnn.save_checkpoint": ((ckpt, ALPHABET), {}),
         "rnn.load_checkpoint": ((), {"text": rnn.save_checkpoint(ckpt, ALPHABET)}),
         "extraction.build_prefix_tree": ((model, strings), {}),
-        "extraction.merge_all": ((tree, policy), {}),
+        "extraction.merge_all": ((tree, 0.1), {}),
         "automata.determinize": ((nfa,), {}),
         "automata.minimize": ((automata.determinize(nfa),), {}),
         "kmeans.kmeans": ((rng.normal(size=(6, 3)), 2, rng), {}),

@@ -57,25 +57,24 @@ class TestParser:
 
     # Each case holds the arguments after --language 1: an argument file with
     # them exits 2, as the same arguments typed do.  Cases 11-16 name options
-    # the command lacks or give a flag a value; cases 5-7 are bad environment
-    # defaults, as is case 22; case 18 gives sweep kappa a --kappa its grid
-    # would ignore.
-    @pytest.mark.parametrize("config, env", [
-        (["--threads=-4", "extract"], {}), (["extract", "--kappa=0"], {}),
-        (["extract", "--data=0"], {}), (["--language=9", "extract"], {}),
-        (["--threads=x", "extract"], {}),
-        (["extract"], {"STATEMERGE_THREADS": "-4"}), (["extract"], {"STATEMERGE_THREADS": "x"}),
-        (["extract"], {"STATEMERGE_SEED": "x"}), (["extract", "--length=-1"], {}),
-        (["extract", "--train-len=-1"], {}), (["extract", "--dev-len=-3"], {}),
-        (["--no-such-key=1", "extract"], {}), (["--func=1", "extract"], {}),
-        (["--command=train", "extract"], {}), (["extract", "--full"], {}),
-        (["--verbose=no", "extract"], {}), (["--config=other.json", "extract"], {}),
-        (["extract", "--data=1"], {}), (["sweep", "kappa", "--kappa=0.3"], {}),
-        (["train", "--n-train=1"], {}), (["train", "--hidden-dim=0"], {}),
-        (["--seed=-1", "train"], {}), (["train"], {"STATEMERGE_SEED": "-1"})])
-    def test_config_and_env_values_checked(self, config, env, tmp_path, monkeypatch, capsys):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+    # the command lacks or give a flag a value; case 18 gives sweep kappa a
+    # --kappa its grid would ignore.  The ids carry these case numbers, so a
+    # case keeps its id when others are added or removed.
+    CHECKED = {
+        0: ["--threads=-4", "extract"], 1: ["extract", "--kappa=0"],
+        2: ["extract", "--data=0"], 3: ["--language=9", "extract"],
+        4: ["--threads=x", "extract"], 8: ["extract", "--length=-1"],
+        9: ["extract", "--train-len=-1"], 10: ["extract", "--dev-len=-3"],
+        11: ["--no-such-key=1", "extract"], 12: ["--func=1", "extract"],
+        13: ["--command=train", "extract"], 14: ["extract", "--full"],
+        15: ["--verbose=no", "extract"], 16: ["--config=other.json", "extract"],
+        17: ["extract", "--data=1"], 18: ["sweep", "kappa", "--kappa=0.3"],
+        19: ["train", "--n-train=1"], 20: ["train", "--hidden-dim=0"],
+        21: ["--seed=-1", "train"]}
+
+    @pytest.mark.parametrize("config", CHECKED.values(),
+                             ids=[f"config{i}-env{i}" for i in CHECKED])
+    def test_config_and_env_values_checked(self, config, tmp_path, capsys):
         for tail in ([write_args(tmp_path / "run.args", config)], config):
             with pytest.raises(SystemExit) as exc:
                 main(["--language", "1"] + tail)
@@ -125,13 +124,9 @@ class TestParser:
             assert _experiment_config(args).extraction.kappa == 0.3
         assert _experiment_config(parse(["sweep", "kappa"])).extraction.kappa == 0.01
 
-    def test_seed_env_default(self, monkeypatch):
-        monkeypatch.setenv("STATEMERGE_SEED", "7")
-        # The default is captured at parser build time.
+    def test_seed_and_threads_defaults(self):
         args = build_parser().parse_args(["table2"])
-        assert args.seed == 7
-        monkeypatch.setenv("STATEMERGE_THREADS", "3")
-        assert build_parser().parse_args(["table2"]).threads == 3
+        assert (args.seed, args.threads) == (0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +177,16 @@ class TestErrorsAndUtilities:
     def test_missing_dfa_file_exits_nonzero(self, tmp_path, capsys):
         code = run_cli(["export-dot", "--dfa", str(tmp_path / "nope.dfa")])
         assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["export-dot", "--dfa", "{dir}"],
+        ["export-dot", "--dfa", "{dir}/ok.dfa", "--out-file", "{dir}"],
+        ["--language", "1", "eval", "--dfa", "{dir}"]],
+        ids=["export-dot-dfa", "export-dot-out-file", "eval-dfa"])
+    def test_directory_path_exits_nonzero(self, argv, tmp_path, capsys):
+        (tmp_path / "ok.dfa").write_text(save_dfa(gold_dfa(2)))
+        assert run_cli([arg.format(dir=tmp_path) for arg in argv]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_malformed_dfa_file_exits_nonzero(self, tmp_path, capsys):

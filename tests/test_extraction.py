@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from statemerge import extraction
-from statemerge.automata import Nfa, determinize, minimize
-from statemerge.extraction import (MergePolicy, PrefixTree, build_prefix_tree,
-                                   extract, merge_all, train_set_fidelity)
+from statemerge.automata import Nfa
+from statemerge.extraction import (PrefixTree, build_prefix_tree, extract, merge_all,
+                                   train_set_fidelity)
 from statemerge.languages import ALPHABET
-from statemerge.rnn import decisions, forward, forward_many, init_model
+from statemerge.rnn import forward, forward_many, init_model
 
 
 def small_model(seed=0):
@@ -63,7 +63,7 @@ class TestBuildPrefixTree:
         m = small_model()
         tree = build_prefix_tree(m, ["ab"])
         result = forward(m, "ab")
-        assert tree.labels == decisions(m, "ab")
+        assert tree.labels == result.accepts.tolist()
         for i in range(3):
             assert np.array_equal(tree.features[i], result.hidden[i])
 
@@ -73,7 +73,7 @@ class TestBuildPrefixTree:
         tree = build_prefix_tree(m, strings)
         dfa = tree.as_dfa()
         for w in strings:
-            preds = decisions(m, w)
+            preds = forward(m, w).accepts
             for i in range(len(w) + 1):
                 assert dfa.accepts(w[:i]) == preds[i]
 
@@ -95,7 +95,7 @@ def toy_tree(labels, features, edges):
 
 
 def merged_states(labels, features, kappa, edges=()):
-    return merge_all(toy_tree(labels, features, edges), MergePolicy(kappa)).states
+    return merge_all(toy_tree(labels, features, edges), kappa).states
 
 
 class TestShouldMerge:
@@ -126,23 +126,21 @@ class TestShouldMerge:
         assert "2 zero-norm features" in caplog.text
 
     def test_kappa_range_validated(self):
-        with pytest.raises(ValueError):
-            MergePolicy(0.0)
-        with pytest.raises(ValueError):
-            MergePolicy(1.0)
+        for kappa in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                merged_states([True], [[1.0]], kappa)
 
 
 class TestMerge:
     def test_reroute_creates_self_loop(self):
-        merged = merge_all(toy_tree([True, True], [[1, 0], [1, 0]], {(0, "a"): 1}),
-                           MergePolicy(0.01))
+        merged = merge_all(toy_tree([True, True], [[1, 0], [1, 0]], {(0, "a"): 1}), 0.01)
         assert merged.transitions == {(0, "a"): {0}}
         assert merged.states == {0}
 
     def test_union_can_create_nondeterminism(self):
         tree = toy_tree([False, False, True, True], [[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
                         {(0, "a"): 1, (0, "b"): 2, (1, "b"): 3})
-        merged = merge_all(tree, MergePolicy(0.01))
+        merged = merge_all(tree, 0.01)
         assert merged.transitions == {(0, "a"): {0}, (0, "b"): {2, 3}}
 
     def test_survivor_keeps_own_feature(self):
@@ -158,7 +156,7 @@ class TestMerge:
         # Every state agrees with the root, so all fold into it.
         tree = toy_tree([True] * 3, [[1.0, 0.0], [0.8, 0.6], [0.9, 0.1]],
                         {(0, "a"): 1, (1, "b"): 2})
-        merged = merge_all(tree, MergePolicy(0.5))
+        merged = merge_all(tree, 0.5)
         assert merged.initial == 0
         assert merged.states == {0}
         assert merged.accepting == {0}
@@ -169,7 +167,7 @@ def reference_merge(tree, kappa):
     feats = tree.features
     norms = np.linalg.norm(feats, axis=1)
     triples = {(src, token, dst) for (src, token), dst in tree.edges.items()}
-    alive, initial = set(range(tree.n_states)), tree.root
+    alive, initial = set(range(tree.n_states)), 0
     for q_i in range(tree.n_states - 1, -1, -1):
         for q_j in sorted(alive - {q_i}):
             if (tree.labels[q_i] == tree.labels[q_j] and norms[q_i] > 0 and norms[q_j] > 0
@@ -209,7 +207,7 @@ class TestMergeReference:
         for _ in range(300):
             tree = random_tree(rng, int(rng.integers(1, 61)))
             kappa = float(rng.uniform(0.001, 0.999))
-            assert merge_all(tree, MergePolicy(kappa)) == reference_merge(tree, kappa)
+            assert merge_all(tree, kappa) == reference_merge(tree, kappa)
 
 
 class TestMergeAll:
@@ -217,7 +215,7 @@ class TestMergeAll:
         m = small_model(7)
         strings = random_strings(rng, 10)
         tree = build_prefix_tree(m, strings)
-        merged = merge_all(tree, MergePolicy(1e-12))
+        merged = merge_all(tree, 1e-12)
         cos_max = _max_offdiag_cosine(tree)
         if cos_max <= 1 - 1e-12:
             assert len(merged.states) == tree.n_states
@@ -229,7 +227,7 @@ class TestMergeAll:
         tree = PrefixTree(ALPHABET,
                           {(0, "a"): 1, (0, "b"): 2, (1, "a"): 3, (1, "b"): 4},
                           [True, False, False, True, False], features)
-        merged = merge_all(tree, MergePolicy(0.5))
+        merged = merge_all(tree, 0.5)
         assert len(merged.states) == 2
         assert len(merged.accepting) == 1
 
@@ -239,20 +237,20 @@ class TestMergeAll:
             strings = random_strings(rng, 15)
             tree = build_prefix_tree(m, strings)
             kappa = float(rng.uniform(0.01, 0.8))
-            merged = merge_all(tree, MergePolicy(kappa))
+            merged = merge_all(tree, kappa)
             for w in strings:
                 current = {merged.initial}
                 for token in w:
                     current = {d for s in current
                                for d in merged.transitions.get((s, token), ())}
                     assert current, f"path lost for {w!r} at kappa={kappa}"
-                if decisions(m, w)[-1]:
+                if forward(m, w).accepts[-1]:
                     assert current & merged.accepting
 
     def test_labels_preserved_under_merging(self, rng):
         m = small_model(9)
         tree = build_prefix_tree(m, random_strings(rng, 20))
-        merged = merge_all(tree, MergePolicy(0.3))
+        merged = merge_all(tree, 0.3)
         for state in merged.states:
             assert (state in merged.accepting) == tree.labels[state]
 

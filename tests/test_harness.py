@@ -20,8 +20,8 @@ from statemerge.harness import (ExperimentConfig, ExtractionConfig, FidelityResu
                                 rows_to_csv, run_extraction,
                                 run_kmeans_baseline, summarize, sweep_epochs,
                                 sweep_kappa, train_recognizer)
-from statemerge.languages import ALPHABET, gold_dfa, labeled, membership, sample_eval_set
-from statemerge.rnn import (EpochMetrics, decisions, eval_reference, forward_many,
+from statemerge.languages import ALPHABET, gold_dfa, labeled, sample_eval_set
+from statemerge.rnn import (EpochMetrics, eval_reference, forward, forward_many,
                             init_model, load_checkpoint, save_checkpoint)
 
 from conftest import random_dfa
@@ -56,12 +56,13 @@ class TestTrainingConfig:
 
 class TestCsv:
     def test_rows_round_trip(self):
-        rows = [ResultRow(2, "state_merging", 0, 5, 300, 0.01, 1.0, 0.99, 7, 2, 0.5)]
+        rows = [ResultRow(2, "state_merging", 0, 5, 300, 0.01, 1.0, 0.99, 0.98, 7, 2, 0.5)]
         text = rows_to_csv(rows)
         parsed = list(csv.DictReader(io.StringIO(text)))
         assert len(parsed) == 1
         assert parsed[0]["language"] == "2"
         assert parsed[0]["acc_vs_gold"] == "0.99"
+        assert parsed[0]["prefix_vs_rnn"] == "0.98"
         assert parsed[0]["minimized_size"] == "2"
 
     def test_metrics_csv_header(self):
@@ -74,7 +75,7 @@ class TestCsv:
 class TestSummarize:
     def test_recomputes_mean_and_std(self):
         accs = [1.0, 0.9, 0.95]
-        rows = [ResultRow(4, "kmeans", s, 0, 300, 0.0, a, a, 5, 5, 0.1)
+        rows = [ResultRow(4, "kmeans", s, 0, 300, 0.0, a, a, a, 5, 5, 0.1)
                 for s, a in enumerate(accs)]
         summary = summarize(rows)
         entry = summary[(4, "kmeans")]
@@ -83,8 +84,8 @@ class TestSummarize:
         assert entry.sizes == [5, 5, 5]
 
     def test_groups_by_language_and_method(self):
-        rows = [ResultRow(1, "state_merging", 0, 0, 300, 0.01, 1.0, 1.0, 1, 1, 0.1),
-                ResultRow(1, "kmeans", 0, 0, 300, 0.0, 0.8, 0.8, 3, 3, 0.1)]
+        rows = [ResultRow(1, "state_merging", 0, 0, 300, 0.01, 1.0, 1.0, 1.0, 1, 1, 0.1),
+                ResultRow(1, "kmeans", 0, 0, 300, 0.0, 0.8, 0.8, 0.9, 3, 3, 0.1)]
         summary = summarize(rows)
         assert set(summary) == {(1, "state_merging"), (1, "kmeans")}
 
@@ -99,7 +100,8 @@ def rename(dfa, ids):
 def per_string_fidelity(dfa, model, eval_set):
     """The oracle: each string's machine verdicts by prefix_decisions against
     the model's decisions on that string run alone, counted string by string."""
-    pairs = [(prefix_decisions(dfa, s.x), decisions(model, s.x)) for s in eval_set]
+    pairs = [(prefix_decisions(dfa, s.x), forward(model, s.x).accepts.tolist())
+             for s in eval_set]
     agree = [p == q for dfa_preds, rnn_preds in pairs for p, q in zip(dfa_preds, rnn_preds)]
     return FidelityResult(sum(d[-1] == r[-1] for d, r in pairs) / len(pairs),
                           sum(d[-1] == s.y[-1] for (d, _), s in zip(pairs, eval_set)) / len(pairs),
@@ -199,7 +201,7 @@ class TestTrainingCache:
     def test_best_model_runs(self, tiny_run):
         _, _, checkpoints, _ = tiny_run
         model = best_model(checkpoints)
-        decisions(model, "ab")
+        forward(model, "ab")
 
 
 class TestCacheCheck:
@@ -207,7 +209,7 @@ class TestCacheCheck:
     anything else is retrained from scratch."""
 
     @staticmethod
-    def copy_run(tiny_run, tmp_path):
+    def copied_run(tiny_run, tmp_path):
         cache, config, _, _ = tiny_run
         original = cache / f"tomita1_seed0_{config.cache_key()}"
         copy = tmp_path / original.name
@@ -221,12 +223,12 @@ class TestCacheCheck:
         return caplog.text
 
     def test_finished_run_is_reused(self, tiny_run, tmp_path, caplog):
-        config, _, copy = self.copy_run(tiny_run, tmp_path)
+        config, _, copy = self.copied_run(tiny_run, tmp_path)
         assert load_finished_run(config, copy) is not None
         assert "training Tomita" not in self.retrain(config, copy, caplog)
 
     def test_missing_checkpoint_retrains_bit_identical(self, tiny_run, tmp_path, caplog):
-        config, original, copy = self.copy_run(tiny_run, tmp_path)
+        config, original, copy = self.copied_run(tiny_run, tmp_path)
         (copy / "epoch001.ckpt").unlink()
         assert load_finished_run(config, copy) is None
         log = self.retrain(config, copy, caplog)
@@ -236,7 +238,7 @@ class TestCacheCheck:
         assert load_finished_run(config, copy) is not None
 
     def test_truncated_checkpoint_detected(self, tiny_run, tmp_path, caplog):
-        config, original, copy = self.copy_run(tiny_run, tmp_path)
+        config, original, copy = self.copied_run(tiny_run, tmp_path)
         text = (copy / "epoch002.ckpt").read_text()
         last_values = text.index("\n", text.index("param b_out")) + 1
         for cut in (len(text) // 2, last_values, len(text) - 2, len(text) - 1):
@@ -246,7 +248,7 @@ class TestCacheCheck:
         assert (copy / "epoch002.ckpt").read_text() == text
 
     def test_short_metrics_detected(self, tiny_run, tmp_path):
-        config, _, copy = self.copy_run(tiny_run, tmp_path)
+        config, _, copy = self.copied_run(tiny_run, tmp_path)
         lines = (copy / "metrics.csv").read_text().splitlines(keepends=True)
         (copy / "metrics.csv").write_text("".join(lines[:-1]))
         assert load_finished_run(config, copy) is None
@@ -256,7 +258,7 @@ class TestCacheCheck:
         {"param": ("w_hh", (7, 7))}, {"param": ("embed", (3, 5))},
     ])
     def test_mismatched_checkpoint_detected(self, tiny_run, tmp_path, change):
-        config, _, copy = self.copy_run(tiny_run, tmp_path)
+        config, _, copy = self.copied_run(tiny_run, tmp_path)
         path = copy / "epoch002.ckpt"
         ckpt, alphabet = load_checkpoint(path.read_text())
         if "meta" in change:
@@ -269,7 +271,7 @@ class TestCacheCheck:
         assert load_finished_run(config, copy) is None
 
     def test_other_config_not_reused(self, tiny_run, tmp_path):
-        config, _, copy = self.copy_run(tiny_run, tmp_path)
+        config, _, copy = self.copied_run(tiny_run, tmp_path)
         assert load_finished_run(dataclasses.replace(config, hidden_dim=9), copy) is None
         assert load_finished_run(dataclasses.replace(config, epochs=1), copy) is None
 
@@ -285,8 +287,9 @@ class TestExperiments:
     def test_eval_set_respects_language(self):
         eval_set = eval_set_for(6, SMALL_EXPERIMENT)
         assert len(eval_set) == SMALL_EXPERIMENT.n_eval
+        gold = gold_dfa(6)
         for s in eval_set:
-            assert s.y[-1] == membership(6, s.x)
+            assert s.y[-1] == gold.accepts(s.x)
 
     def test_run_extraction_row(self, tiny_run):
         _, _, checkpoints, _ = tiny_run
@@ -298,7 +301,8 @@ class TestExperiments:
         assert (row.data_count, row.kappa) == (40, 0.01)
         assert row.merged_size == report.sizes[1]
         assert row.minimized_size == report.sizes[2]
-        assert row.acc_vs_rnn == fidelity(report.final, reference).vs_rnn
+        fid = fidelity(report.final, reference)
+        assert (row.acc_vs_rnn, row.acc_vs_gold, row.prefix_vs_rnn) == dataclasses.astuple(fid)
         # The extracted machine reproduces the model on its own training set.
         assert report.train_fidelity == 1.0
 
@@ -310,7 +314,8 @@ class TestExperiments:
         row, dfa = run_kmeans_baseline(model, 1, 0, 0, strings, 3, reference)
         assert (row.method, row.data_count) == ("kmeans", 40)
         assert row.minimized_size == len(dfa.states)
-        assert row.acc_vs_rnn == fidelity(dfa, reference).vs_rnn
+        fid = fidelity(dfa, reference)
+        assert (row.acc_vs_rnn, row.acc_vs_gold, row.prefix_vs_rnn) == dataclasses.astuple(fid)
 
 
 class TestSweeps:

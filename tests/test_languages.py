@@ -8,7 +8,7 @@ import pytest
 from statemerge import languages
 from statemerge.automata import minimize
 from statemerge.languages import (InfeasibleLength, LabeledSample, gold_dfa,
-                                  labeled, load_dataset, membership,
+                                  labeled, load_dataset,
                                   positive_count, sample_balanced,
                                   sample_eval_set, sample_uniform_positive,
                                   save_dataset)
@@ -57,15 +57,15 @@ class TestGoldDfas:
 
 class TestMembership:
     def test_examples(self):
-        assert membership(2, "ab")
-        assert not membership(5, "ab")
-        assert membership(6, "ab")
+        assert gold_dfa(2).accepts("ab")
+        assert not gold_dfa(5).accepts("ab")
+        assert gold_dfa(6).accepts("ab")
 
     @pytest.mark.parametrize("language", range(1, 8))
     def test_matches_reference_to_length_9(self, language):
-        oracle = REFERENCE_ORACLES[language]
+        oracle, gold = REFERENCE_ORACLES[language], gold_dfa(language)
         for w in all_strings(("a", "b"), 9):
-            assert membership(language, w) == oracle(w), w
+            assert gold.accepts(w) == oracle(w), w
 
 
 class TestPositiveCount:
@@ -89,17 +89,18 @@ class TestUniformPositive:
 
     def test_always_in_language(self, rng):
         for language in range(1, 8):
+            gold = gold_dfa(language)
             for _ in range(50):
                 n = int(rng.integers(0, 13))
                 if positive_count(language, n) == 0:
                     continue
-                assert membership(language, sample_uniform_positive(language, n, rng))
+                assert gold.accepts(sample_uniform_positive(language, n, rng))
 
     def test_uniformity_three_sigma(self):
         rng = np.random.default_rng(1)
         language, n, draws = 5, 6, 10_000
-        support = [w for w in all_strings(("a", "b"), 6)
-                   if len(w) == n and membership(language, w)]
+        gold = gold_dfa(language)
+        support = [w for w in all_strings(("a", "b"), 6) if len(w) == n and gold.accepts(w)]
         counts = Counter(sample_uniform_positive(language, n, rng) for _ in range(draws))
         assert set(counts) <= set(support)
         p = 1 / len(support)
@@ -194,11 +195,16 @@ class TestDatasetFormat:
         "", "ab\t110\n", "# dataset-format 2\nab\t110\n", "# language 1\nab\t110\n",
         "# dataset-format 1\nab110\n", "# dataset-format 1\nab\t1x0\n",
         "# dataset-format 1\nab\t120\n", "# dataset-format 1\nab\t110\t1\n",
-        "# dataset-format 1\nxyz\t0000\n", "# dataset-format 1\nab\t110\naAb\t1000\n"],
+        "# dataset-format 1\nxyz\t0000\n", "# dataset-format 1\nab\t110\naAb\t1000\n",
+        "# dataset-format 1\nab\t01\n", "# dataset-format 1\nab\t\n"],
         ids=["empty", "no-header", "other-version", "other-first-line", "no-tab",
-             "label-x", "label-2", "two-tabs", "string-xyz", "string-capital"])
+             "label-x", "label-2", "two-tabs", "string-xyz", "string-capital",
+             "labels-short", "labels-none"])
     def test_malformed_file_rejected(self, text):
-        with pytest.raises(ValueError):
+        # A bad record is named in the message; a bad header is the first line.
+        lines = text.splitlines()
+        named = repr(lines[-1]) if lines and lines[0] == "# dataset-format 1" else "header"
+        with pytest.raises(ValueError, match=re.escape(named)):
             load_dataset(text)
 
     def test_label_length_validated(self):

@@ -5,8 +5,8 @@ import pytest
 
 from statemerge import rnn
 from statemerge.languages import ALPHABET, labeled, sample_balanced, sample_eval_set
-from statemerge.rnn import (AdamWHyper, AdamWState, Checkpoint, TrainingError,
-                            adamw_step, decisions, eval_reference, evaluate, forward,
+from statemerge.rnn import (AdamWHyper, AdamWState, Checkpoint, RnnModel, TrainingError,
+                            adamw_step, eval_reference, evaluate, forward,
                             forward_many, init_model, kappa_bound, load_checkpoint,
                             loss_and_grads, model_from_checkpoint, saturation_level,
                             save_checkpoint, train)
@@ -72,7 +72,7 @@ class TestForwardMany:
             assert result.hidden.shape == (len(w) + 1, 8)
             np.testing.assert_allclose(result.hidden, single.hidden, rtol=0, atol=1e-12)
             np.testing.assert_allclose(result.yhat, single.yhat, rtol=0, atol=1e-12)
-            assert list(result.yhat > 0.5) == decisions(m, w)
+            assert list(result.yhat > 0.5) == list(single.accepts)
 
     def test_empty_list(self, rng):
         assert forward_many(init_model(ALPHABET, 4, 8, rng), []) == []
@@ -82,13 +82,13 @@ class TestDecisions:
     def test_thresholding(self, rng):
         m = init_model(ALPHABET, 4, 8, rng)
         result = forward(m, "aab")
-        assert decisions(m, "aab") == [bool(p > 0.5) for p in result.yhat]
+        assert result.accepts.tolist() == [bool(p > 0.5) for p in result.yhat]
 
     def test_exact_tie_rejects(self, rng):
         m = init_model(ALPHABET, 4, 8, rng)
         m.params["w_out"] = np.zeros_like(m.params["w_out"])
         m.params["b_out"] = np.zeros_like(m.params["b_out"])
-        assert decisions(m, "ab") == [False, False, False]
+        assert forward(m, "ab").accepts.tolist() == [False, False, False]
 
 
 def evaluate_per_sample(model, samples):
@@ -112,7 +112,7 @@ class TestEvalReference:
         assert ref.labels.tolist() == [[True, False, True, True, True], [True] * 5,
                                        [True, False, True, False, True]]
         for row, s in enumerate(samples):
-            decided = decisions(m, s.x)
+            decided = forward(m, s.x).accepts.tolist()
             assert ref.decisions[row].tolist() == decided + decided[-1:] * (4 - len(s.x))
             assert ref.prefixes[row].tolist() == [t <= len(s.x) for t in range(5)]
 
@@ -250,9 +250,7 @@ class TestSaturation:
         strings = ["abab", "bbaa", "aaabbb", "ab"]
         levels = []
         for rho in (1.0, 2.0, 4.0):
-            scaled = m.copy()
-            for k in scaled.params:
-                scaled.params[k] = scaled.params[k] * rho
+            scaled = RnnModel(m.alphabet, {k: v * rho for k, v in m.params.items()})
             levels.append(saturation_level(scaled, strings))
         assert levels[1] <= levels[0] + 1e-9
         assert levels[2] <= levels[1] + 1e-9
