@@ -17,9 +17,9 @@ from collections.abc import Callable
 from pathlib import Path
 
 from . import harness, rnn
-from .automata import load_dfa, save_dfa, to_dot
-from .harness import (ExperimentConfig, ExtractionConfig, TrainingConfig,
-                      ensure_trained, best_model, fidelity, rows_to_csv)
+from .automata import Dfa, load_dfa, save_dfa, to_dot
+from .harness import (RESULT_FIELDS, ExperimentConfig, ExtractionConfig, ResultRow,
+                      TrainingConfig, best_model, ensure_trained, fidelity, to_csv)
 from .languages import LANGUAGE_IDS
 
 logger = logging.getLogger(__name__)
@@ -41,12 +41,6 @@ def _open_unit_float(text: str) -> float:
     return value
 
 
-def _write_resolved_config(out_dir: Path, payload: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
-
-
 # Command line argument -> converter, for the TrainingConfig field of that name.
 # n_train and n_dev are at least 2: a balanced draw needs a positive and a negative string.
 TRAINING_FIELDS = {"n_train": _int_at_least(2), "train_len": _int_at_least(0),
@@ -66,13 +60,19 @@ def _training_config(args: argparse.Namespace, language: int) -> TrainingConfig:
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    language = getattr(args, "language", None)
-    languages = LANGUAGE_IDS if language is None else (language,)
+    """The experiment the command runs: extract, baseline, eval and sweep kappa
+    run one language (sweep kappa's default is 2) on --seed's strings; table2
+    and sweep data / epochs run the protocol's seeds."""
     extraction = ExtractionConfig(**{name: getattr(args, arg)
                                      for arg, name in EXTRACTION_FIELDS.items()
                                      if getattr(args, arg, None) is not None})
-    return ExperimentConfig(languages=languages, extraction=extraction,
-                            threads=args.threads)
+    config = ExperimentConfig(extraction=extraction, threads=args.threads,
+                              **({"kmeans_k": args.k} if "k" in args else {}))
+    if args.command in ("extract", "baseline", "eval") or getattr(args, "kind", "") == "kappa":
+        return dataclasses.replace(config, languages=(args.language or 2,), seeds=(args.seed,))
+    if args.language is not None:
+        return dataclasses.replace(config, languages=(args.language,))
+    return config
 
 
 def _trained_model(args: argparse.Namespace, language: int):
@@ -81,83 +81,84 @@ def _trained_model(args: argparse.Namespace, language: int):
     return best_model(checkpoints), cfg
 
 
+def _trained_models(args: argparse.Namespace, languages: tuple[int, ...]):
+    """The model per language, and the training configs that made them."""
+    trained = [_trained_model(args, language) for language in languages]
+    return dict(zip(languages, (model for model, _ in trained))), [cfg for _, cfg in trained]
+
+
+def _write_run(out: Path, training: list[TrainingConfig],
+               experiment: ExperimentConfig | None = None,
+               table: tuple[str, list[ResultRow]] | None = None,
+               machines: dict[str, Dfa] | None = None, **extra) -> None:
+    """Every command's outputs: the result table (file name, rows), each machine
+    as TAG.dfa and TAG.dot, and resolved_config.json naming what ran."""
+    out.mkdir(parents=True, exist_ok=True)
+    if table is not None:
+        name, rows = table
+        (out / name).write_text(to_csv(RESULT_FIELDS, rows))
+    for tag, dfa in (machines or {}).items():
+        (out / f"{tag}.dfa").write_text(save_dfa(dfa))
+        (out / f"{tag}.dot").write_text(to_dot(dfa))
+    resolved = {"training": [dataclasses.asdict(cfg) for cfg in training], **extra}
+    if experiment is not None:
+        resolved["experiment"] = dataclasses.asdict(experiment)
+    (out / "resolved_config.json").write_text(
+        json.dumps(resolved, indent=2, sort_keys=True, default=str) + "\n")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
-    out = Path(args.out)
     configs = []
     for language in (args.language,) if args.language else LANGUAGE_IDS:
         cfg = _training_config(args, language)
-        checkpoints, metrics = ensure_trained(cfg, out / "models")
+        checkpoints, metrics = ensure_trained(cfg, Path(args.out) / "models")
         final = metrics[-1]
         print(f"tomita {language}: {len(checkpoints)} checkpoints, "
               f"final dev accuracy {final.dev_accuracy:.4f}, "
               f"param norm {final.param_norm:.2f}")
-        configs.append(dataclasses.asdict(cfg))
-    _write_resolved_config(out, {"training": configs})
+        configs.append(cfg)
+    _write_run(Path(args.out), configs)
     return 0
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    model, train_cfg = _trained_model(args, args.language)
+def cmd_machine(args: argparse.Namespace) -> int:
+    """extract, baseline and eval: one model and one eval reference; extract
+    and baseline draw one string set from --seed."""
+    stored = load_dfa(Path(args.dfa).read_text()) if args.command == "eval" else None
+    language, seed = args.language, args.seed
+    model, train_cfg = _trained_model(args, language)
     config = _experiment_config(args)
+    reference = rnn.eval_reference(model, harness.eval_set_for(language, config))
+    if stored is not None:
+        result = fidelity(stored, reference)
+        print(f"fidelity vs RNN {result.vs_rnn:.4f}, vs gold {result.vs_gold:.4f}, "
+              f"per-prefix vs RNN {result.prefix_vs_rnn:.4f}")
+        return 0
     ext = config.extraction
-    strings = harness.extraction_strings(args.language, ext.n_strings, ext.string_len, args.seed)
-    reference = rnn.eval_reference(model, harness.eval_set_for(args.language, config))
-    row, report = harness.run_extraction(model, args.language, args.seed, 0, strings,
-                                         ext.kappa, reference)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = f"tomita{args.language}_seed{args.seed}"
-    (out / f"{tag}.dfa").write_text(save_dfa(report.final))
-    (out / f"{tag}.dot").write_text(to_dot(report.final))
-    (out / "results.csv").write_text(rows_to_csv([row]))
-    _write_resolved_config(out, {"training": dataclasses.asdict(train_cfg),
-                                 "experiment": dataclasses.asdict(config),
-                                 "cosine_threshold": 1.0 - ext.kappa})
-    print(f"tomita {args.language}: sizes {report.sizes}, "
-          f"fidelity vs RNN {row.acc_vs_rnn:.4f}, vs gold {row.acc_vs_gold:.4f}")
-    return 0
-
-
-def cmd_baseline(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    model, train_cfg = _trained_model(args, args.language)
-    config = dataclasses.replace(_experiment_config(args), kmeans_k=args.k)
-    ext = config.extraction
-    strings = harness.extraction_strings(args.language, ext.n_strings, ext.string_len, args.seed)
-    reference = rnn.eval_reference(model, harness.eval_set_for(args.language, config))
-    row, dfa = harness.run_kmeans_baseline(model, args.language, args.seed, 0, strings,
-                                           config.kmeans_k, reference)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = f"tomita{args.language}_seed{args.seed}_kmeans"
-    (out / f"{tag}.dfa").write_text(save_dfa(dfa))
-    (out / f"{tag}.dot").write_text(to_dot(dfa))
-    (out / "results.csv").write_text(rows_to_csv([row]))
-    _write_resolved_config(out, {"training": dataclasses.asdict(train_cfg),
-                                 "experiment": dataclasses.asdict(config)})
-    print(f"tomita {args.language} kmeans: {len(dfa.states)} states, "
-          f"fidelity vs RNN {row.acc_vs_rnn:.4f}")
-    return 0
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    dfa = load_dfa(Path(args.dfa).read_text())
-    model, _ = _trained_model(args, args.language)
-    config = _experiment_config(args)
-    reference = rnn.eval_reference(model, harness.eval_set_for(args.language, config))
-    result = fidelity(dfa, reference)
-    print(f"fidelity vs RNN {result.vs_rnn:.4f}, vs gold {result.vs_gold:.4f}, "
-          f"per-prefix vs RNN {result.prefix_vs_rnn:.4f}")
+    strings = harness.extraction_strings(language, ext.n_strings, ext.string_len, seed)
+    tag, extra = f"tomita{language}_seed{seed}", {}
+    if args.command == "extract":
+        row, report = harness.run_extraction(model, language, seed, 0, strings,
+                                             ext.kappa, reference)
+        dfa, extra = report.final, {"cosine_threshold": 1.0 - ext.kappa}
+        print(f"tomita {language}: sizes {report.sizes}, "
+              f"fidelity vs RNN {row.acc_vs_rnn:.4f}, vs gold {row.acc_vs_gold:.4f}")
+    else:
+        row, dfa = harness.run_kmeans_baseline(model, language, seed, 0, strings,
+                                               config.kmeans_k, reference)
+        tag += "_kmeans"
+        print(f"tomita {language} kmeans: {len(dfa.states)} states, "
+              f"fidelity vs RNN {row.acc_vs_rnn:.4f}")
+    _write_run(Path(args.out), [train_cfg], config, ("results.csv", [row]), {tag: dfa},
+               **extra)
     return 0
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    out = Path(args.out)
     config = _experiment_config(args)
-    models = {language: _trained_model(args, language)[0] for language in config.languages}
+    models, training = _trained_models(args, config.languages)
     rows, summary = harness.reproduce_table2(config, models)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "table2_rows.csv").write_text(rows_to_csv(rows))
-    _write_resolved_config(out, dataclasses.asdict(config))
+    _write_run(Path(args.out), training, config, ("table2_rows.csv", rows))
     for (language, method), s in sorted(summary.items()):
         print(f"tomita {language} {method:13s}: {100 * s.mean_acc:6.2f} "
               f"± {100 * s.std_acc:.2f}, sizes {s.sizes}")
@@ -167,30 +168,25 @@ def cmd_table2(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
     config = _experiment_config(args)
-    out.mkdir(parents=True, exist_ok=True)
+    machines = {}
+    if args.kind == "epochs":
+        training = [harness.light_config(language, args.seed) for language in config.languages]
+        checkpoints = {cfg.language: ensure_trained(cfg, out / "models")[0] for cfg in training}
+        rows = harness.sweep_epochs(config, checkpoints)
+    else:
+        models, training = _trained_models(args, config.languages)
     if args.kind == "data":
-        models = {language: _trained_model(args, language)[0]
-                  for language in config.languages}
         rows = harness.sweep_data_size(config, models)
-        (out / "sweep_data.csv").write_text(rows_to_csv(rows))
     elif args.kind == "kappa":
-        language = args.language or 2
-        model, _ = _trained_model(args, language)
-        results = harness.sweep_kappa(config, model, language, out_dir=out)
+        (language, model), = models.items()
+        results = harness.sweep_kappa(config, model, language)
         rows = [row for row, _ in results]
-        (out / "sweep_kappa.csv").write_text(rows_to_csv(rows))
         for row, report in results:
+            tag = f"tomita{language}_kappa{row.kappa}"
+            machines.update({f"{tag}_merged": report.determinized, f"{tag}_final": report.final})
             print(f"kappa {row.kappa}: merged {report.sizes[1]}, "
                   f"minimized {report.sizes[2]}, fidelity {row.acc_vs_rnn:.4f}")
-    else:
-        checkpoints = {}
-        for language in config.languages:
-            ckpts, _ = ensure_trained(harness.light_config(language, args.seed),
-                                      out / "models")
-            checkpoints[language] = ckpts
-        rows = harness.sweep_epochs(config, checkpoints)
-        (out / "sweep_epochs.csv").write_text(rows_to_csv(rows))
-    _write_resolved_config(out, dataclasses.asdict(config))
+    _write_run(out, training, config, (f"sweep_{args.kind}.csv", rows), machines)
     print(f"wrote sweep results to {out}")
     return 0
 
@@ -237,17 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract = sub.add_parser("extract", help="state-merging extraction",
                                parents=[training, sample])
     p_extract.add_argument("--kappa", type=_open_unit_float, default=0.01)
-    p_extract.set_defaults(func=cmd_extract)
+    p_extract.set_defaults(func=cmd_machine)
 
     p_baseline = sub.add_parser("baseline", help="k-means extraction baseline",
                                 parents=[training, sample])
     p_baseline.add_argument("--k", type=_int_at_least(1), default=20)
-    p_baseline.set_defaults(func=cmd_baseline)
+    p_baseline.set_defaults(func=cmd_machine)
 
     p_eval = sub.add_parser("eval", help="evaluate a stored DFA against a model",
                             parents=[training])
     p_eval.add_argument("--dfa", required=True)
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func=cmd_machine)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweeps")
     p_sweep.add_argument("kind", choices=("data", "kappa", "epochs"))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rnn
-from .automata import Dfa, save_dfa, successor_table, to_dot
+from .automata import Dfa, successor_table
 from .extraction import ExtractionReport, extract
 from .kmeans import kmeans_extract
 from .languages import ALPHABET, LabeledSample, sample_balanced, sample_eval_set
@@ -101,26 +101,16 @@ class ResultRow:
 
 
 RESULT_FIELDS = tuple(f.name for f in dataclasses.fields(ResultRow))
-
-
-def rows_to_csv(rows: list[ResultRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(RESULT_FIELDS)
-    for row in rows:
-        writer.writerow([getattr(row, f) for f in RESULT_FIELDS])
-    return buf.getvalue()
-
-
 METRIC_FIELDS = tuple(f.name for f in dataclasses.fields(rnn.EpochMetrics))
 
 
-def metrics_to_csv(metrics: list[rnn.EpochMetrics]) -> str:
+def to_csv(fields: tuple[str, ...], records: list) -> str:
+    """A header row of fields, then each record's values of those fields."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(METRIC_FIELDS)
-    for m in metrics:
-        writer.writerow([getattr(m, f) for f in METRIC_FIELDS])
+    writer.writerow(fields)
+    for record in records:
+        writer.writerow([getattr(record, f) for f in fields])
     return buf.getvalue()
 
 
@@ -160,7 +150,7 @@ def train_recognizer(config: TrainingConfig,
     for ckpt in checkpoints:
         _write_atomic(out_dir / _checkpoint_name(ckpt.metadata["epoch"]),
                       rnn.save_checkpoint(ckpt, ALPHABET))
-    _write_atomic(out_dir / "metrics.csv", metrics_to_csv(metrics))
+    _write_atomic(out_dir / "metrics.csv", to_csv(METRIC_FIELDS, metrics))
     _write_atomic(out_dir / "config.json",
                   json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True))
     _write_atomic(out_dir / "DONE", "ok\n")
@@ -235,9 +225,13 @@ def _load_metrics(path: Path) -> list[rnn.EpochMetrics]:
     return out
 
 
+def run_dir(config: TrainingConfig, cache_dir: Path) -> Path:
+    """The directory of config's run in the model cache cache_dir."""
+    return cache_dir / f"tomita{config.language}_seed{config.seed}_{config.cache_key()}"
+
+
 def ensure_trained(config: TrainingConfig, cache_dir: Path) -> tuple[list[Checkpoint], list[rnn.EpochMetrics]]:
-    out_dir = cache_dir / f"tomita{config.language}_seed{config.seed}_{config.cache_key()}"
-    return train_recognizer(config, out_dir)
+    return train_recognizer(config, run_dir(config, cache_dir))
 
 
 def best_model(checkpoints: list[Checkpoint]) -> RnnModel:
@@ -376,22 +370,14 @@ def sweep_data_size(config: ExperimentConfig, models: dict[int, RnnModel],
 
 
 def sweep_kappa(config: ExperimentConfig, model: RnnModel, language: int = 2,
-                kappas: tuple[float, ...] = (0.5, 0.4, 0.01),
-                out_dir: Path | None = None) -> list[tuple[ResultRow, ExtractionReport]]:
+                kappas: tuple[float, ...] = (0.5, 0.4, 0.01)
+                ) -> list[tuple[ResultRow, ExtractionReport]]:
+    """Extraction at each kappa, all on the string set of config's first seed."""
     ext, seed = config.extraction, config.seeds[0]
     strings = extraction_strings(language, ext.n_strings, ext.string_len, seed)
     reference = eval_reference(model, eval_set_for(language, config))
-    results = []
-    for kappa in kappas:
-        row, report = run_extraction(model, language, seed, 0, strings, kappa, reference)
-        results.append((row, report))
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            tag = f"tomita{language}_kappa{kappa}"
-            (out_dir / f"{tag}_merged.dot").write_text(to_dot(report.determinized))
-            (out_dir / f"{tag}_final.dot").write_text(to_dot(report.final))
-            (out_dir / f"{tag}_final.dfa").write_text(save_dfa(report.final))
-    return results
+    return [run_extraction(model, language, seed, 0, strings, kappa, reference)
+            for kappa in kappas]
 
 
 def sweep_epochs(config: ExperimentConfig,

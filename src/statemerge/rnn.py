@@ -223,16 +223,6 @@ def param_norm(params: dict[str, np.ndarray]) -> float:
     return math.sqrt(sum(float(np.sum(p * p)) for p in params.values()))
 
 
-def _batch_arrays(model: RnnModel, samples: list[LabeledSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack same-length samples into id and label arrays (bos included)."""
-    lengths = {len(s.x) for s in samples}
-    if len(lengths) != 1:
-        raise ValueError("batch requires same-length strings")
-    ids = np.array([[model.bos] + model.token_ids(s.x) for s in samples])
-    labels = np.array([s.y for s in samples], dtype=np.int64)
-    return ids, labels
-
-
 @dataclass(frozen=True)
 class EvalReference:
     """One model's decisions on a labelled sample set.  Row i is sample i, padded
@@ -283,6 +273,13 @@ def train(model: RnnModel, train_set: list[LabeledSample], dev_set: list[Labeled
     """Minibatched BPTT training; one checkpoint and metrics row per epoch."""
     if not train_set or not dev_set:
         raise ValueError("train and dev sets must be nonempty")
+    if len({len(s.x) for s in train_set}) != 1:
+        raise ValueError("batch requires same-length strings")
+    # Encoded once; each batch takes its rows.  The smallest id type that holds
+    # bos keeps a full-protocol set (100k x 101) at one byte per token.
+    all_ids = np.array([[model.bos] + model.token_ids(s.x) for s in train_set],
+                       dtype=np.min_scalar_type(model.bos))
+    all_labels = np.array([s.y for s in train_set], dtype=bool)
     params = {k: v.copy() for k, v in model.params.items()}
     state = AdamWState.zeros_like(params)
     checkpoints: list[Checkpoint] = []
@@ -292,9 +289,8 @@ def train(model: RnnModel, train_set: list[LabeledSample], dev_set: list[Labeled
         total_loss = 0.0
         n_batches = 0
         for start in range(0, len(order), batch_size):
-            batch = [train_set[i] for i in order[start:start + batch_size]]
-            ids, labels = _batch_arrays(model, batch)
-            loss, grads = loss_and_grads(params, ids, labels)
+            rows = order[start:start + batch_size]
+            loss, grads = loss_and_grads(params, all_ids[rows], all_labels[rows])
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch} batch {n_batches}")
             try:

@@ -31,12 +31,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statemerge import harness
 from statemerge.automata import Dfa, determinize, equivalent, minimize
 from statemerge.extraction import build_prefix_tree, merge_all
-from statemerge.harness import (ExperimentConfig, best_model, ensure_trained, eval_set_for,
-                                extraction_strings, full_scale_config, load_finished_run,
-                                min_data_for_full_fidelity, run_extraction,
+from statemerge.harness import (ExperimentConfig, best_model, eval_set_for, extraction_strings,
+                                full_scale_config, load_finished_run,
+                                min_data_for_full_fidelity, run_dir, run_extraction,
                                 run_kmeans_baseline)
 from statemerge.languages import ALPHABET, gold_dfa
 from statemerge.rnn import (eval_reference, init_model, kappa_bound, loss_and_grads,
@@ -70,22 +69,16 @@ def verdict(number, name, ok, detail):
 
 
 def shipped_run(language):
-    """The shipped run for language, found by ensure_trained with
-    train_recognizer replaced by its cache check alone, so that a rejected
-    run fails at once and is left as it was.  Replacing rnn.train instead
-    would fail only after sampling 100k strings (107 s for one training set
-    on a 2-core x86 machine) and after the run's DONE marker is deleted."""
-    def load_or_fail(config, out_dir):
-        run = load_finished_run(config, out_dir)
-        if run is None:
-            pytest.fail(f"{out_dir} is not a finished run of tomita {language}'s training "
-                        f"config and the suite trains nothing; regenerate it with "
-                        f"PYTHONPATH=src python scripts/pretrain_models.py {language}")
-        return run
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "train_recognizer", load_or_fail)
-        return ensure_trained(training_config(language), CACHE)
+    """The shipped run for language, by the training cache's check alone, so
+    that a rejected run fails at once and is left as it was."""
+    config = training_config(language)
+    out_dir = run_dir(config, CACHE)
+    run = load_finished_run(config, out_dir)
+    if run is None:
+        pytest.fail(f"{out_dir} is not a finished run of tomita {language}'s training "
+                    f"config and the suite trains nothing; regenerate it with "
+                    f"PYTHONPATH=src python scripts/pretrain_models.py {language}")
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,21 @@
 """End-to-end tests of the command line interface on a tiny training setup."""
 
+import csv
+import dataclasses
 import json
 
 import pytest
 
-from statemerge.automata import load_dfa, save_dfa
+from statemerge import cli, harness
+from statemerge.automata import load_dfa, save_dfa, to_dot
 from statemerge.cli import _experiment_config, _training_config, build_parser, main
+from statemerge.harness import (RESULT_FIELDS, ExperimentConfig, TrainingConfig, best_model,
+                                ensure_trained, to_csv)
 from statemerge.languages import gold_dfa
 
-TINY_ARGS = ["--n-train", "40", "--train-len", "6", "--n-dev", "20",
-             "--dev-len", "8", "--embed-dim", "4", "--hidden-dim", "8",
-             "--epochs", "2"]
+TINY = dict(n_train=40, train_len=6, n_dev=20, dev_len=8, embed_dim=4, hidden_dim=8, epochs=2)
+TINY_ARGS = [arg for field, value in TINY.items()
+             for arg in (f"--{field.replace('_', '-')}", str(value))]
 
 
 def run_cli(args):
@@ -218,6 +223,60 @@ class TestErrorsAndUtilities:
         with pytest.raises(SystemExit) as exc:
             run_cli([write_args(tmp_path / "run.args", ["--no-such-option=1"]), "table2"])
         assert exc.value.code == 2
+
+
+def resolved_config(out):
+    return json.loads((out / "resolved_config.json").read_text())
+
+
+def without_wall_time(text):
+    return [{k: v for k, v in row.items() if k != "wall_time"}
+            for row in csv.DictReader(text.splitlines())]
+
+
+class TestRecordedRuns:
+    """resolved_config.json names the experiment that ran and every training
+    config it used."""
+
+    @pytest.fixture
+    def tiny(self, monkeypatch):
+        """The tiny training config, for commands that take no training flags."""
+        monkeypatch.setattr(cli, "_training_config",
+                            lambda args, language: TrainingConfig(language, args.seed, **TINY))
+
+    @pytest.mark.parametrize("command", ["extract", "baseline"])
+    def test_records_its_seed(self, command, tmp_path):
+        assert run_cli(["--language", "1", "--seed", "3", "--out", str(tmp_path), command,
+                        "--data", "40", "--length", "6"] + TINY_ARGS) == 0
+        resolved = resolved_config(tmp_path)
+        assert resolved["training"] == [dataclasses.asdict(TrainingConfig(1, 3, **TINY))]
+        assert (resolved["experiment"]["languages"], resolved["experiment"]["seeds"]) == ([1], [3])
+
+    def test_sweep_kappa_writes_machines(self, tiny, tmp_path):
+        assert run_cli(["--seed", "3", "--out", str(tmp_path), "sweep", "kappa"]) == 0
+        resolved = resolved_config(tmp_path)
+        config = TrainingConfig(2, 3, **TINY)
+        assert resolved["training"] == [dataclasses.asdict(config)]
+        assert (resolved["experiment"]["languages"], resolved["experiment"]["seeds"]) == ([2], [3])
+        model = best_model(ensure_trained(config, tmp_path / "models")[0])
+        expected = harness.sweep_kappa(ExperimentConfig(languages=(2,), seeds=(3,)), model, 2)
+        assert (without_wall_time((tmp_path / "sweep_kappa.csv").read_text())
+                == without_wall_time(to_csv(RESULT_FIELDS, [row for row, _ in expected])))
+        written = {"models", "resolved_config.json", "sweep_kappa.csv"}
+        for row, report in expected:
+            for stage, dfa in (("merged", report.determinized), ("final", report.final)):
+                tag = f"tomita2_kappa{row.kappa}_{stage}"
+                assert load_dfa((tmp_path / f"{tag}.dfa").read_text()) == dfa
+                assert (tmp_path / f"{tag}.dot").read_text() == to_dot(dfa)
+                written |= {f"{tag}.dfa", f"{tag}.dot"}
+        assert {p.name for p in tmp_path.iterdir()} == written
+
+    def test_table2_records_its_training_config(self, tiny, tmp_path):
+        assert run_cli(["--language", "4", "--seed", "2", "--out", str(tmp_path), "table2"]) == 0
+        resolved = resolved_config(tmp_path)
+        assert resolved["training"] == [dataclasses.asdict(TrainingConfig(4, 2, **TINY))]
+        assert (resolved["experiment"]["languages"], resolved["experiment"]["seeds"]) == (
+            [4], [0, 1, 2, 3, 4])
 
 
 def test_train_all_languages_records_each_config(tmp_path):

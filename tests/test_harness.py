@@ -7,19 +7,19 @@ import logging
 import shutil
 import statistics
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from statemerge import harness
-from statemerge.automata import AlphabetError, Dfa, load_dfa, prefix_decisions
-from statemerge.harness import (ExperimentConfig, ExtractionConfig, FidelityResult, ResultRow,
-                                TrainingConfig, best_model, ensure_trained,
-                                eval_set_for, extraction_strings, fidelity,
-                                load_finished_run, metrics_to_csv, reproduce_table2,
-                                rows_to_csv, run_extraction,
-                                run_kmeans_baseline, summarize, sweep_epochs,
-                                sweep_kappa, train_recognizer)
+from statemerge.automata import AlphabetError, Dfa, prefix_decisions
+from statemerge.harness import (METRIC_FIELDS, RESULT_FIELDS, ExperimentConfig,
+                                ExtractionConfig, FidelityResult, ResultRow, TrainingConfig,
+                                best_model, ensure_trained, eval_set_for, extraction_strings,
+                                fidelity, load_finished_run, reproduce_table2, run_dir,
+                                run_extraction, run_kmeans_baseline, summarize, sweep_epochs,
+                                sweep_kappa, to_csv, train_recognizer)
 from statemerge.languages import ALPHABET, gold_dfa, labeled, sample_eval_set
 from statemerge.rnn import (EpochMetrics, eval_reference, forward, forward_many,
                             init_model, load_checkpoint, save_checkpoint)
@@ -27,6 +27,7 @@ from statemerge.rnn import (EpochMetrics, eval_reference, forward, forward_many,
 from conftest import random_dfa
 
 
+SHIPPED = Path(__file__).resolve().parent.parent / "artifacts" / "models"
 TINY = dict(n_train=40, train_len=6, n_dev=20, dev_len=8,
             embed_dim=4, hidden_dim=8, epochs=2)
 SMALL_EXPERIMENT = ExperimentConfig(extraction=ExtractionConfig(n_strings=40, string_len=6),
@@ -57,7 +58,7 @@ class TestTrainingConfig:
 class TestCsv:
     def test_rows_round_trip(self):
         rows = [ResultRow(2, "state_merging", 0, 5, 300, 0.01, 1.0, 0.99, 0.98, 7, 2, 0.5)]
-        text = rows_to_csv(rows)
+        text = to_csv(RESULT_FIELDS, rows)
         parsed = list(csv.DictReader(io.StringIO(text)))
         assert len(parsed) == 1
         assert parsed[0]["language"] == "2"
@@ -66,10 +67,15 @@ class TestCsv:
         assert parsed[0]["minimized_size"] == "2"
 
     def test_metrics_csv_header(self):
-        text = metrics_to_csv([EpochMetrics(1, 0.5, 0.9, 0.8, 3.0)])
+        text = to_csv(METRIC_FIELDS, [EpochMetrics(1, 0.5, 0.9, 0.8, 3.0)])
         lines = text.strip().splitlines()
         assert lines[0].split(",")[0] == "epoch"
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("path", sorted(SHIPPED.glob("*/metrics.csv")),
+                             ids=lambda path: path.parent.name)
+    def test_shipped_metrics_reserialize_byte_for_byte(self, path):
+        assert to_csv(METRIC_FIELDS, harness._load_metrics(path)).encode() == path.read_bytes()
 
 
 class TestSummarize:
@@ -187,8 +193,7 @@ class TestTrainingCache:
 
     def test_no_temporary_files_remain(self, tiny_run):
         cache, config, _, _ = tiny_run
-        out_dir = cache / f"tomita1_seed0_{config.cache_key()}"
-        assert sorted(p.name for p in out_dir.iterdir()) == [
+        assert sorted(p.name for p in run_dir(config, cache).iterdir()) == [
             "DONE", "config.json", "epoch001.ckpt", "epoch002.ckpt", "metrics.csv"]
 
     @pytest.mark.parametrize("change", [{"n_train": 1}, {"hidden_dim": 0}, {"seed": -1}])
@@ -355,15 +360,3 @@ class TestSweeps:
         rows = sweep_epochs(self.CONFIG, {1: checkpoints})
         assert [(r.epoch, r.seed) for r in rows] == [(1, 0), (1, 1), (2, 0), (2, 1)]
         assert all(r.language == 1 and r.data_count == 40 for r in rows)
-
-    def test_sweep_kappa_writes_machines(self, tiny_run, tmp_path):
-        _, _, checkpoints, _ = tiny_run
-        results = sweep_kappa(self.CONFIG, best_model(checkpoints), 1,
-                              kappas=(0.5, 0.01), out_dir=tmp_path)
-        assert [row.kappa for row, _ in results] == [0.5, 0.01]
-        for row, report in results:
-            tag = f"tomita1_kappa{row.kappa}"
-            assert (tmp_path / f"{tag}_merged.dot").read_text().startswith("digraph")
-            assert (tmp_path / f"{tag}_final.dot").read_text().startswith("digraph")
-            assert load_dfa((tmp_path / f"{tag}_final.dfa").read_text()) == report.final
-        assert len(list(tmp_path.iterdir())) == 6

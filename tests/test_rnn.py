@@ -223,6 +223,16 @@ class TestTraining:
         with pytest.raises(ValueError):
             train(m, [], [labeled(1, "a")], 1, AdamWHyper(), rng)
 
+    def test_mixed_lengths_rejected_before_any_step(self, rng, monkeypatch):
+        calls = []
+        step = rnn.loss_and_grads
+        monkeypatch.setattr(rnn, "loss_and_grads", lambda *a: calls.append(1) or step(*a))
+        data = [labeled(1, "a"), labeled(1, "aa")]
+        m = init_model(ALPHABET, 4, 8, rng)
+        with pytest.raises(ValueError, match="same-length"):
+            train(m, data, data, 1, AdamWHyper(), rng, batch_size=1)
+        assert calls == []
+
 
 class TestSaturation:
     def test_exact_sign_pattern_is_zero(self, rng):
