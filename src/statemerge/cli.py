@@ -179,7 +179,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = harness.sweep_data_size(config, models)
     elif args.kind == "kappa":
         (language, model), = models.items()
-        results = harness.sweep_kappa(config, model, language)
+        results = harness.sweep_kappa(config, model)
         rows = [row for row, _ in results]
         for row, report in results:
             tag = f"tomita{language}_kappa{row.kappa}"

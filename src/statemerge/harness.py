@@ -369,11 +369,15 @@ def sweep_data_size(config: ExperimentConfig, models: dict[int, RnnModel],
     return rows
 
 
-def sweep_kappa(config: ExperimentConfig, model: RnnModel, language: int = 2,
+def sweep_kappa(config: ExperimentConfig, model: RnnModel,
                 kappas: tuple[float, ...] = (0.5, 0.4, 0.01)
                 ) -> list[tuple[ResultRow, ExtractionReport]]:
-    """Extraction at each kappa, all on the string set of config's first seed."""
-    ext, seed = config.extraction, config.seeds[0]
+    """Extraction at each kappa, all on one string set: config must name one
+    language (model's) and one seed."""
+    if len(config.languages) != 1 or len(config.seeds) != 1:
+        raise ValueError(f"sweep_kappa runs one language and one seed; config names "
+                         f"languages {config.languages} and seeds {config.seeds}")
+    ext, (language,), (seed,) = config.extraction, config.languages, config.seeds
     strings = extraction_strings(language, ext.n_strings, ext.string_len, seed)
     reference = eval_reference(model, eval_set_for(language, config))
     return [run_extraction(model, language, seed, 0, strings, kappa, reference)

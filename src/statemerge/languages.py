@@ -4,6 +4,8 @@ labels, and seeded samplers for training and evaluation data."""
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +87,11 @@ def labeled(language: int, w: str) -> LabeledSample:
     return LabeledSample(w, tuple(prefix_decisions(gold_dfa(language), w)))
 
 
-def _accepting_counts(language: int, max_len: int) -> tuple[Dfa, list[list[int]], list[list[int]]]:
-    """The gold machine, its successor_table (row 0 is the initial state, the
+def _accepting_counts(language: int, max_len: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The gold machine's successor_table (row 0 is the initial state, the
     last row the sink) and counts[r][row] = number of length-r strings accepted
-    from that row, for every r <= max_len; the sink row counts 0.  Exact
-    bignum arithmetic."""
+    from that row, for every r <= max_len; the sink row counts 0, and counts[0]
+    is the rows' accepting vector.  Exact bignum arithmetic."""
     if max_len < 0:
         raise ValueError(f"length must be nonnegative, got {max_len}")
     dfa = gold_dfa(language)
@@ -98,18 +100,71 @@ def _accepting_counts(language: int, max_len: int) -> tuple[Dfa, list[list[int]]
     for _ in range(max_len):
         shorter = counts[-1]
         counts.append([sum(shorter[dst] for dst in row) for row in table])
-    return dfa, table, counts
+    return table, counts
 
 
-def _randbelow(rng: np.random.Generator, n: int) -> int:
-    """Uniform integer in [0, n) with exact bignum support."""
+_COLUMN = {token: j for j, token in enumerate(ALPHABET)}
+
+
+def _label(table: list[list[int]], accepting: list[int], x: str) -> LabeledSample:
+    """x with the verdict of every prefix, stepping through the table rows."""
+    row, y = 0, [accepting[0] == 1]
+    for token in x:
+        row = table[row][_COLUMN[token]]
+        y.append(accepting[row] == 1)
+    return LabeledSample(x, tuple(y))
+
+
+@contextmanager
+def _byte_source(rng: np.random.Generator) -> Iterator[Callable[[int], bytes]]:
+    """rng.bytes, or for a PCG64 generator a reader that returns the same
+    bytes, and leaves the generator in the same state, without rng.bytes's
+    per-call cost.  rng.bytes(nbytes) is ceil(nbytes/4) of the generator's
+    uint32s written little-endian and truncated; PCG64 makes each uint32 pair
+    from one random_raw() word, low half first, and buffers the high half in
+    its state (has_uint32, uinteger), which the reader takes over on entry
+    and hands back on exit."""
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is not np.random.PCG64:
+        yield rng.bytes
+        return
+    state = bit_generator.state
+    has_uint32, uinteger = state["has_uint32"], state["uinteger"]
+    raw = bit_generator.random_raw
+
+    def take(nbytes: int) -> bytes:
+        nonlocal has_uint32, uinteger
+        n_uint32 = (nbytes + 3) // 4
+        value = 0
+        for shift in range(0, 32 * n_uint32, 32):
+            if has_uint32:
+                value |= uinteger << shift
+                has_uint32 = 0
+            else:
+                word = raw()
+                value |= (word & 0xFFFFFFFF) << shift
+                has_uint32, uinteger = 1, word >> 32
+        return value.to_bytes(4 * n_uint32, "little")[:nbytes]
+
+    try:
+        yield take
+    finally:
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+        bit_generator.state = state
+
+
+def _randbelow(take: Callable[[int], bytes], n: int) -> int:
+    """Uniform integer in [0, n) with exact bignum support: the top
+    bit_length(n) bits of take(nbytes) read big-endian, drawn again until
+    below n.  take is rng.bytes or a _byte_source reader."""
     if n <= 0:
         raise ValueError("empty range")
     k = n.bit_length()
     nbytes = (k + 7) // 8
     shift = 8 * nbytes - k
     while True:
-        r = int.from_bytes(rng.bytes(nbytes), "big") >> shift
+        r = int.from_bytes(take(nbytes), "big") >> shift
         if r < n:
             return r
 
@@ -119,26 +174,27 @@ def _walk_positive(table: list[list[int]], counts: list[list[int]], length: int,
     """Uniform in-language string of the given length (which must have one):
     each step picks a token weighted by its successor's accepting completions."""
     row, out = 0, []
-    for r in range(length, 0, -1):
-        pick = _randbelow(rng, counts[r][row])
-        for token, dst in zip(ALPHABET, table[row]):
-            if pick < counts[r - 1][dst]:
-                out.append(token)
-                row = dst
-                break
-            pick -= counts[r - 1][dst]
+    with _byte_source(rng) as take:
+        for r in range(length, 0, -1):
+            pick = _randbelow(take, counts[r][row])
+            for token, dst in zip(ALPHABET, table[row]):
+                if pick < counts[r - 1][dst]:
+                    out.append(token)
+                    row = dst
+                    break
+                pick -= counts[r - 1][dst]
     return "".join(out)
 
 
 def positive_count(language: int, length: int) -> int:
-    _, _, counts = _accepting_counts(language, length)
+    _, counts = _accepting_counts(language, length)
     return counts[length][0]
 
 
 def sample_uniform_positive(language: int, length: int, rng: np.random.Generator) -> str:
     """Uniform draw from the set of in-language strings of exactly the given
     length, by walking the gold DFA weighted with accepting-completion counts."""
-    _, table, counts = _accepting_counts(language, length)
+    table, counts = _accepting_counts(language, length)
     if not counts[length][0]:
         raise InfeasibleLength(
             f"Tomita {language} contains no string of length {length}")
@@ -158,7 +214,7 @@ def sample_balanced(language: int, length: int, count: int,
         raise ValueError("need at least 2 samples for a balanced draw")
     n_uniform = (count + 1) // 2
     n_positive = count // 2
-    dfa, table, counts = _accepting_counts(language, length)
+    table, counts = _accepting_counts(language, length)
     feasible = counts[length][0] > 0
     if not feasible:
         logger.warning(
@@ -167,14 +223,14 @@ def sample_balanced(language: int, length: int, count: int,
     samples = [_sample_uniform_string(length, rng) for _ in range(n_uniform)]
     samples += [_walk_positive(table, counts, length, rng) if feasible
                 else _sample_uniform_string(length, rng) for _ in range(n_positive)]
-    return [LabeledSample(x, tuple(prefix_decisions(dfa, x))) for x in samples]
+    return [_label(table, counts[0], x) for x in samples]
 
 
 def sample_eval_set(language: int, count: int, max_len: int,
                     rng: np.random.Generator) -> list[LabeledSample]:
     """count strings with lengths uniform on {0..max_len}; per string a fair
     coin picks forced-positive (when feasible at that length) vs uniform."""
-    dfa, table, counts = _accepting_counts(language, max_len)
+    table, counts = _accepting_counts(language, max_len)
     samples = []
     for _ in range(count):
         length = int(rng.integers(0, max_len + 1))
@@ -183,7 +239,7 @@ def sample_eval_set(language: int, count: int, max_len: int,
             x = _walk_positive(table, counts, length, rng)
         else:
             x = _sample_uniform_string(length, rng)
-        samples.append(LabeledSample(x, tuple(prefix_decisions(dfa, x))))
+        samples.append(_label(table, counts[0], x))
     return samples
 
 

@@ -259,7 +259,7 @@ class TestRecordedRuns:
         assert resolved["training"] == [dataclasses.asdict(config)]
         assert (resolved["experiment"]["languages"], resolved["experiment"]["seeds"]) == ([2], [3])
         model = best_model(ensure_trained(config, tmp_path / "models")[0])
-        expected = harness.sweep_kappa(ExperimentConfig(languages=(2,), seeds=(3,)), model, 2)
+        expected = harness.sweep_kappa(ExperimentConfig(languages=(2,), seeds=(3,)), model)
         assert (without_wall_time((tmp_path / "sweep_kappa.csv").read_text())
                 == without_wall_time(to_csv(RESULT_FIELDS, [row for row, _ in expected])))
         written = {"models", "resolved_config.json", "sweep_kappa.csv"}

@@ -349,11 +349,19 @@ class TestSweeps:
             (0, "state_merging"), (0, "kmeans"), (1, "state_merging"), (1, "kmeans")]
         assert draws == {"extraction_strings": 2, "eval_set_for": 1}
         draws.clear()
-        sweep_kappa(self.CONFIG, model, 1, kappas=(0.5, 0.01))
+        sweep_kappa(dataclasses.replace(self.CONFIG, languages=(1,), seeds=(0,)), model,
+                    kappas=(0.5, 0.01))
         assert draws == {"extraction_strings": 1, "eval_set_for": 1}
         draws.clear()
         sweep_epochs(self.CONFIG, {1: checkpoints})
         assert draws == {"extraction_strings": 2, "eval_set_for": 1}
+
+    @pytest.mark.parametrize("languages, seeds", [((1,), (0, 1)), ((1, 2), (0,)), ((1,), ())])
+    def test_sweep_kappa_needs_one_language_and_one_seed(self, tiny_run, languages, seeds):
+        model = best_model(tiny_run[2])
+        config = dataclasses.replace(self.CONFIG, languages=languages, seeds=seeds)
+        with pytest.raises(ValueError, match="one language and one seed"):
+            sweep_kappa(config, model)
 
     def test_sweep_epochs_row_per_epoch_and_seed(self, tiny_run):
         _, _, checkpoints, _ = tiny_run

@@ -1,6 +1,7 @@
 import logging
 import re
 from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -178,6 +179,63 @@ def test_one_gold_machine_per_sampler_call(monkeypatch, rng):
     assert builds == [3]
     sample_eval_set(5, 100, 20, rng)
     assert builds == [3, 5]
+
+
+@contextmanager
+def rng_bytes_only(rng):
+    """languages._byte_source with the reader switched off: every walk on
+    every generator reads rng.bytes, the reference the reader must match."""
+    yield rng.bytes
+
+
+def assert_same_generator(a, b):
+    # bytes(12) takes three uint32s, so a buffered half left behind shows.
+    assert (a.bytes(12), a.integers(2**63)) == (b.bytes(12), b.integers(2**63))
+
+
+class TestPcg64Reader:
+    """The PCG64 reader against rng.bytes: the same values and the same
+    generator afterwards, so every later draw is the same too."""
+    BOUNDS = [2**k + d for k in (1, 7, 8, 31, 32, 33, 63, 64, 65, 100) for d in (-1, 0, 1)] \
+        + [3 * 2**64 + 5, 2**96 + 1, 2**130 - 7, 2**200 + 3]
+
+    @pytest.mark.parametrize("drawn", [0, 1, 2, 3], ids=lambda n: f"after{n}")
+    def test_randbelow_matches_rng_bytes(self, drawn):
+        # After an odd count of uint32s the generator holds a buffered half.
+        for seed in range(20):
+            reference, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+            for rng in (reference, fast):
+                rng.integers(2**32, size=drawn, dtype=np.uint32)
+            expected = [languages._randbelow(reference.bytes, n) for n in self.BOUNDS]
+            with languages._byte_source(fast) as take:
+                assert take != fast.bytes
+                got = [languages._randbelow(take, n) for n in self.BOUNDS]
+            assert got == expected
+            assert fast.bit_generator.state == reference.bit_generator.state
+            assert_same_generator(fast, reference)
+
+    def sample_both(self, monkeypatch, sample, args, make_rng):
+        fast_rng, reference_rng = make_rng(), make_rng()
+        fast = sample(*args, fast_rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(languages, "_byte_source", rng_bytes_only)
+            reference = sample(*args, reference_rng)
+        assert fast == reference
+        assert_same_generator(fast_rng, reference_rng)
+
+    @pytest.mark.parametrize("language", range(1, 8))
+    def test_full_protocol_training_draw(self, monkeypatch, language):
+        # The training set's shape: length 100, where bounds reach 2**100 and
+        # a draw takes four uint32s.
+        self.sample_both(monkeypatch, sample_balanced, (language, 100, 200),
+                         lambda: np.random.default_rng([0, language, 0]))
+
+    @pytest.mark.parametrize("sample, args", [(sample_balanced, (4, 40, 20)),
+                                              (sample_eval_set, (7, 200, 30))],
+                             ids=["balanced", "eval"])
+    def test_other_generators_read_rng_bytes(self, monkeypatch, sample, args):
+        self.sample_both(monkeypatch, sample, args,
+                         lambda: np.random.Generator(np.random.MT19937(0)))
 
 
 class TestDatasetFormat:
