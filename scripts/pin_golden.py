@@ -4,8 +4,9 @@ Usage: PYTHONPATH=src python scripts/pin_golden.py [-]
 
 Runs the pinned experiments on the committed fixture models
 (``perfbench/fixtures``, each checked against its sha256 in
-``perfbench/expected.json``) and overwrites tests/golden.txt, or prints the
-same text to stdout when given ``-``.  The header names the numpy and BLAS
+``perfbench/expected.json``), trains one tiny recognizer per language into a
+temporary model cache, and overwrites tests/golden.txt, or prints the same
+text to stdout when given ``-``.  The header names the numpy and BLAS
 builds.  Only a change that is meant to change these outputs rewrites the
 file.
 
@@ -23,14 +24,17 @@ import gzip  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import logging  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from statemerge import rnn  # noqa: E402
 from statemerge.automata import save_dfa  # noqa: E402
-from statemerge.harness import (ExperimentConfig, ExtractionConfig, eval_set_for,  # noqa: E402
-                                extraction_strings, run_extraction, run_kmeans_baseline)
+from statemerge.harness import (ExperimentConfig, ExtractionConfig,  # noqa: E402
+                                TrainingConfig, ensure_trained, eval_set_for,
+                                extraction_strings, run_dir, run_extraction,
+                                run_kmeans_baseline)
 from statemerge.languages import sample_balanced, save_dataset  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,13 +43,18 @@ LANGUAGES = tuple(range(1, 8))
 SEEDS = (0, 1, 2)
 KAPPAS = (0.01, 0.4)
 CONFIG = ExperimentConfig(n_eval=100, extraction=ExtractionConfig(n_strings=100))
+# Every Tomita language has positive and negative strings of length 12.
+TRAIN_SIZES = dict(n_train=64, train_len=12, n_dev=20, dev_len=12, embed_dim=4,
+                   hidden_dim=8, epochs=2, batch_size=16)
 HEADER = ["# Golden outputs of tests/test_golden.py, written by scripts/pin_golden.py.",
           "# eval_set LANGUAGE SHA256(save_dataset)",
           "# evaluate LANGUAGE SHA256(save_dataset of the next language's set) "
           "PREFIX_ACCURACY STRING_ACCURACY",
           "# state_merging LANGUAGE KAPPA SEED SHA256(save_dfa) TRIE,MERGED,MINIMIZED "
           "DETERMINIZED TRAIN_FIDELITY VS_RNN VS_GOLD PREFIX_VS_RNN",
-          "# kmeans LANGUAGE K SEED SHA256(save_dfa) STATES VS_RNN VS_GOLD PREFIX_VS_RNN"]
+          "# kmeans LANGUAGE K SEED SHA256(save_dfa) STATES VS_RNN VS_GOLD PREFIX_VS_RNN",
+          "# train LANGUAGE SHA256(run directory: each file's name, size and bytes, in name "
+          "order) FINAL_LOSS DEV_ACCURACY"]
 
 
 def platform() -> str:
@@ -110,9 +119,30 @@ def golden_lines() -> list[str]:
     return lines
 
 
+def run_sha(out_dir: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\n{len(data)}\n".encode() + data)
+    return digest.hexdigest()
+
+
+def train_lines() -> list[str]:
+    """One tiny ensure_trained run per language, each into an empty cache."""
+    lines = []
+    for language in LANGUAGES:
+        config = TrainingConfig(language, **TRAIN_SIZES)
+        with tempfile.TemporaryDirectory() as cache:
+            _, metrics = ensure_trained(config, Path(cache))
+            digest = run_sha(run_dir(config, Path(cache)))
+        lines.append(f"train {language} {digest} {metrics[-1].train_loss!r} "
+                     f"{metrics[-1].dev_accuracy!r}")
+    return lines
+
+
 def main(argv: list[str]) -> None:
     logging.disable(logging.WARNING)  # kappa 0.4 overmerges, and extract says so
-    text = "\n".join(HEADER + [f"# {platform()}"] + golden_lines()) + "\n"
+    text = "\n".join(HEADER + [f"# {platform()}"] + golden_lines() + train_lines()) + "\n"
     if argv == ["-"]:
         sys.stdout.write(text)
     else:

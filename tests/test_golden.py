@@ -1,9 +1,11 @@
-"""Golden outputs: fixed-seed runs on the committed fixture models must give
-the machines, sizes and fidelities pinned in tests/golden.txt.
+"""Golden outputs: fixed-seed runs must give the machines, sizes, fidelities
+and training runs pinned in tests/golden.txt.
 
-The pins cover what does not depend on training: the eval sets, state
-merging at kappa 0.01 and 0.4 and k-means at k = 20 (100 extraction strings,
-seeds 0-2), and rnn.evaluate on a fixed balanced set.  Floats are pinned by
+On the committed fixture models the pins cover the eval sets, state merging
+at kappa 0.01 and 0.4 and k-means at k = 20 (100 extraction strings, seeds
+0-2), and rnn.evaluate on a fixed balanced set.  Training is pinned by one
+tiny harness.ensure_trained run per language: the sha256 of its run
+directory, its final loss and its final dev accuracy.  Floats are pinned by
 repr, so a difference in the last bit fails.  scripts/pin_golden.py computes
 them in a child process with one BLAS thread, and rewrites the file when run
 without arguments; do that only for a change meant to change these outputs.
