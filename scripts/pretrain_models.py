@@ -1,11 +1,10 @@
-"""Train the acceptance suite's recognizers into the suite's model cache.
+"""Train the shipped recognizers into artifacts/models, the suite's model cache.
 
 Usage: PYTHONPATH=src python scripts/pretrain_models.py [LANGUAGE ...]
 
-Trains the given Tomita languages (all seven by default) with the suite's own
-``training_config`` into the directory the suite reads (``artifacts/models``
-at the repo root).  A language whose run is already finished there is only
-re-checked, not retrained.
+Trains the given Tomita languages (all seven by default) with the shipped
+protocol, ``harness.full_scale_config``.  A language whose run is already
+finished there is only re-checked, not retrained.
 
 BLAS runs on one thread: the thread count changes how OpenBLAS sums, and
 Tomita 7's training amplifies those last-bit differences into different
@@ -19,16 +18,17 @@ from pathlib import Path
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[var] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from statemerge.harness import ensure_trained  # noqa: E402
-from test_acceptance import CACHE, LANGUAGES, training_config  # noqa: E402
+from statemerge.harness import ensure_trained, full_scale_config  # noqa: E402
+from statemerge.languages import LANGUAGE_IDS  # noqa: E402
+
+CACHE = Path(__file__).resolve().parent.parent / "artifacts" / "models"
 
 
 def main(languages: list[int]) -> None:
     logging.basicConfig(level=logging.INFO)
-    for language in languages or LANGUAGES:
-        config = training_config(language)
+    for language in languages or LANGUAGE_IDS:
+        config = full_scale_config(language)
         start = time.perf_counter()
         ensure_trained(config, CACHE)
         print(f"done tomita {language}: {config.epochs} epochs in "

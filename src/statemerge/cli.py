@@ -90,7 +90,7 @@ def _trained_models(args: argparse.Namespace, languages: tuple[int, ...]):
 def _write_run(out: Path, training: list[TrainingConfig],
                experiment: ExperimentConfig | None = None,
                table: tuple[str, list[ResultRow]] | None = None,
-               machines: dict[str, Dfa] | None = None, **extra) -> None:
+               machines: dict[str, Dfa] | None = None) -> None:
     """Every command's outputs: the result table (file name, rows), each machine
     as TAG.dfa and TAG.dot, and resolved_config.json naming what ran."""
     out.mkdir(parents=True, exist_ok=True)
@@ -100,7 +100,7 @@ def _write_run(out: Path, training: list[TrainingConfig],
     for tag, dfa in (machines or {}).items():
         (out / f"{tag}.dfa").write_text(save_dfa(dfa))
         (out / f"{tag}.dot").write_text(to_dot(dfa))
-    resolved = {"training": [dataclasses.asdict(cfg) for cfg in training], **extra}
+    resolved = {"training": [dataclasses.asdict(cfg) for cfg in training]}
     if experiment is not None:
         resolved["experiment"] = dataclasses.asdict(experiment)
     (out / "resolved_config.json").write_text(
@@ -136,11 +136,11 @@ def cmd_machine(args: argparse.Namespace) -> int:
         return 0
     ext = config.extraction
     strings = harness.extraction_strings(language, ext.n_strings, ext.string_len, seed)
-    tag, extra = f"tomita{language}_seed{seed}", {}
+    tag = f"tomita{language}_seed{seed}"
     if args.command == "extract":
         row, report = harness.run_extraction(model, language, seed, 0, strings,
                                              ext.kappa, reference)
-        dfa, extra = report.final, {"cosine_threshold": 1.0 - ext.kappa}
+        dfa = report.final
         print(f"tomita {language}: sizes {report.sizes}, "
               f"fidelity vs RNN {row.acc_vs_rnn:.4f}, vs gold {row.acc_vs_gold:.4f}")
     else:
@@ -149,8 +149,7 @@ def cmd_machine(args: argparse.Namespace) -> int:
         tag += "_kmeans"
         print(f"tomita {language} kmeans: {len(dfa.states)} states, "
               f"fidelity vs RNN {row.acc_vs_rnn:.4f}")
-    _write_run(Path(args.out), [train_cfg], config, ("results.csv", [row]), {tag: dfa},
-               **extra)
+    _write_run(Path(args.out), [train_cfg], config, ("results.csv", [row]), {tag: dfa})
     return 0
 
 
@@ -227,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a recognizer", parents=[training])
     p_train.add_argument("--full", action="store_true",
-                         help="start from the full-scale training protocol")
+                         help="start from the shipped full-scale training protocol")
     p_train.set_defaults(func=cmd_train)
 
     p_extract = sub.add_parser("extract", help="state-merging extraction",

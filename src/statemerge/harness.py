@@ -56,9 +56,11 @@ class TrainingConfig:
 
 
 def full_scale_config(language: int, seed: int = 0) -> TrainingConfig:
-    """The original protocol: 100k length-100 strings, 22 epochs."""
-    return TrainingConfig(language, seed, n_train=100_000, train_len=100,
-                          n_dev=1_000, dev_len=200, epochs=22)
+    """The shipped protocol: 100k length-100 strings and 22 epochs, 24 for
+    Tomita 7.  Convergence comes within a few epochs; the rest saturate the
+    hidden states that merging and clustering rely on."""
+    return TrainingConfig(language, seed, n_train=100_000, train_len=100, n_dev=1_000,
+                          dev_len=200, epochs=24 if language == 7 else 22)
 
 
 def light_config(language: int, seed: int = 0) -> TrainingConfig:
@@ -142,12 +144,11 @@ def train_recognizer(config: TrainingConfig,
     train_set = sample_balanced(config.language, config.train_len, config.n_train, rng_data)
     dev_set = sample_balanced(config.language, config.dev_len, config.n_dev, rng_data)
     model = rnn.init_model(ALPHABET, config.embed_dim, config.hidden_dim, rng_init)
-    meta = {"language": config.language, "seed": config.seed}
     checkpoints, metrics = rnn.train(model, train_set, dev_set, config.epochs,
-                                     config.hyper(), rng_train,
-                                     batch_size=config.batch_size, metadata=meta)
+                                     config.hyper(), rng_train, config.batch_size)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ckpt in checkpoints:
+        ckpt.metadata.update(language=config.language, seed=config.seed)
         _write_atomic(out_dir / _checkpoint_name(ckpt.metadata["epoch"]),
                       rnn.save_checkpoint(ckpt, ALPHABET))
     _write_atomic(out_dir / "metrics.csv", to_csv(METRIC_FIELDS, metrics))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,43 +165,31 @@ def loss_and_grads(params: dict[str, np.ndarray], ids: np.ndarray,
 
 @dataclass(frozen=True)
 class AdamWHyper:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-2
-
-
-@dataclass
-class AdamWState:
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def zeros_like(cls, params: dict[str, np.ndarray]) -> "AdamWState":
-        return cls(0, {k: np.zeros_like(p) for k, p in params.items()},
-                   {k: np.zeros_like(p) for k, p in params.items()})
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    weight_decay: float
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               state: AdamWState, hyper: AdamWHyper) -> tuple[dict[str, np.ndarray], AdamWState]:
-    """One decoupled-weight-decay Adam update; pure, returns fresh arrays."""
+               m: dict[str, np.ndarray], v: dict[str, np.ndarray], step: int,
+               hyper: AdamWHyper) -> None:
+    """Update number step (from 1) of decoupled-weight-decay Adam, in place on
+    params and the moments m and v; writes nothing if a gradient is not finite."""
     for k, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient in {k}")
-    t = state.step + 1
-    new_params, new_m, new_v = {}, {}, {}
     for k, p in params.items():
         g = grads[k]
-        m = hyper.beta1 * state.m[k] + (1 - hyper.beta1) * g
-        v = hyper.beta2 * state.v[k] + (1 - hyper.beta2) * g * g
-        m_hat = m / (1 - hyper.beta1 ** t)
-        v_hat = v / (1 - hyper.beta2 ** t)
-        p_new = p * (1 - hyper.lr * hyper.weight_decay)
-        p_new = p_new - hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
-        new_params[k], new_m[k], new_v[k] = p_new, m, v
-    return new_params, AdamWState(t, new_m, new_v)
+        m[k] *= hyper.beta1
+        m[k] += (1 - hyper.beta1) * g
+        v[k] *= hyper.beta2
+        v[k] += (1 - hyper.beta2) * g * g
+        m_hat = m[k] / (1 - hyper.beta1 ** step)
+        v_hat = v[k] / (1 - hyper.beta2 ** step)
+        p *= 1 - hyper.lr * hyper.weight_decay
+        p -= hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
 
 
 @dataclass
@@ -268,8 +256,7 @@ def evaluate(model: RnnModel, samples: list[LabeledSample]) -> tuple[float, floa
 
 def train(model: RnnModel, train_set: list[LabeledSample], dev_set: list[LabeledSample],
           epochs: int, hyper: AdamWHyper, rng: np.random.Generator,
-          batch_size: int = 64,
-          metadata: dict[str, object] | None = None) -> tuple[list[Checkpoint], list[EpochMetrics]]:
+          batch_size: int) -> tuple[list[Checkpoint], list[EpochMetrics]]:
     """Minibatched BPTT training; one checkpoint and metrics row per epoch."""
     if not train_set or not dev_set:
         raise ValueError("train and dev sets must be nonempty")
@@ -280,8 +267,10 @@ def train(model: RnnModel, train_set: list[LabeledSample], dev_set: list[Labeled
     all_ids = np.array([[model.bos] + model.token_ids(s.x) for s in train_set],
                        dtype=np.min_scalar_type(model.bos))
     all_labels = np.array([s.y for s in train_set], dtype=bool)
-    params = {k: v.copy() for k, v in model.params.items()}
-    state = AdamWState.zeros_like(params)
+    params = {k: p.copy() for k, p in model.params.items()}
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    step = 0
     checkpoints: list[Checkpoint] = []
     metrics: list[EpochMetrics] = []
     for epoch in range(1, epochs + 1):
@@ -293,8 +282,9 @@ def train(model: RnnModel, train_set: list[LabeledSample], dev_set: list[Labeled
             loss, grads = loss_and_grads(params, all_ids[rows], all_labels[rows])
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch} batch {n_batches}")
+            step += 1
             try:
-                params, state = adamw_step(params, grads, state, hyper)
+                adamw_step(params, grads, m, v, step, hyper)
             except TrainingError as exc:
                 raise TrainingError(f"epoch {epoch} batch {n_batches}: {exc}") from exc
             total_loss += loss
@@ -302,9 +292,8 @@ def train(model: RnnModel, train_set: list[LabeledSample], dev_set: list[Labeled
         snapshot = RnnModel(model.alphabet, params)
         dev_acc, dev_string_acc = evaluate(snapshot, dev_set)
         norm = param_norm(params)
-        meta = dict(metadata or {})
-        meta.update(epoch=epoch, dev_accuracy=dev_acc, param_norm=norm)
-        checkpoints.append(Checkpoint({k: v.copy() for k, v in params.items()}, meta))
+        meta = {"epoch": epoch, "dev_accuracy": dev_acc, "param_norm": norm}
+        checkpoints.append(Checkpoint({k: p.copy() for k, p in params.items()}, meta))
         metrics.append(EpochMetrics(epoch, total_loss / n_batches, dev_acc,
                                     dev_string_acc, norm))
         logger.info("epoch %d: loss %.5f, dev acc %.5f, norm %.3f",

@@ -3,7 +3,8 @@
 Each test covers one acceptance criterion end to end and prints a single
 PASS/FAIL verdict line (run with -s to see them on success).  The property
 and training-sanity criteria run first; the experiment criteria depend on the
-trained recognizers shipped under artifacts/models.  The suite never trains:
+recognizers shipped under artifacts/models, trained with the protocol of
+harness.full_scale_config.  The suite never trains:
 a shipped run that the training cache does not accept fails the suite, naming
 the run, and scripts/pretrain_models.py regenerates it.
 
@@ -23,7 +24,6 @@ Pinned tolerances:
   criterion 7: per-prefix dev accuracy exactly 1.0 for every language.
 """
 
-import dataclasses
 import math
 import statistics
 from pathlib import Path
@@ -52,16 +52,6 @@ CONFIG = ExperimentConfig()
 KAPPA = CONFIG.extraction.kappa
 
 
-def training_config(language):
-    # The full protocol; convergence happens within the first couple of
-    # epochs, so the budget leaves roughly 20 post-convergence epochs whose
-    # continued training saturates the hidden states that merging and
-    # clustering rely on.  Language 7 gets two extra epochs.
-    if language == 7:
-        return dataclasses.replace(full_scale_config(7), epochs=24)
-    return full_scale_config(language)
-
-
 def verdict(number, name, ok, detail):
     line = f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'} -- {detail}"
     print(line)
@@ -71,7 +61,7 @@ def verdict(number, name, ok, detail):
 def shipped_run(language):
     """The shipped run for language, by the training cache's check alone, so
     that a rejected run fails at once and is left as it was."""
-    config = training_config(language)
+    config = full_scale_config(language)
     out_dir = run_dir(config, CACHE)
     run = load_finished_run(config, out_dir)
     if run is None:

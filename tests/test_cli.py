@@ -115,6 +115,13 @@ class TestParser:
         cfg = _training_config(args, 2)
         assert (cfg.epochs, cfg.n_train, cfg.train_len, cfg.dev_len) == (3, 50, 100, 200)
 
+    def test_full_is_the_shipped_protocol(self):
+        parse = build_parser().parse_args
+        cfg = _training_config(parse(["--language", "7", "train", "--full"]), 7)
+        assert cfg == harness.full_scale_config(7) and cfg.epochs == 24
+        args = parse(["--language", "7", "train", "--full", "--epochs", "3"])
+        assert _training_config(args, 7) == dataclasses.replace(cfg, epochs=3)
+
     def test_explicit_values_kept(self):
         args = build_parser().parse_args(["--language", "1", "extract", "--kappa", "0.5",
                                           "--data", "2", "--length", "0", "--epochs", "1"])
@@ -162,7 +169,8 @@ class TestTrainExtractEval:
         assert (out_dir / "tomita1_seed0.dot").exists()
         assert (out_dir / "results.csv").exists()
         resolved = json.loads((out_dir / "resolved_config.json").read_text())
-        assert resolved["cosine_threshold"] == 0.99
+        assert set(resolved) == {"training", "experiment"}
+        assert resolved["experiment"]["extraction"]["kappa"] == 0.01
         load_dfa((out_dir / "tomita1_seed0.dfa").read_text())
 
     def test_baseline_writes_outputs(self, out_dir):

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import json
 import logging
 import shutil
 import statistics
@@ -17,9 +18,10 @@ from statemerge.automata import AlphabetError, Dfa, prefix_decisions
 from statemerge.harness import (METRIC_FIELDS, RESULT_FIELDS, ExperimentConfig,
                                 ExtractionConfig, FidelityResult, ResultRow, TrainingConfig,
                                 best_model, ensure_trained, eval_set_for, extraction_strings,
-                                fidelity, load_finished_run, reproduce_table2, run_dir,
-                                run_extraction, run_kmeans_baseline, summarize, sweep_epochs,
-                                sweep_kappa, to_csv, train_recognizer)
+                                fidelity, full_scale_config, load_finished_run,
+                                reproduce_table2, run_dir, run_extraction,
+                                run_kmeans_baseline, summarize, sweep_epochs, sweep_kappa,
+                                to_csv, train_recognizer)
 from statemerge.languages import ALPHABET, gold_dfa, labeled, sample_eval_set
 from statemerge.rnn import (EpochMetrics, eval_reference, forward, forward_many,
                             init_model, load_checkpoint, save_checkpoint)
@@ -53,6 +55,12 @@ class TestTrainingConfig:
         for field in ("seed", "n_train", "epochs", "hidden_dim"):
             changed = dataclasses.replace(base, **{field: getattr(base, field) + 1})
             assert changed.cache_key() != base.cache_key()
+
+    @pytest.mark.parametrize("language", range(1, 8))
+    def test_full_scale_config_names_the_shipped_run(self, language):
+        config = full_scale_config(language)
+        stored = json.loads((run_dir(config, SHIPPED) / "config.json").read_text())
+        assert stored == dataclasses.asdict(config)
 
 
 class TestCsv:

@@ -1,15 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from statemerge import rnn
+from statemerge.harness import TrainingConfig
 from statemerge.languages import ALPHABET, labeled, sample_balanced, sample_eval_set
-from statemerge.rnn import (AdamWHyper, AdamWState, Checkpoint, RnnModel, TrainingError,
+from statemerge.rnn import (AdamWHyper, Checkpoint, RnnModel, TrainingError,
                             adamw_step, eval_reference, evaluate, forward,
                             forward_many, init_model, kappa_bound, load_checkpoint,
                             loss_and_grads, model_from_checkpoint, saturation_level,
                             save_checkpoint, train)
+
+# The default training config's optimizer and batch size.
+HYPER = TrainingConfig(1).hyper()
+BATCH = TrainingConfig(1).batch_size
 
 
 class TestInit:
@@ -126,43 +132,83 @@ class TestEvalReference:
             assert all(type(value) is float for value in result)
 
 
+def pure_adamw_step(params, grads, state_step, state_m, state_v, hyper):
+    """The earlier update that returned fresh arrays, verbatim, as the oracle of
+    the in-place one; the state's fields are passed one by one."""
+    t = state_step + 1
+    new_params, new_m, new_v = {}, {}, {}
+    for k, p in params.items():
+        g = grads[k]
+        m = hyper.beta1 * state_m[k] + (1 - hyper.beta1) * g
+        v = hyper.beta2 * state_v[k] + (1 - hyper.beta2) * g * g
+        m_hat = m / (1 - hyper.beta1 ** t)
+        v_hat = v / (1 - hyper.beta2 ** t)
+        p_new = p * (1 - hyper.lr * hyper.weight_decay)
+        p_new = p_new - hyper.lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
+        new_params[k], new_m[k], new_v[k] = p_new, m, v
+    return new_params, new_m, new_v
+
+
+def bits(arrays):
+    return {k: (a.dtype, a.shape, a.tobytes()) for k, a in arrays.items()}
+
+
 class TestAdamW:
     def _params(self, rng):
         return {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}
 
+    @staticmethod
+    def _zeros(params):
+        return ({k: np.zeros_like(p) for k, p in params.items()},
+                {k: np.zeros_like(p) for k, p in params.items()})
+
     def test_zero_gradient_pure_decay(self, rng):
         params = self._params(rng)
+        before = {k: p.copy() for k, p in params.items()}
         grads = {k: np.zeros_like(v) for k, v in params.items()}
-        hyper = AdamWHyper(lr=0.1, weight_decay=0.5)
-        new, _ = adamw_step(params, grads, AdamWState.zeros_like(params), hyper)
+        hyper = dataclasses.replace(HYPER, lr=0.1, weight_decay=0.5)
+        adamw_step(params, grads, *self._zeros(params), 1, hyper)
         for k in params:
-            assert np.allclose(new[k], params[k] * (1 - 0.1 * 0.5))
+            assert np.allclose(params[k], before[k] * (1 - 0.1 * 0.5))
 
     def test_first_step_is_signed_lr(self, rng):
         params = self._params(rng)
+        before = {k: p.copy() for k, p in params.items()}
         grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
-        hyper = AdamWHyper(lr=1e-3, weight_decay=0.0)
-        new, _ = adamw_step(params, grads, AdamWState.zeros_like(params), hyper)
+        hyper = dataclasses.replace(HYPER, lr=1e-3, weight_decay=0.0)
+        adamw_step(params, grads, *self._zeros(params), 1, hyper)
         for k in params:
-            update = new[k] - params[k]
+            update = params[k] - before[k]
             assert np.all(np.abs(update) <= hyper.lr + 1e-9)
             mask = np.abs(grads[k]) > 1e-6
             assert np.allclose(update[mask], -hyper.lr * np.sign(grads[k][mask]), atol=1e-6)
 
-    def test_pure_function(self, rng):
+    @pytest.mark.parametrize("hyper", [HYPER, AdamWHyper(0.05, 0.8, 0.99, 1e-6, 0.3)],
+                             ids=["default", "large"])
+    def test_in_place_matches_pure_update_bit_for_bit(self, rng, hyper):
         params = self._params(rng)
-        grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
-        state = AdamWState.zeros_like(params)
-        out1 = adamw_step(params, grads, state, AdamWHyper())
-        out2 = adamw_step(params, grads, state, AdamWHyper())
-        for k in params:
-            assert np.array_equal(out1[0][k], out2[0][k])
+        m, v = self._zeros(params)
+        expected = ({k: p.copy() for k, p in params.items()}, *self._zeros(params))
+        for step in range(1, 8):
+            grads = {k: rng.normal(scale=10.0 ** -step, size=p.shape)
+                     for k, p in params.items()}
+            adamw_step(params, grads, m, v, step, hyper)
+            expected = pure_adamw_step(expected[0], grads, step - 1, expected[1],
+                                       expected[2], hyper)
+            assert [bits(params), bits(m), bits(v)] == [bits(e) for e in expected]
 
     def test_non_finite_gradient_raises(self, rng):
         params = self._params(rng)
-        grads = {k: np.full_like(v, np.nan) for k, v in params.items()}
-        with pytest.raises(TrainingError):
-            adamw_step(params, grads, AdamWState.zeros_like(params), AdamWHyper())
+        m, v = self._zeros(params)
+        adamw_step(params, {k: rng.normal(size=p.shape) for k, p in params.items()},
+                   m, v, 1, HYPER)
+        before = [bits(params), bits(m), bits(v)]
+        # Only the last array's gradient is bad: the finite ones are not applied either.
+        grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+        grads["b"][1] = np.nan
+        with pytest.raises(TrainingError, match="non-finite gradient in b"):
+            adamw_step(params, grads, m, v, 2, HYPER)
+        assert [bits(params), bits(m), bits(v)] == before
 
 
 class TestGradients:
@@ -190,7 +236,7 @@ class TestTraining:
     def test_memorization_loss_decreases(self):
         data = sample_balanced(4, 10, 50, np.random.default_rng(0))
         m = init_model(ALPHABET, 4, 16, np.random.default_rng(1))
-        _, metrics = train(m, data, data, 3, AdamWHyper(), np.random.default_rng(2))
+        _, metrics = train(m, data, data, 3, HYPER, np.random.default_rng(2), BATCH)
         losses = [e.train_loss for e in metrics]
         assert losses[0] > losses[1] > losses[2]
 
@@ -200,8 +246,8 @@ class TestTraining:
         train_set = sample_balanced(1, 16, 2000, np.random.default_rng(3))
         dev_set = sample_balanced(1, 32, 100, np.random.default_rng(4))
         m = init_model(ALPHABET, 8, 32, np.random.default_rng(5))
-        ckpts, metrics = train(m, train_set, dev_set, 6, AdamWHyper(),
-                               np.random.default_rng(6))
+        ckpts, metrics = train(m, train_set, dev_set, 6, HYPER,
+                               np.random.default_rng(6), BATCH)
         assert max(e.dev_accuracy for e in metrics) >= 0.999
 
     def test_bitwise_deterministic(self):
@@ -209,7 +255,7 @@ class TestTraining:
         runs = []
         for _ in range(2):
             m = init_model(ALPHABET, 4, 8, np.random.default_rng(1))
-            ckpts, _ = train(m, data, data, 2, AdamWHyper(), np.random.default_rng(2))
+            ckpts, _ = train(m, data, data, 2, HYPER, np.random.default_rng(2), BATCH)
             runs.append(ckpts[-1].params)
         assert all(np.array_equal(runs[0][k], runs[1][k]) for k in runs[0])
 
@@ -221,7 +267,7 @@ class TestTraining:
     def test_empty_sets_rejected(self, rng):
         m = init_model(ALPHABET, 4, 8, rng)
         with pytest.raises(ValueError):
-            train(m, [], [labeled(1, "a")], 1, AdamWHyper(), rng)
+            train(m, [], [labeled(1, "a")], 1, HYPER, rng, BATCH)
 
     def test_mixed_lengths_rejected_before_any_step(self, rng, monkeypatch):
         calls = []
@@ -230,7 +276,7 @@ class TestTraining:
         data = [labeled(1, "a"), labeled(1, "aa")]
         m = init_model(ALPHABET, 4, 8, rng)
         with pytest.raises(ValueError, match="same-length"):
-            train(m, data, data, 1, AdamWHyper(), rng, batch_size=1)
+            train(m, data, data, 1, HYPER, rng, 1)
         assert calls == []
 
 
