@@ -26,9 +26,6 @@ class Dfa:
     accepting: set[int]
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.initial not in self.states:
             raise ValueError(f"initial state {self.initial} not in state set")
         if not self.accepting <= self.states:
@@ -60,7 +57,7 @@ class Nfa:
     transitions: dict[tuple[int, str], set[int]]
     accepting: set[int]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.initial not in self.states:
             raise ValueError(f"initial state {self.initial} not in state set")
         if not self.accepting <= self.states:
@@ -109,7 +106,6 @@ def successor_table(dfa: Dfa, alphabet: tuple[str, ...]) -> tuple[list[int], lis
 def determinize(nfa: Nfa) -> Dfa:
     """Subset construction; unreachable subsets are never built and the empty
     subset stays implicit as the undefined state."""
-    nfa.validate()
     start = frozenset({nfa.initial})
     ids: dict[frozenset[int], int] = {start: 0}
     queue: deque[frozenset[int]] = deque([start])
@@ -142,7 +138,6 @@ def minimize(dfa: Dfa) -> Dfa:
     the block count stops growing.  Unreachable states may share a block with
     reachable ones, but the renumbering walk from the initial block never
     visits a block that only they occupy."""
-    dfa.validate()
     states, succ = successor_table(dfa, dfa.alphabet)
     sink = len(states)
     block = [int(state in dfa.accepting) for state in states] + [0]

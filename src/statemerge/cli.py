@@ -100,7 +100,7 @@ def _write_run(out: Path, training: list[TrainingConfig],
     for tag, dfa in (machines or {}).items():
         (out / f"{tag}.dfa").write_text(save_dfa(dfa))
         (out / f"{tag}.dot").write_text(to_dot(dfa))
-    resolved = {"training": [dataclasses.asdict(cfg) for cfg in training]}
+    resolved = {"training": [cfg.record() for cfg in training]}
     if experiment is not None:
         resolved["experiment"] = dataclasses.asdict(experiment)
     (out / "resolved_config.json").write_text(

@@ -24,7 +24,7 @@ from .automata import Dfa, successor_table
 from .extraction import ExtractionReport, extract
 from .kmeans import kmeans_extract
 from .languages import ALPHABET, LabeledSample, sample_balanced, sample_eval_set
-from .rnn import AdamWHyper, Checkpoint, EvalReference, RnnModel, best_checkpoint, eval_reference
+from .rnn import Checkpoint, EvalReference, RnnModel, best_checkpoint, eval_reference
 
 logger = logging.getLogger(__name__)
 
@@ -41,17 +41,14 @@ class TrainingConfig:
     hidden_dim: int = 100
     epochs: int = 20
     batch_size: int = 64
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 1e-2
 
-    def hyper(self) -> AdamWHyper:
-        return AdamWHyper(self.lr, self.beta1, self.beta2, self.eps, self.weight_decay)
+    def record(self) -> dict:
+        """A run's identity: these fields and the optimizer's.  config.json
+        and resolved_config.json store it, and cache_key hashes it."""
+        return dataclasses.asdict(self) | dataclasses.asdict(rnn.ADAMW)
 
     def cache_key(self) -> str:
-        blob = json.dumps(dataclasses.asdict(self), sort_keys=True).encode()
+        blob = json.dumps(self.record(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:10]
 
 
@@ -82,8 +79,12 @@ class ExperimentConfig:
     extraction: ExtractionConfig = ExtractionConfig()
     kmeans_k: int = 20
     n_eval: int = 1_000
-    eval_max_len: int = 50
     threads: int = 1
+
+
+# The longest eval string, and the merge tolerances sweep_kappa runs.
+EVAL_MAX_LEN = 50
+KAPPAS = (0.5, 0.4, 0.01)
 
 
 @dataclass
@@ -124,14 +125,16 @@ def _rng(*key: int) -> np.random.Generator:
     return np.random.default_rng(list(key))
 
 
-def train_recognizer(config: TrainingConfig,
-                     out_dir: Path) -> tuple[list[Checkpoint], list[rnn.EpochMetrics]]:
-    """Train a recognizer for one language, writing per-epoch checkpoints, a
-    metrics table, and the resolved config to out_dir.  Re-loads from disk if
-    the directory already holds a finished run (see load_finished_run); any
-    other directory is retrained from scratch.  Each file is written under a
-    temporary name and renamed into place, DONE last; out_dir is created
-    only then, so a run that raises leaves no directory behind."""
+def ensure_trained(config: TrainingConfig,
+                   cache_dir: Path) -> tuple[list[Checkpoint], list[rnn.EpochMetrics]]:
+    """Train a recognizer for one language into its run directory in the model
+    cache cache_dir (see run_dir), writing per-epoch checkpoints, a metrics
+    table, and config.record() as config.json.  Re-loads from disk if the
+    directory already holds a finished run (see load_finished_run); any other
+    directory is retrained from scratch.  Each file is written under a
+    temporary name and renamed into place, DONE last; the directory is
+    created only then, so a run that raises leaves no directory behind."""
+    out_dir = run_dir(config, cache_dir)
     cached = load_finished_run(config, out_dir)
     if cached is not None:
         return cached
@@ -145,7 +148,7 @@ def train_recognizer(config: TrainingConfig,
     dev_set = sample_balanced(config.language, config.dev_len, config.n_dev, rng_data)
     model = rnn.init_model(ALPHABET, config.embed_dim, config.hidden_dim, rng_init)
     checkpoints, metrics = rnn.train(model, train_set, dev_set, config.epochs,
-                                     config.hyper(), rng_train, config.batch_size)
+                                     rng_train, config.batch_size)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ckpt in checkpoints:
         ckpt.metadata.update(language=config.language, seed=config.seed)
@@ -153,7 +156,7 @@ def train_recognizer(config: TrainingConfig,
                       rnn.save_checkpoint(ckpt, ALPHABET))
     _write_atomic(out_dir / "metrics.csv", to_csv(METRIC_FIELDS, metrics))
     _write_atomic(out_dir / "config.json",
-                  json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True))
+                  json.dumps(config.record(), indent=2, sort_keys=True))
     _write_atomic(out_dir / "DONE", "ok\n")
     return checkpoints, metrics
 
@@ -162,7 +165,7 @@ def load_finished_run(config: TrainingConfig, out_dir: Path
                       ) -> tuple[list[Checkpoint], list[rnn.EpochMetrics]] | None:
     """The run in out_dir if it is a finished run of config, else None.
 
-    A run is finished when DONE is present, config.json holds config,
+    A run is finished when DONE is present, config.json holds config.record(),
     metrics.csv has one row per epoch, and every epochNNN.ckpt for
     1..epochs parses with metadata (language, seed, epoch) and parameter
     shapes that match config.  The first file that fails is logged."""
@@ -176,7 +179,7 @@ def load_finished_run(config: TrainingConfig, out_dir: Path
         stored = json.loads((out_dir / "config.json").read_text())
     except (OSError, ValueError) as exc:
         return reject("config.json", str(exc))
-    if stored != dataclasses.asdict(config):
+    if stored != config.record():
         return reject("config.json", "does not match the config")
     try:
         metrics = _load_metrics(out_dir / "metrics.csv")
@@ -231,10 +234,6 @@ def run_dir(config: TrainingConfig, cache_dir: Path) -> Path:
     return cache_dir / f"tomita{config.language}_seed{config.seed}_{config.cache_key()}"
 
 
-def ensure_trained(config: TrainingConfig, cache_dir: Path) -> tuple[list[Checkpoint], list[rnn.EpochMetrics]]:
-    return train_recognizer(config, run_dir(config, cache_dir))
-
-
 def best_model(checkpoints: list[Checkpoint]) -> RnnModel:
     return rnn.model_from_checkpoint(best_checkpoint(checkpoints), ALPHABET)
 
@@ -279,8 +278,7 @@ def extraction_strings(language: int, count: int, length: int, seed: int) -> lis
 
 
 def eval_set_for(language: int, config: ExperimentConfig) -> list[LabeledSample]:
-    return sample_eval_set(language, config.n_eval, config.eval_max_len,
-                           _rng(language, 999))
+    return sample_eval_set(language, config.n_eval, EVAL_MAX_LEN, _rng(language, 999))
 
 
 def run_extraction(model: RnnModel, language: int, seed: int, epoch: int,
@@ -370,11 +368,10 @@ def sweep_data_size(config: ExperimentConfig, models: dict[int, RnnModel],
     return rows
 
 
-def sweep_kappa(config: ExperimentConfig, model: RnnModel,
-                kappas: tuple[float, ...] = (0.5, 0.4, 0.01)
-                ) -> list[tuple[ResultRow, ExtractionReport]]:
-    """Extraction at each kappa, all on one string set: config must name one
-    language (model's) and one seed."""
+def sweep_kappa(config: ExperimentConfig,
+                model: RnnModel) -> list[tuple[ResultRow, ExtractionReport]]:
+    """Extraction at each of KAPPAS, all on one string set: config must name
+    one language (model's) and one seed."""
     if len(config.languages) != 1 or len(config.seeds) != 1:
         raise ValueError(f"sweep_kappa runs one language and one seed; config names "
                          f"languages {config.languages} and seeds {config.seeds}")
@@ -382,7 +379,7 @@ def sweep_kappa(config: ExperimentConfig, model: RnnModel,
     strings = extraction_strings(language, ext.n_strings, ext.string_len, seed)
     reference = eval_reference(model, eval_set_for(language, config))
     return [run_extraction(model, language, seed, 0, strings, kappa, reference)
-            for kappa in kappas]
+            for kappa in KAPPAS]
 
 
 def sweep_epochs(config: ExperimentConfig,

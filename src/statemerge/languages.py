@@ -243,12 +243,10 @@ def sample_eval_set(language: int, count: int, max_len: int,
     return samples
 
 
-def save_dataset(samples: list[LabeledSample], language: int, seed: int,
-                 note: str = "") -> str:
+def save_dataset(samples: list[LabeledSample], language: int, seed: int) -> str:
     """One record per line: string, tab, bitstring of prefix labels."""
     lines = [f"# dataset-format {DATASET_FORMAT_VERSION}",
-             f"# language {language} seed {seed} count {len(samples)}"
-             + (f" {note}" if note else "")]
+             f"# language {language} seed {seed} count {len(samples)}"]
     for s in samples:
         lines.append(s.x + "\t" + "".join("1" if b else "0" for b in s.y))
     return "\n".join(lines) + "\n"

@@ -172,6 +172,10 @@ class AdamWHyper:
     weight_decay: float
 
 
+# The optimizer every training run uses; TrainingConfig.record() adds it to a run's identity.
+ADAMW = AdamWHyper(lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=1e-2)
+
+
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                m: dict[str, np.ndarray], v: dict[str, np.ndarray], step: int,
                hyper: AdamWHyper) -> None:
@@ -255,9 +259,9 @@ def evaluate(model: RnnModel, samples: list[LabeledSample]) -> tuple[float, floa
 
 
 def train(model: RnnModel, train_set: list[LabeledSample], dev_set: list[LabeledSample],
-          epochs: int, hyper: AdamWHyper, rng: np.random.Generator,
+          epochs: int, rng: np.random.Generator,
           batch_size: int) -> tuple[list[Checkpoint], list[EpochMetrics]]:
-    """Minibatched BPTT training; one checkpoint and metrics row per epoch."""
+    """Minibatched BPTT training with ADAMW; one checkpoint and metrics row per epoch."""
     if not train_set or not dev_set:
         raise ValueError("train and dev sets must be nonempty")
     if len({len(s.x) for s in train_set}) != 1:
@@ -284,7 +288,7 @@ def train(model: RnnModel, train_set: list[LabeledSample], dev_set: list[Labeled
                 raise TrainingError(f"non-finite loss at epoch {epoch} batch {n_batches}")
             step += 1
             try:
-                adamw_step(params, grads, m, v, step, hyper)
+                adamw_step(params, grads, m, v, step, ADAMW)
             except TrainingError as exc:
                 raise TrainingError(f"epoch {epoch} batch {n_batches}: {exc}") from exc
             total_loss += loss

@@ -72,10 +72,16 @@ def shipped_run(language):
 
 
 @pytest.fixture(scope="session")
-def trained():
+def shipped_runs():
+    """Every shipped run's checkpoints and metrics, parsed once per session."""
+    return {language: shipped_run(language) for language in LANGUAGES}
+
+
+@pytest.fixture(scope="session")
+def trained(shipped_runs):
     models, all_metrics = {}, {}
     for language in LANGUAGES:
-        checkpoints, metrics = shipped_run(language)
+        checkpoints, metrics = shipped_runs[language]
         peak = max(m.dev_accuracy for m in metrics)
         if peak < 1.0:
             pytest.fail(f"recognizer for tomita {language} peaked at per-prefix "
@@ -109,8 +115,8 @@ def strings():
 
 
 @pytest.fixture(scope="session")
-def epoch_checkpoints():
-    return {language: shipped_run(language)[0] for language in LANGUAGES}
+def epoch_checkpoints(shipped_runs):
+    return {language: checkpoints for language, (checkpoints, _) in shipped_runs.items()}
 
 
 class TestCriterion6Properties:

@@ -72,6 +72,12 @@ class TestDeterminize:
         for w in all_strings(("a", "b"), 3):
             assert dfa.accepts(w) == (w == "a")
 
+    def test_invalid_nfa_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="initial state 1 not in state set"):
+            Nfa(("a", "b"), {0}, 1, {}, set())
+        with pytest.raises(ValueError, match=r"transition \(0, a\) leaves the state set"):
+            Nfa(("a", "b"), {0}, 0, {(0, "a"): {0, 3}}, set())
+
     def test_no_accepting_states(self):
         nfa = Nfa(("a", "b"), {0, 1}, 0, {(0, "a"): {1}, (1, "b"): {0, 1}}, set())
         dfa = determinize(nfa)

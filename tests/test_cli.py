@@ -257,14 +257,14 @@ class TestRecordedRuns:
         assert run_cli(["--language", "1", "--seed", "3", "--out", str(tmp_path), command,
                         "--data", "40", "--length", "6"] + TINY_ARGS) == 0
         resolved = resolved_config(tmp_path)
-        assert resolved["training"] == [dataclasses.asdict(TrainingConfig(1, 3, **TINY))]
+        assert resolved["training"] == [TrainingConfig(1, 3, **TINY).record()]
         assert (resolved["experiment"]["languages"], resolved["experiment"]["seeds"]) == ([1], [3])
 
     def test_sweep_kappa_writes_machines(self, tiny, tmp_path):
         assert run_cli(["--seed", "3", "--out", str(tmp_path), "sweep", "kappa"]) == 0
         resolved = resolved_config(tmp_path)
         config = TrainingConfig(2, 3, **TINY)
-        assert resolved["training"] == [dataclasses.asdict(config)]
+        assert resolved["training"] == [config.record()]
         assert (resolved["experiment"]["languages"], resolved["experiment"]["seeds"]) == ([2], [3])
         model = best_model(ensure_trained(config, tmp_path / "models")[0])
         expected = harness.sweep_kappa(ExperimentConfig(languages=(2,), seeds=(3,)), model)
@@ -282,7 +282,7 @@ class TestRecordedRuns:
     def test_table2_records_its_training_config(self, tiny, tmp_path):
         assert run_cli(["--language", "4", "--seed", "2", "--out", str(tmp_path), "table2"]) == 0
         resolved = resolved_config(tmp_path)
-        assert resolved["training"] == [dataclasses.asdict(TrainingConfig(4, 2, **TINY))]
+        assert resolved["training"] == [TrainingConfig(4, 2, **TINY).record()]
         assert (resolved["experiment"]["languages"], resolved["experiment"]["seeds"]) == (
             [4], [0, 1, 2, 3, 4])
 

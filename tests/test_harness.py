@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statemerge import harness
+from statemerge import harness, rnn
 from statemerge.automata import AlphabetError, Dfa, prefix_decisions
 from statemerge.harness import (METRIC_FIELDS, RESULT_FIELDS, ExperimentConfig,
                                 ExtractionConfig, FidelityResult, ResultRow, TrainingConfig,
@@ -21,7 +21,7 @@ from statemerge.harness import (METRIC_FIELDS, RESULT_FIELDS, ExperimentConfig,
                                 fidelity, full_scale_config, load_finished_run,
                                 reproduce_table2, run_dir, run_extraction,
                                 run_kmeans_baseline, summarize, sweep_epochs, sweep_kappa,
-                                to_csv, train_recognizer)
+                                to_csv)
 from statemerge.languages import ALPHABET, gold_dfa, labeled, sample_eval_set
 from statemerge.rnn import (EpochMetrics, eval_reference, forward, forward_many,
                             init_model, load_checkpoint, save_checkpoint)
@@ -33,7 +33,7 @@ SHIPPED = Path(__file__).resolve().parent.parent / "artifacts" / "models"
 TINY = dict(n_train=40, train_len=6, n_dev=20, dev_len=8,
             embed_dim=4, hidden_dim=8, epochs=2)
 SMALL_EXPERIMENT = ExperimentConfig(extraction=ExtractionConfig(n_strings=40, string_len=6),
-                                    n_eval=100, eval_max_len=12)
+                                    n_eval=100)
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +56,18 @@ class TestTrainingConfig:
             changed = dataclasses.replace(base, **{field: getattr(base, field) + 1})
             assert changed.cache_key() != base.cache_key()
 
+    def test_cache_key_sensitive_to_optimizer(self, monkeypatch):
+        config = TrainingConfig(language=3)
+        key = config.cache_key()
+        monkeypatch.setattr(rnn, "ADAMW", dataclasses.replace(rnn.ADAMW, lr=2e-3))
+        assert config.record()["lr"] == 2e-3
+        assert config.cache_key() != key
+
     @pytest.mark.parametrize("language", range(1, 8))
     def test_full_scale_config_names_the_shipped_run(self, language):
         config = full_scale_config(language)
         stored = json.loads((run_dir(config, SHIPPED) / "config.json").read_text())
-        assert stored == dataclasses.asdict(config)
+        assert stored == config.record()
 
 
 class TestCsv:
@@ -191,8 +198,8 @@ class TestTrainingCache:
         assert (out_dir / "DONE").exists()
         assert (out_dir / "epoch001.ckpt").exists()
         assert (out_dir / "epoch002.ckpt").exists()
-        assert (out_dir / "config.json").exists()
-        reloaded, metrics2 = train_recognizer(config, out_dir)
+        assert json.loads((out_dir / "config.json").read_text()) == config.record()
+        reloaded, metrics2 = ensure_trained(config, cache)
         assert len(reloaded) == len(checkpoints) == config.epochs
         for a, b in zip(checkpoints, reloaded):
             for name in a.params:
@@ -224,15 +231,14 @@ class TestCacheCheck:
     @staticmethod
     def copied_run(tiny_run, tmp_path):
         cache, config, _, _ = tiny_run
-        original = cache / f"tomita1_seed0_{config.cache_key()}"
-        copy = tmp_path / original.name
+        original, copy = run_dir(config, cache), run_dir(config, tmp_path)
         shutil.copytree(original, copy)
         return config, original, copy
 
     @staticmethod
     def retrain(config, out_dir, caplog):
         with caplog.at_level(logging.INFO, logger="statemerge.harness"):
-            train_recognizer(config, out_dir)
+            ensure_trained(config, out_dir.parent)
         return caplog.text
 
     def test_finished_run_is_reused(self, tiny_run, tmp_path, caplog):
@@ -287,6 +293,12 @@ class TestCacheCheck:
         config, _, copy = self.copied_run(tiny_run, tmp_path)
         assert load_finished_run(dataclasses.replace(config, hidden_dim=9), copy) is None
         assert load_finished_run(dataclasses.replace(config, epochs=1), copy) is None
+
+    def test_other_optimizer_not_reused(self, tiny_run, tmp_path):
+        config, _, copy = self.copied_run(tiny_run, tmp_path)
+        stored = json.loads((copy / "config.json").read_text())
+        (copy / "config.json").write_text(json.dumps(stored | {"lr": 2e-3}, indent=2))
+        assert load_finished_run(config, copy) is None
 
 
 class TestExperiments:
@@ -357,8 +369,7 @@ class TestSweeps:
             (0, "state_merging"), (0, "kmeans"), (1, "state_merging"), (1, "kmeans")]
         assert draws == {"extraction_strings": 2, "eval_set_for": 1}
         draws.clear()
-        sweep_kappa(dataclasses.replace(self.CONFIG, languages=(1,), seeds=(0,)), model,
-                    kappas=(0.5, 0.01))
+        sweep_kappa(dataclasses.replace(self.CONFIG, languages=(1,), seeds=(0,)), model)
         assert draws == {"extraction_strings": 1, "eval_set_for": 1}
         draws.clear()
         sweep_epochs(self.CONFIG, {1: checkpoints})

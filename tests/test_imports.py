@@ -1,6 +1,7 @@
-"""Every imported name in src/, scripts/ and tests/ is used in its module, and
-src/ and scripts/ import nothing from tests/.  No linter ships with the
-project, so this reads the syntax trees itself."""
+"""Every imported name in src/, scripts/ and tests/ is used in its module,
+src/ and scripts/ import nothing from tests/, and src/ reads every field of
+the configs.  No linter ships with the project, so this reads the syntax
+trees itself."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for top in ("src", "scripts", "tests") for p in (ROOT / top).rglob("*.py"))
 PROGRAM = [p for p in SOURCES if p.relative_to(ROOT).parts[0] != "tests"]
+PACKAGE = [ast.parse(p.read_text()) for p in SOURCES if p.relative_to(ROOT).parts[0] == "src"]
+CONFIGS = ("TrainingConfig", "ExperimentConfig", "ExtractionConfig")
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -71,3 +74,42 @@ sys.path.append("src")
     assert imports_from_tests(ast.parse(source)) == [
         "line 3: import conftest", "line 4: from test_acceptance", "line 5: from tests.helpers",
         "line 7: sys.path.insert of tests"]
+
+
+def config_fields() -> list[tuple[str, str]]:
+    """(class, field) for every field of the configs in harness.py."""
+    tree = ast.parse((ROOT / "src" / "statemerge" / "harness.py").read_text())
+    return [(node.name, stmt.target.id) for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name in CONFIGS
+            for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+
+
+def field_reads(tree: ast.Module, cls: str) -> set[str]:
+    """Attribute names read in a module that names cls, outside cls's own body.
+    A function that takes a config names its class in an annotation, so a
+    module that never names it (rnn's AdamWHyper.lr, say) does not count."""
+    if cls not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}:
+        return set()
+    own = {id(node) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == cls
+           for node in ast.walk(c)}
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and id(node) not in own}
+
+
+@pytest.mark.parametrize("cls, field", config_fields(), ids=lambda v: v)
+def test_every_config_field_is_read(cls, field):
+    assert any(field in field_reads(tree, cls) for tree in PACKAGE)
+
+
+def test_field_reads_skip_own_class_and_unrelated_modules():
+    source = """
+class TrainingConfig:
+    lr: float
+    def hyper(self):
+        return self.lr
+def train(config: TrainingConfig):
+    return config.epochs
+"""
+    assert field_reads(ast.parse(source), "TrainingConfig") == {"epochs"}
+    assert field_reads(ast.parse("def step(hyper):\n    return hyper.lr\n"),
+                       "TrainingConfig") == set()

@@ -241,7 +241,7 @@ class TestPcg64Reader:
 class TestDatasetFormat:
     def test_round_trip(self, rng):
         samples = sample_balanced(5, 12, 8, rng) + [labeled(5, "")]
-        text = save_dataset(samples, language=5, seed=0, note="len 12")
+        text = save_dataset(samples, language=5, seed=0)
         assert load_dataset(text) == samples
         assert text.endswith("\n\t1\n")  # ε is written as an empty first field
 

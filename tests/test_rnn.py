@@ -13,8 +13,8 @@ from statemerge.rnn import (AdamWHyper, Checkpoint, RnnModel, TrainingError,
                             loss_and_grads, model_from_checkpoint, saturation_level,
                             save_checkpoint, train)
 
-# The default training config's optimizer and batch size.
-HYPER = TrainingConfig(1).hyper()
+# The optimizer of every training run, and the default training config's batch size.
+HYPER = rnn.ADAMW
 BATCH = TrainingConfig(1).batch_size
 
 
@@ -236,7 +236,7 @@ class TestTraining:
     def test_memorization_loss_decreases(self):
         data = sample_balanced(4, 10, 50, np.random.default_rng(0))
         m = init_model(ALPHABET, 4, 16, np.random.default_rng(1))
-        _, metrics = train(m, data, data, 3, HYPER, np.random.default_rng(2), BATCH)
+        _, metrics = train(m, data, data, 3, np.random.default_rng(2), BATCH)
         losses = [e.train_loss for e in metrics]
         assert losses[0] > losses[1] > losses[2]
 
@@ -246,8 +246,7 @@ class TestTraining:
         train_set = sample_balanced(1, 16, 2000, np.random.default_rng(3))
         dev_set = sample_balanced(1, 32, 100, np.random.default_rng(4))
         m = init_model(ALPHABET, 8, 32, np.random.default_rng(5))
-        ckpts, metrics = train(m, train_set, dev_set, 6, HYPER,
-                               np.random.default_rng(6), BATCH)
+        ckpts, metrics = train(m, train_set, dev_set, 6, np.random.default_rng(6), BATCH)
         assert max(e.dev_accuracy for e in metrics) >= 0.999
 
     def test_bitwise_deterministic(self):
@@ -255,7 +254,7 @@ class TestTraining:
         runs = []
         for _ in range(2):
             m = init_model(ALPHABET, 4, 8, np.random.default_rng(1))
-            ckpts, _ = train(m, data, data, 2, HYPER, np.random.default_rng(2), BATCH)
+            ckpts, _ = train(m, data, data, 2, np.random.default_rng(2), BATCH)
             runs.append(ckpts[-1].params)
         assert all(np.array_equal(runs[0][k], runs[1][k]) for k in runs[0])
 
@@ -267,7 +266,7 @@ class TestTraining:
     def test_empty_sets_rejected(self, rng):
         m = init_model(ALPHABET, 4, 8, rng)
         with pytest.raises(ValueError):
-            train(m, [], [labeled(1, "a")], 1, HYPER, rng, BATCH)
+            train(m, [], [labeled(1, "a")], 1, rng, BATCH)
 
     def test_mixed_lengths_rejected_before_any_step(self, rng, monkeypatch):
         calls = []
@@ -276,7 +275,7 @@ class TestTraining:
         data = [labeled(1, "a"), labeled(1, "aa")]
         m = init_model(ALPHABET, 4, 8, rng)
         with pytest.raises(ValueError, match="same-length"):
-            train(m, data, data, 1, HYPER, rng, 1)
+            train(m, data, data, 1, rng, 1)
         assert calls == []
 
 
