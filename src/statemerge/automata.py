@@ -62,6 +62,8 @@ class Nfa:
             raise ValueError(f"initial state {self.initial} not in state set")
         if not self.accepting <= self.states:
             raise ValueError("accepting states must be a subset of states")
+        if len(set(self.alphabet)) != len(self.alphabet):
+            raise ValueError("alphabet tokens must be distinct")
         for (src, tok), dsts in self.transitions.items():
             if src not in self.states or not dsts <= self.states:
                 raise ValueError(f"transition ({src}, {tok}) leaves the state set")

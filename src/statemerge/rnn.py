@@ -47,15 +47,19 @@ class RnnModel:
             raise ValueError(f"token {bad!r} not in alphabet {self.alphabet}") from None
 
 
+def _accepts(yhat: np.ndarray) -> np.ndarray:
+    """Accept decisions from probabilities; an exact 0.5 tie resolves to reject."""
+    return yhat > 0.5
+
+
 @dataclass
 class ForwardResult:
     hidden: np.ndarray  # (n+1, d); row i is the state after prefix w[:i]
     yhat: np.ndarray    # (n+1,); probability each prefix is in the language
 
     @property
-    def accepts(self) -> np.ndarray:
-        """Per-prefix accept decisions; an exact 0.5 tie resolves to reject."""
-        return self.yhat > 0.5
+    def accepts(self) -> np.ndarray:  # per prefix
+        return _accepts(self.yhat)
 
 
 def init_model(alphabet: tuple[str, ...], embed_dim: int, hidden_dim: int,
@@ -85,15 +89,18 @@ def init_model(alphabet: tuple[str, ...], embed_dim: int, hidden_dim: int,
     return RnnModel(alphabet, params)
 
 
+def _step(params: dict[str, np.ndarray], h: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """One recurrence step of the rows of h (B, d) on token ids tokens (B,)."""
+    return np.tanh(h @ params["w_hh"].T + params["embed"][tokens] @ params["w_ih"].T
+                   + params["b_h"])
+
+
 def _forward_ids(params: dict[str, np.ndarray], ids: np.ndarray) -> np.ndarray:
     """Hidden states for a batch of id sequences (B, T) -> (T, B, d)."""
-    w_ih, w_hh, b_h, embed = params["w_ih"], params["w_hh"], params["b_h"], params["embed"]
-    batch, steps = ids.shape
-    d = w_hh.shape[0]
-    hidden = np.zeros((steps, batch, d))
-    h = np.zeros((batch, d))
-    for t in range(steps):
-        h = np.tanh(h @ w_hh.T + embed[ids[:, t]] @ w_ih.T + b_h)
+    h = np.zeros((len(ids), params["w_hh"].shape[0]))
+    hidden = np.zeros((ids.shape[1], *h.shape))
+    for t in range(ids.shape[1]):
+        h = _step(params, h, ids[:, t])
         hidden[t] = h
     return hidden
 
@@ -231,22 +238,29 @@ class EvalReference:
 
 
 def eval_reference(model: RnnModel, samples: list[LabeledSample]) -> EvalReference:
-    """Built once per (model, sample set), and then scored against any number of machines."""
+    """Built once per (model, sample set), and then scored against any number of machines.
+    One time loop runs the rows sorted longest first, step t only those of length >= t,
+    and keeps decisions only: its hidden bits can differ from forward_many's in the last
+    place, and the decisions were checked equal."""
     if not samples:
         raise ValueError("need at least one sample")
-    lengths = np.array([len(s.x) for s in samples])
-    ids = np.full((len(samples), lengths.max()), len(model.alphabet))
-    labels, decisions = np.empty((2, len(samples), lengths.max() + 1), dtype=bool)
-    # One forward_many batch per length, so only one group's hidden states are alive.
-    for length in dict.fromkeys(lengths.tolist()):
-        rows = np.flatnonzero(lengths == length)
-        strings = [samples[i].x for i in rows]
-        ids[rows, :length] = [model.token_ids(w) for w in strings]
-        labels[rows, :length + 1] = [samples[i].y for i in rows]
-        decisions[rows, :length + 1] = [r.accepts for r in forward_many(model, strings)]
-        for padded in (labels, decisions):
-            padded[rows, length + 1:] = padded[rows, length:length + 1]
-    return EvalReference(model.alphabet, ids, lengths, labels, decisions)
+    encoded = [model.token_ids(s.x) for s in samples]
+    lengths = np.array([len(w) for w in encoded])
+    n, steps = len(samples), lengths.max()
+    inside = np.arange(steps + 1) <= lengths[:, None]
+    ids = np.full((n, steps), len(model.alphabet))
+    ids[inside[:, 1:]] = [token for w in encoded for token in w]
+    labels, decided = np.zeros((2, n, steps + 1), dtype=bool)
+    labels[inside] = [y for s in samples for y in s.y]
+    order = np.argsort(-lengths, kind="stable")
+    tokens = np.column_stack([np.full(n, model.bos), ids[order]])
+    h = np.zeros((n, model.hidden_dim))
+    for t, rows in enumerate(np.count_nonzero(inside, axis=0).tolist()):
+        h = _step(model.params, h[:rows], tokens[:rows, t])
+        decided[order[:rows], t] = _accepts(_head_probs(model.params, h))
+    last = np.minimum(np.arange(steps + 1), lengths[:, None])
+    return EvalReference(model.alphabet, ids, lengths, np.take_along_axis(labels, last, axis=1),
+                         np.take_along_axis(decided, last, axis=1))
 
 
 def evaluate(model: RnnModel, samples: list[LabeledSample]) -> tuple[float, float]:

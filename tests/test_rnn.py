@@ -1,5 +1,7 @@
 import dataclasses
+import gzip
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from statemerge.rnn import (AdamWHyper, Checkpoint, RnnModel, TrainingError,
                             forward_many, init_model, kappa_bound, load_checkpoint,
                             loss_and_grads, model_from_checkpoint, saturation_level,
                             save_checkpoint, train)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
 # The optimizer of every training run, and the default training config's batch size.
 HYPER = rnn.ADAMW
@@ -108,6 +112,33 @@ def evaluate_per_sample(model, samples):
     return correct / total, string_correct / len(samples)
 
 
+def per_length_eval_reference(model, samples):
+    """The oracle: the earlier eval_reference, one forward_many batch per length, verbatim."""
+    if not samples:
+        raise ValueError("need at least one sample")
+    lengths = np.array([len(s.x) for s in samples])
+    ids = np.full((len(samples), lengths.max()), len(model.alphabet))
+    labels, decisions = np.empty((2, len(samples), lengths.max() + 1), dtype=bool)
+    # One forward_many batch per length, so only one group's hidden states are alive.
+    for length in dict.fromkeys(lengths.tolist()):
+        rows = np.flatnonzero(lengths == length)
+        strings = [samples[i].x for i in rows]
+        ids[rows, :length] = [model.token_ids(w) for w in strings]
+        labels[rows, :length + 1] = [samples[i].y for i in rows]
+        decisions[rows, :length + 1] = [r.accepts for r in forward_many(model, strings)]
+        for padded in (labels, decisions):
+            padded[rows, length + 1:] = padded[rows, length:length + 1]
+    return rnn.EvalReference(model.alphabet, ids, lengths, labels, decisions)
+
+
+def assert_same_reference(actual, expected):
+    assert actual.alphabet == expected.alphabet
+    for field in ("ids", "lengths", "labels", "decisions"):
+        a, e = getattr(actual, field), getattr(expected, field)
+        assert (a.dtype, a.shape) == (e.dtype, e.shape), field
+        assert np.array_equal(a, e), field
+
+
 class TestEvalReference:
     def test_rows_pad_with_the_last_prefix(self, rng):
         m = init_model(ALPHABET, 4, 8, rng)
@@ -130,6 +161,51 @@ class TestEvalReference:
             result = evaluate(m, samples)
             assert result == evaluate_per_sample(m, samples)
             assert all(type(value) is float for value in result)
+
+    def test_matches_per_length_oracle_on_tiny_models(self):
+        rng = np.random.default_rng(20)
+        for trial in range(6):
+            m = init_model(ALPHABET, 3, 5, rng)
+            if trial == 0:  # every prefix an exact 0.5 tie, which rejects
+                m.params["w_out"] = np.zeros_like(m.params["w_out"])
+            language = trial % 7 + 1
+            mixed = (sample_eval_set(language, 30, 9, rng)
+                     + [labeled(language, ""), labeled(language, "")])
+            shuffled = [mixed[i] for i in rng.permutation(len(mixed))]
+            sets = [mixed, shuffled, [labeled(language, "")], [labeled(language, "abba")],
+                    sample_balanced(language, 6, 8, rng), [labeled(language, "")] * 3]
+            for samples in sets:
+                assert_same_reference(eval_reference(m, samples),
+                                      per_length_eval_reference(m, samples))
+
+    @pytest.mark.parametrize("language", range(1, 8))
+    def test_matches_per_length_oracle_on_fixture_models(self, language):
+        ckpt, alphabet = rnn.load_checkpoint(
+            gzip.decompress((FIXTURES / f"tomita{language}.ckpt.gz").read_bytes()).decode())
+        m = model_from_checkpoint(ckpt, alphabet)
+        samples = sample_eval_set(language, 100, 50, np.random.default_rng([language, 999]))
+        assert_same_reference(eval_reference(m, samples), per_length_eval_reference(m, samples))
+
+    def test_one_step_per_position_and_no_forward_many(self, rng, monkeypatch):
+        m = init_model(ALPHABET, 4, 8, rng)
+        samples = sample_eval_set(3, 40, 17, rng) + [labeled(3, "")]
+        expected = per_length_eval_reference(m, samples)
+        steps = []
+        step = rnn._step
+
+        def counted(*args):
+            steps.append(len(args[1]))
+            return step(*args)
+
+        def refuse(*args):
+            raise AssertionError("eval_reference called forward_many")
+
+        monkeypatch.setattr(rnn, "_step", counted)
+        monkeypatch.setattr(rnn, "forward_many", refuse)
+        assert_same_reference(eval_reference(m, samples), expected)
+        lengths = [len(s.x) for s in samples]
+        assert len(steps) == max(lengths) + 1
+        assert steps == [sum(n >= t for n in lengths) for t in range(max(lengths) + 1)]
 
 
 def pure_adamw_step(params, grads, state_step, state_m, state_v, hyper):
