@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import Dfa, Nfa, determinize, minimize
-from .rnn import RnnModel, forward_many
+from .rnn import RnnModel, _accepts, _head_probs, _step
 
 logger = logging.getLogger(__name__)
 
@@ -26,6 +26,9 @@ class PrefixTree:
     edges: dict[tuple[int, str], int]
     labels: list[bool]
     features: np.ndarray  # (n_states, d); row q is the hidden state of state q
+    # The state reached at each position of each input string: the strings in
+    # input order, duplicates included, positions 0..len(w) of each in order.
+    visits: np.ndarray
 
     @property
     def n_states(self) -> int:
@@ -46,23 +49,44 @@ class PrefixTree:
 
 
 def build_prefix_tree(model: RnnModel, strings: list[str]) -> PrefixTree:
-    """The states are the distinct prefixes of the strings, numbered by length
-    and then alphabet order, which is BFS order from the root with children in
-    alphabet order.  Each state takes its label and hidden state from the first
-    distinct string, in input order, that has it as a prefix."""
+    """The states are the distinct prefixes of the strings, in BFS order from
+    the root with children in alphabet order.  Level t's states are the
+    distinct codes parent * |alphabet| + token over the strings still running
+    at step t; the parents are already in BFS order, so the sorted codes
+    number the level.  A prefix's hidden state is one recurrence step from its
+    parent's, h(p a) = step(h(p), a), so each distinct prefix is computed once,
+    one step per level.  A state's features can differ in the last place from
+    a per-string forward pass, whose batches hold other rows."""
     if not strings:
         raise ValueError("need at least one string")
-    unique = list(dict.fromkeys(strings))
-    rows: dict[str, tuple[bool, np.ndarray]] = {}
-    for w, result in zip(unique, forward_many(model, unique)):
-        for i, row in enumerate(zip(result.accepts.tolist(), result.hidden)):
-            rows.setdefault(w[:i], row)
-    rank = {ord(token): chr(i) for i, token in enumerate(model.alphabet)}
-    prefixes = sorted(rows, key=lambda p: (len(p), p.translate(rank)))
-    ids = {p: q for q, p in enumerate(prefixes)}
-    edges = {(ids[p[:-1]], p[-1]): ids[p] for p in prefixes[1:]}
-    return PrefixTree(model.alphabet, edges, [rows[p][0] for p in prefixes],
-                      np.array([rows[p][1] for p in prefixes]))
+    sigma, params = len(model.alphabet), model.params
+    encoded = [model.token_ids(w) for w in strings]
+    lengths = np.array([len(w) for w in encoded])
+    inside = np.arange(lengths.max() + 1) <= lengths[:, None]
+    ids = np.zeros(inside[:, 1:].shape, dtype=np.intp)
+    ids[inside[:, 1:]] = [token for w in encoded for token in w]
+    reached = np.zeros(inside.shape, dtype=np.intp)  # the root, 0, at position 0
+    levels = []  # per level below the root, its states' codes in ascending order
+    n_states = 1
+    for t in range(1, inside.shape[1]):
+        rows = np.flatnonzero(inside[:, t])
+        codes, inverse = np.unique(reached[rows, t - 1] * sigma + ids[rows, t - 1],
+                                   return_inverse=True)
+        reached[rows, t] = n_states + inverse
+        levels.append(codes)
+        n_states += len(codes)
+    features = np.empty((n_states, model.hidden_dim))
+    features[:1] = _step(params, np.zeros((1, model.hidden_dim)), np.full(1, model.bos))
+    start = 1
+    for codes in levels:
+        parents, tokens = np.divmod(codes, sigma)
+        features[start:start + len(codes)] = _step(params, features[parents], tokens)
+        start += len(codes)
+    codes = [code for level in levels for code in level.tolist()]
+    edges = {(code // sigma, model.alphabet[code % sigma]): q
+             for q, code in enumerate(codes, start=1)}
+    labels = _accepts(_head_probs(params, features)).tolist()
+    return PrefixTree(model.alphabet, edges, labels, features, reached[inside])
 
 
 def merge_all(tree: PrefixTree, kappa: float) -> Nfa:
@@ -79,26 +103,7 @@ def merge_all(tree: PrefixTree, kappa: float) -> Nfa:
     RPNI's quotient of the prefix-tree acceptor; merging may therefore create
     self-loops and nondeterminism.
     """
-    if not 0.0 < kappa < 1.0:
-        raise ValueError("kappa must lie strictly between 0 and 1")
-    n = tree.n_states
-    feats = tree.features
-    norms = np.linalg.norm(feats, axis=1)
-    degenerate = norms == 0.0
-    if degenerate.any():
-        logger.warning("%d zero-norm features treated as never similar", int(degenerate.sum()))
-    unit = np.divide(feats, norms[:, None], out=np.zeros_like(feats), where=~degenerate[:, None])
-    labels = np.array(tree.labels)
-    threshold = 1.0 - kappa
-    rep = np.arange(n)
-    rows = max(1, CELLS // n)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        match = unit[start:stop] @ unit[:stop].T > threshold
-        match &= labels[start:stop, None] == labels[:stop]
-        match &= np.tri(stop - start, stop, start - 1, dtype=bool)  # j < i
-        found = np.flatnonzero(match.any(axis=1))
-        rep[start + found] = match[found].argmax(axis=1)
+    rep = _lowest_matches(tree, kappa)
     # rep[i] <= i, so the chains descend; pointer jumping reaches their ends.
     while not np.array_equal(rep[rep], rep):
         rep = rep[rep]
@@ -106,9 +111,44 @@ def merge_all(tree: PrefixTree, kappa: float) -> Nfa:
     transitions: dict[tuple[int, str], set[int]] = {}
     for (src, token), dst in tree.edges.items():
         transitions.setdefault((rep_of[src], token), set()).add(rep_of[dst])
-    states = set(np.flatnonzero(rep == np.arange(n)).tolist())
+    states = set(np.flatnonzero(rep == np.arange(tree.n_states)).tolist())
     return Nfa(tree.alphabet, states, rep_of[0], transitions,
                {q for q in states if tree.labels[q]})
+
+
+def _lowest_matches(tree: PrefixTree, kappa: float) -> np.ndarray:
+    """rep[i], the lowest j < i with i's label and cos(i, j) > 1 - kappa, else i.
+
+    Only states of one label can match, so the unit rows are laid out sorted
+    by label, stably, and each label's contiguous slice is compared with
+    itself by blocked matrix products over its lower triangle.  Within a
+    slice the ids ascend, so the lowest match in the slice is the lowest
+    same-label match overall."""
+    if not 0.0 < kappa < 1.0:
+        raise ValueError("kappa must lie strictly between 0 and 1")
+    labels = np.array(tree.labels, dtype=bool)
+    order = np.argsort(labels, kind="stable")
+    norms = np.linalg.norm(tree.features, axis=1)[order]
+    degenerate = norms == 0.0
+    if degenerate.any():
+        logger.warning("%d zero-norm features treated as never similar", int(degenerate.sum()))
+    unit = tree.features[order]
+    np.divide(unit, norms[:, None], out=unit, where=~degenerate[:, None])
+    unit[degenerate] = 0.0
+    threshold = 1.0 - kappa
+    lowest = np.arange(tree.n_states)  # positions in the sorted layout
+    split = int(np.count_nonzero(~labels))
+    for lo, hi in ((0, split), (split, tree.n_states)):
+        rows = max(1, CELLS // max(1, hi - lo))
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            match = unit[start:stop] @ unit[lo:stop].T > threshold
+            match &= np.tri(stop - start, stop - lo, start - lo - 1, dtype=bool)  # j < i
+            found = np.flatnonzero(match.any(axis=1))
+            lowest[start + found] = lo + match[found].argmax(axis=1)
+    rep = np.empty_like(lowest)
+    rep[order] = order[lowest]
+    return rep
 
 
 @dataclass

@@ -7,7 +7,8 @@ from __future__ import annotations
 import numpy as np
 
 from .automata import Dfa, minimize
-from .rnn import RnnModel, forward_many
+from .extraction import build_prefix_tree
+from .rnn import RnnModel
 
 MAX_LLOYD_ITERATIONS = 100
 N_INIT = 10
@@ -98,9 +99,10 @@ def kmeans_extract(model: RnnModel, strings: list[str], k: int,
     # One record per visited prefix position, the records of a string in
     # order, so record i + 1 is record i's successor unless next_token[i] is
     # -1 (a string's end).  Record 0 is the empty prefix of the first string.
-    # The forward batches are dropped before clustering, which sets the peak.
-    points, labels = map(np.concatenate, zip(*[(r.hidden, r.accepts)
-                                               for r in forward_many(model, strings)]))
+    # A record's point and label are those of the prefix-tree state it reaches.
+    tree = build_prefix_tree(model, strings)
+    points = tree.features[tree.visits]
+    labels = np.array(tree.labels)[tree.visits]
     next_token = np.concatenate([model.token_ids(w) + [-1] for w in strings])
     assignments, _ = kmeans(points, k, rng)
     accept_votes = np.bincount(assignments, weights=labels, minlength=k)

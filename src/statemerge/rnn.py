@@ -112,25 +112,10 @@ def _head_probs(params: dict[str, np.ndarray], hidden: np.ndarray) -> np.ndarray
     return exp[..., 1] / exp.sum(axis=-1)
 
 
-def forward_many(model: RnnModel, strings: list[str]) -> list[ForwardResult]:
-    """Hidden states and prefix probabilities for every string, in input
-    order.  Strings of one length run as one batch, so a result can differ
-    from the same string run alone in the last bits of its floats."""
-    by_len: dict[int, list[int]] = {}
-    for i, w in enumerate(strings):
-        by_len.setdefault(len(w), []).append(i)
-    results: list[ForwardResult | None] = [None] * len(strings)
-    for group in by_len.values():
-        ids = np.array([[model.bos] + model.token_ids(strings[i]) for i in group])
-        hidden = _forward_ids(model.params, ids)  # (T, B, d)
-        yhat = _head_probs(model.params, hidden)  # (T, B)
-        for j, i in enumerate(group):
-            results[i] = ForwardResult(hidden=hidden[:, j], yhat=yhat[:, j])
-    return results
-
-
 def forward(model: RnnModel, w: str) -> ForwardResult:
-    return forward_many(model, [w])[0]
+    """Hidden states and prefix probabilities of one string, run as a 1-row batch."""
+    hidden = _forward_ids(model.params, np.array([[model.bos] + model.token_ids(w)]))
+    return ForwardResult(hidden=hidden[:, 0], yhat=_head_probs(model.params, hidden)[:, 0])
 
 
 def loss_and_grads(params: dict[str, np.ndarray], ids: np.ndarray,
@@ -240,8 +225,8 @@ class EvalReference:
 def eval_reference(model: RnnModel, samples: list[LabeledSample]) -> EvalReference:
     """Built once per (model, sample set), and then scored against any number of machines.
     One time loop runs the rows sorted longest first, step t only those of length >= t,
-    and keeps decisions only: its hidden bits can differ from forward_many's in the last
-    place, and the decisions were checked equal."""
+    and keeps decisions only: its hidden bits can differ from a per-length batch's in the
+    last place, and the decisions were checked equal."""
     if not samples:
         raise ValueError("need at least one sample")
     encoded = [model.token_ids(s.x) for s in samples]
@@ -330,7 +315,7 @@ def saturation_level(model: RnnModel, strings: list[str]) -> float:
     unit-norm sign pattern; sign(0) counts as +1."""
     if not strings:
         raise ValueError("need at least one string")
-    hidden = np.concatenate([r.hidden for r in forward_many(model, strings)])
+    hidden = np.concatenate([forward(model, w).hidden for w in strings])
     norms = np.linalg.norm(hidden, axis=1)
     degenerate = norms == 0.0
     if degenerate.all():

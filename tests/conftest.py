@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from statemerge.automata import Dfa, Nfa
+from statemerge.extraction import PrefixTree
+from statemerge.rnn import ForwardResult, _forward_ids, _head_probs
 
 SIGMA2 = ("a", "b")
 
@@ -98,6 +100,47 @@ def _is_dead_block(block, full, dfa, step, b):
                 seen.add(nxt)
                 frontier.append(nxt)
     return True
+
+
+def forward_many(model, strings):
+    """Oracle: the earlier rnn.forward_many, verbatim.  Hidden states and
+    prefix probabilities for every string, in input order.  Strings of one
+    length run as one batch, so a result can differ from the same string run
+    alone in the last bits of its floats."""
+    by_len: dict[int, list[int]] = {}
+    for i, w in enumerate(strings):
+        by_len.setdefault(len(w), []).append(i)
+    results: list[ForwardResult | None] = [None] * len(strings)
+    for group in by_len.values():
+        ids = np.array([[model.bos] + model.token_ids(strings[i]) for i in group])
+        hidden = _forward_ids(model.params, ids)  # (T, B, d)
+        yhat = _head_probs(model.params, hidden)  # (T, B)
+        for j, i in enumerate(group):
+            results[i] = ForwardResult(hidden=hidden[:, j], yhat=yhat[:, j])
+    return results
+
+
+def string_keyed_prefix_tree(model, strings):
+    """Oracle: the earlier extraction.build_prefix_tree, verbatim but for its
+    last statement, which adds visits by looking each input prefix up by string.
+    The states are the distinct prefixes of the strings, numbered by length
+    and then alphabet order, which is BFS order from the root with children in
+    alphabet order.  Each state takes its label and hidden state from the first
+    distinct string, in input order, that has it as a prefix."""
+    if not strings:
+        raise ValueError("need at least one string")
+    unique = list(dict.fromkeys(strings))
+    rows: dict[str, tuple[bool, np.ndarray]] = {}
+    for w, result in zip(unique, forward_many(model, unique)):
+        for i, row in enumerate(zip(result.accepts.tolist(), result.hidden)):
+            rows.setdefault(w[:i], row)
+    rank = {ord(token): chr(i) for i, token in enumerate(model.alphabet)}
+    prefixes = sorted(rows, key=lambda p: (len(p), p.translate(rank)))
+    ids = {p: q for q, p in enumerate(prefixes)}
+    edges = {(ids[p[:-1]], p[-1]): ids[p] for p in prefixes[1:]}
+    return PrefixTree(model.alphabet, edges, [rows[p][0] for p in prefixes],
+                      np.array([rows[p][1] for p in prefixes]),
+                      np.array([ids[w[:i]] for w in strings for i in range(len(w) + 1)]))
 
 
 @pytest.fixture

@@ -1,12 +1,21 @@
+import gzip
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from statemerge import extraction
+from statemerge import extraction, rnn
 from statemerge.automata import Nfa
 from statemerge.extraction import (PrefixTree, build_prefix_tree, extract, merge_all,
                                    train_set_fidelity)
+from statemerge.harness import extraction_strings
 from statemerge.languages import ALPHABET
-from statemerge.rnn import forward, forward_many, init_model
+from statemerge.rnn import forward, init_model
+
+from conftest import string_keyed_prefix_tree
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+NO_VISITS = np.zeros(0, dtype=int)
 
 
 def small_model(seed=0):
@@ -47,17 +56,26 @@ class TestBuildPrefixTree:
         # Children in the model's alphabet order: root, q_b, q_a, q_ba, q_ab.
         assert tree.edges == {(0, "b"): 1, (0, "a"): 2, (1, "a"): 3, (2, "b"): 4}
 
-    def test_first_distinct_string_supplies_each_state(self):
+    def test_one_step_per_level_and_no_forward(self, monkeypatch):
         m = small_model(5)
-        strings = ["abab", "ab", "abba", "abab", "a"]
-        unique = list(dict.fromkeys(strings))
-        results = forward_many(m, unique)
+        strings = ["abab", "ab", "abba", "abab", "a", "", "bbb"]
+        expected = string_keyed_prefix_tree(m, strings)
+        steps = []
+        step = rnn._step
+
+        def counted(*args):
+            steps.append(len(args[1]))
+            return step(*args)
+
+        def refuse(*args):
+            raise AssertionError("build_prefix_tree called forward")
+
+        monkeypatch.setattr(extraction, "_step", counted)
+        monkeypatch.setattr(rnn, "forward", refuse)
         tree = build_prefix_tree(m, strings)
-        for prefix in {w[:i] for w in unique for i in range(len(w) + 1)}:
-            first = next(j for j, w in enumerate(unique) if w.startswith(prefix))
-            q = tree.state_of(prefix)
-            assert np.array_equal(tree.features[q], results[first].hidden[len(prefix)])
-            assert tree.labels[q] == results[first].accepts[len(prefix)]
+        assert_same_tree(tree, expected)
+        # Levels: the root; a, b; ab, bb; aba, abb, bbb; abab, abba.
+        assert steps == [1, 2, 2, 3, 2]
 
     def test_labels_and_features_from_model(self):
         m = small_model()
@@ -89,9 +107,52 @@ class TestBuildPrefixTree:
         with pytest.raises(ValueError):
             build_prefix_tree(small_model(), ["ax"])
 
+    def test_visits_count_each_occurrence(self):
+        tree = build_prefix_tree(small_model(), ["ab", "", "ab", "b"])
+        # States: root 0, a 1, b 2, ab 3.
+        assert tree.visits.tolist() == [0, 1, 3, 0, 0, 1, 3, 0, 2]
+
+
+def assert_same_tree(tree, expected):
+    """Edges, labels and visits equal; features equal up to the last bits,
+    which the level batches may round differently from per-length batches."""
+    assert tree.alphabet == expected.alphabet
+    assert tree.edges == expected.edges
+    assert tree.labels == expected.labels
+    assert tree.visits.tolist() == expected.visits.tolist()
+    assert tree.features.shape == expected.features.shape
+    np.testing.assert_allclose(tree.features, expected.features, rtol=0, atol=1e-12)
+
+
+class TestPrefixTreeOracle:
+    """build_prefix_tree against the earlier string-keyed builder."""
+
+    def test_random_tiny_models(self):
+        rng = np.random.default_rng(21)
+        for trial in range(40):
+            alphabet = ("a", "b") if trial % 2 else ("b", "a")
+            m = init_model(alphabet, 3, 5, rng)
+            strings = random_strings(rng, int(rng.integers(1, 25)))
+            strings += [strings[i] for i in rng.integers(0, len(strings), size=3)] + [""]
+            strings = [strings[i] for i in rng.permutation(len(strings))]
+            assert_same_tree(build_prefix_tree(m, strings), string_keyed_prefix_tree(m, strings))
+
+    def test_only_empty_strings(self):
+        m = small_model(2)
+        assert_same_tree(build_prefix_tree(m, ["", ""]), string_keyed_prefix_tree(m, ["", ""]))
+
+    @pytest.mark.parametrize("language", range(1, 8))
+    def test_fixture_models(self, language):
+        ckpt, alphabet = rnn.load_checkpoint(
+            gzip.decompress((FIXTURES / f"tomita{language}.ckpt.gz").read_bytes()).decode())
+        m = rnn.model_from_checkpoint(ckpt, alphabet)
+        strings = extraction_strings(language, 150, 15, 0)
+        assert_same_tree(build_prefix_tree(m, strings), string_keyed_prefix_tree(m, strings))
+
 
 def toy_tree(labels, features, edges):
-    return PrefixTree(ALPHABET, dict(edges), list(labels), np.array(features, dtype=float))
+    return PrefixTree(ALPHABET, dict(edges), list(labels), np.array(features, dtype=float),
+                      NO_VISITS)
 
 
 def merged_states(labels, features, kappa, edges=()):
@@ -183,7 +244,7 @@ def reference_merge(tree, kappa):
     return Nfa(tree.alphabet, alive, initial, transitions, {q for q in alive if tree.labels[q]})
 
 
-def random_tree(rng, n_states, dim=3):
+def random_tree(rng, n_states, dim=3, one_label=False):
     edges = {}
     for q in range(1, n_states):
         free = [(p, token) for p in range(q) for token in ALPHABET if (p, token) not in edges]
@@ -195,8 +256,47 @@ def random_tree(rng, n_states, dim=3):
             features[q] = features[rng.integers(q)] + 1e-6 * rng.normal(size=dim)
         elif kind < 0.4:
             features[q] = 0.0
-    labels = [bool(x) for x in rng.integers(0, 2, size=n_states)]
-    return PrefixTree(ALPHABET, edges, labels, features)
+    if one_label:
+        labels = [bool(rng.integers(2))] * n_states
+    else:
+        labels = [bool(x) for x in rng.integers(0, 2, size=n_states)]
+    return PrefixTree(ALPHABET, edges, labels, features, NO_VISITS)
+
+
+def all_pairs_merge(tree, kappa):
+    """Oracle: the earlier merge_all, verbatim but for its zero-norm warning,
+    comparing each block of states with every lower state and masking out
+    the label mismatches; it also returns the map of lowest matches, before
+    pointer jumping."""
+    if not 0.0 < kappa < 1.0:
+        raise ValueError("kappa must lie strictly between 0 and 1")
+    n = tree.n_states
+    feats = tree.features
+    norms = np.linalg.norm(feats, axis=1)
+    degenerate = norms == 0.0
+    unit = np.divide(feats, norms[:, None], out=np.zeros_like(feats), where=~degenerate[:, None])
+    labels = np.array(tree.labels)
+    threshold = 1.0 - kappa
+    rep = np.arange(n)
+    rows = max(1, extraction.CELLS // n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        match = unit[start:stop] @ unit[:stop].T > threshold
+        match &= labels[start:stop, None] == labels[:stop]
+        match &= np.tri(stop - start, stop, start - 1, dtype=bool)  # j < i
+        found = np.flatnonzero(match.any(axis=1))
+        rep[start + found] = match[found].argmax(axis=1)
+    lowest = rep.copy()
+    # rep[i] <= i, so the chains descend; pointer jumping reaches their ends.
+    while not np.array_equal(rep[rep], rep):
+        rep = rep[rep]
+    rep_of = rep.tolist()
+    transitions: dict[tuple[int, str], set[int]] = {}
+    for (src, token), dst in tree.edges.items():
+        transitions.setdefault((rep_of[src], token), set()).add(rep_of[dst])
+    states = set(np.flatnonzero(rep == np.arange(n)).tolist())
+    return lowest, Nfa(tree.alphabet, states, rep_of[0], transitions,
+                       {q for q in states if tree.labels[q]})
 
 
 class TestMergeReference:
@@ -204,10 +304,44 @@ class TestMergeReference:
     @pytest.mark.parametrize("cells", [extraction.CELLS, 256, 1])
     def test_matches_literal_merges_on_random_trees(self, rng, cells, monkeypatch):
         monkeypatch.setattr(extraction, "CELLS", cells)
-        for _ in range(300):
-            tree = random_tree(rng, int(rng.integers(1, 61)))
+        for trial in range(300):
+            tree = random_tree(rng, int(rng.integers(1, 61)), one_label=trial % 4 == 0)
             kappa = float(rng.uniform(0.001, 0.999))
-            assert merge_all(tree, kappa) == reference_merge(tree, kappa)
+            merged = merge_all(tree, kappa)
+            assert merged == reference_merge(tree, kappa)
+            # The label-class merge against the earlier all-pairs one.
+            lowest, expected = all_pairs_merge(tree, kappa)
+            assert extraction._lowest_matches(tree, kappa).tolist() == lowest.tolist()
+            assert merged == expected
+
+
+class TestLabelClasses:
+    """merge_all compares states within each label class only."""
+
+    # Labels interleave.  Each class holds a pair at cosine exactly 0.6 (states
+    # 0 and 2, 1 and 3), a state just above 0.6 from both members of that pair
+    # (4 and 5), which folds into the lower one, and a state that duplicates a
+    # feature of the other class (6 equals 1, 7 equals 0) and matches nothing.
+    LABELS = [True, False] * 4
+    FEATURES = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [3.0, 4.0, 0.0], [0.0, 4.0, 3.0],
+                [3.0, 3.99, 0.0], [0.0, 3.99, 3.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    EDGES = {(0, "a"): 1, (0, "b"): 2, (1, "a"): 3, (1, "b"): 4, (2, "a"): 5, (2, "b"): 6,
+             (3, "a"): 7}
+
+    @pytest.mark.parametrize("cells", [extraction.CELLS, 8, 1])
+    def test_interleaved_labels(self, cells, monkeypatch):
+        monkeypatch.setattr(extraction, "CELLS", cells)
+        assert 3 / 5 == 1 - 0.4
+        tree = toy_tree(self.LABELS, self.FEATURES, self.EDGES)
+        # At kappa 0.4 the exact-threshold pairs stay apart.
+        assert extraction._lowest_matches(tree, 0.4).tolist() == [0, 1, 2, 3, 0, 1, 6, 7]
+        assert merge_all(tree, 0.4).states == {0, 1, 2, 3, 6, 7}
+        # A hair more kappa folds them, and 4 and 5 still go to the lowest id.
+        assert extraction._lowest_matches(tree, 0.41).tolist() == [0, 1, 0, 1, 0, 1, 6, 7]
+        for kappa in (0.4, 0.41):
+            lowest, expected = all_pairs_merge(tree, kappa)
+            assert extraction._lowest_matches(tree, kappa).tolist() == lowest.tolist()
+            assert merge_all(tree, kappa) == expected
 
 
 class TestMergeAll:
@@ -226,7 +360,7 @@ class TestMergeAll:
         features = np.array([[1.0, 0.01 * i] for i in range(5)])
         tree = PrefixTree(ALPHABET,
                           {(0, "a"): 1, (0, "b"): 2, (1, "a"): 3, (1, "b"): 4},
-                          [True, False, False, True, False], features)
+                          [True, False, False, True, False], features, NO_VISITS)
         merged = merge_all(tree, 0.5)
         assert len(merged.states) == 2
         assert len(merged.accepting) == 1

@@ -23,10 +23,10 @@ from statemerge.harness import (METRIC_FIELDS, RESULT_FIELDS, ExperimentConfig,
                                 run_kmeans_baseline, summarize, sweep_epochs, sweep_kappa,
                                 to_csv)
 from statemerge.languages import ALPHABET, gold_dfa, labeled, sample_eval_set
-from statemerge.rnn import (EpochMetrics, eval_reference, forward, forward_many,
-                            init_model, load_checkpoint, save_checkpoint)
+from statemerge.rnn import (EpochMetrics, eval_reference, forward, init_model, load_checkpoint,
+                            save_checkpoint)
 
-from conftest import random_dfa
+from conftest import forward_many, random_dfa
 
 
 SHIPPED = Path(__file__).resolve().parent.parent / "artifacts" / "models"

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from statemerge.automata import prefix_decisions
+from statemerge.extraction import PrefixTree, build_prefix_tree
 from statemerge.kmeans import kmeans, kmeans_extract
-from statemerge.rnn import ForwardResult, forward, init_model
+from statemerge.rnn import forward, init_model
 
 
 # The module: the package attribute statemerge.kmeans is the function.
@@ -65,6 +66,17 @@ class TestCollectHiddenStates:
             assert accepted == result.accepts.tolist()
             base += len(w) + 1
         assert base == len(points)
+
+    def test_points_are_tree_states_per_occurrence(self, monkeypatch):
+        m = small_model(0)
+        strings = ["ab", "a", "ab", "", "b", "ab"]
+        points, dfa = self.records(monkeypatch, m, strings)
+        tree = build_prefix_tree(m, strings)
+        states = [tree.state_of(w[:i]) for w in strings for i in range(len(w) + 1)]
+        assert len(points) == len(states) == 14
+        assert np.array_equal(points, tree.features[states])
+        assert [q in dfa.accepting for q in range(len(states))] == [tree.labels[q]
+                                                                   for q in states]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -204,10 +216,12 @@ class TestReadOff:
 
     def extract(self, monkeypatch, strings, labels, assignments, k):
         """Read off the machine of the given records: strings with the
-        model's decision on each prefix, all hidden states zero."""
-        results = [ForwardResult(np.zeros((len(w) + 1, 1)), np.array(y, dtype=float))
-                   for w, y in zip(strings, labels)]
-        monkeypatch.setattr(kmeans_module, "forward_many", lambda model, strings: results)
+        model's decision on each prefix, each record a tree state of its own,
+        all hidden states zero."""
+        records = [y for per_string in labels for y in per_string]
+        tree = PrefixTree(("a", "b"), {}, records, np.zeros((len(records), 1)),
+                          np.arange(len(records)))
+        monkeypatch.setattr(kmeans_module, "build_prefix_tree", lambda model, strings: tree)
         monkeypatch.setattr(kmeans_module, "kmeans",
                             lambda points, k, rng: (np.array(assignments), None))
         return kmeans_extract(small_model(0), strings, k, np.random.default_rng(0))

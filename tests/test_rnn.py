@@ -10,10 +10,11 @@ from statemerge import rnn
 from statemerge.harness import TrainingConfig
 from statemerge.languages import ALPHABET, labeled, sample_balanced, sample_eval_set
 from statemerge.rnn import (AdamWHyper, Checkpoint, RnnModel, TrainingError,
-                            adamw_step, eval_reference, evaluate, forward,
-                            forward_many, init_model, kappa_bound, load_checkpoint,
-                            loss_and_grads, model_from_checkpoint, saturation_level,
-                            save_checkpoint, train)
+                            adamw_step, eval_reference, evaluate, forward, init_model,
+                            kappa_bound, load_checkpoint, loss_and_grads,
+                            model_from_checkpoint, saturation_level, save_checkpoint, train)
+
+from conftest import forward_many
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -72,6 +73,8 @@ class TestForward:
 
 
 class TestForwardMany:
+    """The per-length oracle in conftest, which the tests below compare against."""
+
     def test_matches_per_string_forward_in_input_order(self, rng):
         m = init_model(ALPHABET, 4, 8, rng)
         strings = ["abab", "", "b", "ba", "abab", "aab", "", "bbbba", "ab"]
@@ -186,7 +189,7 @@ class TestEvalReference:
         samples = sample_eval_set(language, 100, 50, np.random.default_rng([language, 999]))
         assert_same_reference(eval_reference(m, samples), per_length_eval_reference(m, samples))
 
-    def test_one_step_per_position_and_no_forward_many(self, rng, monkeypatch):
+    def test_one_step_per_position_and_no_forward(self, rng, monkeypatch):
         m = init_model(ALPHABET, 4, 8, rng)
         samples = sample_eval_set(3, 40, 17, rng) + [labeled(3, "")]
         expected = per_length_eval_reference(m, samples)
@@ -198,10 +201,10 @@ class TestEvalReference:
             return step(*args)
 
         def refuse(*args):
-            raise AssertionError("eval_reference called forward_many")
+            raise AssertionError("eval_reference called forward")
 
         monkeypatch.setattr(rnn, "_step", counted)
-        monkeypatch.setattr(rnn, "forward_many", refuse)
+        monkeypatch.setattr(rnn, "forward", refuse)
         assert_same_reference(eval_reference(m, samples), expected)
         lengths = [len(s.x) for s in samples]
         assert len(steps) == max(lengths) + 1
