@@ -35,11 +35,10 @@ from statemerge.harness import (ExperimentConfig, ExtractionConfig,  # noqa: E40
                                 TrainingConfig, ensure_trained, eval_set_for,
                                 extraction_strings, run_dir, run_extraction,
                                 run_kmeans_baseline)
-from statemerge.languages import sample_balanced, save_dataset  # noqa: E402
+from statemerge.languages import LANGUAGE_IDS, LabeledSample, sample_balanced  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden.txt"
-LANGUAGES = tuple(range(1, 8))
 SEEDS = (0, 1, 2)
 KAPPAS = (0.01, 0.4)
 CONFIG = ExperimentConfig(n_eval=100, extraction=ExtractionConfig(n_strings=100))
@@ -67,7 +66,7 @@ def fixture_models() -> dict[int, rnn.RnnModel]:
     """The benchmark's fixture models, each checked against its pinned sha256."""
     pins = json.loads((ROOT / "perfbench" / "expected.json").read_text())["fixtures"]
     models = {}
-    for language in LANGUAGES:
+    for language in LANGUAGE_IDS:
         name = f"tomita{language}.ckpt.gz"
         data = (ROOT / "perfbench" / "fixtures" / name).read_bytes()
         if hashlib.sha256(data).hexdigest() != pins[name]:
@@ -75,6 +74,14 @@ def fixture_models() -> dict[int, rnn.RnnModel]:
         ckpt, alphabet = rnn.load_checkpoint(gzip.decompress(data).decode())
         models[language] = rnn.model_from_checkpoint(ckpt, alphabet)
     return models
+
+
+def save_dataset(samples: list[LabeledSample], language: int, seed: int) -> str:
+    """The text the eval_set and evaluate lines hash: two header lines, then
+    per sample its string, a tab and one 0/1 label per prefix."""
+    lines = ["# dataset-format 1", f"# language {language} seed {seed} count {len(samples)}"]
+    lines += [s.x + "\t" + "".join("1" if b else "0" for b in s.y) for s in samples]
+    return "\n".join(lines) + "\n"
 
 
 def sha(text: str) -> str:
@@ -130,7 +137,7 @@ def run_sha(out_dir: Path) -> str:
 def train_lines() -> list[str]:
     """One tiny ensure_trained run per language, each into an empty cache."""
     lines = []
-    for language in LANGUAGES:
+    for language in LANGUAGE_IDS:
         config = TrainingConfig(language, **TRAIN_SIZES)
         with tempfile.TemporaryDirectory() as cache:
             _, metrics = ensure_trained(config, Path(cache))

@@ -70,17 +70,6 @@ class Nfa:
             if tok not in self.alphabet:
                 raise ValueError(f"transition token {tok!r} not in alphabet")
 
-    def accepts(self, w: str) -> bool:
-        """Path-existence acceptance by direct subset simulation."""
-        current = {self.initial}
-        for token in w:
-            if token not in self.alphabet:
-                raise AlphabetError(f"token {token!r} not in alphabet {self.alphabet}")
-            current = {dst for src in current for dst in self.transitions.get((src, token), ())}
-            if not current:
-                return False
-        return bool(current & self.accepting)
-
 
 def prefix_decisions(dfa: Dfa, w: str) -> list[bool]:
     """Acceptance verdict for every prefix of w, entry 0 being the empty string."""

@@ -43,10 +43,6 @@ class PrefixTree:
             state = nxt
         return state
 
-    def as_dfa(self) -> Dfa:
-        return Dfa(self.alphabet, set(range(self.n_states)), 0,
-                   dict(self.edges), {q for q, acc in enumerate(self.labels) if acc})
-
 
 def build_prefix_tree(model: RnnModel, strings: list[str]) -> PrefixTree:
     """The states are the distinct prefixes of the strings, in BFS order from

@@ -23,7 +23,7 @@ from . import rnn
 from .automata import Dfa, successor_table
 from .extraction import ExtractionReport, extract
 from .kmeans import kmeans_extract
-from .languages import ALPHABET, LabeledSample, sample_balanced, sample_eval_set
+from .languages import ALPHABET, LANGUAGE_IDS, LabeledSample, sample_balanced, sample_eval_set
 from .rnn import Checkpoint, EvalReference, RnnModel, best_checkpoint, eval_reference
 
 logger = logging.getLogger(__name__)
@@ -74,7 +74,7 @@ class ExtractionConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    languages: tuple[int, ...] = tuple(range(1, 8))
+    languages: tuple[int, ...] = LANGUAGE_IDS
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     extraction: ExtractionConfig = ExtractionConfig()
     kmeans_k: int = 20

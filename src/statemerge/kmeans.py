@@ -94,8 +94,6 @@ def kmeans_extract(model: RnnModel, strings: list[str], k: int,
     acceptance by majority label vote (ties reject), transitions by majority
     successor-cluster vote weighted by occurrence (ties to the lowest cluster
     id).  Unreachable clusters are pruned and the result minimized."""
-    if not strings:
-        raise ValueError("need at least one string")
     # One record per visited prefix position, the records of a string in
     # order, so record i + 1 is record i's successor unless next_token[i] is
     # -1 (a string's end).  Record 0 is the empty prefix of the first string.

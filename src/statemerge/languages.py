@@ -10,17 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import Dfa, prefix_decisions, successor_table
+from .automata import Dfa, successor_table
 
 logger = logging.getLogger(__name__)
 
 ALPHABET: tuple[str, ...] = ("a", "b")
 LANGUAGE_IDS = tuple(range(1, 8))
-DATASET_FORMAT_VERSION = 1
-
-
-class InfeasibleLength(ValueError):
-    """The language contains no string of the requested length."""
 
 
 @dataclass(frozen=True)
@@ -81,10 +76,6 @@ def gold_dfa(language: int) -> Dfa:
             (3, "a"): 3,
         })
     raise ValueError(f"unknown Tomita language id {language}; expected 1-7")
-
-
-def labeled(language: int, w: str) -> LabeledSample:
-    return LabeledSample(w, tuple(prefix_decisions(gold_dfa(language), w)))
 
 
 def _accepting_counts(language: int, max_len: int) -> tuple[list[list[int]], list[list[int]]]:
@@ -186,21 +177,6 @@ def _walk_positive(table: list[list[int]], counts: list[list[int]], length: int,
     return "".join(out)
 
 
-def positive_count(language: int, length: int) -> int:
-    _, counts = _accepting_counts(language, length)
-    return counts[length][0]
-
-
-def sample_uniform_positive(language: int, length: int, rng: np.random.Generator) -> str:
-    """Uniform draw from the set of in-language strings of exactly the given
-    length, by walking the gold DFA weighted with accepting-completion counts."""
-    table, counts = _accepting_counts(language, length)
-    if not counts[length][0]:
-        raise InfeasibleLength(
-            f"Tomita {language} contains no string of length {length}")
-    return _walk_positive(table, counts, length, rng)
-
-
 def _sample_uniform_string(length: int, rng: np.random.Generator) -> str:
     return "".join(ALPHABET[i] for i in rng.integers(0, len(ALPHABET), size=length))
 
@@ -242,30 +218,3 @@ def sample_eval_set(language: int, count: int, max_len: int,
         samples.append(_label(table, counts[0], x))
     return samples
 
-
-def save_dataset(samples: list[LabeledSample], language: int, seed: int) -> str:
-    """One record per line: string, tab, bitstring of prefix labels."""
-    lines = [f"# dataset-format {DATASET_FORMAT_VERSION}",
-             f"# language {language} seed {seed} count {len(samples)}"]
-    for s in samples:
-        lines.append(s.x + "\t" + "".join("1" if b else "0" for b in s.y))
-    return "\n".join(lines) + "\n"
-
-
-def load_dataset(text: str) -> list[LabeledSample]:
-    """Inverse of save_dataset.  Raises ValueError unless the first line is
-    the format header and every record is an ALPHABET string, a tab and one
-    0/1 label per prefix."""
-    lines = text.splitlines()
-    if not lines or lines[0].split() != ["#", "dataset-format", str(DATASET_FORMAT_VERSION)]:
-        raise ValueError("unrecognized dataset file header")
-    samples = []
-    for line in lines[1:]:
-        if not line or line.startswith("#"):
-            continue
-        x, tab, bits = line.partition("\t")
-        if (not tab or not set(bits) <= {"0", "1"} or not set(x) <= set(ALPHABET)
-                or len(bits) != len(x) + 1):
-            raise ValueError(f"malformed dataset line: {line!r}")
-        samples.append(LabeledSample(x, tuple(c == "1" for c in bits)))
-    return samples

@@ -57,10 +57,6 @@ class ForwardResult:
     hidden: np.ndarray  # (n+1, d); row i is the state after prefix w[:i]
     yhat: np.ndarray    # (n+1,); probability each prefix is in the language
 
-    @property
-    def accepts(self) -> np.ndarray:  # per prefix
-        return _accepts(self.yhat)
-
 
 def init_model(alphabet: tuple[str, ...], embed_dim: int, hidden_dim: int,
                rng: np.random.Generator) -> RnnModel:
@@ -308,25 +304,6 @@ def train(model: RnnModel, train_set: list[LabeledSample], dev_set: list[Labeled
 def best_checkpoint(checkpoints: list[Checkpoint]) -> Checkpoint:
     """Highest dev accuracy; ties broken toward the highest epoch."""
     return max(checkpoints, key=lambda c: (c.metadata["dev_accuracy"], c.metadata["epoch"]))
-
-
-def saturation_level(model: RnnModel, strings: list[str]) -> float:
-    """Worst-case distance of any visited normalized hidden state from its
-    unit-norm sign pattern; sign(0) counts as +1."""
-    if not strings:
-        raise ValueError("need at least one string")
-    hidden = np.concatenate([forward(model, w).hidden for w in strings])
-    norms = np.linalg.norm(hidden, axis=1)
-    degenerate = norms == 0.0
-    if degenerate.all():
-        raise ValueError("all hidden states were degenerate")
-    if degenerate.any():
-        logger.warning("%d zero hidden states excluded from saturation measurement",
-                       int(degenerate.sum()))
-    kept = hidden[~degenerate]
-    sign = np.where(kept >= 0, 1.0, -1.0)
-    unit = kept / norms[~degenerate, None]
-    return float(np.linalg.norm(unit - sign / math.sqrt(model.hidden_dim), axis=1).max())
 
 
 def kappa_bound(d: int, eps: float) -> float | None:

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from statemerge.automata import Dfa, Nfa
+from statemerge.automata import Dfa, Nfa, prefix_decisions
 from statemerge.extraction import PrefixTree
-from statemerge.rnn import ForwardResult, _forward_ids, _head_probs
+from statemerge.languages import LabeledSample, gold_dfa
+from statemerge.rnn import ForwardResult, _accepts, _forward_ids, _head_probs
 
 SIGMA2 = ("a", "b")
 
@@ -16,9 +17,25 @@ def all_strings(alphabet, max_len):
             yield "".join(tokens)
 
 
+def labeled(language, w):
+    """Oracle: w with the gold machine's verdict on each of its prefixes."""
+    return LabeledSample(w, tuple(prefix_decisions(gold_dfa(language), w)))
+
+
+def accepts(machine, w):
+    """Oracle: Dfa.accepts, or for an Nfa path-existence acceptance by direct
+    subset simulation."""
+    if not isinstance(machine, Nfa):
+        return machine.accepts(w)
+    current = {machine.initial}
+    for token in w:
+        current = {dst for src in current for dst in machine.transitions.get((src, token), ())}
+    return bool(current & machine.accepting)
+
+
 def same_language(machine_a, machine_b, max_len):
     """Brute-force agreement on every string up to max_len."""
-    return all(machine_a.accepts(w) == machine_b.accepts(w)
+    return all(accepts(machine_a, w) == accepts(machine_b, w)
                for w in all_strings(machine_a.alphabet, max_len))
 
 
@@ -132,7 +149,7 @@ def string_keyed_prefix_tree(model, strings):
     unique = list(dict.fromkeys(strings))
     rows: dict[str, tuple[bool, np.ndarray]] = {}
     for w, result in zip(unique, forward_many(model, unique)):
-        for i, row in enumerate(zip(result.accepts.tolist(), result.hidden)):
+        for i, row in enumerate(zip(_accepts(result.yhat).tolist(), result.hidden)):
             rows.setdefault(w[:i], row)
     rank = {ord(token): chr(i) for i, token in enumerate(model.alphabet)}
     prefixes = sorted(rows, key=lambda p: (len(p), p.translate(rank)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from statemerge import extraction, rnn
-from statemerge.automata import Nfa
+from statemerge.automata import Dfa, Nfa
 from statemerge.extraction import (PrefixTree, build_prefix_tree, extract, merge_all,
                                    train_set_fidelity)
 from statemerge.harness import extraction_strings
@@ -20,6 +20,12 @@ NO_VISITS = np.zeros(0, dtype=int)
 
 def small_model(seed=0):
     return init_model(ALPHABET, 4, 8, np.random.default_rng(seed))
+
+
+def trie_dfa(tree):
+    """The unmerged trie as a machine: each state accepts by its label."""
+    return Dfa(tree.alphabet, set(range(tree.n_states)), 0, dict(tree.edges),
+               {q for q, acc in enumerate(tree.labels) if acc})
 
 
 def random_strings(rng, count, max_len=8):
@@ -81,7 +87,7 @@ class TestBuildPrefixTree:
         m = small_model()
         tree = build_prefix_tree(m, ["ab"])
         result = forward(m, "ab")
-        assert tree.labels == result.accepts.tolist()
+        assert tree.labels == rnn._accepts(result.yhat).tolist()
         for i in range(3):
             assert np.array_equal(tree.features[i], result.hidden[i])
 
@@ -89,9 +95,9 @@ class TestBuildPrefixTree:
         m = small_model(3)
         strings = random_strings(rng, 30)
         tree = build_prefix_tree(m, strings)
-        dfa = tree.as_dfa()
+        dfa = trie_dfa(tree)
         for w in strings:
-            preds = forward(m, w).accepts
+            preds = rnn._accepts(forward(m, w).yhat)
             for i in range(len(w) + 1):
                 assert dfa.accepts(w[:i]) == preds[i]
 
@@ -378,7 +384,7 @@ class TestMergeAll:
                     current = {d for s in current
                                for d in merged.transitions.get((s, token), ())}
                     assert current, f"path lost for {w!r} at kappa={kappa}"
-                if forward(m, w).accepts[-1]:
+                if rnn._accepts(forward(m, w).yhat)[-1]:
                     assert current & merged.accepting
 
     def test_labels_preserved_under_merging(self, rng):
@@ -412,7 +418,7 @@ class TestExtract:
         strings = random_strings(rng, 25)
         tree = build_prefix_tree(m, strings)
         # The unmerged trie always agrees with itself.
-        assert train_set_fidelity(tree.as_dfa(), tree) == 1.0
+        assert train_set_fidelity(trie_dfa(tree), tree) == 1.0
 
     def test_empty_strings_rejected(self):
         with pytest.raises(ValueError):

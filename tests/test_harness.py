@@ -22,11 +22,11 @@ from statemerge.harness import (METRIC_FIELDS, RESULT_FIELDS, ExperimentConfig,
                                 reproduce_table2, run_dir, run_extraction,
                                 run_kmeans_baseline, summarize, sweep_epochs, sweep_kappa,
                                 to_csv)
-from statemerge.languages import ALPHABET, gold_dfa, labeled, sample_eval_set
+from statemerge.languages import ALPHABET, gold_dfa, sample_eval_set
 from statemerge.rnn import (EpochMetrics, eval_reference, forward, init_model, load_checkpoint,
                             save_checkpoint)
 
-from conftest import forward_many, random_dfa
+from conftest import forward_many, labeled, random_dfa
 
 
 SHIPPED = Path(__file__).resolve().parent.parent / "artifacts" / "models"
@@ -121,7 +121,7 @@ def rename(dfa, ids):
 def per_string_fidelity(dfa, model, eval_set):
     """The oracle: each string's machine verdicts by prefix_decisions against
     the model's decisions on that string run alone, counted string by string."""
-    pairs = [(prefix_decisions(dfa, s.x), forward(model, s.x).accepts.tolist())
+    pairs = [(prefix_decisions(dfa, s.x), rnn._accepts(forward(model, s.x).yhat).tolist())
              for s in eval_set]
     agree = [p == q for dfa_preds, rnn_preds in pairs for p, q in zip(dfa_preds, rnn_preds)]
     return FidelityResult(sum(d[-1] == r[-1] for d, r in pairs) / len(pairs),
@@ -153,7 +153,7 @@ class TestFidelity:
         model = init_model(ALPHABET, 4, 8, rng)
         dfa = gold_dfa(4)
         eval_set = sample_eval_set(4, 300, 12, rng)
-        runs = [r.accepts.tolist() for r in forward_many(model, [s.x for s in eval_set])]
+        runs = [rnn._accepts(r.yhat).tolist() for r in forward_many(model, [s.x for s in eval_set])]
         pairs = [(prefix_decisions(dfa, s.x), r) for s, r in zip(eval_set, runs)]
         agree = [p == q for dfa_preds, rnn_preds in pairs for p, q in zip(dfa_preds, rnn_preds)]
         result = fidelity(dfa, eval_reference(model, eval_set))

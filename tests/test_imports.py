@@ -1,7 +1,8 @@
 """Every imported name in src/, scripts/ and tests/ is used in its module,
-src/ and scripts/ import nothing from tests/, and src/ reads every field of
-the configs.  No linter ships with the project, so this reads the syntax
-trees itself."""
+src/ and scripts/ import nothing from tests/, src/ reads every field of the
+configs, and src/, scripts/ or perfbench/ use every public name of the
+package.  No linter ships with the project, so this reads the syntax trees
+itself."""
 
 import ast
 from pathlib import Path
@@ -113,3 +114,90 @@ def train(config: TrainingConfig):
     assert field_reads(ast.parse(source), "TrainingConfig") == {"epochs"}
     assert field_reads(ast.parse("def step(hyper):\n    return hyper.lr\n"),
                        "TrainingConfig") == set()
+
+
+# Public names of the package that no program code uses, and why each stays.
+UNUSED_KEPT = {
+    "automata.Dfa.accepts": "run-semantics reference: a machine's verdict on one string",
+    "automata.equivalent": "acceptance-suite claim: criteria 3 and 4 compare with gold",
+    "extraction.PrefixTree.state_of": "acceptance-suite claim: criterion 6's extraction check",
+    "harness.min_data_for_full_fidelity": "acceptance-suite claim: criterion 5's data needs",
+    "rnn.kappa_bound": "acceptance-suite claim: criterion 6's safe merge tolerance",
+    "rnn.forward": "benchmark tracer: perfbench/tracer.py wraps it by name (ROADMAP item 1)",
+}
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) for each public top-level function, class and upper-case
+    constant, and each public method of a top-level class as Class.method."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node))
+            found += [(f"{node.name}.{method.name}", method) for method in node.body
+                      if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)
+                      and t.id.isupper() and not t.id.startswith("_")]
+    return found
+
+
+def unused_definitions(package: dict[str, ast.Module], others: list[ast.Module],
+                       kept: frozenset[str] = frozenset()) -> list[str]:
+    """module.name for each public definition in package that neither the
+    package nor others use outside the definition itself.  A use is a loaded
+    name or attribute with the definition's bare name; strings do not count.
+    Uses inside an unused definition do not count either, unless it is kept,
+    so a name that only dead code uses is reported too."""
+    uses: dict[str, set[int]] = {}
+    for tree in [*package.values(), *others]:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                uses.setdefault(name, set()).add(id(node))
+    definitions = [(f"{module}.{name}", {id(n) for n in ast.walk(node)})
+                   for module, tree in package.items() for name, node in public_definitions(tree)]
+    unused: set[str] = set()
+    while True:
+        dead = set().union(*(own for name, own in definitions
+                             if name in unused and name not in kept))
+        found = {name for name, own in definitions
+                 if not uses.get(name.rsplit(".", 1)[1], set()) - own - dead}
+        if found == unused:
+            return sorted(unused)
+        unused = found
+
+
+def test_every_public_name_is_used_by_the_program():
+    package = {p.stem: ast.parse(p.read_text())
+               for p in sorted((ROOT / "src" / "statemerge").glob("*.py"))}
+    others = [ast.parse(p.read_text())
+              for top in ("scripts", "perfbench") for p in sorted((ROOT / top).rglob("*.py"))]
+    assert unused_definitions(package, others, frozenset(UNUSED_KEPT)) == sorted(UNUSED_KEPT)
+
+
+def test_unused_definitions_detected():
+    source = """
+LIMIT = 3
+_SCALE = 2
+LAYERS = {"m": ("walk",)}
+def bound():
+    return LIMIT
+def walk(n):
+    return walk(n - 1) if n > bound() else n
+class Box:
+    def open(self):
+        return self.close()
+    def close(self):
+        return _SCALE
+    def _hidden(self):
+        pass
+def main():
+    print(LAYERS, Box().open())
+main()
+"""
+    package = {"m": ast.parse(source)}
+    assert unused_definitions(package, []) == ["m.LIMIT", "m.bound", "m.walk"]
+    assert unused_definitions(package, [], frozenset({"m.walk"})) == ["m.walk"]
+    assert unused_definitions(package, [ast.parse("walk(1)")]) == []

@@ -8,7 +8,7 @@ import pytest
 from statemerge.automata import prefix_decisions
 from statemerge.extraction import PrefixTree, build_prefix_tree
 from statemerge.kmeans import kmeans, kmeans_extract
-from statemerge.rnn import forward, init_model
+from statemerge.rnn import _accepts, forward, init_model
 
 
 # The module: the package attribute statemerge.kmeans is the function.
@@ -63,7 +63,7 @@ class TestCollectHiddenStates:
             np.testing.assert_allclose(points[base:base + len(w) + 1], result.hidden,
                                        rtol=0, atol=1e-12)
             accepted = [q in dfa.accepting for q in range(base, base + len(w) + 1)]
-            assert accepted == result.accepts.tolist()
+            assert accepted == _accepts(result.yhat).tolist()
             base += len(w) + 1
         assert base == len(points)
 

@@ -8,13 +8,9 @@ import pytest
 
 from statemerge import languages
 from statemerge.automata import minimize
-from statemerge.languages import (InfeasibleLength, LabeledSample, gold_dfa,
-                                  labeled, load_dataset,
-                                  positive_count, sample_balanced,
-                                  sample_eval_set, sample_uniform_positive,
-                                  save_dataset)
+from statemerge.languages import LabeledSample, gold_dfa, sample_balanced, sample_eval_set
 
-from conftest import all_strings
+from conftest import all_strings, labeled
 
 
 def tomita3_reference(w):
@@ -70,39 +66,48 @@ class TestMembership:
 
 
 class TestPositiveCount:
+    """The accepting-completion counts from the initial state, counts[n][0],
+    are the number of in-language strings of length n."""
+
     @pytest.mark.parametrize("language", range(1, 8))
     def test_matches_brute_force_to_length_10(self, language):
         oracle = REFERENCE_ORACLES[language]
         brute = Counter(len(w) for w in all_strings(("a", "b"), 10) if oracle(w))
-        assert [positive_count(language, n) for n in range(11)] == [brute[n] for n in range(11)]
+        assert ([languages._accepting_counts(language, n)[1][n][0] for n in range(11)]
+                == [brute[n] for n in range(11)])
+
+
+def walk_positive(language, n, rng):
+    table, counts = languages._accepting_counts(language, n)
+    return languages._walk_positive(table, counts, n, rng)
 
 
 class TestUniformPositive:
+    """The positive walk the samplers draw in-language strings with."""
+
     def test_unique_member(self, rng):
-        assert sample_uniform_positive(2, 4, rng) == "abab"
+        assert walk_positive(2, 4, rng) == "abab"
 
     def test_a_star_one_per_length(self, rng):
-        assert sample_uniform_positive(1, 3, rng) == "aaa"
-
-    def test_infeasible_length(self, rng):
-        with pytest.raises(InfeasibleLength):
-            sample_uniform_positive(2, 3, rng)
+        assert walk_positive(1, 3, rng) == "aaa"
 
     def test_always_in_language(self, rng):
         for language in range(1, 8):
             gold = gold_dfa(language)
             for _ in range(50):
                 n = int(rng.integers(0, 13))
-                if positive_count(language, n) == 0:
+                if languages._accepting_counts(language, n)[1][n][0] == 0:
                     continue
-                assert gold.accepts(sample_uniform_positive(language, n, rng))
+                assert gold.accepts(walk_positive(language, n, rng))
 
     def test_uniformity_three_sigma(self):
         rng = np.random.default_rng(1)
         language, n, draws = 5, 6, 10_000
         gold = gold_dfa(language)
         support = [w for w in all_strings(("a", "b"), 6) if len(w) == n and gold.accepts(w)]
-        counts = Counter(sample_uniform_positive(language, n, rng) for _ in range(draws))
+        table, completions = languages._accepting_counts(language, n)
+        counts = Counter(languages._walk_positive(table, completions, n, rng)
+                         for _ in range(draws))
         assert set(counts) <= set(support)
         p = 1 / len(support)
         sigma = (draws * p * (1 - p)) ** 0.5
@@ -140,11 +145,9 @@ class TestBalancedSampler:
 
     def test_negative_length_rejected(self, rng):
         with pytest.raises(ValueError, match="nonnegative"):
-            positive_count(1, -1)
+            languages._accepting_counts(1, -1)
         with pytest.raises(ValueError, match="nonnegative"):
             sample_balanced(1, -1, 10, rng)
-        with pytest.raises(ValueError, match="nonnegative"):
-            sample_uniform_positive(1, -1, rng)
 
 
 class TestEvalSampler:
@@ -238,33 +241,7 @@ class TestPcg64Reader:
                          lambda: np.random.Generator(np.random.MT19937(0)))
 
 
-class TestDatasetFormat:
-    def test_round_trip(self, rng):
-        samples = sample_balanced(5, 12, 8, rng) + [labeled(5, "")]
-        text = save_dataset(samples, language=5, seed=0)
-        assert load_dataset(text) == samples
-        assert text.endswith("\n\t1\n")  # ε is written as an empty first field
-
-    def test_header_present(self, rng):
-        text = save_dataset(sample_balanced(1, 3, 2, rng), language=1, seed=9)
-        assert text.startswith("# dataset-format 1\n# language 1 seed 9")
-
-    @pytest.mark.parametrize("text", [
-        "", "ab\t110\n", "# dataset-format 2\nab\t110\n", "# language 1\nab\t110\n",
-        "# dataset-format 1\nab110\n", "# dataset-format 1\nab\t1x0\n",
-        "# dataset-format 1\nab\t120\n", "# dataset-format 1\nab\t110\t1\n",
-        "# dataset-format 1\nxyz\t0000\n", "# dataset-format 1\nab\t110\naAb\t1000\n",
-        "# dataset-format 1\nab\t01\n", "# dataset-format 1\nab\t\n"],
-        ids=["empty", "no-header", "other-version", "other-first-line", "no-tab",
-             "label-x", "label-2", "two-tabs", "string-xyz", "string-capital",
-             "labels-short", "labels-none"])
-    def test_malformed_file_rejected(self, text):
-        # A bad record is named in the message; a bad header is the first line.
-        lines = text.splitlines()
-        named = repr(lines[-1]) if lines and lines[0] == "# dataset-format 1" else "header"
-        with pytest.raises(ValueError, match=re.escape(named)):
-            load_dataset(text)
-
+class TestLabeledSample:
     def test_label_length_validated(self):
         with pytest.raises(ValueError):
             LabeledSample("ab", (True,))

@@ -8,13 +8,13 @@ import pytest
 
 from statemerge import rnn
 from statemerge.harness import TrainingConfig
-from statemerge.languages import ALPHABET, labeled, sample_balanced, sample_eval_set
-from statemerge.rnn import (AdamWHyper, Checkpoint, RnnModel, TrainingError,
+from statemerge.languages import ALPHABET, sample_balanced, sample_eval_set
+from statemerge.rnn import (AdamWHyper, Checkpoint, TrainingError,
                             adamw_step, eval_reference, evaluate, forward, init_model,
                             kappa_bound, load_checkpoint, loss_and_grads,
-                            model_from_checkpoint, saturation_level, save_checkpoint, train)
+                            model_from_checkpoint, save_checkpoint, train)
 
-from conftest import forward_many
+from conftest import forward_many, labeled
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -85,7 +85,7 @@ class TestForwardMany:
             assert result.hidden.shape == (len(w) + 1, 8)
             np.testing.assert_allclose(result.hidden, single.hidden, rtol=0, atol=1e-12)
             np.testing.assert_allclose(result.yhat, single.yhat, rtol=0, atol=1e-12)
-            assert list(result.yhat > 0.5) == list(single.accepts)
+            assert list(result.yhat > 0.5) == list(rnn._accepts(single.yhat))
 
     def test_empty_list(self, rng):
         assert forward_many(init_model(ALPHABET, 4, 8, rng), []) == []
@@ -95,20 +95,20 @@ class TestDecisions:
     def test_thresholding(self, rng):
         m = init_model(ALPHABET, 4, 8, rng)
         result = forward(m, "aab")
-        assert result.accepts.tolist() == [bool(p > 0.5) for p in result.yhat]
+        assert rnn._accepts(result.yhat).tolist() == [bool(p > 0.5) for p in result.yhat]
 
     def test_exact_tie_rejects(self, rng):
         m = init_model(ALPHABET, 4, 8, rng)
         m.params["w_out"] = np.zeros_like(m.params["w_out"])
         m.params["b_out"] = np.zeros_like(m.params["b_out"])
-        assert forward(m, "ab").accepts.tolist() == [False, False, False]
+        assert rnn._accepts(forward(m, "ab").yhat).tolist() == [False, False, False]
 
 
 def evaluate_per_sample(model, samples):
     """The oracle: evaluate as a loop over the samples, one count each."""
     correct = total = string_correct = 0
     for sample, result in zip(samples, forward_many(model, [s.x for s in samples])):
-        match = result.accepts == np.array(sample.y)
+        match = rnn._accepts(result.yhat) == np.array(sample.y)
         correct += int(match.sum())
         total += match.size
         string_correct += int(match[-1])
@@ -128,7 +128,7 @@ def per_length_eval_reference(model, samples):
         strings = [samples[i].x for i in rows]
         ids[rows, :length] = [model.token_ids(w) for w in strings]
         labels[rows, :length + 1] = [samples[i].y for i in rows]
-        decisions[rows, :length + 1] = [r.accepts for r in forward_many(model, strings)]
+        decisions[rows, :length + 1] = [rnn._accepts(r.yhat) for r in forward_many(model, strings)]
         for padded in (labels, decisions):
             padded[rows, length + 1:] = padded[rows, length:length + 1]
     return rnn.EvalReference(model.alphabet, ids, lengths, labels, decisions)
@@ -152,7 +152,7 @@ class TestEvalReference:
         assert ref.labels.tolist() == [[True, False, True, True, True], [True] * 5,
                                        [True, False, True, False, True]]
         for row, s in enumerate(samples):
-            decided = forward(m, s.x).accepts.tolist()
+            decided = rnn._accepts(forward(m, s.x).yhat).tolist()
             assert ref.decisions[row].tolist() == decided + decided[-1:] * (4 - len(s.x))
             assert ref.prefixes[row].tolist() == [t <= len(s.x) for t in range(5)]
 
@@ -373,26 +373,6 @@ class TestSaturation:
         eps = np.linalg.norm(h / np.linalg.norm(h) - sign / 2.0)
         expected = math.sqrt((1 - 0.5) ** 2 + 3 * 0.25)
         assert eps == pytest.approx(expected, abs=1e-12)
-
-    def test_measured_on_model(self, rng):
-        m = init_model(ALPHABET, 4, 8, rng)
-        eps = saturation_level(m, ["ab", "ba", "aabb"])
-        assert eps >= 0.0
-
-    def test_scaling_does_not_increase(self, rng):
-        m = init_model(ALPHABET, 6, 12, rng)
-        strings = ["abab", "bbaa", "aaabbb", "ab"]
-        levels = []
-        for rho in (1.0, 2.0, 4.0):
-            scaled = RnnModel(m.alphabet, {k: v * rho for k, v in m.params.items()})
-            levels.append(saturation_level(scaled, strings))
-        assert levels[1] <= levels[0] + 1e-9
-        assert levels[2] <= levels[1] + 1e-9
-
-    def test_requires_strings(self, rng):
-        m = init_model(ALPHABET, 4, 8, rng)
-        with pytest.raises(ValueError):
-            saturation_level(m, [])
 
 
 class TestKappaBound:
