@@ -31,6 +31,7 @@ import numpy as np  # noqa: E402
 
 from statemerge import rnn  # noqa: E402
 from statemerge.automata import save_dfa  # noqa: E402
+from statemerge.extraction import build_prefix_tree  # noqa: E402
 from statemerge.harness import (ExperimentConfig, ExtractionConfig,  # noqa: E402
                                 TrainingConfig, ensure_trained, eval_set_for,
                                 extraction_strings, run_dir, run_extraction,
@@ -93,15 +94,16 @@ def scores(row) -> str:
 
 
 def golden_lines() -> list[str]:
-    """One eval set and reference per language, and one string set per
-    (language, seed) for every kappa and k-means."""
+    """One eval set and reference per language, and one string set and
+    prefix tree per (language, seed) for every kappa and k-means."""
     ext = CONFIG.extraction
     lines = []
     for language, model in fixture_models().items():
         eval_set = eval_set_for(language, CONFIG)
         reference = rnn.eval_reference(model, eval_set)
-        strings = {seed: extraction_strings(language, ext.n_strings, ext.string_len, seed)
-                   for seed in SEEDS}
+        trees = {seed: build_prefix_tree(
+                     model, extraction_strings(language, ext.n_strings, ext.string_len, seed))
+                 for seed in SEEDS}
         lines.append(f"eval_set {language} {sha(save_dataset(eval_set, language, 999))}")
         # Labelled by the next language, so that the accuracies fall short of 1.
         other = language % 7 + 1
@@ -111,16 +113,15 @@ def golden_lines() -> list[str]:
                      f"{accuracy!r} {string_accuracy!r}")
         for kappa in KAPPAS:
             for seed in SEEDS:
-                row, report = run_extraction(model, language, seed, 0, strings[seed], kappa,
-                                             reference)
+                row, report = run_extraction(language, seed, 0, trees[seed], kappa, reference)
                 sizes = ",".join(map(str, report.sizes))
                 lines.append(f"state_merging {language} {kappa} {seed} "
                              f"{sha(save_dfa(report.final))} {sizes} "
                              f"{len(report.determinized.states)} {report.train_fidelity!r} "
                              f"{scores(row)}")
         for seed in SEEDS:
-            row, dfa = run_kmeans_baseline(model, language, seed, 0, strings[seed],
-                                           CONFIG.kmeans_k, reference)
+            row, dfa = run_kmeans_baseline(language, seed, 0, trees[seed], CONFIG.kmeans_k,
+                                           reference)
             lines.append(f"kmeans {language} {CONFIG.kmeans_k} {seed} "
                          f"{sha(save_dfa(dfa))} {len(dfa.states)} {scores(row)}")
     return lines

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import harness, rnn
 from .automata import Dfa, load_dfa, save_dfa, to_dot
+from .extraction import build_prefix_tree
 from .harness import (RESULT_FIELDS, ExperimentConfig, ExtractionConfig, ResultRow,
                       TrainingConfig, best_model, ensure_trained, fidelity, to_csv)
 from .languages import LANGUAGE_IDS
@@ -135,17 +136,17 @@ def cmd_machine(args: argparse.Namespace) -> int:
               f"per-prefix vs RNN {result.prefix_vs_rnn:.4f}")
         return 0
     ext = config.extraction
-    strings = harness.extraction_strings(language, ext.n_strings, ext.string_len, seed)
+    tree = build_prefix_tree(
+        model, harness.extraction_strings(language, ext.n_strings, ext.string_len, seed))
     tag = f"tomita{language}_seed{seed}"
     if args.command == "extract":
-        row, report = harness.run_extraction(model, language, seed, 0, strings,
-                                             ext.kappa, reference)
+        row, report = harness.run_extraction(language, seed, 0, tree, ext.kappa, reference)
         dfa = report.final
         print(f"tomita {language}: sizes {report.sizes}, "
               f"fidelity vs RNN {row.acc_vs_rnn:.4f}, vs gold {row.acc_vs_gold:.4f}")
     else:
-        row, dfa = harness.run_kmeans_baseline(model, language, seed, 0, strings,
-                                               config.kmeans_k, reference)
+        row, dfa = harness.run_kmeans_baseline(language, seed, 0, tree, config.kmeans_k,
+                                               reference)
         tag += "_kmeans"
         print(f"tomita {language} kmeans: {len(dfa.states)} states, "
               f"fidelity vs RNN {row.acc_vs_rnn:.4f}")

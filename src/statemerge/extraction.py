@@ -34,6 +34,12 @@ class PrefixTree:
     def n_states(self) -> int:
         return len(self.labels)
 
+    @property
+    def n_strings(self) -> int:
+        """The input strings, duplicates included: each string's positions
+        start at the root, and no other position reaches it."""
+        return int(np.count_nonzero(self.visits == 0))
+
     def state_of(self, prefix: str) -> int | None:
         state = 0
         for token in prefix:
@@ -167,9 +173,8 @@ def train_set_fidelity(final: Dfa, tree: PrefixTree) -> float:
     return agree / tree.n_states
 
 
-def extract(model: RnnModel, strings: list[str], kappa: float) -> ExtractionReport:
-    """Full pipeline: prefix tree -> merge -> determinize -> minimize."""
-    tree = build_prefix_tree(model, strings)
+def extract(tree: PrefixTree, kappa: float) -> ExtractionReport:
+    """Full pipeline from a built prefix tree: merge -> determinize -> minimize."""
     merged = merge_all(tree, kappa)
     determinized = determinize(merged)
     final = minimize(determinized)

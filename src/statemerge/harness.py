@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rnn
 from .automata import Dfa, successor_table
-from .extraction import ExtractionReport, extract
+from .extraction import ExtractionReport, PrefixTree, build_prefix_tree, extract
 from .kmeans import kmeans_extract
 from .languages import ALPHABET, LANGUAGE_IDS, LabeledSample, sample_balanced, sample_eval_set
 from .rnn import Checkpoint, EvalReference, RnnModel, best_checkpoint, eval_reference
@@ -281,25 +281,25 @@ def eval_set_for(language: int, config: ExperimentConfig) -> list[LabeledSample]
     return sample_eval_set(language, config.n_eval, EVAL_MAX_LEN, _rng(language, 999))
 
 
-def run_extraction(model: RnnModel, language: int, seed: int, epoch: int,
-                   strings: list[str], kappa: float,
+def run_extraction(language: int, seed: int, epoch: int, tree: PrefixTree, kappa: float,
                    reference: EvalReference) -> tuple[ResultRow, ExtractionReport]:
+    """One state-merging row; its wall_time leaves out building the tree."""
     start = time.perf_counter()
-    report = extract(model, strings, kappa)
+    report = extract(tree, kappa)
     fid = fidelity(report.final, reference)
-    row = ResultRow(language, "state_merging", seed, epoch, len(strings), kappa,
+    row = ResultRow(language, "state_merging", seed, epoch, tree.n_strings, kappa,
                     fid.vs_rnn, fid.vs_gold, fid.prefix_vs_rnn, report.sizes[1],
                     report.sizes[2], time.perf_counter() - start)
     return row, report
 
 
-def run_kmeans_baseline(model: RnnModel, language: int, seed: int, epoch: int,
-                        strings: list[str], k: int,
+def run_kmeans_baseline(language: int, seed: int, epoch: int, tree: PrefixTree, k: int,
                         reference: EvalReference) -> tuple[ResultRow, Dfa]:
+    """One k-means row; its wall_time leaves out building the tree."""
     start = time.perf_counter()
-    dfa = kmeans_extract(model, strings, k, _rng(seed, language, 20))
+    dfa = kmeans_extract(tree, k, _rng(seed, language, 20))
     fid = fidelity(dfa, reference)
-    row = ResultRow(language, "kmeans", seed, epoch, len(strings), 0.0,
+    row = ResultRow(language, "kmeans", seed, epoch, tree.n_strings, 0.0,
                     fid.vs_rnn, fid.vs_gold, fid.prefix_vs_rnn, len(dfa.states),
                     len(dfa.states), time.perf_counter() - start)
     return row, dfa
@@ -329,7 +329,7 @@ def summarize(rows: list[ResultRow]) -> dict[tuple[int, str], Table2Summary]:
 def reproduce_table2(config: ExperimentConfig, models: dict[int, RnnModel]
                      ) -> tuple[list[ResultRow], dict[tuple[int, str], Table2Summary]]:
     """State-merging extraction and k-means baseline per language and seed,
-    both on one string set per (language, seed) and one eval set per language."""
+    both on one prefix tree per (language, seed) and one eval set per language."""
     ext = config.extraction
     jobs = [(language, seed) for language in config.languages for seed in config.seeds]
     references = {language: eval_reference(models[language], eval_set_for(language, config))
@@ -338,10 +338,10 @@ def reproduce_table2(config: ExperimentConfig, models: dict[int, RnnModel]
     def one(job: tuple[int, int]) -> list[ResultRow]:
         language, seed = job
         model, reference = models[language], references[language]
-        strings = extraction_strings(language, ext.n_strings, ext.string_len, seed)
-        row_sm, _ = run_extraction(model, language, seed, 0, strings, ext.kappa, reference)
-        row_km, _ = run_kmeans_baseline(model, language, seed, 0, strings, config.kmeans_k,
-                                        reference)
+        tree = build_prefix_tree(
+            model, extraction_strings(language, ext.n_strings, ext.string_len, seed))
+        row_sm, _ = run_extraction(language, seed, 0, tree, ext.kappa, reference)
+        row_km, _ = run_kmeans_baseline(language, seed, 0, tree, config.kmeans_k, reference)
         return [row_sm, row_km]
 
     if config.threads > 1:
@@ -361,25 +361,26 @@ def sweep_data_size(config: ExperimentConfig, models: dict[int, RnnModel],
         reference = eval_reference(models[language], eval_set_for(language, config))
         for n_strings in grid:
             for seed in config.seeds:
-                strings = extraction_strings(language, n_strings, string_len, seed)
-                row, _ = run_extraction(models[language], language, seed, 0, strings,
-                                        config.extraction.kappa, reference)
+                tree = build_prefix_tree(
+                    models[language], extraction_strings(language, n_strings, string_len, seed))
+                row, _ = run_extraction(language, seed, 0, tree, config.extraction.kappa,
+                                        reference)
                 rows.append(row)
     return rows
 
 
 def sweep_kappa(config: ExperimentConfig,
                 model: RnnModel) -> list[tuple[ResultRow, ExtractionReport]]:
-    """Extraction at each of KAPPAS, all on one string set: config must name
+    """Extraction at each of KAPPAS, all on one prefix tree: config must name
     one language (model's) and one seed."""
     if len(config.languages) != 1 or len(config.seeds) != 1:
         raise ValueError(f"sweep_kappa runs one language and one seed; config names "
                          f"languages {config.languages} and seeds {config.seeds}")
     ext, (language,), (seed,) = config.extraction, config.languages, config.seeds
-    strings = extraction_strings(language, ext.n_strings, ext.string_len, seed)
+    tree = build_prefix_tree(
+        model, extraction_strings(language, ext.n_strings, ext.string_len, seed))
     reference = eval_reference(model, eval_set_for(language, config))
-    return [run_extraction(model, language, seed, 0, strings, kappa, reference)
-            for kappa in KAPPAS]
+    return [run_extraction(language, seed, 0, tree, kappa, reference) for kappa in KAPPAS]
 
 
 def sweep_epochs(config: ExperimentConfig,
@@ -396,8 +397,9 @@ def sweep_epochs(config: ExperimentConfig,
             model = rnn.model_from_checkpoint(ckpt, ALPHABET)
             reference = eval_reference(model, eval_set)
             for seed in config.seeds:
-                row, _ = run_extraction(model, language, seed, int(ckpt.metadata["epoch"]),
-                                        strings[seed], ext.kappa, reference)
+                row, _ = run_extraction(language, seed, int(ckpt.metadata["epoch"]),
+                                        build_prefix_tree(model, strings[seed]), ext.kappa,
+                                        reference)
                 rows.append(row)
     return rows
 
@@ -408,8 +410,9 @@ def min_data_for_full_fidelity(model: RnnModel, language: int, seed: int,
     """Smallest grid entry at which extraction reaches 100% fidelity."""
     ext = config.extraction
     for n_strings in sorted(grid):
-        strings = extraction_strings(language, n_strings, ext.string_len, seed)
-        row, _ = run_extraction(model, language, seed, 0, strings, ext.kappa, reference)
+        tree = build_prefix_tree(
+            model, extraction_strings(language, n_strings, ext.string_len, seed))
+        row, _ = run_extraction(language, seed, 0, tree, ext.kappa, reference)
         if row.acc_vs_rnn == 1.0:
             return n_strings
     return None

@@ -115,6 +115,15 @@ def strings():
 
 
 @pytest.fixture(scope="session")
+def trees(trained, strings):
+    """The best model's prefix tree of each (language, seed)'s strings,
+    built once for state merging and k-means alike."""
+    models, _ = trained
+    return {(language, seed): build_prefix_tree(models[language], strings[language, seed])
+            for language, seed in strings}
+
+
+@pytest.fixture(scope="session")
 def epoch_checkpoints(shipped_runs):
     return {language: checkpoints for language, (checkpoints, _) in shipped_runs.items()}
 
@@ -237,14 +246,12 @@ class TestCriterion7TrainingSanity:
 
 
 class TestCriterion1StateMerging:
-    def test_table_reproduction(self, trained, references, strings):
-        models, _ = trained
+    def test_table_reproduction(self, references, trees):
         failures = []
         t7_fidelities, t7_gold_hits = [], 0
         for language in LANGUAGES:
             for seed in SEEDS:
-                row, report = run_extraction(models[language], language, seed, 0,
-                                             strings[language, seed], KAPPA,
+                row, report = run_extraction(language, seed, 0, trees[language, seed], KAPPA,
                                              references[language])
                 if report.train_fidelity != 1.0:
                     failures.append(f"t{language}s{seed}: train fidelity "
@@ -270,15 +277,13 @@ class TestCriterion1StateMerging:
 
 
 class TestCriterion2KmeansBaseline:
-    def test_baseline_table(self, trained, references, strings):
-        models, _ = trained
+    def test_baseline_table(self, references, trees):
         failures = []
         t7_fidelities, t7_sizes = [], []
         for language in LANGUAGES:
             for seed in SEEDS:
-                row, _ = run_kmeans_baseline(models[language], language, seed, 0,
-                                             strings[language, seed], CONFIG.kmeans_k,
-                                             references[language])
+                row, _ = run_kmeans_baseline(language, seed, 0, trees[language, seed],
+                                             CONFIG.kmeans_k, references[language])
                 if language == 7:
                     t7_fidelities.append(row.acc_vs_rnn)
                     t7_sizes.append(row.minimized_size)
@@ -302,8 +307,8 @@ class TestCriterion2KmeansBaseline:
 class TestCriterion3SampleEfficiency:
     def test_forty_strings_suffice(self, trained, references):
         models, _ = trained
-        row, report = run_extraction(models[5], 5, 0, 0, extraction_strings(5, 40, 10, 0),
-                                     KAPPA, references[5])
+        tree = build_prefix_tree(models[5], extraction_strings(5, 40, 10, 0))
+        row, report = run_extraction(5, 0, 0, tree, KAPPA, references[5])
         ok = equivalent(report.final, gold_dfa(5))
         verdict(3, "sample efficiency", ok,
                 f"tomita 5 from 40 strings of length 10: minimized size "
@@ -312,10 +317,9 @@ class TestCriterion3SampleEfficiency:
 
 
 class TestCriterion4KappaSensitivity:
-    def test_overmerge_and_recovery(self, trained, references, strings):
-        models, _ = trained
-        _, coarse = run_extraction(models[2], 2, 0, 0, strings[2, 0], 0.5, references[2])
-        _, fine = run_extraction(models[2], 2, 0, 0, strings[2, 0], 0.01, references[2])
+    def test_overmerge_and_recovery(self, references, trees):
+        _, coarse = run_extraction(2, 0, 0, trees[2, 0], 0.5, references[2])
+        _, fine = run_extraction(2, 0, 0, trees[2, 0], 0.01, references[2])
         overmerged = not equivalent(coarse.final, gold_dfa(2))
         recovered = (equivalent(fine.final, gold_dfa(2))
                      and fine.sizes[2] == GOLD_SIZES[2])
@@ -350,7 +354,8 @@ class TestCriterion5ImplicitMerging:
 
         def merged_size(language, epoch):
             model, reference = runs[language, epoch]
-            _, report = run_extraction(model, language, 0, epoch, strings[language, 0], KAPPA,
+            _, report = run_extraction(language, 0, epoch,
+                                       build_prefix_tree(model, strings[language, 0]), KAPPA,
                                        reference)
             return report.sizes[1]
 

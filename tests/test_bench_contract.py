@@ -66,7 +66,7 @@ def counted_calls():
         "extraction.merge_all": ((tree, 0.1), {}),
         "automata.determinize": ((nfa,), {}),
         "automata.minimize": ((automata.determinize(nfa),), {}),
-        "kmeans.kmeans": ((rng.normal(size=(6, 3)), 2, rng), {}),
+        "kmeans.kmeans": ((tree.features, tree.visits, 2, rng), {}),
     }
 
 

@@ -408,7 +408,7 @@ class TestExtract:
     def test_pipeline_monotonicity(self, rng):
         m = small_model(13)
         strings = random_strings(rng, 40)
-        report = extract(m, strings, 0.05)
+        report = extract(build_prefix_tree(m, strings), 0.05)
         trie, merged, minimized = report.sizes
         assert merged <= trie
         assert minimized <= len(report.determinized.states)
@@ -422,4 +422,4 @@ class TestExtract:
 
     def test_empty_strings_rejected(self):
         with pytest.raises(ValueError):
-            extract(small_model(), [], 0.01)
+            build_prefix_tree(small_model(), [])

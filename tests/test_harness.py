@@ -15,6 +15,7 @@ import pytest
 
 from statemerge import harness, rnn
 from statemerge.automata import AlphabetError, Dfa, prefix_decisions
+from statemerge.extraction import build_prefix_tree
 from statemerge.harness import (METRIC_FIELDS, RESULT_FIELDS, ExperimentConfig,
                                 ExtractionConfig, FidelityResult, ResultRow, TrainingConfig,
                                 best_model, ensure_trained, eval_set_for, extraction_strings,
@@ -321,7 +322,8 @@ class TestExperiments:
         model = best_model(checkpoints)
         strings = extraction_strings(1, 40, 6, seed=0)
         reference = eval_reference(model, eval_set_for(1, SMALL_EXPERIMENT))
-        row, report = run_extraction(model, 1, 0, 0, strings, 0.01, reference)
+        row, report = run_extraction(1, 0, 0, build_prefix_tree(model, strings), 0.01,
+                                     reference)
         assert row.method == "state_merging"
         assert (row.data_count, row.kappa) == (40, 0.01)
         assert row.merged_size == report.sizes[1]
@@ -336,7 +338,8 @@ class TestExperiments:
         model = best_model(checkpoints)
         strings = extraction_strings(1, 40, 6, seed=0)
         reference = eval_reference(model, eval_set_for(1, SMALL_EXPERIMENT))
-        row, dfa = run_kmeans_baseline(model, 1, 0, 0, strings, 3, reference)
+        row, dfa = run_kmeans_baseline(1, 0, 0, build_prefix_tree(model, strings), 3,
+                                       reference)
         assert (row.method, row.data_count) == ("kmeans", 40)
         assert row.minimized_size == len(dfa.states)
         fid = fidelity(dfa, reference)
@@ -348,7 +351,8 @@ class TestSweeps:
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        """Count the string sets and eval sets the experiments draw."""
+        """Count the string sets and eval sets the experiments draw, and the
+        prefix trees they build."""
         counts = Counter()
 
         def counted(name, draw):
@@ -357,7 +361,7 @@ class TestSweeps:
                 return draw(*args, **kwargs)
             return wrapper
 
-        for name in ("extraction_strings", "eval_set_for"):
+        for name in ("extraction_strings", "eval_set_for", "build_prefix_tree"):
             monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
         return counts
 
@@ -367,13 +371,14 @@ class TestSweeps:
         rows, _ = reproduce_table2(dataclasses.replace(self.CONFIG, languages=(1,)), {1: model})
         assert [(r.seed, r.method) for r in rows] == [
             (0, "state_merging"), (0, "kmeans"), (1, "state_merging"), (1, "kmeans")]
-        assert draws == {"extraction_strings": 2, "eval_set_for": 1}
+        assert draws == {"extraction_strings": 2, "eval_set_for": 1, "build_prefix_tree": 2}
         draws.clear()
         sweep_kappa(dataclasses.replace(self.CONFIG, languages=(1,), seeds=(0,)), model)
-        assert draws == {"extraction_strings": 1, "eval_set_for": 1}
+        assert draws == {"extraction_strings": 1, "eval_set_for": 1, "build_prefix_tree": 1}
         draws.clear()
+        # One tree per (epoch, seed): a tree holds its model's hidden states.
         sweep_epochs(self.CONFIG, {1: checkpoints})
-        assert draws == {"extraction_strings": 2, "eval_set_for": 1}
+        assert draws == {"extraction_strings": 2, "eval_set_for": 1, "build_prefix_tree": 4}
 
     @pytest.mark.parametrize("languages, seeds", [((1,), (0, 1)), ((1, 2), (0,)), ((1,), ())])
     def test_sweep_kappa_needs_one_language_and_one_seed(self, tiny_run, languages, seeds):

@@ -1,14 +1,18 @@
 """Tests for the clustering baseline: Lloyd's algorithm and the DFA read-off."""
 
+import dataclasses
+import gzip
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from statemerge.automata import prefix_decisions
-from statemerge.extraction import PrefixTree, build_prefix_tree
+from statemerge.extraction import build_prefix_tree
+from statemerge.harness import extraction_strings
 from statemerge.kmeans import kmeans, kmeans_extract
-from statemerge.rnn import _accepts, forward, init_model
+from statemerge.rnn import _accepts, forward, init_model, load_checkpoint, model_from_checkpoint
 
 
 # The module: the package attribute statemerge.kmeans is the function.
@@ -29,14 +33,14 @@ class TestCollectHiddenStates:
         cluster of its own, so cluster i is record i."""
         seen = {}
 
-        def one_cluster_each(points, k, rng):
-            seen["points"] = points
-            return np.arange(len(points)), None
+        def one_cluster_each(features, visits, k, rng):
+            seen["points"] = features[visits]
+            return np.arange(len(visits)), None
 
         monkeypatch.setattr(kmeans_module, "kmeans", one_cluster_each)
         monkeypatch.setattr(kmeans_module, "minimize", lambda dfa: dfa)
         n = sum(len(w) + 1 for w in strings)
-        dfa = kmeans_extract(model, strings, n, np.random.default_rng(0))
+        dfa = kmeans_extract(build_prefix_tree(model, strings), n, np.random.default_rng(0))
         return seen["points"], dfa
 
     def test_record_count(self, monkeypatch):
@@ -78,21 +82,23 @@ class TestCollectHiddenStates:
         assert [q in dfa.accepting for q in range(len(states))] == [tree.labels[q]
                                                                    for q in states]
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            kmeans_extract(small_model(0), [], 1, np.random.default_rng(0))
+
+
+def kmeans_all(points, k, rng):
+    """kmeans with every point a row of its own."""
+    return kmeans(points, np.arange(len(points)), k, rng)
 
 
 class TestKmeans:
     def test_single_cluster_centroid_is_mean(self, rng):
         points = rng.normal(size=(20, 3))
-        assignments, centroids = kmeans(points, 1, rng)
+        assignments, centroids = kmeans_all(points, 1, rng)
         assert (assignments == 0).all()
         assert np.allclose(centroids[0], points.mean(axis=0))
 
     def test_k_equals_n_zero_distortion(self, rng):
         points = rng.normal(size=(6, 2))
-        assignments, centroids = kmeans(points, 6, rng)
+        assignments, centroids = kmeans_all(points, 6, rng)
         assert sorted(assignments) == list(range(6))
         assert np.allclose(centroids[assignments], points)
 
@@ -100,29 +106,29 @@ class TestKmeans:
         low = rng.normal(size=(15, 2)) * 0.1
         high = rng.normal(size=(15, 2)) * 0.1 + 10.0
         points = np.concatenate([low, high])
-        assignments, _ = kmeans(points, 2, rng)
+        assignments, _ = kmeans_all(points, 2, rng)
         assert len(set(assignments[:15])) == 1
         assert len(set(assignments[15:])) == 1
         assert assignments[0] != assignments[15]
 
     def test_deterministic_given_seed(self):
         points = np.random.default_rng(7).normal(size=(30, 4))
-        a1, c1 = kmeans(points, 5, np.random.default_rng(3))
-        a2, c2 = kmeans(points, 5, np.random.default_rng(3))
+        a1, c1 = kmeans_all(points, 5, np.random.default_rng(3))
+        a2, c2 = kmeans_all(points, 5, np.random.default_rng(3))
         assert np.array_equal(a1, a2)
         assert np.array_equal(c1, c2)
 
     def test_no_empty_clusters_with_duplicate_points(self, rng):
         points = np.zeros((5, 2))
-        assignments, _ = kmeans(points, 2, rng)
+        assignments, _ = kmeans_all(points, 2, rng)
         assert set(assignments) == {0, 1}
 
     def test_bad_k_rejected(self, rng):
         points = rng.normal(size=(4, 2))
         with pytest.raises(ValueError):
-            kmeans(points, 0, rng)
+            kmeans_all(points, 0, rng)
         with pytest.raises(ValueError):
-            kmeans(points, 5, rng)
+            kmeans_all(points, 5, rng)
 
     def test_restarts_never_worse_than_single_run(self, monkeypatch):
         points = np.random.default_rng(11).normal(size=(60, 3))
@@ -131,17 +137,18 @@ class TestKmeans:
             return float(((points - c[a]) ** 2).sum())
 
         for seed in range(5):
-            multi = distortion(*kmeans(points, 6, np.random.default_rng(seed)))
+            multi = distortion(*kmeans_all(points, 6, np.random.default_rng(seed)))
             with monkeypatch.context() as patch:
                 patch.setattr(kmeans_module, "N_INIT", 1)
-                single = distortion(*kmeans(points, 6, np.random.default_rng(seed)))
+                single = distortion(*kmeans_all(points, 6, np.random.default_rng(seed)))
             assert multi <= single + 1e-9
 
 
-def reference_kmeans(points, k, rng, n_init=10):
+def reference_kmeans(points, k, rng, n_init=10, reseeds=None):
     """kmeans with every point ranked against every centroid by the exact
     sum of squares over the (N, k, d) broadcast: the oracle for the ranking
-    by the distance expansion."""
+    by the distance expansion and for ranking distinct rows only.  Each
+    reseed of an empty cluster appends its cluster id to reseeds, if given."""
     best = None
     for _ in range(n_init):
         n = len(points)
@@ -160,6 +167,8 @@ def reference_kmeans(points, k, rng, n_init=10):
                     centroids[c] = points[farthest]
                     new_assignments[farthest] = c
                     point_dists[farthest] = 0.0
+                    if reseeds is not None:
+                        reseeds.append(c)
             if np.array_equal(new_assignments, assignments):
                 break
             assignments = new_assignments
@@ -187,7 +196,7 @@ class TestLloydReference:
         monkeypatch.setattr(kmeans_module, "N_INIT", 3)
         for seed in self.SEEDS:
             points, k = hidden_like_points(seed)
-            a, c = kmeans(points, k, np.random.default_rng(seed))
+            a, c = kmeans_all(points, k, np.random.default_rng(seed))
             ref_a, ref_c = reference_kmeans(points, k, np.random.default_rng(seed), n_init=3)
             assert np.array_equal(a, ref_a), seed
             assert np.array_equal(c, ref_c), seed
@@ -205,46 +214,109 @@ class TestLloydReference:
         else:
             pytest.fail("no seed picks two identical points")
         monkeypatch.setattr(kmeans_module, "N_INIT", 1)
-        a, c = kmeans(points, 9, np.random.default_rng(seed))
+        a, c = kmeans_all(points, 9, np.random.default_rng(seed))
         ref_a, ref_c = reference_kmeans(points, 9, np.random.default_rng(seed), n_init=1)
         assert np.array_equal(a, ref_a)
         assert np.array_equal(c, ref_c)
 
 
-class TestReadOff:
-    """kmeans_extract's votes on a hand-built dataset and fixed clusters."""
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
-    def extract(self, monkeypatch, strings, labels, assignments, k):
-        """Read off the machine of the given records: strings with the
-        model's decision on each prefix, each record a tree state of its own,
-        all hidden states zero."""
-        records = [y for per_string in labels for y in per_string]
-        tree = PrefixTree(("a", "b"), {}, records, np.zeros((len(records), 1)),
-                          np.arange(len(records)))
-        monkeypatch.setattr(kmeans_module, "build_prefix_tree", lambda model, strings: tree)
+
+def assert_matches_all_points(features, visits, k, seed, n_init, reseeds=None):
+    """kmeans over the rows of features scattered through visits gives the
+    bits of the all-points oracle on features[visits]."""
+    a, c = kmeans(features, visits, k, np.random.default_rng(seed))
+    ref_a, ref_c = reference_kmeans(features[visits], k, np.random.default_rng(seed),
+                                    n_init=n_init, reseeds=reseeds)
+    assert np.array_equal(a, ref_a), seed
+    assert np.array_equal(c, ref_c), seed
+
+
+class TestDistinctRows:
+    """kmeans(features, visits, ...) against the all-points oracle."""
+
+    def test_distinct_rows_and_inverse(self, monkeypatch):
+        monkeypatch.setattr(kmeans_module, "N_INIT", 3)
+        for seed in range(60):
+            points, k = hidden_like_points(seed)
+            rows, inverse = np.unique(points, axis=0, return_inverse=True)
+            assert np.array_equal(rows[inverse], points)
+            assert_matches_all_points(rows, inverse, k, seed, n_init=3)
+
+    def test_equal_rows_under_different_ids(self, monkeypatch):
+        # Each distinct row is stored under several ids, and the visits reach
+        # every copy, so equal points arrive through different rows.
+        monkeypatch.setattr(kmeans_module, "N_INIT", 3)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            rows, _ = hidden_like_points(seed)
+            table = rows[rng.integers(0, len(rows), size=2 * len(rows))]
+            visits = rng.integers(0, len(table), size=int(rng.integers(len(table), 80)))
+            k = int(rng.integers(1, len(np.unique(table[visits], axis=0)) + 1))
+            assert_matches_all_points(table, visits, k, seed, n_init=3)
+
+    def test_heavy_repetition_reseeds(self, monkeypatch):
+        # A few rows visited many times each, with k close to the number of
+        # distinct rows: the seed draw picks copies of one row, so clusters
+        # come up empty and are reseeded.
+        monkeypatch.setattr(kmeans_module, "N_INIT", 2)
+        reseeds = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            rows = np.tanh(rng.normal(size=(int(rng.integers(3, 9)), 5)) * 3.0)
+            visits = rng.integers(0, len(rows), size=int(rng.integers(30, 120)))
+            k = max(1, len(np.unique(visits)) - int(rng.integers(0, 2)))
+            assert_matches_all_points(rows, visits, k, seed, n_init=2, reseeds=reseeds)
+        assert len(reseeds) > 0
+
+    def test_saturated_tree(self, monkeypatch):
+        # The benchmark's Tomita 6 fixture: its tree states are visited about
+        # three times each, and many are equal to the last bit.
+        ckpt, alphabet = load_checkpoint(
+            gzip.decompress((FIXTURES / "tomita6.ckpt.gz").read_bytes()).decode())
+        tree = build_prefix_tree(model_from_checkpoint(ckpt, alphabet),
+                                 extraction_strings(6, 100, 10, 0))
+        assert len(tree.visits) > 2 * tree.n_states
+        monkeypatch.setattr(kmeans_module, "N_INIT", 2)
+        assert_matches_all_points(tree.features, tree.visits, 20, 0, n_init=2)
+
+
+class TestReadOff:
+    """kmeans_extract's votes on a hand-labelled tree and fixed clusters."""
+
+    def extract(self, monkeypatch, strings, decisions, assignments, k):
+        """Read off the machine of the tree of strings, each state labelled
+        with decisions[its prefix], one cluster per position of the visits."""
+        tree = build_prefix_tree(small_model(0), strings)
+        labels = {tree.state_of(w[:i]): decisions[w[:i]]
+                  for w in strings for i in range(len(w) + 1)}
+        tree = dataclasses.replace(tree, labels=[labels[q] for q in range(tree.n_states)])
         monkeypatch.setattr(kmeans_module, "kmeans",
-                            lambda points, k, rng: (np.array(assignments), None))
-        return kmeans_extract(small_model(0), strings, k, np.random.default_rng(0))
+                            lambda features, visits, k, rng: (np.array(assignments), None))
+        return kmeans_extract(tree, k, np.random.default_rng(0))
 
     def test_acceptance_tie_rejects(self, monkeypatch):
-        # Records of "a": the empty prefix accepted, "a" rejected, one cluster.
-        dfa = self.extract(monkeypatch, ["a"], [[True, False]], [0, 0], 1)
+        # Positions of "a": the empty prefix accepted, "a" rejected, one cluster.
+        dfa = self.extract(monkeypatch, ["a"], {"": True, "a": False}, [0, 0], 1)
         assert not dfa.accepts("") and not dfa.accepts("a")
 
     def test_acceptance_majority_accepts(self, monkeypatch):
-        dfa = self.extract(monkeypatch, ["ab"], [[True, False, True]], [0, 0, 0], 1)
+        dfa = self.extract(monkeypatch, ["ab"], {"": True, "a": False, "ab": True},
+                           [0, 0, 0], 1)
         assert dfa.accepts("") and dfa.accepts("ab")
 
     @pytest.mark.parametrize("assignments, accepts_a", [
-        ([0, 2, 0, 1], True),    # the lower id, accepting, wins the tie
-        ([0, 1, 0, 2], False),   # the lower id, rejecting, wins the tie
+        ([0, 2, 0, 0, 1], True),    # the lower id, accepting, wins the tie
+        ([0, 1, 0, 0, 2], False),   # the lower id, rejecting, wins the tie
     ])
     def test_transition_tie_goes_to_lowest_cluster(self, monkeypatch, assignments,
                                                    accepts_a):
-        # Two strings "a": cluster 0 reads a once into each of clusters 1 and 2;
-        # only the second string's "a" record is accepted.
-        dfa = self.extract(monkeypatch, ["a", "a"], [[False, False], [False, True]],
-                           assignments, 3)
+        # Positions of "a" and "ba": cluster 0 holds the empty prefix and "b",
+        # and reads a once into each of clusters 1 and 2, from the empty
+        # prefix into "a" and from "b" into "ba"; only "ba" is accepted.
+        dfa = self.extract(monkeypatch, ["a", "ba"],
+                           {"": False, "a": False, "b": False, "ba": True}, assignments, 3)
         assert dfa.accepts("a") == accepts_a
 
 
@@ -253,18 +325,18 @@ class TestKmeansExtract:
 
     def test_returns_runnable_dfa(self):
         m = small_model(1)
-        dfa = kmeans_extract(m, self.STRINGS, 4, np.random.default_rng(0))
+        dfa = kmeans_extract(build_prefix_tree(m, self.STRINGS), 4, np.random.default_rng(0))
         assert dfa.alphabet == m.alphabet
         for w in self.STRINGS:
             assert len(prefix_decisions(dfa, w)) == len(w) + 1
 
     def test_deterministic_given_seed(self):
-        m = small_model(2)
-        d1 = kmeans_extract(m, self.STRINGS, 5, np.random.default_rng(9))
-        d2 = kmeans_extract(m, self.STRINGS, 5, np.random.default_rng(9))
+        tree = build_prefix_tree(small_model(2), self.STRINGS)
+        d1 = kmeans_extract(tree, 5, np.random.default_rng(9))
+        d2 = kmeans_extract(tree, 5, np.random.default_rng(9))
         assert d1 == d2
 
     def test_single_cluster_gives_one_state(self):
-        m = small_model(3)
-        dfa = kmeans_extract(m, self.STRINGS, 1, np.random.default_rng(0))
+        tree = build_prefix_tree(small_model(3), self.STRINGS)
+        dfa = kmeans_extract(tree, 1, np.random.default_rng(0))
         assert len(dfa.states) == 1
