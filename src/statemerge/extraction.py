@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .automata import Dfa, Nfa, determinize, minimize
-from .rnn import RnnModel, _accepts, _head_probs, _step
+from .automata import Dfa, Nfa, determinize, minimize, successor_table
+from .rnn import Prefixes, RnnModel, _accepts, _head_probs, _step, number_prefixes
 
 logger = logging.getLogger(__name__)
 
@@ -18,77 +18,28 @@ logger = logging.getLogger(__name__)
 CELLS = 1 << 16
 
 
-@dataclass
-class PrefixTree:
-    """Trie over the training prefixes; states are numbered in BFS order from
-    the root, state 0, children visited in alphabet order."""
-    alphabet: tuple[str, ...]
-    edges: dict[tuple[int, str], int]
-    labels: list[bool]
+@dataclass(frozen=True)
+class PrefixTree(Prefixes):
+    """The distinct prefixes of the training strings, labelled by the model,
+    with each state's hidden vector."""
     features: np.ndarray  # (n_states, d); row q is the hidden state of state q
-    # The state reached at each position of each input string: the strings in
-    # input order, duplicates included, positions 0..len(w) of each in order.
-    visits: np.ndarray
-
-    @property
-    def n_states(self) -> int:
-        return len(self.labels)
-
-    @property
-    def n_strings(self) -> int:
-        """The input strings, duplicates included: each string's positions
-        start at the root, and no other position reaches it."""
-        return int(np.count_nonzero(self.visits == 0))
-
-    def state_of(self, prefix: str) -> int | None:
-        state = 0
-        for token in prefix:
-            nxt = self.edges.get((state, token))
-            if nxt is None:
-                return None
-            state = nxt
-        return state
 
 
 def build_prefix_tree(model: RnnModel, strings: list[str]) -> PrefixTree:
-    """The states are the distinct prefixes of the strings, in BFS order from
-    the root with children in alphabet order.  Level t's states are the
-    distinct codes parent * |alphabet| + token over the strings still running
-    at step t; the parents are already in BFS order, so the sorted codes
-    number the level.  A prefix's hidden state is one recurrence step from its
+    """The states are the distinct prefixes of the strings, numbered by
+    number_prefixes.  A prefix's hidden state is one recurrence step from its
     parent's, h(p a) = step(h(p), a), so each distinct prefix is computed once,
-    one step per level.  A state's features can differ in the last place from
-    a per-string forward pass, whose batches hold other rows."""
-    if not strings:
-        raise ValueError("need at least one string")
-    sigma, params = len(model.alphabet), model.params
-    encoded = [model.token_ids(w) for w in strings]
-    lengths = np.array([len(w) for w in encoded])
-    inside = np.arange(lengths.max() + 1) <= lengths[:, None]
-    ids = np.zeros(inside[:, 1:].shape, dtype=np.intp)
-    ids[inside[:, 1:]] = [token for w in encoded for token in w]
-    reached = np.zeros(inside.shape, dtype=np.intp)  # the root, 0, at position 0
-    levels = []  # per level below the root, its states' codes in ascending order
-    n_states = 1
-    for t in range(1, inside.shape[1]):
-        rows = np.flatnonzero(inside[:, t])
-        codes, inverse = np.unique(reached[rows, t - 1] * sigma + ids[rows, t - 1],
-                                   return_inverse=True)
-        reached[rows, t] = n_states + inverse
-        levels.append(codes)
-        n_states += len(codes)
-    features = np.empty((n_states, model.hidden_dim))
-    features[:1] = _step(params, np.zeros((1, model.hidden_dim)), np.full(1, model.bos))
-    start = 1
-    for codes in levels:
-        parents, tokens = np.divmod(codes, sigma)
-        features[start:start + len(codes)] = _step(params, features[parents], tokens)
-        start += len(codes)
-    codes = [code for level in levels for code in level.tolist()]
-    edges = {(code // sigma, model.alphabet[code % sigma]): q
-             for q, code in enumerate(codes, start=1)}
-    labels = _accepts(_head_probs(params, features)).tolist()
-    return PrefixTree(model.alphabet, edges, labels, features, reached[inside])
+    one step per level, and one head call labels all states.  A state's
+    features can differ in the last place from a per-string forward pass,
+    whose batches hold other rows."""
+    parents, tokens, levels, visits = number_prefixes(model, strings)
+    features = np.empty((len(parents), model.hidden_dim))
+    h, above = np.zeros((1, model.hidden_dim)), 0  # the root's parent: the zero state
+    for lo, hi in zip(levels[:-1].tolist(), levels[1:].tolist()):
+        h = features[lo:hi] = _step(model.params, h[parents[lo:hi] - above], tokens[lo:hi])
+        above = lo
+    labels = _accepts(_head_probs(model.params, features))
+    return PrefixTree(model.alphabet, parents, tokens, levels, visits, labels, features)
 
 
 def merge_all(tree: PrefixTree, kappa: float) -> Nfa:
@@ -109,12 +60,12 @@ def merge_all(tree: PrefixTree, kappa: float) -> Nfa:
     # rep[i] <= i, so the chains descend; pointer jumping reaches their ends.
     while not np.array_equal(rep[rep], rep):
         rep = rep[rep]
-    rep_of = rep.tolist()
     transitions: dict[tuple[int, str], set[int]] = {}
-    for (src, token), dst in tree.edges.items():
-        transitions.setdefault((rep_of[src], token), set()).add(rep_of[dst])
+    for src, token, dst in zip(rep[tree.parents[1:]].tolist(), tree.tokens[1:].tolist(),
+                               rep[1:].tolist()):
+        transitions.setdefault((src, tree.alphabet[token]), set()).add(dst)
     states = set(np.flatnonzero(rep == np.arange(tree.n_states)).tolist())
-    return Nfa(tree.alphabet, states, rep_of[0], transitions,
+    return Nfa(tree.alphabet, states, int(rep[0]), transitions,
                {q for q in states if tree.labels[q]})
 
 
@@ -128,8 +79,7 @@ def _lowest_matches(tree: PrefixTree, kappa: float) -> np.ndarray:
     same-label match overall."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie strictly between 0 and 1")
-    labels = np.array(tree.labels, dtype=bool)
-    order = np.argsort(labels, kind="stable")
+    order = np.argsort(tree.labels, kind="stable")
     norms = np.linalg.norm(tree.features, axis=1)[order]
     degenerate = norms == 0.0
     if degenerate.any():
@@ -139,7 +89,7 @@ def _lowest_matches(tree: PrefixTree, kappa: float) -> np.ndarray:
     unit[degenerate] = 0.0
     threshold = 1.0 - kappa
     lowest = np.arange(tree.n_states)  # positions in the sorted layout
-    split = int(np.count_nonzero(~labels))
+    split = int(np.count_nonzero(~tree.labels))
     for lo, hi in ((0, split), (split, tree.n_states)):
         rows = max(1, CELLS // max(1, hi - lo))
         for start in range(lo, hi, rows):
@@ -161,16 +111,23 @@ class ExtractionReport:
     train_fidelity: float
 
 
+def machine_verdicts(dfa: Dfa, prefixes: Prefixes) -> np.ndarray:
+    """The machine's verdict on each state of prefixes.  The machine is
+    completed with a sink (successor_table), and each level's rows are the
+    successors of their parents' rows on their tokens."""
+    states, succ = successor_table(dfa, prefixes.alphabet)
+    table = np.array(succ)
+    rows = np.full(prefixes.n_states, states.index(dfa.initial))
+    levels = prefixes.levels.tolist()
+    for lo, hi in zip(levels[1:-1], levels[2:]):
+        rows[lo:hi] = table[rows[prefixes.parents[lo:hi]], prefixes.tokens[lo:hi]]
+    return np.array([state in dfa.accepting for state in states] + [False])[rows]
+
+
 def train_set_fidelity(final: Dfa, tree: PrefixTree) -> float:
     """Fraction of distinct training prefixes on which the extracted machine
-    agrees with the labels recorded in the tree.  A parent's BFS id is below
-    its child's, so the edges in child order reach each state after its parent."""
-    states: list[int | None] = [final.initial] * tree.n_states
-    for (src, token), dst in sorted(tree.edges.items(), key=lambda edge: edge[1]):
-        states[dst] = final.step(states[src], token)
-    agree = sum((state in final.accepting) == label
-                for state, label in zip(states, tree.labels))
-    return agree / tree.n_states
+    agrees with the labels recorded in the tree."""
+    return int(np.count_nonzero(machine_verdicts(final, tree) == tree.labels)) / tree.n_states
 
 
 def extract(tree: PrefixTree, kappa: float) -> ExtractionReport:

@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import rnn
-from .automata import Dfa, successor_table
-from .extraction import ExtractionReport, PrefixTree, build_prefix_tree, extract
+from .automata import Dfa
+from .extraction import (ExtractionReport, PrefixTree, build_prefix_tree, extract,
+                         machine_verdicts)
 from .kmeans import kmeans_extract
 from .languages import ALPHABET, LANGUAGE_IDS, LabeledSample, sample_balanced, sample_eval_set
 from .rnn import Checkpoint, EvalReference, RnnModel, best_checkpoint, eval_reference
@@ -250,22 +251,15 @@ class FidelityResult:
 
 
 def fidelity(dfa: Dfa, reference: EvalReference) -> FidelityResult:
-    """Agreement of the machine with the model and the labels, walking every
-    eval string at once through the machine's successor table."""
-    states, succ = successor_table(dfa, reference.alphabet)
-    # A last column for the padding token, on which every row stays put.
-    table = np.array([row + [i] for i, row in enumerate(succ)])
-    accepting = np.array([state in dfa.accepting for state in states] + [False])
-    walk = np.full((len(reference.ids), reference.ids.shape[1] + 1), states.index(dfa.initial))
-    for t, column in enumerate(reference.ids.T):
-        walk[:, t + 1] = table[walk[:, t], column]
-    verdicts = accepting[walk]
-    agree = verdicts == reference.decisions
-    prefixes = reference.prefixes
-    agree_rnn, agree_gold, prefix_agree, prefix_total = (int(np.count_nonzero(a)) for a in (
-        agree[:, -1], verdicts[:, -1] == reference.labels[:, -1], agree & prefixes, prefixes))
-    return FidelityResult(agree_rnn / len(verdicts), agree_gold / len(verdicts),
-                          prefix_agree / prefix_total)
+    """Agreement of the machine with the model and the labels, walking the
+    eval strings' prefix tree once through the machine (machine_verdicts)."""
+    prefixes, ends = reference.prefixes, reference.ends
+    verdicts = machine_verdicts(dfa, prefixes)
+    agree = (verdicts == prefixes.labels)[prefixes.visits]
+    agree_rnn, agree_gold, prefix_agree = (int(np.count_nonzero(a)) for a in (
+        agree[ends], verdicts[prefixes.visits[ends]] == reference.labels[ends], agree))
+    return FidelityResult(agree_rnn / len(ends), agree_gold / len(ends),
+                          prefix_agree / len(agree))
 
 
 # ---------------------------------------------------------------------------

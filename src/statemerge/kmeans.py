@@ -87,7 +87,7 @@ def _lloyd(features: np.ndarray, visits: np.ndarray, k: int,
         row_assign[rows] = (((features[rows, None, :] - centroids[None, :, :]) ** 2)
                             .sum(axis=2).argmin(axis=1))
         new_assignments = row_assign[visits]
-        if len(np.unique(new_assignments)) < k:  # the only case that reseeds
+        if np.bincount(new_assignments, minlength=k).min() == 0:  # the only case that reseeds
             row_dists = ((features - centroids[row_assign]) ** 2).sum(axis=1)
             point_dists = row_dists[visits]
         for c in range(k):
@@ -114,20 +114,15 @@ def kmeans_extract(tree: PrefixTree, k: int, rng: np.random.Generator) -> Dfa:
     # One record per position of tree.visits, a string's positions in order,
     # so position i + 1 is position i's successor unless it is a string's
     # start, the root.  Position 0 is the empty prefix of the first string.
-    # A record's point and label are those of the state it reaches, and the
-    # token it was reached on is that state's one incoming edge's.
+    # A record's point, label and incoming token are those of the state it
+    # reaches.
     visits = tree.visits
-    labels = np.array(tree.labels)[visits]
     sigma = len(tree.alphabet)
-    token_id = {token: i for i, token in enumerate(tree.alphabet)}
-    incoming = np.zeros(tree.n_states, dtype=np.intp)
-    for (_, token), dst in tree.edges.items():
-        incoming[dst] = token_id[token]
     assignments, _ = kmeans(tree.features, visits, k, rng)
-    accept_votes = np.bincount(assignments, weights=labels, minlength=k)
+    accept_votes = np.bincount(assignments, weights=tree.labels[visits], minlength=k)
     accepting = np.flatnonzero(2 * accept_votes > np.bincount(assignments, minlength=k))
     links = np.flatnonzero(visits[1:] != 0)
-    codes = ((assignments[links] * sigma + incoming[visits[links + 1]]) * k
+    codes = ((assignments[links] * sigma + tree.tokens[visits[links + 1]]) * k
              + assignments[links + 1])
     votes = np.bincount(codes, minlength=k * sigma * k).reshape(k * sigma, k)
     voted = np.flatnonzero(votes.any(axis=1))

@@ -204,53 +204,105 @@ def param_norm(params: dict[str, np.ndarray]) -> float:
 
 
 @dataclass(frozen=True)
-class EvalReference:
-    """One model's decisions on a labelled sample set.  Row i is sample i, padded
-    to the longest string with token id len(alphabet) and its last label and decision."""
+class Prefixes:
+    """The distinct prefixes of a list of strings, numbered by number_prefixes,
+    with the model's decision on each."""
     alphabet: tuple[str, ...]
-    ids: np.ndarray        # (n, T) int, the alphabet index of each token
-    lengths: np.ndarray    # (n,) int
-    labels: np.ndarray     # (n, T + 1) bool, the stored label of each prefix
-    decisions: np.ndarray  # (n, T + 1) bool, the model's decision on each prefix
+    parents: np.ndarray  # (n_states,) int; state q's prefix is parents[q]'s plus one token
+    tokens: np.ndarray   # (n_states,) int; that token's alphabet index, bos at the root
+    levels: np.ndarray   # level t is states levels[t]:levels[t + 1]; the last entry is n_states
+    visits: np.ndarray   # the state at positions 0..len(w) of each string w, in input order
+    labels: np.ndarray   # (n_states,) bool, the model's decision on each state
 
     @property
-    def prefixes(self) -> np.ndarray:  # (n, T + 1) bool, True where t <= lengths[i]
-        return np.arange(self.decisions.shape[1]) <= self.lengths[:, None]
+    def n_states(self) -> int:
+        return len(self.parents)
+
+    @property
+    def n_strings(self) -> int:
+        """The input strings, duplicates included: each string's positions
+        start at the root, and no other position reaches it."""
+        return int(np.count_nonzero(self.visits == 0))
+
+    def state_of(self, prefix: str) -> int | None:
+        state = 0
+        for token in prefix:
+            child = np.flatnonzero((self.parents == state)
+                                   & (self.tokens == self.alphabet.index(token)))
+            if not len(child):
+                return None
+            state = int(child[0])
+        return state
+
+
+def number_prefixes(model: RnnModel, strings: list[str]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(parents, tokens, levels, visits) of the distinct prefixes of strings (see
+    Prefixes), numbered in BFS order from the root, state 0, with children in
+    alphabet order; visits counts a duplicate string once per occurrence.  The
+    root is its own parent and is reached on bos, so every state's hidden
+    vector is one _step from its parent's, the root's from zero.  Level t's
+    states are the distinct codes parent * |alphabet| + token over the strings
+    still running at step t; the parents are already in BFS order, so the
+    sorted codes number the level."""
+    if not strings:
+        raise ValueError("need at least one string")
+    sigma = len(model.alphabet)
+    encoded = [model.token_ids(w) for w in strings]
+    lengths = np.array([len(w) for w in encoded])
+    inside = np.arange(lengths.max() + 1) <= lengths[:, None]
+    ids = np.zeros(inside[:, 1:].shape, dtype=np.intp)
+    ids[inside[:, 1:]] = [token for w in encoded for token in w]
+    reached = np.zeros(inside.shape, dtype=np.intp)  # the root, 0, at position 0
+    codes = [np.zeros(1, dtype=np.intp)]  # per level, its states' codes in ascending order
+    levels = [0, 1]
+    for t in range(1, inside.shape[1]):
+        rows = np.flatnonzero(inside[:, t])
+        level, inverse = np.unique(reached[rows, t - 1] * sigma + ids[rows, t - 1],
+                                   return_inverse=True)
+        reached[rows, t] = levels[-1] + inverse
+        codes.append(level)
+        levels.append(levels[-1] + len(level))
+    parents, tokens = np.divmod(np.concatenate(codes), sigma)
+    tokens[0] = model.bos
+    return parents, tokens, np.array(levels), reached[inside]
+
+
+@dataclass(frozen=True)
+class EvalReference:
+    """One model's decisions on a labelled sample set: the samples' prefixes
+    with the model's decision on each, and per position of prefixes.visits the
+    stored label.  ends[i] is the position of sample i's whole string."""
+    prefixes: Prefixes
+    labels: np.ndarray  # (positions,) bool
+    ends: np.ndarray    # (n,) int
 
 
 def eval_reference(model: RnnModel, samples: list[LabeledSample]) -> EvalReference:
-    """Built once per (model, sample set), and then scored against any number of machines.
-    One time loop runs the rows sorted longest first, step t only those of length >= t,
-    and keeps decisions only: its hidden bits can differ from a per-length batch's in the
-    last place, and the decisions were checked equal."""
-    if not samples:
-        raise ValueError("need at least one sample")
-    encoded = [model.token_ids(s.x) for s in samples]
-    lengths = np.array([len(w) for w in encoded])
-    n, steps = len(samples), lengths.max()
-    inside = np.arange(steps + 1) <= lengths[:, None]
-    ids = np.full((n, steps), len(model.alphabet))
-    ids[inside[:, 1:]] = [token for w in encoded for token in w]
-    labels, decided = np.zeros((2, n, steps + 1), dtype=bool)
-    labels[inside] = [y for s in samples for y in s.y]
-    order = np.argsort(-lengths, kind="stable")
-    tokens = np.column_stack([np.full(n, model.bos), ids[order]])
-    h = np.zeros((n, model.hidden_dim))
-    for t, rows in enumerate(np.count_nonzero(inside, axis=0).tolist()):
-        h = _step(model.params, h[:rows], tokens[:rows, t])
-        decided[order[:rows], t] = _accepts(_head_probs(model.params, h))
-    last = np.minimum(np.arange(steps + 1), lengths[:, None])
-    return EvalReference(model.alphabet, ids, lengths, np.take_along_axis(labels, last, axis=1),
-                         np.take_along_axis(decided, last, axis=1))
+    """Built once per (model, sample set), and then scored against any number of
+    machines.  One _step per level of the samples' prefixes, keeping only that
+    level's hidden states and the decisions: a state's hidden bits can differ
+    from a per-length batch's in the last place, and the decisions were checked
+    equal."""
+    parents, tokens, levels, visits = number_prefixes(model, [s.x for s in samples])
+    decisions = np.empty(len(parents), dtype=bool)
+    h, above = np.zeros((1, model.hidden_dim)), 0  # the root's parent: the zero state
+    for lo, hi in zip(levels[:-1].tolist(), levels[1:].tolist()):
+        h = _step(model.params, h[parents[lo:hi] - above], tokens[lo:hi])
+        decisions[lo:hi] = _accepts(_head_probs(model.params, h))
+        above = lo
+    prefixes = Prefixes(model.alphabet, parents, tokens, levels, visits, decisions)
+    return EvalReference(prefixes, np.array([y for s in samples for y in s.y], dtype=bool),
+                         np.cumsum([len(s.y) for s in samples]) - 1)
 
 
 def evaluate(model: RnnModel, samples: list[LabeledSample]) -> tuple[float, float]:
     """(per-prefix accuracy, full-string accuracy) against stored labels."""
     reference = eval_reference(model, samples)
-    match = reference.labels == reference.decisions
-    correct, total, string_correct = (int(np.count_nonzero(a)) for a in (
-        match & reference.prefixes, reference.prefixes, match[:, -1]))
-    return correct / total, string_correct / len(samples)
+    prefixes = reference.prefixes
+    match = prefixes.labels[prefixes.visits] == reference.labels
+    correct, string_correct = (int(np.count_nonzero(a)) for a in (match, match[reference.ends]))
+    return correct / len(match), string_correct / len(samples)
 
 
 def train(model: RnnModel, train_set: list[LabeledSample], dev_set: list[LabeledSample],

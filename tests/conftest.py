@@ -1,12 +1,14 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from statemerge.automata import Dfa, Nfa, prefix_decisions
+from statemerge.automata import Dfa, Nfa, prefix_decisions, successor_table
 from statemerge.extraction import PrefixTree
+from statemerge.harness import FidelityResult
 from statemerge.languages import LabeledSample, gold_dfa
-from statemerge.rnn import ForwardResult, _accepts, _forward_ids, _head_probs
+from statemerge.rnn import ForwardResult, _accepts, _forward_ids, _head_probs, _step
 
 SIGMA2 = ("a", "b")
 
@@ -139,7 +141,8 @@ def forward_many(model, strings):
 
 def string_keyed_prefix_tree(model, strings):
     """Oracle: the earlier extraction.build_prefix_tree, verbatim but for its
-    last statement, which adds visits by looking each input prefix up by string.
+    last statement, which adds visits by looking each input prefix up by string
+    and builds the tree from its edges dict with trie.
     The states are the distinct prefixes of the strings, numbered by length
     and then alphabet order, which is BFS order from the root with children in
     alphabet order.  Each state takes its label and hidden state from the first
@@ -155,9 +158,125 @@ def string_keyed_prefix_tree(model, strings):
     prefixes = sorted(rows, key=lambda p: (len(p), p.translate(rank)))
     ids = {p: q for q, p in enumerate(prefixes)}
     edges = {(ids[p[:-1]], p[-1]): ids[p] for p in prefixes[1:]}
-    return PrefixTree(model.alphabet, edges, [rows[p][0] for p in prefixes],
-                      np.array([rows[p][1] for p in prefixes]),
-                      np.array([ids[w[:i]] for w in strings for i in range(len(w) + 1)]))
+    return trie(edges, [rows[p][0] for p in prefixes], [rows[p][1] for p in prefixes],
+                [ids[w[:i]] for w in strings for i in range(len(w) + 1)], model.alphabet)
+
+
+def trie(edges, labels, features, visits=(), alphabet=SIGMA2):
+    """A hand-made PrefixTree: state q has labels[q] and features[q], and
+    edges maps (parent, token) to each state but the root, 0.  The states
+    must be numbered level by level, children in alphabet order, as
+    number_prefixes numbers them: ascending codes parent * |alphabet| + token,
+    each parent below its child.  The root's token is bos, len(alphabet)."""
+    n = len(labels)
+    parents, tokens = np.zeros(n, dtype=np.intp), np.full(n, len(alphabet), dtype=np.intp)
+    if sorted(edges.values()) != list(range(1, n)):
+        raise ValueError("edges must reach every state but the root exactly once")
+    for (parent, token), child in edges.items():
+        parents[child], tokens[child] = parent, alphabet.index(token)
+    codes = parents[1:] * len(alphabet) + tokens[1:]
+    if np.any(parents[1:] >= np.arange(1, n)) or np.any(np.diff(codes) <= 0):
+        raise ValueError("states are not numbered level by level")
+    depth = np.zeros(n, dtype=np.intp)
+    for child in range(1, n):
+        depth[child] = depth[parents[child]] + 1
+    levels = np.searchsorted(depth, np.arange(depth[-1] + 2))
+    return PrefixTree(alphabet, parents, tokens, levels, np.array(visits, dtype=np.intp),
+                      np.array(labels, dtype=bool), np.array(features, dtype=float))
+
+
+def edges_of(prefixes):
+    """The (parent, token) -> state dict of a Prefixes or PrefixTree."""
+    return {(parent, prefixes.alphabet[token]): q for q, (parent, token) in
+            enumerate(zip(prefixes.parents.tolist(), prefixes.tokens.tolist())) if q}
+
+
+@dataclass(frozen=True)
+class PaddedEvalReference:
+    """Oracle: the earlier rnn.EvalReference, verbatim.
+    One model's decisions on a labelled sample set.  Row i is sample i, padded
+    to the longest string with token id len(alphabet) and its last label and decision."""
+    alphabet: tuple[str, ...]
+    ids: np.ndarray        # (n, T) int, the alphabet index of each token
+    lengths: np.ndarray    # (n,) int
+    labels: np.ndarray     # (n, T + 1) bool, the stored label of each prefix
+    decisions: np.ndarray  # (n, T + 1) bool, the model's decision on each prefix
+
+    @property
+    def prefixes(self) -> np.ndarray:  # (n, T + 1) bool, True where t <= lengths[i]
+        return np.arange(self.decisions.shape[1]) <= self.lengths[:, None]
+
+
+def padded_eval_reference(model, samples):
+    """Oracle: the earlier rnn.eval_reference, verbatim but for its class.
+    Built once per (model, sample set), and then scored against any number of machines.
+    One time loop runs the rows sorted longest first, step t only those of length >= t,
+    and keeps decisions only: its hidden bits can differ from a per-length batch's in the
+    last place, and the decisions were checked equal."""
+    if not samples:
+        raise ValueError("need at least one sample")
+    encoded = [model.token_ids(s.x) for s in samples]
+    lengths = np.array([len(w) for w in encoded])
+    n, steps = len(samples), lengths.max()
+    inside = np.arange(steps + 1) <= lengths[:, None]
+    ids = np.full((n, steps), len(model.alphabet))
+    ids[inside[:, 1:]] = [token for w in encoded for token in w]
+    labels, decided = np.zeros((2, n, steps + 1), dtype=bool)
+    labels[inside] = [y for s in samples for y in s.y]
+    order = np.argsort(-lengths, kind="stable")
+    tokens = np.column_stack([np.full(n, model.bos), ids[order]])
+    h = np.zeros((n, model.hidden_dim))
+    for t, rows in enumerate(np.count_nonzero(inside, axis=0).tolist()):
+        h = _step(model.params, h[:rows], tokens[:rows, t])
+        decided[order[:rows], t] = _accepts(_head_probs(model.params, h))
+    last = np.minimum(np.arange(steps + 1), lengths[:, None])
+    return PaddedEvalReference(model.alphabet, ids, lengths,
+                               np.take_along_axis(labels, last, axis=1),
+                               np.take_along_axis(decided, last, axis=1))
+
+
+def padded_evaluate(model, samples):
+    """Oracle: the earlier rnn.evaluate, verbatim but for its reference.
+    (per-prefix accuracy, full-string accuracy) against stored labels."""
+    reference = padded_eval_reference(model, samples)
+    match = reference.labels == reference.decisions
+    correct, total, string_correct = (int(np.count_nonzero(a)) for a in (
+        match & reference.prefixes, reference.prefixes, match[:, -1]))
+    return correct / total, string_correct / len(samples)
+
+
+def padded_fidelity(dfa, reference):
+    """Oracle: the earlier harness.fidelity, verbatim, on a PaddedEvalReference.
+    Agreement of the machine with the model and the labels, walking every
+    eval string at once through the machine's successor table."""
+    states, succ = successor_table(dfa, reference.alphabet)
+    # A last column for the padding token, on which every row stays put.
+    table = np.array([row + [i] for i, row in enumerate(succ)])
+    accepting = np.array([state in dfa.accepting for state in states] + [False])
+    walk = np.full((len(reference.ids), reference.ids.shape[1] + 1), states.index(dfa.initial))
+    for t, column in enumerate(reference.ids.T):
+        walk[:, t + 1] = table[walk[:, t], column]
+    verdicts = accepting[walk]
+    agree = verdicts == reference.decisions
+    prefixes = reference.prefixes
+    agree_rnn, agree_gold, prefix_agree, prefix_total = (int(np.count_nonzero(a)) for a in (
+        agree[:, -1], verdicts[:, -1] == reference.labels[:, -1], agree & prefixes, prefixes))
+    return FidelityResult(agree_rnn / len(verdicts), agree_gold / len(verdicts),
+                          prefix_agree / prefix_total)
+
+
+def edges_train_set_fidelity(final, tree):
+    """Oracle: the earlier extraction.train_set_fidelity, verbatim but for
+    reading the tree's edges dict through edges_of.
+    Fraction of distinct training prefixes on which the extracted machine
+    agrees with the labels recorded in the tree.  A parent's BFS id is below
+    its child's, so the edges in child order reach each state after its parent."""
+    states: list[int | None] = [final.initial] * tree.n_states
+    for (src, token), dst in sorted(edges_of(tree).items(), key=lambda edge: edge[1]):
+        states[dst] = final.step(states[src], token)
+    agree = sum((state in final.accepting) == label
+                for state, label in zip(states, tree.labels))
+    return agree / tree.n_states
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from statemerge import automata, extraction, harness, rnn
+from statemerge import automata, extraction, harness, languages, rnn
 from statemerge.languages import ALPHABET
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -103,3 +103,19 @@ def test_cold_fill_sizes_are_training_fields():
     sizes = {kw.arg: ast.literal_eval(kw.value) for kw in assign.value.keywords}
     config = dataclasses.replace(harness.TrainingConfig(sizes.pop("language"), 0), **sizes)
     assert {name: getattr(config, name) for name in sizes} == sizes
+
+
+def test_eval_sets_stay_out_of_the_extraction_counters():
+    # An eval reference numbers its prefixes without building a prefix tree,
+    # so the tree's span and trie_states count extraction strings only.
+    rng = np.random.default_rng(0)
+    model = rnn.init_model(ALPHABET, 2, 3, rng)
+    samples = languages.sample_eval_set(2, 20, 6, rng)
+    dfa = languages.gold_dfa(2)
+    with TRACER.Tracer() as tracer:
+        rnn.evaluate(model, samples)
+        harness.fidelity(dfa, rnn.eval_reference(model, samples))
+    names = {span[0] for span in tracer.spans}
+    assert {"rnn.evaluate", "harness.fidelity"} <= names
+    assert "extraction.build_prefix_tree" not in names
+    assert tracer.counts["extraction.trie_states"] == 0

@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 
 from statemerge import extraction, rnn
-from statemerge.automata import Dfa, Nfa
-from statemerge.extraction import (PrefixTree, build_prefix_tree, extract, merge_all,
+from statemerge.automata import AlphabetError, Dfa, Nfa, prefix_decisions
+from statemerge.extraction import (build_prefix_tree, extract, machine_verdicts, merge_all,
                                    train_set_fidelity)
 from statemerge.harness import extraction_strings
-from statemerge.languages import ALPHABET
+from statemerge.languages import ALPHABET, gold_dfa
 from statemerge.rnn import forward, init_model
 
-from conftest import string_keyed_prefix_tree
+from conftest import (edges_of, edges_train_set_fidelity, random_dfa, string_keyed_prefix_tree,
+                      trie)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
-NO_VISITS = np.zeros(0, dtype=int)
 
 
 def small_model(seed=0):
@@ -24,7 +24,7 @@ def small_model(seed=0):
 
 def trie_dfa(tree):
     """The unmerged trie as a machine: each state accepts by its label."""
-    return Dfa(tree.alphabet, set(range(tree.n_states)), 0, dict(tree.edges),
+    return Dfa(tree.alphabet, set(range(tree.n_states)), 0, edges_of(tree),
                {q for q, acc in enumerate(tree.labels) if acc})
 
 
@@ -40,27 +40,31 @@ class TestBuildPrefixTree:
     def test_single_string_path(self):
         tree = build_prefix_tree(small_model(), ["ab"])
         assert tree.n_states == 3
-        assert tree.edges == {(0, "a"): 1, (1, "b"): 2}
+        assert edges_of(tree) == {(0, "a"): 1, (1, "b"): 2}
+        assert tree.parents.tolist() == [0, 0, 1]
+        assert tree.tokens.tolist() == [2, 0, 1]  # the root's token is bos
+        assert tree.levels.tolist() == [0, 1, 2, 3]
 
     def test_shared_prefix(self):
         tree = build_prefix_tree(small_model(), ["ab", "aa"])
         assert tree.n_states == 4
-        assert tree.edges[(0, "a")] == 1
-        assert {tree.edges[(1, "a")], tree.edges[(1, "b")]} == {2, 3}
+        edges = edges_of(tree)
+        assert edges[(0, "a")] == 1
+        assert {edges[(1, "a")], edges[(1, "b")]} == {2, 3}
+        assert tree.levels.tolist() == [0, 1, 2, 4]
 
     def test_bfs_numbering(self):
         tree = build_prefix_tree(small_model(), ["ba", "ab"])
         # Level order with children in alphabet order: root, q_a, q_b, q_ab, q_ba.
-        assert tree.edges[(0, "a")] == 1
-        assert tree.edges[(0, "b")] == 2
-        assert tree.edges[(1, "b")] == 3
-        assert tree.edges[(2, "a")] == 4
+        assert edges_of(tree) == {(0, "a"): 1, (0, "b"): 2, (1, "b"): 3, (2, "a"): 4}
+        assert [tree.state_of(p) for p in ("", "a", "b", "ab", "ba", "aa", "abb")] == [
+            0, 1, 2, 3, 4, None, None]
 
     def test_bfs_numbering_follows_model_alphabet(self):
         m = init_model(("b", "a"), 4, 8, np.random.default_rng(0))
         tree = build_prefix_tree(m, ["ab", "ba"])
         # Children in the model's alphabet order: root, q_b, q_a, q_ba, q_ab.
-        assert tree.edges == {(0, "b"): 1, (0, "a"): 2, (1, "a"): 3, (2, "b"): 4}
+        assert edges_of(tree) == {(0, "b"): 1, (0, "a"): 2, (1, "a"): 3, (2, "b"): 4}
 
     def test_one_step_per_level_and_no_forward(self, monkeypatch):
         m = small_model(5)
@@ -87,7 +91,7 @@ class TestBuildPrefixTree:
         m = small_model()
         tree = build_prefix_tree(m, ["ab"])
         result = forward(m, "ab")
-        assert tree.labels == rnn._accepts(result.yhat).tolist()
+        assert tree.labels.tolist() == rnn._accepts(result.yhat).tolist()
         for i in range(3):
             assert np.array_equal(tree.features[i], result.hidden[i])
 
@@ -106,7 +110,7 @@ class TestBuildPrefixTree:
         strings = random_strings(rng, 20)
         t1 = build_prefix_tree(m, strings)
         t2 = build_prefix_tree(m, list(strings))
-        assert t1.edges == t2.edges
+        assert edges_of(t1) == edges_of(t2)
         assert all(np.array_equal(a, b) for a, b in zip(t1.features, t2.features))
 
     def test_rejects_bad_token(self):
@@ -120,12 +124,11 @@ class TestBuildPrefixTree:
 
 
 def assert_same_tree(tree, expected):
-    """Edges, labels and visits equal; features equal up to the last bits,
+    """Numbering, labels and visits equal; features equal up to the last bits,
     which the level batches may round differently from per-length batches."""
     assert tree.alphabet == expected.alphabet
-    assert tree.edges == expected.edges
-    assert tree.labels == expected.labels
-    assert tree.visits.tolist() == expected.visits.tolist()
+    for field in ("parents", "tokens", "levels", "visits", "labels"):
+        assert getattr(tree, field).tolist() == getattr(expected, field).tolist(), field
     assert tree.features.shape == expected.features.shape
     np.testing.assert_allclose(tree.features, expected.features, rtol=0, atol=1e-12)
 
@@ -156,12 +159,14 @@ class TestPrefixTreeOracle:
         assert_same_tree(build_prefix_tree(m, strings), string_keyed_prefix_tree(m, strings))
 
 
-def toy_tree(labels, features, edges):
-    return PrefixTree(ALPHABET, dict(edges), list(labels), np.array(features, dtype=float),
-                      NO_VISITS)
+def toy_tree(labels, features, edges=None):
+    """A hand-made tree; by default a chain on "a", state q + 1 the child of q."""
+    if edges is None:
+        edges = {(q, "a"): q + 1 for q in range(len(labels) - 1)}
+    return trie(edges, labels, features)
 
 
-def merged_states(labels, features, kappa, edges=()):
+def merged_states(labels, features, kappa, edges=None):
     return merge_all(toy_tree(labels, features, edges), kappa).states
 
 
@@ -233,7 +238,7 @@ def reference_merge(tree, kappa):
     """The same scan, applying each merge literally to (src, token, dst) triples."""
     feats = tree.features
     norms = np.linalg.norm(feats, axis=1)
-    triples = {(src, token, dst) for (src, token), dst in tree.edges.items()}
+    triples = {(src, token, dst) for (src, token), dst in edges_of(tree).items()}
     alive, initial = set(range(tree.n_states)), 0
     for q_i in range(tree.n_states - 1, -1, -1):
         for q_j in sorted(alive - {q_i}):
@@ -255,6 +260,12 @@ def random_tree(rng, n_states, dim=3, one_label=False):
     for q in range(1, n_states):
         free = [(p, token) for p in range(q) for token in ALPHABET if (p, token) not in edges]
         edges[free[rng.integers(len(free))]] = q
+    # Renumbered level by level, children in alphabet order.
+    order = [0]
+    for q in order:
+        order += [edges[(q, token)] for token in ALPHABET if (q, token) in edges]
+    bfs = {old: new for new, old in enumerate(order)}
+    edges = {(bfs[p], token): bfs[q] for (p, token), q in edges.items()}
     features = rng.normal(size=(n_states, dim))
     for q in range(1, n_states):
         kind = rng.random()
@@ -266,14 +277,14 @@ def random_tree(rng, n_states, dim=3, one_label=False):
         labels = [bool(rng.integers(2))] * n_states
     else:
         labels = [bool(x) for x in rng.integers(0, 2, size=n_states)]
-    return PrefixTree(ALPHABET, edges, labels, features, NO_VISITS)
+    return trie(edges, labels, features)
 
 
 def all_pairs_merge(tree, kappa):
-    """Oracle: the earlier merge_all, verbatim but for its zero-norm warning,
-    comparing each block of states with every lower state and masking out
-    the label mismatches; it also returns the map of lowest matches, before
-    pointer jumping."""
+    """Oracle: the earlier merge_all, verbatim but for its zero-norm warning and
+    for reading the tree's edges through edges_of, comparing each block of
+    states with every lower state and masking out the label mismatches; it
+    also returns the map of lowest matches, before pointer jumping."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie strictly between 0 and 1")
     n = tree.n_states
@@ -298,7 +309,7 @@ def all_pairs_merge(tree, kappa):
         rep = rep[rep]
     rep_of = rep.tolist()
     transitions: dict[tuple[int, str], set[int]] = {}
-    for (src, token), dst in tree.edges.items():
+    for (src, token), dst in edges_of(tree).items():
         transitions.setdefault((rep_of[src], token), set()).add(rep_of[dst])
     states = set(np.flatnonzero(rep == np.arange(n)).tolist())
     return lowest, Nfa(tree.alphabet, states, rep_of[0], transitions,
@@ -359,14 +370,13 @@ class TestMergeAll:
         cos_max = _max_offdiag_cosine(tree)
         if cos_max <= 1 - 1e-12:
             assert len(merged.states) == tree.n_states
-            assert merged.transitions == {k: {v} for k, v in tree.edges.items()}
+            assert merged.transitions == {k: {v} for k, v in edges_of(tree).items()}
 
     def test_high_tolerance_collapses_by_label(self):
         # All features closely aligned: only the label classes can survive.
         features = np.array([[1.0, 0.01 * i] for i in range(5)])
-        tree = PrefixTree(ALPHABET,
-                          {(0, "a"): 1, (0, "b"): 2, (1, "a"): 3, (1, "b"): 4},
-                          [True, False, False, True, False], features, NO_VISITS)
+        tree = trie({(0, "a"): 1, (0, "b"): 2, (1, "a"): 3, (1, "b"): 4},
+                    [True, False, False, True, False], features)
         merged = merge_all(tree, 0.5)
         assert len(merged.states) == 2
         assert len(merged.accepting) == 1
@@ -423,3 +433,64 @@ class TestExtract:
     def test_empty_strings_rejected(self):
         with pytest.raises(ValueError):
             build_prefix_tree(small_model(), [])
+
+
+class TestMachineVerdicts:
+    """machine_verdicts and train_set_fidelity against each prefix's run and
+    the earlier walk of the tree's edges through Dfa.step."""
+
+    @staticmethod
+    def assert_matches_oracles(dfa, tree, strings):
+        runs = [v for w in strings for v in prefix_decisions(dfa, w)]
+        assert machine_verdicts(dfa, tree)[tree.visits].tolist() == runs
+        fidelity = train_set_fidelity(dfa, tree)
+        assert type(fidelity) is float
+        assert repr(fidelity) == repr(float(edges_train_set_fidelity(dfa, tree)))
+
+    def test_random_machines_on_random_trees(self):
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            alphabet = ("a", "b") if trial % 2 else ("b", "a")
+            m = init_model(alphabet, 3, 5, rng)
+            strings = random_strings(rng, int(rng.integers(1, 25))) + [""]
+            strings += [strings[i] for i in rng.integers(0, len(strings), size=3)]
+            tree = build_prefix_tree(m, strings)
+            # Sparse machines send some prefixes to the sink row.
+            machines = [trie_dfa(tree)] + [random_dfa(rng, int(rng.integers(1, 6)), edge_prob=p)
+                                          for p in (0.3, 0.85, 1.0)]
+            for dfa in machines:
+                self.assert_matches_oracles(dfa, tree, strings)
+
+    def test_only_empty_strings(self):
+        tree = build_prefix_tree(small_model(2), ["", ""])
+        for dfa in (Dfa(ALPHABET, {0}, 0, {}, {0}), Dfa(ALPHABET, {3}, 3, {}, set())):
+            self.assert_matches_oracles(dfa, tree, ["", ""])
+
+    def test_machine_missing_a_token_rejected(self):
+        tree = build_prefix_tree(small_model(), ["ab", "a"])
+        dfa = Dfa(("a",), {0}, 0, {(0, "a"): 0}, {0})
+        for walk in (train_set_fidelity, edges_train_set_fidelity):
+            with pytest.raises(AlphabetError):
+                walk(dfa, tree)
+
+    @pytest.mark.parametrize("language", range(1, 8))
+    def test_fixture_models(self, language):
+        ckpt, alphabet = rnn.load_checkpoint(
+            gzip.decompress((FIXTURES / f"tomita{language}.ckpt.gz").read_bytes()).decode())
+        m = rnn.model_from_checkpoint(ckpt, alphabet)
+        strings = extraction_strings(language, 150, 15, 0)
+        tree = build_prefix_tree(m, strings)
+        for kappa in (0.4, 0.01):
+            self.assert_matches_oracles(extract(tree, kappa).final, tree, strings)
+        self.assert_matches_oracles(gold_dfa(language), tree, strings)
+
+    def test_trie_rejects_other_numberings(self):
+        labels, features = [True] * 4, np.eye(4)
+        tree = trie({(0, "a"): 1, (0, "b"): 2, (1, "a"): 3}, labels, features)
+        assert tree.levels.tolist() == [0, 1, 3, 4]
+        for edges in ({(0, "b"): 1, (0, "a"): 2, (1, "a"): 3},   # children out of order
+                      {(0, "a"): 1, (1, "a"): 2, (0, "b"): 3},   # a level after a deeper one
+                      {(0, "a"): 2, (2, "a"): 1, (0, "b"): 3},   # a parent above its child
+                      {(0, "a"): 1, (1, "a"): 2}):               # state 3 unreached
+            with pytest.raises(ValueError):
+                trie(edges, labels, features)

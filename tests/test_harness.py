@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gzip
 import io
 import json
 import logging
@@ -15,7 +16,7 @@ import pytest
 
 from statemerge import harness, rnn
 from statemerge.automata import AlphabetError, Dfa, prefix_decisions
-from statemerge.extraction import build_prefix_tree
+from statemerge.extraction import build_prefix_tree, extract
 from statemerge.harness import (METRIC_FIELDS, RESULT_FIELDS, ExperimentConfig,
                                 ExtractionConfig, FidelityResult, ResultRow, TrainingConfig,
                                 best_model, ensure_trained, eval_set_for, extraction_strings,
@@ -23,14 +24,17 @@ from statemerge.harness import (METRIC_FIELDS, RESULT_FIELDS, ExperimentConfig,
                                 reproduce_table2, run_dir, run_extraction,
                                 run_kmeans_baseline, summarize, sweep_epochs, sweep_kappa,
                                 to_csv)
+from statemerge.kmeans import kmeans_extract
 from statemerge.languages import ALPHABET, gold_dfa, sample_eval_set
 from statemerge.rnn import (EpochMetrics, eval_reference, forward, init_model, load_checkpoint,
                             save_checkpoint)
 
-from conftest import forward_many, labeled, random_dfa
+from conftest import (forward_many, labeled, padded_eval_reference, padded_fidelity,
+                      random_dfa)
 
 
 SHIPPED = Path(__file__).resolve().parent.parent / "artifacts" / "models"
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 TINY = dict(n_train=40, train_len=6, n_dev=20, dev_len=8,
             embed_dim=4, hidden_dim=8, epochs=2)
 SMALL_EXPERIMENT = ExperimentConfig(extraction=ExtractionConfig(n_strings=40, string_len=6),
@@ -190,6 +194,65 @@ class TestFidelity:
         model = init_model(ALPHABET, 4, 8, rng)
         with pytest.raises(ValueError):
             eval_reference(model, [])
+
+
+def machines_for(rng, alphabet):
+    """Machines to score: gold ones, one missing every b edge (its walks fall
+    into the sink row), one over a larger alphabet with state ids {5, 9}, and
+    random sparse and dense ones, some renamed."""
+    machines = [gold_dfa(2), gold_dfa(6), Dfa(("b", "a"), *dataclasses.astuple(gold_dfa(5))[1:]),
+                Dfa(alphabet, {0, 1}, 0, {(0, "a"): 1, (1, "a"): 0}, {1}),
+                Dfa(("a", "b", "c"), {5, 9}, 9,
+                    {(9, "a"): 5, (5, "b"): 9, (5, "c"): 5, (9, "c"): 9}, {9})]
+    for p in (0.3, 0.85, 1.0):
+        dfa = random_dfa(rng, int(rng.integers(1, 7)), edge_prob=p)
+        machines.append(rename(dfa, rng.choice(50, size=len(dfa.states), replace=False).tolist()))
+    return machines
+
+
+class TestFidelityOracle:
+    """fidelity against the earlier walk of the padded eval grid."""
+
+    @staticmethod
+    def assert_matches(model, samples, machines):
+        reference = eval_reference(model, samples)
+        padded = padded_eval_reference(model, samples)
+        for dfa in machines:
+            assert repr(fidelity(dfa, reference)) == repr(padded_fidelity(dfa, padded))
+
+    def test_random_tiny_models(self):
+        rng = np.random.default_rng(41)
+        for trial in range(24):
+            alphabet = ("a", "b") if trial % 2 else ("b", "a")
+            model = init_model(alphabet, 3, 5, rng)
+            language = trial % 7 + 1
+            mixed = sample_eval_set(language, int(rng.integers(1, 40)), 9, rng)
+            mixed += [labeled(language, "")] + [mixed[i] for i in rng.integers(0, len(mixed), 3)]
+            sets = [[mixed[i] for i in rng.permutation(len(mixed))], [labeled(language, "")] * 2,
+                    [labeled(language, "abba")]]
+            for samples in sets:
+                self.assert_matches(model, samples, machines_for(rng, alphabet))
+
+    @pytest.mark.parametrize("language", range(1, 8))
+    def test_fixture_models(self, language):
+        ckpt, alphabet = load_checkpoint(
+            gzip.decompress((FIXTURES / f"tomita{language}.ckpt.gz").read_bytes()).decode())
+        model = rnn.model_from_checkpoint(ckpt, alphabet)
+        samples = sample_eval_set(language, 200, 50, np.random.default_rng([language, 999]))
+        tree = build_prefix_tree(model, extraction_strings(language, 100, 10, 0))
+        machines = [extract(tree, 0.01).final, extract(tree, 0.4).final,
+                    kmeans_extract(tree, 20, np.random.default_rng(0)), gold_dfa(language)]
+        self.assert_matches(model, samples,
+                            machines + machines_for(np.random.default_rng(language), alphabet))
+
+    def test_machine_missing_a_token_rejected(self, rng):
+        model = init_model(ALPHABET, 4, 8, rng)
+        samples = [labeled(1, "aa"), labeled(1, "")]
+        dfa = Dfa(("a",), {0}, 0, {(0, "a"): 0}, {0})
+        with pytest.raises(AlphabetError):
+            fidelity(dfa, eval_reference(model, samples))
+        with pytest.raises(AlphabetError):
+            padded_fidelity(dfa, padded_eval_reference(model, samples))
 
 
 class TestTrainingCache:

@@ -120,8 +120,8 @@ def train(config: TrainingConfig):
 UNUSED_KEPT = {
     "automata.Dfa.accepts": "run-semantics reference: a machine's verdict on one string",
     "automata.equivalent": "acceptance-suite claim: criteria 3 and 4 compare with gold",
-    "extraction.PrefixTree.state_of": "acceptance-suite claim: criterion 6's extraction check",
     "harness.min_data_for_full_fidelity": "acceptance-suite claim: criterion 5's data needs",
+    "rnn.Prefixes.state_of": "acceptance-suite claim: criterion 6's extraction check",
     "rnn.kappa_bound": "acceptance-suite claim: criterion 6's safe merge tolerance",
     "rnn.forward": "benchmark tracer: perfbench/tracer.py wraps it by name (ROADMAP item 1)",
 }

@@ -194,12 +194,17 @@ class TestLloydReference:
 
     def test_matches_exact_ranking(self, monkeypatch):
         monkeypatch.setattr(kmeans_module, "N_INIT", 3)
+        reseeds = []
         for seed in self.SEEDS:
             points, k = hidden_like_points(seed)
             a, c = kmeans_all(points, k, np.random.default_rng(seed))
-            ref_a, ref_c = reference_kmeans(points, k, np.random.default_rng(seed), n_init=3)
+            ref_a, ref_c = reference_kmeans(points, k, np.random.default_rng(seed), n_init=3,
+                                            reseeds=reseeds)
             assert np.array_equal(a, ref_a), seed
             assert np.array_equal(c, ref_c), seed
+        # Empty clusters came up and were reseeded as the oracle reseeds them:
+        # the empty-cluster gate saw every one.
+        assert len(reseeds) > 0
 
     def test_identical_seed_centroids_rank_as_exact_ties(self, monkeypatch):
         # Seeding picks two identical points, so every row has two centroids
@@ -291,7 +296,8 @@ class TestReadOff:
         tree = build_prefix_tree(small_model(0), strings)
         labels = {tree.state_of(w[:i]): decisions[w[:i]]
                   for w in strings for i in range(len(w) + 1)}
-        tree = dataclasses.replace(tree, labels=[labels[q] for q in range(tree.n_states)])
+        tree = dataclasses.replace(
+            tree, labels=np.array([labels[q] for q in range(tree.n_states)]))
         monkeypatch.setattr(kmeans_module, "kmeans",
                             lambda features, visits, k, rng: (np.array(assignments), None))
         return kmeans_extract(tree, k, np.random.default_rng(0))

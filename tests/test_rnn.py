@@ -14,7 +14,8 @@ from statemerge.rnn import (AdamWHyper, Checkpoint, TrainingError,
                             kappa_bound, load_checkpoint, loss_and_grads,
                             model_from_checkpoint, save_checkpoint, train)
 
-from conftest import forward_many, labeled
+from conftest import (PaddedEvalReference, forward_many, labeled, padded_eval_reference,
+                      padded_evaluate)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 
@@ -116,7 +117,8 @@ def evaluate_per_sample(model, samples):
 
 
 def per_length_eval_reference(model, samples):
-    """The oracle: the earlier eval_reference, one forward_many batch per length, verbatim."""
+    """The oracle: the eval_reference before the padded time loop, one
+    forward_many batch per length, verbatim but for its class."""
     if not samples:
         raise ValueError("need at least one sample")
     lengths = np.array([len(s.x) for s in samples])
@@ -131,30 +133,40 @@ def per_length_eval_reference(model, samples):
         decisions[rows, :length + 1] = [rnn._accepts(r.yhat) for r in forward_many(model, strings)]
         for padded in (labels, decisions):
             padded[rows, length + 1:] = padded[rows, length:length + 1]
-    return rnn.EvalReference(model.alphabet, ids, lengths, labels, decisions)
+    return PaddedEvalReference(model.alphabet, ids, lengths, labels, decisions)
 
 
 def assert_same_reference(actual, expected):
-    assert actual.alphabet == expected.alphabet
-    for field in ("ids", "lengths", "labels", "decisions"):
-        a, e = getattr(actual, field), getattr(expected, field)
-        assert (a.dtype, a.shape) == (e.dtype, e.shape), field
-        assert np.array_equal(a, e), field
+    """A reference against a padded one, position by position: each string's
+    walk through the prefixes and its tokens, the stored labels, the model's
+    decisions and each string's end."""
+    prefixes, inside = actual.prefixes, expected.prefixes
+    visits = prefixes.visits
+    assert prefixes.alphabet == expected.alphabet
+    assert actual.ends.tolist() == (np.cumsum(expected.lengths + 1) - 1).tolist()
+    steps = np.flatnonzero(visits != 0)  # every position but a string's start
+    assert len(visits) - len(steps) == len(expected.lengths)
+    assert prefixes.parents[visits[steps]].tolist() == visits[steps - 1].tolist()
+    assert prefixes.tokens[visits[steps]].tolist() == expected.ids[inside[:, 1:]].tolist()
+    assert actual.labels.tolist() == expected.labels[inside].tolist()
+    assert prefixes.labels[visits].tolist() == expected.decisions[inside].tolist()
 
 
 class TestEvalReference:
-    def test_rows_pad_with_the_last_prefix(self, rng):
+    def test_layout(self, rng):
         m = init_model(ALPHABET, 4, 8, rng)
         samples = [labeled(2, "ab"), labeled(2, ""), labeled(2, "abab")]
         ref = eval_reference(m, samples)
-        assert ref.ids.tolist() == [[0, 1, 2, 2], [2, 2, 2, 2], [0, 1, 0, 1]]
-        assert ref.lengths.tolist() == [2, 0, 4]
-        assert ref.labels.tolist() == [[True, False, True, True, True], [True] * 5,
-                                       [True, False, True, False, True]]
-        for row, s in enumerate(samples):
-            decided = rnn._accepts(forward(m, s.x).yhat).tolist()
-            assert ref.decisions[row].tolist() == decided + decided[-1:] * (4 - len(s.x))
-            assert ref.prefixes[row].tolist() == [t <= len(s.x) for t in range(5)]
+        # States: the root, a, ab, aba, abab, one per level.
+        assert ref.prefixes.parents.tolist() == [0, 0, 1, 2, 3]
+        assert ref.prefixes.tokens.tolist() == [2, 0, 1, 0, 1]
+        assert ref.prefixes.levels.tolist() == [0, 1, 2, 3, 4, 5]
+        assert ref.prefixes.visits.tolist() == [0, 1, 2, 0, 0, 1, 2, 3, 4]
+        assert ref.prefixes.n_strings == 3
+        assert ref.ends.tolist() == [2, 3, 8]
+        assert ref.labels.tolist() == [True, False, True, True, True, False, True, False, True]
+        decided = rnn._accepts(forward(m, "abab").yhat).tolist()
+        assert ref.prefixes.labels.tolist() == decided
 
     def test_evaluate_matches_per_sample_loop_on_mixed_lengths(self, rng):
         for language in (2, 4, 6):
@@ -167,9 +179,10 @@ class TestEvalReference:
 
     def test_matches_per_length_oracle_on_tiny_models(self):
         rng = np.random.default_rng(20)
-        for trial in range(6):
-            m = init_model(ALPHABET, 3, 5, rng)
-            if trial == 0:  # every prefix an exact 0.5 tie, which rejects
+        for trial in range(12):
+            alphabet = ("a", "b") if trial % 2 else ("b", "a")
+            m = init_model(alphabet, 3, 5, rng)
+            if trial < 2:  # every prefix an exact 0.5 tie, which rejects
                 m.params["w_out"] = np.zeros_like(m.params["w_out"])
             language = trial % 7 + 1
             mixed = (sample_eval_set(language, 30, 9, rng)
@@ -178,8 +191,10 @@ class TestEvalReference:
             sets = [mixed, shuffled, [labeled(language, "")], [labeled(language, "abba")],
                     sample_balanced(language, 6, 8, rng), [labeled(language, "")] * 3]
             for samples in sets:
-                assert_same_reference(eval_reference(m, samples),
-                                      per_length_eval_reference(m, samples))
+                actual = eval_reference(m, samples)
+                assert_same_reference(actual, per_length_eval_reference(m, samples))
+                assert_same_reference(actual, padded_eval_reference(m, samples))
+                assert repr(evaluate(m, samples)) == repr(padded_evaluate(m, samples))
 
     @pytest.mark.parametrize("language", range(1, 8))
     def test_matches_per_length_oracle_on_fixture_models(self, language):
@@ -187,9 +202,12 @@ class TestEvalReference:
             gzip.decompress((FIXTURES / f"tomita{language}.ckpt.gz").read_bytes()).decode())
         m = model_from_checkpoint(ckpt, alphabet)
         samples = sample_eval_set(language, 100, 50, np.random.default_rng([language, 999]))
-        assert_same_reference(eval_reference(m, samples), per_length_eval_reference(m, samples))
+        actual = eval_reference(m, samples)
+        assert_same_reference(actual, per_length_eval_reference(m, samples))
+        assert_same_reference(actual, padded_eval_reference(m, samples))
+        assert repr(evaluate(m, samples)) == repr(padded_evaluate(m, samples))
 
-    def test_one_step_per_position_and_no_forward(self, rng, monkeypatch):
+    def test_one_step_per_level_and_no_forward(self, rng, monkeypatch):
         m = init_model(ALPHABET, 4, 8, rng)
         samples = sample_eval_set(3, 40, 17, rng) + [labeled(3, "")]
         expected = per_length_eval_reference(m, samples)
@@ -206,9 +224,10 @@ class TestEvalReference:
         monkeypatch.setattr(rnn, "_step", counted)
         monkeypatch.setattr(rnn, "forward", refuse)
         assert_same_reference(eval_reference(m, samples), expected)
+        # Step t runs the distinct prefixes of length t once each.
         lengths = [len(s.x) for s in samples]
-        assert len(steps) == max(lengths) + 1
-        assert steps == [sum(n >= t for n in lengths) for t in range(max(lengths) + 1)]
+        assert steps == [len({s.x[:t] for s in samples if len(s.x) >= t})
+                         for t in range(max(lengths) + 1)]
 
 
 def pure_adamw_step(params, grads, state_step, state_m, state_v, hyper):
