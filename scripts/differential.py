@@ -1,0 +1,162 @@
+"""Run one fixed battery of program outputs on two revisions and diff them.
+
+Usage: python scripts/differential.py BASE [CHANGE] [--quick]
+
+BASE and CHANGE are git revisions; CHANGE defaults to the working tree.
+Each revision is checked out with ``git worktree add`` into a temporary
+directory, removed again on exit.  The battery runs once per tree, in a
+child process with that tree's ``src`` on PYTHONPATH and one BLAS thread
+(the thread count changes the last bits of the hidden states).  The inputs
+(the fixture models in ``perfbench/fixtures``, string sets and seeds) and
+the battery itself come from this script, so only the program under test
+differs.  Every output is one canonical text line.  The script prints the
+first differing lines and exits 1 on any difference, 0 when the outputs are
+equal and 2 when a checkout or a battery fails.
+
+The battery so far is k-means: ``kmeans.kmeans`` on the prefix trees of the
+fixture models (Tomita 1-7, seeds 0-5, 30, 100 and 300 extraction strings
+of length 10, k = 2, 5 and 20) and on 600 sets of tied and duplicated
+points.  Each line holds digests of the assignments and of the centroids'
+bits, and the generator's next draw.  ``--quick`` keeps seed 0, 30 strings,
+k = 2 and 20, and 50 point sets.
+
+``--print`` prints the battery's lines for the ``statemerge`` on the path
+instead, which is what each child process runs.
+"""
+import argparse
+import difflib
+import gzip
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+BLAS_ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")}
+SHOWN = 12
+
+
+def digest(array: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+
+def tied_points(case: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(features, visits, k) with exact ties: saturated rows (tanh of wide
+    normals, so many coordinates are exactly +-1), whole rows duplicated and
+    stored under several row ids, and few distinct points for k, so seed
+    draws pick equal points and clusters come up empty."""
+    rng = np.random.default_rng([case, 1])
+    m, d = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+    rows = np.tanh(rng.normal(size=(m, d)) * rng.choice([0.5, 3.0, 30.0]))
+    copies = rng.integers(0, m, size=int(rng.integers(0, m)))
+    rows[rng.integers(0, m, size=len(copies))] = rows[copies]
+    features = rows[rng.integers(0, m, size=2 * m)]
+    visits = rng.integers(0, len(features), size=int(rng.integers(m, 4 * m)))
+    return features, visits, int(rng.integers(1, min(len(visits), 20) + 1))
+
+
+def battery(quick: bool) -> list[str]:
+    """The battery's lines for the statemerge package on the path."""
+    from statemerge.extraction import build_prefix_tree
+    from statemerge.harness import extraction_strings
+    from statemerge.kmeans import kmeans
+    from statemerge.rnn import load_checkpoint, model_from_checkpoint
+
+    lines = []
+
+    def run_kmeans(label: str, features: np.ndarray, visits: np.ndarray, k: int,
+                   seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        assignments, centroids = kmeans(features, visits, k, rng)
+        lines.append(f"kmeans {label} k={k} seed={seed}"
+                     f" assignments={digest(assignments.astype(np.int64))}"
+                     f" centroids={digest(centroids)} next={rng.integers(2**62)}")
+
+    seeds, sizes, ks = ((0,), (30,), (2, 20)) if quick else (range(6), (30, 100, 300), (2, 5, 20))
+    for language in range(1, 8):
+        text = gzip.decompress((FIXTURES / f"tomita{language}.ckpt.gz").read_bytes()).decode()
+        model = model_from_checkpoint(*load_checkpoint(text))
+        for seed in seeds:
+            for size in sizes:
+                tree = build_prefix_tree(model, extraction_strings(language, size, 10, seed))
+                for k in ks:
+                    run_kmeans(f"tomita{language} strings={size}", tree.features,
+                               tree.visits, k, seed)
+    for case in range(50 if quick else 600):
+        run_kmeans(f"tied case={case}", *tied_points(case), case)
+    return lines
+
+
+def differences(base: list[str], change: list[str], base_name: str,
+                change_name: str) -> list[str]:
+    """The unified diff of two batteries' lines, without context."""
+    return list(difflib.unified_diff(base, change, base_name, change_name, n=0, lineterm=""))
+
+
+def fail(message: str) -> None:
+    print(message, file=sys.stderr)
+    sys.exit(2)
+
+
+def run_battery(tree: Path, quick: bool) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **BLAS_ONE_THREAD)
+    run = subprocess.run([sys.executable, __file__, "--print"] + ["--quick"] * quick,
+                         env=env, capture_output=True, text=True)
+    if run.returncode:
+        fail(f"the battery failed on {tree}:\n{run.stderr}")
+    return run.stdout.splitlines()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", nargs="?", metavar="BASE", help="git revision to compare from")
+    parser.add_argument("change", nargs="?", metavar="CHANGE",
+                        help="git revision to compare to (default: the working tree)")
+    parser.add_argument("--quick", action="store_true", help="run the short battery")
+    parser.add_argument("--print", action="store_true",
+                        help="print the battery's lines for the statemerge on the path")
+    args = parser.parse_args()
+    if args.print:
+        print("\n".join(battery(args.quick)))
+        return 0
+    if args.base is None:
+        parser.error("BASE is required")
+    repo = Path(subprocess.run(["git", "-C", str(Path(__file__).resolve().parent), "rev-parse",
+                                "--show-toplevel"], check=True, capture_output=True,
+                               text=True).stdout.strip())
+    added = []
+    with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
+        try:
+            trees = []
+            for name, rev in (("base", args.base), ("change", args.change)):
+                if rev is None:
+                    trees.append(repo)
+                    continue
+                path = Path(tmp) / name
+                if subprocess.run(["git", "-C", str(repo), "worktree", "add", "--detach",
+                                   "--quiet", str(path), rev]).returncode:
+                    fail(f"cannot check out {rev}")
+                added.append(path)
+                trees.append(path)
+            base, change = (run_battery(tree, args.quick) for tree in trees)
+        finally:
+            for path in added:
+                subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force",
+                                str(path)], check=True)
+    diff = differences(base, change, args.base, args.change or "working tree")
+    if diff:
+        print("\n".join(diff[:SHOWN]))
+        changed = sum(line.startswith("-") and not line.startswith("---") for line in diff)
+        print(f"{changed} of {len(base)} lines differ")
+        return 1
+    print(f"{len(base)} lines, no difference")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,35 +17,24 @@ def kmeans(features: np.ndarray, visits: np.ndarray, k: int,
            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """k-means of the points features[visits], one per position: Lloyd's
     algorithm, restarted N_INIT times from fresh seed points with the
-    lowest-distortion run kept.  A single run converges to an init-dependent
-    local minimum; on near-saturated hidden states a bad draw leaves two
-    natural clusters sharing a centroid, and the restarts make the read-off
-    automaton stable across sampling seeds."""
-    points = features[visits]
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for _ in range(N_INIT):
-        assignments, centroids = _lloyd(features, visits, k, rng)
-        dist = float(((points - centroids[assignments]) ** 2).sum())
-        if best is None or dist < best[0]:
-            best = (dist, assignments, centroids)
-    return best[1], best[2]
-
-
-def _lloyd(features: np.ndarray, visits: np.ndarray, k: int,
-           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One Lloyd run over the points features[visits]; centroids seeded from
-    k distinct positions, empty clusters reseeded to the point farthest from
-    its assigned centroid.
+    lowest-distortion run kept (the first of equals).  A single run
+    converges to an init-dependent local minimum; on near-saturated hidden
+    states a bad draw leaves two natural clusters sharing a centroid, and the
+    restarts make the read-off automaton stable across sampling seeds.  Each
+    run seeds from k distinct positions, drawn for all runs first, in
+    restart order, and reseeds an empty cluster to the point farthest from
+    its assigned centroid.  The runs iterate in lockstep until each converges.
 
     The result is bit for bit that of ranking every point against every
     centroid by the exact sum of (x - c)**2 over the d coordinates, with
     ties to the lowest centroid id, at the cost of one GEMM per iteration
-    over the rows of features:
+    over the rows of features and the centroids of all running restarts:
 
     - Each row is ranked by the expansion ||x||^2 - 2 x.c + ||c||^2.  The
-      expansion and the exact sum each round by about d * eps *
-      (||x||^2 + ||c||^2), far below tol = 1e-9 (||x||^2 + max ||c||^2)
-      (plus 1e-300, which keeps tol positive when the norms underflow).
+      expansion and the exact sum each round by about d * eps * (||x||^2 +
+      ||c||^2), in any summation order, far below tol = 1e-9 (||x||^2 + max
+      ||c||^2) (plus 1e-300, which keeps tol positive when the norms
+      underflow), so batching the restarts' products changes no result.
     - So a centroid whose exact sum is no larger than that of the
       expansion's winner lies within 2 tol of the row minimum.  Every row
       with a second centroid that close is re-ranked by the exact sum.
@@ -63,46 +52,76 @@ def _lloyd(features: np.ndarray, visits: np.ndarray, k: int,
     a row's values alone: equal rows rank equally, wherever they sit.  So
     each row of features is ranked once and the result reaches the points
     through visits; on a saturated recognizer most points are repeat visits
-    of a few prefix-tree states.  The seed draw, the centroid means, the
-    reseeds and the convergence check stay over positions, as in the
-    all-points run: a reseed moves one position of a row into an empty
-    cluster, so two copies of one row can sit in different clusters until
-    the next ranking."""
+    of a few prefix-tree states.  The centroid means, the reseeds and the
+    convergence check stay over positions, as in the all-points run: a
+    reseed moves one position of a row into an empty cluster, so two copies
+    of one row can sit in different clusters until the next ranking.
+
+    Only stale means are recomputed, each as the sum of its members in
+    position order over their count (the bits of .mean(axis=0)).  A cluster
+    is stale when it gained or lost a position in the ranking or a reseed.
+    The clusters are walked in order with the mask read live, so a cluster
+    robbed by an earlier one's reseed is recomputed at once, as in a full
+    recomputation, and one robbed by a later one's in the next iteration."""
     n = len(visits)
     if k < 1:
         raise ValueError("k must be positive")
     if n < k:
         raise ValueError(f"need at least k={k} points, got {n}")
     points = features[visits]
-    centroids = points[rng.choice(n, size=k, replace=False)].copy()
-    assignments = np.full(n, -1)
+    centroids = points[[rng.choice(n, size=k, replace=False) for _ in range(N_INIT)]]
+    assignments = np.full((N_INIT, n), -1)
+    stale = np.ones((N_INIT, k), dtype=bool)
     sq_norms = np.einsum("ij,ij->i", features, features)
+    active = list(range(N_INIT))
     for _ in range(MAX_LLOYD_ITERATIONS):
-        c_sq = np.einsum("ij,ij->i", centroids, centroids)
-        dists = sq_norms[:, None] - 2 * (features @ centroids.T) + c_sq
-        row_assign = dists.argmin(axis=1)
-        tol = 1e-9 * (sq_norms + c_sq.max()) + 1e-300
-        cutoff = dists[np.arange(len(features)), row_assign] + 2 * tol
-        rows = np.flatnonzero(np.count_nonzero(dists <= cutoff[:, None], axis=1) > 1)
-        row_assign[rows] = (((features[rows, None, :] - centroids[None, :, :]) ** 2)
-                            .sum(axis=2).argmin(axis=1))
-        new_assignments = row_assign[visits]
-        if np.bincount(new_assignments, minlength=k).min() == 0:  # the only case that reseeds
-            row_dists = ((features - centroids[row_assign]) ** 2).sum(axis=1)
-            point_dists = row_dists[visits]
-        for c in range(k):
-            members = new_assignments == c
-            if members.any():
-                centroids[c] = points[members].mean(axis=0)
-            else:
-                farthest = int(point_dists.argmax())
-                centroids[c] = points[farthest]
-                new_assignments[farthest] = c
-                point_dists[farthest] = 0.0
-        if np.array_equal(new_assignments, assignments):
+        if not active:
             break
-        assignments = new_assignments
-    return assignments, centroids
+        running = centroids[active]
+        c_sq = np.einsum("rkd,rkd->rk", running, running)
+        products = features @ running.reshape(-1, features.shape[1]).T
+        dists = sq_norms[:, None, None] - 2 * products.reshape(len(features), -1, k) + c_sq
+        winners = dists.argmin(axis=2)
+        tol = 1e-9 * (sq_norms[:, None] + c_sq.max(axis=1)) + 1e-300
+        cutoff = np.take_along_axis(dists, winners[:, :, None], axis=2)[:, :, 0] + 2 * tol
+        near = np.count_nonzero(dists <= cutoff[:, :, None], axis=2) > 1
+        for j, run in enumerate(list(active)):
+            if _update(features, visits, points, winners[:, j], np.flatnonzero(near[:, j]),
+                       centroids[run], assignments[run], stale[run]):
+                active.remove(run)
+    best = min(range(N_INIT), key=lambda run: float(
+        ((points - centroids[run][assignments[run]]) ** 2).sum()))
+    return assignments[best], centroids[best]
+
+
+def _update(features: np.ndarray, visits: np.ndarray, points: np.ndarray,
+            row_assign: np.ndarray, rows: np.ndarray, centroids: np.ndarray,
+            assignments: np.ndarray, stale: np.ndarray) -> bool:
+    """One Lloyd step of one run, in place; True when its assignments held."""
+    row_assign[rows] = (((features[rows, None, :] - centroids[None, :, :]) ** 2)
+                        .sum(axis=2).argmin(axis=1))
+    new_assignments = row_assign[visits]
+    moved = new_assignments != assignments  # assignments are -1 in the first step,
+    stale[new_assignments[moved]] = stale[assignments[moved]] = True  # when all are stale
+    counts = np.bincount(new_assignments, minlength=len(centroids))
+    if counts.min() == 0:  # the only case that reseeds
+        point_dists = ((features - centroids[row_assign]) ** 2).sum(axis=1)[visits]
+    for c in range(len(centroids)):
+        if counts[c]:
+            if stale[c]:
+                centroids[c] = np.add.reduce(points[new_assignments == c], axis=0) / counts[c]
+                stale[c] = False
+        else:
+            farthest = int(point_dists.argmax())
+            loser = new_assignments[farthest]
+            centroids[c] = points[farthest]
+            new_assignments[farthest] = c
+            point_dists[farthest] = 0.0
+            counts[[c, loser]] += [1, -1]
+            stale[[c, loser]] = True
+    converged = np.array_equal(new_assignments, assignments)
+    assignments[:] = new_assignments
+    return converged
 
 
 def kmeans_extract(tree: PrefixTree, k: int, rng: np.random.Generator) -> Dfa:

@@ -148,7 +148,8 @@ def reference_kmeans(points, k, rng, n_init=10, reseeds=None):
     """kmeans with every point ranked against every centroid by the exact
     sum of squares over the (N, k, d) broadcast: the oracle for the ranking
     by the distance expansion and for ranking distinct rows only.  Each
-    reseed of an empty cluster appends its cluster id to reseeds, if given."""
+    reseed of an empty cluster appends (its cluster id, the cluster it takes
+    its point from) to reseeds, if given."""
     best = None
     for _ in range(n_init):
         n = len(points)
@@ -164,11 +165,11 @@ def reference_kmeans(points, k, rng, n_init=10, reseeds=None):
                     centroids[c] = points[members].mean(axis=0)
                 else:
                     farthest = int(point_dists.argmax())
+                    if reseeds is not None:
+                        reseeds.append((c, int(new_assignments[farthest])))
                     centroids[c] = points[farthest]
                     new_assignments[farthest] = c
                     point_dists[farthest] = 0.0
-                    if reseeds is not None:
-                        reseeds.append(c)
             if np.array_equal(new_assignments, assignments):
                 break
             assignments = new_assignments
@@ -203,8 +204,11 @@ class TestLloydReference:
             assert np.array_equal(a, ref_a), seed
             assert np.array_equal(c, ref_c), seed
         # Empty clusters came up and were reseeded as the oracle reseeds them:
-        # the empty-cluster gate saw every one.
-        assert len(reseeds) > 0
+        # the empty-cluster gate saw every one.  Some reseeds took their point
+        # from a later cluster, whose mean the same iteration recomputes, and
+        # some from an earlier one, whose mean waits for the next iteration.
+        assert any(loser > c for c, loser in reseeds)
+        assert any(loser < c for c, loser in reseeds)
 
     def test_identical_seed_centroids_rank_as_exact_ties(self, monkeypatch):
         # Seeding picks two identical points, so every row has two centroids
@@ -223,6 +227,18 @@ class TestLloydReference:
         ref_a, ref_c = reference_kmeans(points, 9, np.random.default_rng(seed), n_init=1)
         assert np.array_equal(a, ref_a)
         assert np.array_equal(c, ref_c)
+
+
+def test_seed_sets_drawn_first_in_restart_order():
+    # The restarts' seed sets are all the draws kmeans makes: N_INIT
+    # choices of k distinct positions, one after another.
+    points, k = hidden_like_points(3)
+    rng = np.random.default_rng(17)
+    kmeans_all(points, k, rng)
+    expected = np.random.default_rng(17)
+    for _ in range(kmeans_module.N_INIT):
+        expected.choice(len(points), size=k, replace=False)
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
