@@ -13,12 +13,18 @@ differs.  Every output is one canonical text line.  The script prints the
 first differing lines and exits 1 on any difference, 0 when the outputs are
 equal and 2 when a checkout or a battery fails.
 
-The battery so far is k-means: ``kmeans.kmeans`` on the prefix trees of the
-fixture models (Tomita 1-7, seeds 0-5, 30, 100 and 300 extraction strings
-of length 10, k = 2, 5 and 20) and on 600 sets of tied and duplicated
-points.  Each line holds digests of the assignments and of the centroids'
-bits, and the generator's next draw.  ``--quick`` keeps seed 0, 30 strings,
-k = 2 and 20, and 50 point sets.
+The battery has two parts so far.  k-means: ``kmeans.kmeans`` on the
+prefix trees of the fixture models (Tomita 1-7, seeds 0-5, 30, 100 and 300
+extraction strings of length 10, k = 2, 5 and 20) and on 600 sets of tied
+and duplicated points; each line holds digests of the assignments and of the
+centroids' bits, and the generator's next draw.  ``--quick`` keeps seed 0,
+30 strings, k = 2 and 20, and 50 point sets.  Samplers:
+``languages.sample_balanced`` and ``languages.sample_eval_set`` for Tomita
+1-7 on a PCG64 generator and on a Philox one, which takes the samplers'
+``rng.bytes`` path; each line holds a digest of the strings and their prefix
+labels, and the generator's next draw.  The balanced lengths include 7, at
+which Tomita 2 and 5 have no positive string.  ``--quick`` keeps one seed and
+smaller sets.
 
 ``--print`` prints the battery's lines for the ``statemerge`` on the path
 instead, which is what each child process runs.
@@ -60,8 +66,8 @@ def tied_points(case: int) -> tuple[np.ndarray, np.ndarray, int]:
     return features, visits, int(rng.integers(1, min(len(visits), 20) + 1))
 
 
-def battery(quick: bool) -> list[str]:
-    """The battery's lines for the statemerge package on the path."""
+def kmeans_battery(quick: bool) -> list[str]:
+    """The k-means lines for the statemerge package on the path."""
     from statemerge.extraction import build_prefix_tree
     from statemerge.harness import extraction_strings
     from statemerge.kmeans import kmeans
@@ -90,6 +96,32 @@ def battery(quick: bool) -> list[str]:
     for case in range(50 if quick else 600):
         run_kmeans(f"tied case={case}", *tied_points(case), case)
     return lines
+
+
+def sampler_battery(quick: bool) -> list[str]:
+    """The sampler lines for the statemerge package on the path."""
+    from statemerge.languages import sample_balanced, sample_eval_set
+
+    seeds, count, max_len = ((0,), 40, 20) if quick else (range(3), 200, 50)
+    lines = []
+    for name, bit_generator in (("pcg64", np.random.PCG64), ("philox", np.random.Philox)):
+        for seed in seeds:
+            for language in range(1, 8):
+                calls = [(sample_balanced, (language, length, count))
+                         for length in ((0, 7, 20) if quick else (0, 1, 7, 10, 20, 50))]
+                for sampler, args in calls + [(sample_eval_set, (language, count, max_len))]:
+                    rng = np.random.Generator(bit_generator([seed, *args]))
+                    text = "\n".join(f"{s.x} {''.join('01'[b] for b in s.y)}"
+                                     for s in sampler(*args, rng))
+                    lines.append(f"{sampler.__name__}{args} {name} seed={seed}"
+                                 f" samples={hashlib.sha256(text.encode()).hexdigest()[:16]}"
+                                 f" next={rng.integers(2**62)}")
+    return lines
+
+
+def battery(quick: bool) -> list[str]:
+    """The battery's lines for the statemerge package on the path."""
+    return kmeans_battery(quick) + sampler_battery(quick)
 
 
 def differences(base: list[str], change: list[str], base_name: str,

@@ -8,6 +8,7 @@ state set.  State ids are plain ints.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 DFA_FORMAT_VERSION = 1
@@ -26,17 +27,7 @@ class Dfa:
     accepting: set[int]
 
     def __post_init__(self) -> None:
-        if self.initial not in self.states:
-            raise ValueError(f"initial state {self.initial} not in state set")
-        if not self.accepting <= self.states:
-            raise ValueError("accepting states must be a subset of states")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("alphabet tokens must be distinct")
-        for (src, tok), dst in self.transitions.items():
-            if src not in self.states or dst not in self.states:
-                raise ValueError(f"transition ({src}, {tok}) -> {dst} leaves the state set")
-            if tok not in self.alphabet:
-                raise ValueError(f"transition token {tok!r} not in alphabet")
+        _validate(self, ((edge, {dst}) for edge, dst in self.transitions.items()))
 
     def step(self, state: int | None, token: str) -> int | None:
         if token not in self.alphabet:
@@ -58,17 +49,23 @@ class Nfa:
     accepting: set[int]
 
     def __post_init__(self) -> None:
-        if self.initial not in self.states:
-            raise ValueError(f"initial state {self.initial} not in state set")
-        if not self.accepting <= self.states:
-            raise ValueError("accepting states must be a subset of states")
-        if len(set(self.alphabet)) != len(self.alphabet):
-            raise ValueError("alphabet tokens must be distinct")
-        for (src, tok), dsts in self.transitions.items():
-            if src not in self.states or not dsts <= self.states:
-                raise ValueError(f"transition ({src}, {tok}) leaves the state set")
-            if tok not in self.alphabet:
-                raise ValueError(f"transition token {tok!r} not in alphabet")
+        _validate(self, self.transitions.items())
+
+
+def _validate(machine: Dfa | Nfa, targets: Iterable[tuple[tuple[int, str], set[int]]]) -> None:
+    """Either machine's construction checks; targets yields ((source, token), target set)."""
+    if machine.initial not in machine.states:
+        raise ValueError(f"initial state {machine.initial} not in state set")
+    if not machine.accepting <= machine.states:
+        raise ValueError("accepting states must be a subset of states")
+    if len(set(machine.alphabet)) != len(machine.alphabet):
+        raise ValueError("alphabet tokens must be distinct")
+    for (src, tok), dsts in targets:
+        if src not in machine.states or not dsts <= machine.states:
+            arrow = f" -> {machine.transitions[src, tok]}" if isinstance(machine, Dfa) else ""
+            raise ValueError(f"transition ({src}, {tok}){arrow} leaves the state set")
+        if tok not in machine.alphabet:
+            raise ValueError(f"transition token {tok!r} not in alphabet")
 
 
 def prefix_decisions(dfa: Dfa, w: str) -> list[bool]:

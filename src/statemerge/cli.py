@@ -2,17 +2,24 @@
 
 Subcommands: train, extract, baseline, eval, sweep {data,kappa,epochs},
 table2, export-dot.  Every run writes its resolved configuration next to its
-outputs.  An argument @FILE is replaced in place by FILE's arguments, one per
-line; a later argument overrides an earlier one.
+outputs.  @FILE is replaced in place by FILE's arguments, one per line; a
+later argument overrides an earlier one.  BLAS runs on one thread, set before
+numpy loads, because the thread count changes the bits that training writes.
 """
 
 from __future__ import annotations
+
+import os
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
 
 import argparse
 import dataclasses
 import json
 import logging
 import sys
+import time
 from collections.abc import Callable
 from pathlib import Path
 
@@ -22,8 +29,6 @@ from .extraction import build_prefix_tree
 from .harness import (RESULT_FIELDS, ExperimentConfig, ExtractionConfig, ResultRow,
                       TrainingConfig, best_model, ensure_trained, fidelity, to_csv)
 from .languages import LANGUAGE_IDS
-
-logger = logging.getLogger(__name__)
 
 
 def _int_at_least(minimum: int) -> Callable[[str], int]:
@@ -67,7 +72,7 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     extraction = ExtractionConfig(**{name: getattr(args, arg)
                                      for arg, name in EXTRACTION_FIELDS.items()
                                      if getattr(args, arg, None) is not None})
-    config = ExperimentConfig(extraction=extraction, threads=args.threads,
+    config = ExperimentConfig(extraction=extraction, threads=getattr(args, "threads", 1),
                               **({"kmeans_k": args.k} if "k" in args else {}))
     if args.command in ("extract", "baseline", "eval") or getattr(args, "kind", "") == "kappa":
         return dataclasses.replace(config, languages=(args.language or 2,), seeds=(args.seed,))
@@ -111,12 +116,12 @@ def _write_run(out: Path, training: list[TrainingConfig],
 def cmd_train(args: argparse.Namespace) -> int:
     configs = []
     for language in (args.language,) if args.language else LANGUAGE_IDS:
-        cfg = _training_config(args, language)
+        cfg, start = _training_config(args, language), time.perf_counter()
         checkpoints, metrics = ensure_trained(cfg, Path(args.out) / "models")
         final = metrics[-1]
         print(f"tomita {language}: {len(checkpoints)} checkpoints, "
               f"final dev accuracy {final.dev_accuracy:.4f}, "
-              f"param norm {final.param_norm:.2f}")
+              f"param norm {final.param_norm:.2f}, {time.perf_counter() - start:.1f} s")
         configs.append(cfg)
     _write_run(Path(args.out), configs)
     return 0
@@ -210,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                "argument overrides an earlier one.")
     parser.add_argument("--language", type=int, choices=LANGUAGE_IDS, default=None)
     parser.add_argument("--seed", type=_int_at_least(0), default=0)
-    parser.add_argument("--threads", type=_int_at_least(1), default=1)
     parser.add_argument("--out", type=str, default="out",
                         help="output directory")
     parser.add_argument("-v", "--verbose", action="store_true")
@@ -251,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_table2 = sub.add_parser("table2", help="reproduce the accuracy table")
+    p_table2.add_argument("--threads", type=_int_at_least(1), default=1)
     p_table2.set_defaults(func=cmd_table2)
 
     p_dot = sub.add_parser("export-dot", help="render a stored DFA as DOT")

@@ -1,5 +1,10 @@
+import functools
+import gzip
+import hashlib
 import itertools
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +13,23 @@ from statemerge.automata import Dfa, Nfa, prefix_decisions, successor_table
 from statemerge.extraction import PrefixTree
 from statemerge.harness import FidelityResult
 from statemerge.languages import LabeledSample, gold_dfa
-from statemerge.rnn import ForwardResult, _accepts, _forward_ids, _head_probs, _step
+from statemerge.rnn import (ForwardResult, RnnModel, _accepts, _forward_ids, _head_probs, _step,
+                            load_checkpoint, model_from_checkpoint)
 
 SIGMA2 = ("a", "b")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@functools.cache
+def fixture_model(language: int) -> RnnModel:
+    """The benchmark's fixture model for language, checked against its sha256
+    in perfbench/expected.json, loaded once per session."""
+    name = f"tomita{language}.ckpt.gz"
+    data = (PERFBENCH / "fixtures" / name).read_bytes()
+    pin = json.loads((PERFBENCH / "expected.json").read_text())["fixtures"][name]
+    if hashlib.sha256(data).hexdigest() != pin:
+        raise ValueError(f"{name} does not match its sha256 in perfbench/expected.json")
+    return model_from_checkpoint(*load_checkpoint(gzip.decompress(data).decode()))
 
 
 def all_strings(alphabet, max_len):

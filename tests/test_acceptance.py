@@ -6,7 +6,8 @@ and training-sanity criteria run first; the experiment criteria depend on the
 recognizers shipped under artifacts/models, trained with the protocol of
 harness.full_scale_config.  The suite never trains:
 a shipped run that the training cache does not accept fails the suite, naming
-the run, and scripts/pretrain_models.py regenerates it.
+the run, and ``statemerge --out artifacts --language N train --full``
+regenerates it.
 
 Pinned tolerances:
   criterion 1: fidelity exactly 1.0 and gold sizes on all 5 extraction seeds
@@ -66,8 +67,9 @@ def shipped_run(language):
     run = load_finished_run(config, out_dir)
     if run is None:
         pytest.fail(f"{out_dir} is not a finished run of tomita {language}'s training "
-                    f"config and the suite trains nothing; regenerate it with "
-                    f"PYTHONPATH=src python scripts/pretrain_models.py {language}")
+                    f"config and the suite trains nothing; regenerate it from the repository "
+                    f"root with PYTHONPATH=src python -m statemerge.cli --out artifacts "
+                    f"--language {language} train --full")
     return run
 
 

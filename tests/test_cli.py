@@ -2,7 +2,12 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +15,7 @@ from statemerge import cli, harness
 from statemerge.automata import load_dfa, save_dfa, to_dot
 from statemerge.cli import _experiment_config, _training_config, build_parser, main
 from statemerge.harness import (RESULT_FIELDS, ExperimentConfig, TrainingConfig, best_model,
-                                ensure_trained, to_csv)
+                                ensure_trained, run_dir, to_csv)
 from statemerge.languages import gold_dfa
 
 TINY = dict(n_train=40, train_len=6, n_dev=20, dev_len=8, embed_dim=4, hidden_dim=8, epochs=2)
@@ -47,7 +52,7 @@ class TestParser:
         ["sweep", "kappa", "--kappa", "1.5"], ["extract", "--data", "0"],
         ["baseline", "--data", "-3"], ["baseline", "--k", "0"],
         ["train", "--epochs", "0"], ["extract", "--epochs", "-1"],
-        ["--threads", "-4", "table2"], ["--threads", "0", "table2"],
+        ["table2", "--threads", "-4"], ["table2", "--threads", "0"],
         ["extract", "--length", "-1"], ["baseline", "--length", "-2"],
         ["train", "--train-len", "-1"], ["eval", "--dfa", "x", "--dev-len", "-1"],
         ["extract", "--data", "1"], ["baseline", "--data", "1"],
@@ -61,21 +66,22 @@ class TestParser:
         assert "must" in capsys.readouterr().err
 
     # Each case holds the arguments after --language 1: an argument file with
-    # them exits 2, as the same arguments typed do.  Cases 11-16 name options
-    # the command lacks or give a flag a value; case 18 gives sweep kappa a
-    # --kappa its grid would ignore.  The ids carry these case numbers, so a
-    # case keeps its id when others are added or removed.
+    # them exits 2, as the same arguments typed do.  Cases 11-16, 22 and 23
+    # name options the command lacks or give a flag a value; case 18 gives
+    # sweep kappa a --kappa its grid would ignore.  The ids carry these case
+    # numbers, so a case keeps its id when others are added or removed.
     CHECKED = {
-        0: ["--threads=-4", "extract"], 1: ["extract", "--kappa=0"],
+        0: ["table2", "--threads=-4"], 1: ["extract", "--kappa=0"],
         2: ["extract", "--data=0"], 3: ["--language=9", "extract"],
-        4: ["--threads=x", "extract"], 8: ["extract", "--length=-1"],
+        4: ["table2", "--threads=x"], 8: ["extract", "--length=-1"],
         9: ["extract", "--train-len=-1"], 10: ["extract", "--dev-len=-3"],
         11: ["--no-such-key=1", "extract"], 12: ["--func=1", "extract"],
         13: ["--command=train", "extract"], 14: ["extract", "--full"],
         15: ["--verbose=no", "extract"], 16: ["--config=other.json", "extract"],
         17: ["extract", "--data=1"], 18: ["sweep", "kappa", "--kappa=0.3"],
         19: ["train", "--n-train=1"], 20: ["train", "--hidden-dim=0"],
-        21: ["--seed=-1", "train"]}
+        21: ["--seed=-1", "train"], 22: ["extract", "--threads=2"],
+        23: ["--threads=2", "table2"]}
 
     @pytest.mark.parametrize("config", CHECKED.values(),
                              ids=[f"config{i}-env{i}" for i in CHECKED])
@@ -139,6 +145,11 @@ class TestParser:
     def test_seed_and_threads_defaults(self):
         args = build_parser().parse_args(["table2"])
         assert (args.seed, args.threads) == (0, 1)
+
+    def test_only_table2_reads_threads(self):
+        parse = build_parser().parse_args
+        assert _experiment_config(parse(["table2", "--threads", "2"])).threads == 2
+        assert _experiment_config(parse(["--language", "1", "extract"])).threads == 1
 
 
 @pytest.fixture(scope="module")
@@ -292,3 +303,38 @@ def test_train_all_languages_records_each_config(tmp_path):
     resolved = json.loads((tmp_path / "resolved_config.json").read_text())
     assert [cfg["language"] for cfg in resolved["training"]] == list(range(1, 8))
     assert all(cfg["epochs"] == 2 for cfg in resolved["training"])
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Tomita 7 at d = 100: one epoch on 128 strings of length 20 is enough for the
+# BLAS thread count to change the bytes a run writes.
+THREADED = TrainingConfig(7, n_train=128, train_len=20, epochs=1, hidden_dim=100)
+ENSURE_TRAINED = ("import sys; from pathlib import Path; "
+                  "from statemerge.harness import TrainingConfig, ensure_trained; "
+                  f"ensure_trained({THREADED!r}, Path(sys.argv[1]))")
+
+
+def run_files(argv, threads, run):
+    """Run argv in a child process whose BLAS starts with the given thread
+    count; return the sha256 of each file in the run directory run."""
+    env = dict(os.environ, PYTHONPATH=str(SRC),
+               **{var: str(threads) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                                "MKL_NUM_THREADS")})
+    child = subprocess.run([sys.executable] + argv, env=env, capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(run.iterdir())}
+
+
+def test_train_runs_at_one_blas_thread(tmp_path):
+    """train writes the bytes of a one-thread run, whatever thread count the
+    process starts with."""
+    one, two, cli_out = (tmp_path / name for name in ("one", "two", "cli"))
+    expected = run_files(["-c", ENSURE_TRAINED, str(one)], 1, run_dir(THREADED, one))
+    if run_files(["-c", ENSURE_TRAINED, str(two)], 2, run_dir(THREADED, two)) == expected:
+        pytest.skip("two BLAS threads train the same bytes as one on this machine, "
+                    "so it cannot show a thread count leaking into training")
+    argv = ["-m", "statemerge.cli", "--language", "7", "--out", str(cli_out), "train",
+            "--n-train", "128", "--train-len", "20", "--epochs", "1", "--hidden-dim", "100"]
+    assert run_files(argv, 2, run_dir(THREADED, cli_out / "models")) == expected

@@ -14,8 +14,12 @@ _spec.loader.exec_module(differential)
 def test_quick_battery_is_deterministic():
     first = differential.battery(quick=True)
     assert differential.battery(quick=True) == first
-    assert len(first) == 7 * 2 + 50
+    # k-means: 7 fixture trees at k = 2 and 20, and 50 point sets.  Samplers:
+    # 7 languages on two bit generators, 3 balanced sets and 1 eval set each.
+    assert len(first) == 7 * 2 + 50 + 2 * 7 * 4
     assert sum(line.startswith("kmeans tomita") for line in first) == 7 * 2
+    assert sum(line.startswith("sample_balanced(") for line in first) == 2 * 7 * 3
+    assert sum(" philox " in line for line in first) == 7 * 4
     assert len(set(first)) == len(first)
 
 

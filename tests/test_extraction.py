@@ -1,6 +1,3 @@
-import gzip
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -12,10 +9,8 @@ from statemerge.harness import extraction_strings
 from statemerge.languages import ALPHABET, gold_dfa
 from statemerge.rnn import forward, init_model
 
-from conftest import (edges_of, edges_train_set_fidelity, random_dfa, string_keyed_prefix_tree,
-                      trie)
-
-FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+from conftest import (edges_of, edges_train_set_fidelity, fixture_model, random_dfa,
+                      string_keyed_prefix_tree, trie)
 
 
 def small_model(seed=0):
@@ -152,9 +147,7 @@ class TestPrefixTreeOracle:
 
     @pytest.mark.parametrize("language", range(1, 8))
     def test_fixture_models(self, language):
-        ckpt, alphabet = rnn.load_checkpoint(
-            gzip.decompress((FIXTURES / f"tomita{language}.ckpt.gz").read_bytes()).decode())
-        m = rnn.model_from_checkpoint(ckpt, alphabet)
+        m = fixture_model(language)
         strings = extraction_strings(language, 150, 15, 0)
         assert_same_tree(build_prefix_tree(m, strings), string_keyed_prefix_tree(m, strings))
 
@@ -475,11 +468,8 @@ class TestMachineVerdicts:
 
     @pytest.mark.parametrize("language", range(1, 8))
     def test_fixture_models(self, language):
-        ckpt, alphabet = rnn.load_checkpoint(
-            gzip.decompress((FIXTURES / f"tomita{language}.ckpt.gz").read_bytes()).decode())
-        m = rnn.model_from_checkpoint(ckpt, alphabet)
         strings = extraction_strings(language, 150, 15, 0)
-        tree = build_prefix_tree(m, strings)
+        tree = build_prefix_tree(fixture_model(language), strings)
         for kappa in (0.4, 0.01):
             self.assert_matches_oracles(extract(tree, kappa).final, tree, strings)
         self.assert_matches_oracles(gold_dfa(language), tree, strings)

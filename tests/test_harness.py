@@ -2,12 +2,12 @@
 
 import csv
 import dataclasses
-import gzip
 import io
 import json
 import logging
 import shutil
 import statistics
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -29,12 +29,11 @@ from statemerge.languages import ALPHABET, gold_dfa, sample_eval_set
 from statemerge.rnn import (EpochMetrics, eval_reference, forward, init_model, load_checkpoint,
                             save_checkpoint)
 
-from conftest import (forward_many, labeled, padded_eval_reference, padded_fidelity,
-                      random_dfa)
+from conftest import (fixture_model, forward_many, labeled, padded_eval_reference,
+                      padded_fidelity, random_dfa)
 
 
 SHIPPED = Path(__file__).resolve().parent.parent / "artifacts" / "models"
-FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
 TINY = dict(n_train=40, train_len=6, n_dev=20, dev_len=8,
             embed_dim=4, hidden_dim=8, epochs=2)
 SMALL_EXPERIMENT = ExperimentConfig(extraction=ExtractionConfig(n_strings=40, string_len=6),
@@ -235,15 +234,13 @@ class TestFidelityOracle:
 
     @pytest.mark.parametrize("language", range(1, 8))
     def test_fixture_models(self, language):
-        ckpt, alphabet = load_checkpoint(
-            gzip.decompress((FIXTURES / f"tomita{language}.ckpt.gz").read_bytes()).decode())
-        model = rnn.model_from_checkpoint(ckpt, alphabet)
+        model = fixture_model(language)
         samples = sample_eval_set(language, 200, 50, np.random.default_rng([language, 999]))
         tree = build_prefix_tree(model, extraction_strings(language, 100, 10, 0))
         machines = [extract(tree, 0.01).final, extract(tree, 0.4).final,
                     kmeans_extract(tree, 20, np.random.default_rng(0)), gold_dfa(language)]
-        self.assert_matches(model, samples,
-                            machines + machines_for(np.random.default_rng(language), alphabet))
+        others = machines_for(np.random.default_rng(language), model.alphabet)
+        self.assert_matches(model, samples, machines + others)
 
     def test_machine_missing_a_token_rejected(self, rng):
         model = init_model(ALPHABET, 4, 8, rng)
@@ -442,6 +439,28 @@ class TestSweeps:
         # One tree per (epoch, seed): a tree holds its model's hidden states.
         sweep_epochs(self.CONFIG, {1: checkpoints})
         assert draws == {"extraction_strings": 2, "eval_set_for": 1, "build_prefix_tree": 4}
+
+    def test_table2_thread_pool_gives_the_sequential_rows(self, monkeypatch):
+        # threads > 1 runs the (language, seed) jobs on a thread pool, and
+        # pool.map must keep the sequential loop's rows and their order.
+        config = ExperimentConfig(seeds=(0, 1), n_eval=100,
+                                  extraction=ExtractionConfig(n_strings=100))
+        models = {language: fixture_model(language) for language in config.languages}
+        on_main, run_extraction = set(), harness.run_extraction
+
+        def recorded(*args):
+            on_main.add(threading.current_thread() is threading.main_thread())
+            return run_extraction(*args)
+
+        monkeypatch.setattr(harness, "run_extraction", recorded)
+        results = {}
+        for threads in (1, 2):
+            on_main.clear()
+            rows, summary = reproduce_table2(dataclasses.replace(config, threads=threads), models)
+            results[threads] = [dataclasses.replace(row, wall_time=0.0) for row in rows], summary
+            assert on_main == {threads == 1}
+        assert len(results[1][0]) == 28
+        assert results[2] == results[1]
 
     @pytest.mark.parametrize("languages, seeds", [((1,), (0, 1)), ((1, 2), (0,)), ((1,), ())])
     def test_sweep_kappa_needs_one_language_and_one_seed(self, tiny_run, languages, seeds):

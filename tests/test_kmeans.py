@@ -1,9 +1,7 @@
 """Tests for the clustering baseline: Lloyd's algorithm and the DFA read-off."""
 
 import dataclasses
-import gzip
 import importlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +10,9 @@ from statemerge.automata import prefix_decisions
 from statemerge.extraction import build_prefix_tree
 from statemerge.harness import extraction_strings
 from statemerge.kmeans import kmeans, kmeans_extract
-from statemerge.rnn import _accepts, forward, init_model, load_checkpoint, model_from_checkpoint
+from statemerge.rnn import _accepts, forward, init_model
+
+from conftest import fixture_model
 
 
 # The module: the package attribute statemerge.kmeans is the function.
@@ -241,9 +241,6 @@ def test_seed_sets_drawn_first_in_restart_order():
     assert rng.bit_generator.state == expected.bit_generator.state
 
 
-FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
-
-
 def assert_matches_all_points(features, visits, k, seed, n_init, reseeds=None):
     """kmeans over the rows of features scattered through visits gives the
     bits of the all-points oracle on features[visits]."""
@@ -294,10 +291,7 @@ class TestDistinctRows:
     def test_saturated_tree(self, monkeypatch):
         # The benchmark's Tomita 6 fixture: its tree states are visited about
         # three times each, and many are equal to the last bit.
-        ckpt, alphabet = load_checkpoint(
-            gzip.decompress((FIXTURES / "tomita6.ckpt.gz").read_bytes()).decode())
-        tree = build_prefix_tree(model_from_checkpoint(ckpt, alphabet),
-                                 extraction_strings(6, 100, 10, 0))
+        tree = build_prefix_tree(fixture_model(6), extraction_strings(6, 100, 10, 0))
         assert len(tree.visits) > 2 * tree.n_states
         monkeypatch.setattr(kmeans_module, "N_INIT", 2)
         assert_matches_all_points(tree.features, tree.visits, 20, 0, n_init=2)

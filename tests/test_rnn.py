@@ -1,7 +1,5 @@
 import dataclasses
-import gzip
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,10 +12,8 @@ from statemerge.rnn import (AdamWHyper, Checkpoint, TrainingError,
                             kappa_bound, load_checkpoint, loss_and_grads,
                             model_from_checkpoint, save_checkpoint, train)
 
-from conftest import (PaddedEvalReference, forward_many, labeled, padded_eval_reference,
-                      padded_evaluate)
-
-FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+from conftest import (PaddedEvalReference, fixture_model, forward_many, labeled,
+                      padded_eval_reference, padded_evaluate)
 
 # The optimizer of every training run, and the default training config's batch size.
 HYPER = rnn.ADAMW
@@ -198,9 +194,7 @@ class TestEvalReference:
 
     @pytest.mark.parametrize("language", range(1, 8))
     def test_matches_per_length_oracle_on_fixture_models(self, language):
-        ckpt, alphabet = rnn.load_checkpoint(
-            gzip.decompress((FIXTURES / f"tomita{language}.ckpt.gz").read_bytes()).decode())
-        m = model_from_checkpoint(ckpt, alphabet)
+        m = fixture_model(language)
         samples = sample_eval_set(language, 100, 50, np.random.default_rng([language, 999]))
         actual = eval_reference(m, samples)
         assert_same_reference(actual, per_length_eval_reference(m, samples))
