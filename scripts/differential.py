@@ -17,13 +17,18 @@ The battery has two parts so far.  k-means: ``kmeans.kmeans`` on the
 prefix trees of the fixture models (Tomita 1-7, seeds 0-5, 30, 100 and 300
 extraction strings of length 10, k = 2, 5 and 20) and on 600 sets of tied
 and duplicated points; each line holds digests of the assignments and of the
-centroids' bits, and the generator's next draw.  ``--quick`` keeps seed 0,
-30 strings, k = 2 and 20, and 50 point sets.  Samplers:
-``languages.sample_balanced`` and ``languages.sample_eval_set`` for Tomita
-1-7 on a PCG64 generator and on a Philox one, which takes the samplers'
-``rng.bytes`` path; each line holds a digest of the strings and their prefix
-labels, and the generator's next draw.  The balanced lengths include 7, at
-which Tomita 2 and 5 have no positive string.  ``--quick`` keeps one seed and
+centroids' bits, and the generator's next draw.  The fixture files are
+checked against their sha256 in ``perfbench/expected.json`` first; a
+mismatch exits 2.  ``--quick`` keeps seed 0, 30 strings, k = 2 and 20, and 50
+point sets.  Samplers: ``languages.sample_balanced`` and
+``languages.sample_eval_set`` for Tomita 1-7 on PCG64, Philox, MT19937 and
+SFC64 generators, each entered fresh and after one uint32 draw (which leaves
+PCG64, Philox and SFC64 holding a buffered half); each line holds a digest of
+the strings and their prefix labels, and the generator's next draw.  The
+balanced lengths include 7, at which Tomita 2 and 5 have no positive string,
+31, 32 and 33, where a positive walk's largest bounds cross 32 bits, and
+100, where one draw reads up to four uint32s; the eval sets' maximum lengths
+include 0, whose length draw reads no word.  ``--quick`` keeps one seed and
 smaller sets.
 
 ``--print`` prints the battery's lines for the ``statemerge`` on the path
@@ -33,6 +38,8 @@ import argparse
 import difflib
 import gzip
 import hashlib
+import itertools
+import json
 import os
 import subprocess
 import sys
@@ -41,10 +48,12 @@ from pathlib import Path
 
 import numpy as np
 
-FIXTURES = Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+FIXTURES = PERFBENCH / "fixtures"
 BLAS_ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                         "MKL_NUM_THREADS")}
 SHOWN = 12
+BIT_GENERATORS = (np.random.PCG64, np.random.Philox, np.random.MT19937, np.random.SFC64)
 
 
 def digest(array: np.ndarray) -> str:
@@ -66,6 +75,20 @@ def tied_points(case: int) -> tuple[np.ndarray, np.ndarray, int]:
     return features, visits, int(rng.integers(1, min(len(visits), 20) + 1))
 
 
+def fixture_texts() -> dict[int, str]:
+    """The fixture checkpoints by language, each checked against its sha256
+    in perfbench/expected.json."""
+    pins = json.loads((PERFBENCH / "expected.json").read_text())["fixtures"]
+    texts = {}
+    for language in range(1, 8):
+        name = f"tomita{language}.ckpt.gz"
+        data = (FIXTURES / name).read_bytes()
+        if hashlib.sha256(data).hexdigest() != pins[name]:
+            fail(f"{FIXTURES / name} does not match its sha256 in perfbench/expected.json")
+        texts[language] = gzip.decompress(data).decode()
+    return texts
+
+
 def kmeans_battery(quick: bool) -> list[str]:
     """The k-means lines for the statemerge package on the path."""
     from statemerge.extraction import build_prefix_tree
@@ -84,8 +107,7 @@ def kmeans_battery(quick: bool) -> list[str]:
                      f" centroids={digest(centroids)} next={rng.integers(2**62)}")
 
     seeds, sizes, ks = ((0,), (30,), (2, 20)) if quick else (range(6), (30, 100, 300), (2, 5, 20))
-    for language in range(1, 8):
-        text = gzip.decompress((FIXTURES / f"tomita{language}.ckpt.gz").read_bytes()).decode()
+    for language, text in fixture_texts().items():
         model = model_from_checkpoint(*load_checkpoint(text))
         for seed in seeds:
             for size in sizes:
@@ -102,20 +124,25 @@ def sampler_battery(quick: bool) -> list[str]:
     """The sampler lines for the statemerge package on the path."""
     from statemerge.languages import sample_balanced, sample_eval_set
 
-    seeds, count, max_len = ((0,), 40, 20) if quick else (range(3), 200, 50)
+    if quick:
+        seeds, count, lengths, max_lens = (0,), 40, (0, 7, 33), (0, 20)
+    else:
+        seeds, count = range(3), 200
+        lengths, max_lens = (0, 1, 7, 10, 20, 31, 32, 33, 50, 100), (0, 50, 100)
     lines = []
-    for name, bit_generator in (("pcg64", np.random.PCG64), ("philox", np.random.Philox)):
-        for seed in seeds:
-            for language in range(1, 8):
-                calls = [(sample_balanced, (language, length, count))
-                         for length in ((0, 7, 20) if quick else (0, 1, 7, 10, 20, 50))]
-                for sampler, args in calls + [(sample_eval_set, (language, count, max_len))]:
-                    rng = np.random.Generator(bit_generator([seed, *args]))
-                    text = "\n".join(f"{s.x} {''.join('01'[b] for b in s.y)}"
-                                     for s in sampler(*args, rng))
-                    lines.append(f"{sampler.__name__}{args} {name} seed={seed}"
-                                 f" samples={hashlib.sha256(text.encode()).hexdigest()[:16]}"
-                                 f" next={rng.integers(2**62)}")
+    for bit_generator in BIT_GENERATORS:
+        for seed, entry, language in itertools.product(seeds, (0, 1), range(1, 8)):
+            calls = [(sample_balanced, (language, length, count)) for length in lengths]
+            calls += [(sample_eval_set, (language, count, max_len)) for max_len in max_lens]
+            for sampler, args in calls:
+                rng = np.random.Generator(bit_generator([seed, *args]))
+                rng.integers(2**32, size=entry, dtype=np.uint32)
+                text = "\n".join(f"{s.x} {''.join('01'[b] for b in s.y)}"
+                                 for s in sampler(*args, rng))
+                lines.append(f"{sampler.__name__}{args} {bit_generator.__name__} seed={seed}"
+                             f" entry={entry}"
+                             f" samples={hashlib.sha256(text.encode()).hexdigest()[:16]}"
+                             f" next={rng.integers(2**62)}")
     return lines
 
 

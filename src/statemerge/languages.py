@@ -4,8 +4,6 @@ labels, and seeded samplers for training and evaluation data."""
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,91 +92,133 @@ def _accepting_counts(language: int, max_len: int) -> tuple[list[list[int]], lis
     return table, counts
 
 
-_COLUMN = {token: j for j, token in enumerate(ALPHABET)}
+class _WordReader:
+    """The generator's next 32-bit words, fetched BLOCK at a time, as a context.
+    On every bit generator, rng.bytes, rng.integers(0, 2) and a scalar
+    rng.integers(0, m) read the same stream of words one at a time, and
+    rng.integers(0, 2**32, size=s, dtype=np.uint32) is its next s words.  The
+    window holds the words (raw), their byte swaps (swapped) and top bits
+    (tops); pos indexes its next word, done counts the words handed out
+    before it.  On exit the reader restores the entry state and draws again
+    exactly the words handed out, so the generator ends where drawing them
+    one by one leaves it, buffered state included (PCG64's buffered half)."""
+    BLOCK = 1024
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.entry = rng.bit_generator.state
+        self.done = self.pos = 0
+        self.raw: list[int] = []
+        self.swapped: list[int] = []
+        self.tops = b""
+
+    def __enter__(self) -> _WordReader:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.rng.bit_generator.state = self.entry
+        self.rng.integers(0, 2**32, size=self.done + self.pos, dtype=np.uint32)
+
+    def refill(self, n: int) -> None:
+        """Drop the window's words before pos and fetch a block, or n words if
+        that is more; pos becomes 0."""
+        words = self.rng.integers(0, 2**32, size=max(self.BLOCK, n), dtype=np.uint32)
+        self.raw = self.raw[self.pos:] + words.tolist()
+        self.swapped = self.swapped[self.pos:] + words.byteswap().tolist()
+        self.tops = self.tops[self.pos:] + (words >> 31).astype(np.uint8).tobytes()
+        self.done, self.pos = self.done + self.pos, 0
+
+    def take(self, n: int) -> int:
+        """Hand out the next n words; returns the window index of the first."""
+        if self.pos + n > len(self.raw):
+            self.refill(n)
+        self.pos += n
+        return self.pos - n
+
+    def word(self) -> int:
+        """The next word."""
+        i = self.take(1)
+        return self.raw[i]
+
+    def bits(self, n: int) -> bytes:
+        """The next n words' top bits."""
+        i = self.take(n)
+        return self.tops[i:i + n]
 
 
-def _label(table: list[list[int]], accepting: list[int], x: str) -> LabeledSample:
-    """x with the verdict of every prefix, stepping through the table rows."""
-    row, y = 0, [accepting[0] == 1]
-    for token in x:
-        row = table[row][_COLUMN[token]]
-        y.append(accepting[row] == 1)
-    return LabeledSample(x, tuple(y))
+def _walk_steps(table: list[list[int]],
+                counts: list[list[int]]) -> list[list[tuple[int, ...]]]:
+    """steps[r][row] for the positive walk with r tokens to go from row: the
+    bound counts[r][row]; the words one draw below it reads and the shift that
+    keeps the bound's bit length of them; the first successor's count of
+    accepting completions; the two successor rows."""
+    steps: list[list[tuple[int, ...]]] = [[]]
+    for shorter, level in zip(counts, counts[1:]):
+        steps.append([])
+        for bound, (first, second) in zip(level, table):
+            k = bound.bit_length()
+            n_words = (k + 31) // 32
+            steps[-1].append((bound, n_words, 32 * n_words - k, shorter[first], first, second))
+    return steps
 
 
-@contextmanager
-def _byte_source(rng: np.random.Generator) -> Iterator[Callable[[int], bytes]]:
-    """rng.bytes, or for a PCG64 generator a reader that returns the same
-    bytes, and leaves the generator in the same state, without rng.bytes's
-    per-call cost.  rng.bytes(nbytes) is ceil(nbytes/4) of the generator's
-    uint32s written little-endian and truncated; PCG64 makes each uint32 pair
-    from one random_raw() word, low half first, and buffers the high half in
-    its state (has_uint32, uinteger), which the reader takes over on entry
-    and hands back on exit."""
-    bit_generator = rng.bit_generator
-    if type(bit_generator) is not np.random.PCG64:
-        yield rng.bytes
-        return
-    state = bit_generator.state
-    has_uint32, uinteger = state["has_uint32"], state["uinteger"]
-    raw = bit_generator.random_raw
-
-    def take(nbytes: int) -> bytes:
-        nonlocal has_uint32, uinteger
-        n_uint32 = (nbytes + 3) // 4
-        value = 0
-        for shift in range(0, 32 * n_uint32, 32):
-            if has_uint32:
-                value |= uinteger << shift
-                has_uint32 = 0
-            else:
-                word = raw()
-                value |= (word & 0xFFFFFFFF) << shift
-                has_uint32, uinteger = 1, word >> 32
-        return value.to_bytes(4 * n_uint32, "little")[:nbytes]
-
-    try:
-        yield take
-    finally:
-        state = bit_generator.state
-        state["has_uint32"], state["uinteger"] = has_uint32, uinteger
-        bit_generator.state = state
+def _walk(words: _WordReader, steps: list[list[tuple[int, ...]]], length: int) -> bytearray:
+    """A uniform in-language string of the given length (which must have one),
+    as alphabet indices.  Each step draws pick uniform below its row's bound:
+    the top bit_length(bound) bits of the next words' big-endian bytes (the
+    byte-swapped words joined), drawn again until below the bound.  Then the
+    first token when pick is below the first successor's count, else the
+    second."""
+    swapped, i, row, out = words.swapped, words.pos, 0, bytearray(length)
+    end = len(swapped)
+    for r in range(length, 0, -1):
+        bound, n_words, shift, first, row_first, row_second = steps[r][row]
+        while True:
+            if i + n_words > end:
+                words.pos = i
+                words.refill(n_words)
+                swapped, i, end = words.swapped, 0, len(words.swapped)
+            pick = swapped[i]
+            if n_words > 1:
+                for word in swapped[i + 1:i + n_words]:
+                    pick = pick << 32 | word
+            i += n_words
+            pick >>= shift
+            if pick < bound:
+                break
+        if pick < first:
+            row = row_first
+        else:
+            row, out[length - r] = row_second, 1
+    words.pos = i
+    return out
 
 
-def _randbelow(take: Callable[[int], bytes], n: int) -> int:
-    """Uniform integer in [0, n) with exact bignum support: the top
-    bit_length(n) bits of take(nbytes) read big-endian, drawn again until
-    below n.  take is rng.bytes or a _byte_source reader."""
-    if n <= 0:
-        raise ValueError("empty range")
-    k = n.bit_length()
-    nbytes = (k + 7) // 8
-    shift = 8 * nbytes - k
-    while True:
-        r = int.from_bytes(take(nbytes), "big") >> shift
-        if r < n:
-            return r
+_TEXT = bytes.maketrans(bytes(range(len(ALPHABET))), "".join(ALPHABET).encode())
 
 
-def _walk_positive(table: list[list[int]], counts: list[list[int]], length: int,
-                   rng: np.random.Generator) -> str:
-    """Uniform in-language string of the given length (which must have one):
-    each step picks a token weighted by its successor's accepting completions."""
-    row, out = 0, []
-    with _byte_source(rng) as take:
-        for r in range(length, 0, -1):
-            pick = _randbelow(take, counts[r][row])
-            for token, dst in zip(ALPHABET, table[row]):
-                if pick < counts[r - 1][dst]:
-                    out.append(token)
-                    row = dst
-                    break
-                pick -= counts[r - 1][dst]
-    return "".join(out)
-
-
-def _sample_uniform_string(length: int, rng: np.random.Generator) -> str:
-    return "".join(ALPHABET[i] for i in rng.integers(0, len(ALPHABET), size=length))
+def _labeled(table: list[list[int]], accepting: list[int],
+             strings: list[bytes]) -> list[LabeledSample]:
+    """Each string of alphabet indices with the verdict of every prefix: one
+    walk through the table's rows, level by level over all strings at once,
+    padded with token len(ALPHABET), on which every row stays put."""
+    width = max(map(len, strings), default=0)
+    pad = bytes([len(ALPHABET)])
+    tokens = np.frombuffer(b"".join(s.ljust(width, pad) for s in strings),
+                           dtype=np.uint8).reshape(len(strings), width)
+    successors = np.array([row + [i] for i, row in enumerate(table)])
+    verdicts = np.array(accepting, dtype=bool)
+    rows = np.zeros(len(strings), dtype=np.intp)
+    y = np.empty((len(strings), width + 1), dtype=bool)
+    y[:, 0] = verdicts[0]
+    for t, column in enumerate(tokens.T, start=1):
+        rows = successors[rows, column]
+        y[:, t] = verdicts[rows]
+    # Rows go to lists a block at a time: a training set's would take as much
+    # memory again as its label tuples.
+    return [LabeledSample(s.translate(_TEXT).decode(), tuple(labels[:len(s) + 1]))
+            for lo in range(0, len(strings), 1024)
+            for s, labels in zip(strings[lo:lo + 1024], y[lo:lo + 1024].tolist())]
 
 
 def sample_balanced(language: int, length: int, count: int,
@@ -188,7 +228,6 @@ def sample_balanced(language: int, length: int, count: int,
     language has no strings of that length)."""
     if count < 2:
         raise ValueError("need at least 2 samples for a balanced draw")
-    n_uniform = (count + 1) // 2
     n_positive = count // 2
     table, counts = _accepting_counts(language, length)
     feasible = counts[length][0] > 0
@@ -196,25 +235,38 @@ def sample_balanced(language: int, length: int, count: int,
         logger.warning(
             "Tomita %d has no strings of length %d; sampling the positive half uniformly",
             language, length)
-    samples = [_sample_uniform_string(length, rng) for _ in range(n_uniform)]
-    samples += [_walk_positive(table, counts, length, rng) if feasible
-                else _sample_uniform_string(length, rng) for _ in range(n_positive)]
-    return [_label(table, counts[0], x) for x in samples]
+    strings = [row.tobytes() for row in rng.integers(
+        0, len(ALPHABET), size=(count - n_positive * feasible, length)).astype(np.uint8)]
+    if feasible:
+        steps = _walk_steps(table, counts)
+        with _WordReader(rng) as words:
+            strings += [_walk(words, steps, length) for _ in range(n_positive)]
+    return _labeled(table, counts[0], strings)
 
 
 def sample_eval_set(language: int, count: int, max_len: int,
                     rng: np.random.Generator) -> list[LabeledSample]:
     """count strings with lengths uniform on {0..max_len}; per string a fair
-    coin picks forced-positive (when feasible at that length) vs uniform."""
+    coin picks forced-positive (when feasible at that length) vs uniform.  The
+    length is rng.integers(0, max_len + 1) and the coin rng.integers(0, 2),
+    drawn as numpy draws them: Lemire's method, one word per attempt,
+    rejected while the product's low word is below (2**32 - m) % m, and no
+    word at all for the single length of max_len 0."""
     table, counts = _accepting_counts(language, max_len)
-    samples = []
-    for _ in range(count):
-        length = int(rng.integers(0, max_len + 1))
-        force_positive = bool(rng.integers(0, 2))
-        if force_positive and counts[length][0]:
-            x = _walk_positive(table, counts, length, rng)
-        else:
-            x = _sample_uniform_string(length, rng)
-        samples.append(_label(table, counts[0], x))
-    return samples
-
+    steps = _walk_steps(table, counts)
+    m = max_len + 1
+    threshold = (2**32 - m) % m
+    strings: list[bytes] = []
+    with _WordReader(rng) as words:
+        for _ in range(count):
+            length = 0
+            if m > 1:
+                draw = words.word() * m
+                while draw & 0xFFFFFFFF < threshold:
+                    draw = words.word() * m
+                length = draw >> 32
+            if words.word() >> 31 and counts[length][0]:
+                strings.append(_walk(words, steps, length))
+            else:
+                strings.append(words.bits(length))
+    return _labeled(table, counts[0], strings)

@@ -12,7 +12,7 @@ import pytest
 from statemerge.automata import Dfa, Nfa, prefix_decisions, successor_table
 from statemerge.extraction import PrefixTree
 from statemerge.harness import FidelityResult
-from statemerge.languages import LabeledSample, gold_dfa
+from statemerge.languages import ALPHABET, LabeledSample, _accepting_counts, gold_dfa
 from statemerge.rnn import (ForwardResult, RnnModel, _accepts, _forward_ids, _head_probs, _step,
                             load_checkpoint, model_from_checkpoint)
 
@@ -41,6 +41,90 @@ def all_strings(alphabet, max_len):
 def labeled(language, w):
     """Oracle: w with the gold machine's verdict on each of its prefixes."""
     return LabeledSample(w, tuple(prefix_decisions(gold_dfa(language), w)))
+
+
+_COLUMN = {token: j for j, token in enumerate(ALPHABET)}
+
+
+def label(table, accepting, x):
+    """Oracle: the earlier languages._label, verbatim.
+    x with the verdict of every prefix, stepping through the table rows."""
+    row, y = 0, [accepting[0] == 1]
+    for token in x:
+        row = table[row][_COLUMN[token]]
+        y.append(accepting[row] == 1)
+    return LabeledSample(x, tuple(y))
+
+
+def randbelow(take, n):
+    """Oracle: the earlier languages._randbelow, verbatim.  take is rng.bytes.
+    Uniform integer in [0, n) with exact bignum support: the top
+    bit_length(n) bits of take(nbytes) read big-endian, drawn again until
+    below n."""
+    if n <= 0:
+        raise ValueError("empty range")
+    k = n.bit_length()
+    nbytes = (k + 7) // 8
+    shift = 8 * nbytes - k
+    while True:
+        r = int.from_bytes(take(nbytes), "big") >> shift
+        if r < n:
+            return r
+
+
+def walk_positive(table, counts, length, rng):
+    """Oracle: the earlier languages._walk_positive, verbatim but for reading
+    rng.bytes on every bit generator.
+    Uniform in-language string of the given length (which must have one):
+    each step picks a token weighted by its successor's accepting completions."""
+    row, out = 0, []
+    for r in range(length, 0, -1):
+        pick = randbelow(rng.bytes, counts[r][row])
+        for token, dst in zip(ALPHABET, table[row]):
+            if pick < counts[r - 1][dst]:
+                out.append(token)
+                row = dst
+                break
+            pick -= counts[r - 1][dst]
+    return "".join(out)
+
+
+def sample_uniform_string(length, rng):
+    """Oracle: the earlier languages._sample_uniform_string, verbatim."""
+    return "".join(ALPHABET[i] for i in rng.integers(0, len(ALPHABET), size=length))
+
+
+def per_token_balanced(language, length, count, rng):
+    """Oracle: the earlier languages.sample_balanced, verbatim but for its
+    warning: one draw per uniform string, one rng.bytes read per attempt of
+    the positive walk, one label walk per string."""
+    if count < 2:
+        raise ValueError("need at least 2 samples for a balanced draw")
+    n_uniform = (count + 1) // 2
+    n_positive = count // 2
+    table, counts = _accepting_counts(language, length)
+    feasible = counts[length][0] > 0
+    samples = [sample_uniform_string(length, rng) for _ in range(n_uniform)]
+    samples += [walk_positive(table, counts, length, rng) if feasible
+                else sample_uniform_string(length, rng) for _ in range(n_positive)]
+    return [label(table, counts[0], x) for x in samples]
+
+
+def per_token_eval_set(language, count, max_len, rng):
+    """Oracle: the earlier languages.sample_eval_set, verbatim.
+    count strings with lengths uniform on {0..max_len}; per string a fair
+    coin picks forced-positive (when feasible at that length) vs uniform."""
+    table, counts = _accepting_counts(language, max_len)
+    samples = []
+    for _ in range(count):
+        length = int(rng.integers(0, max_len + 1))
+        force_positive = bool(rng.integers(0, 2))
+        if force_positive and counts[length][0]:
+            x = walk_positive(table, counts, length, rng)
+        else:
+            x = sample_uniform_string(length, rng)
+        samples.append(label(table, counts[0], x))
+    return samples
 
 
 def accepts(machine, w):

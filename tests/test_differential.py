@@ -3,7 +3,10 @@ between two revisions is the program's, and the diff names the lines that
 differ.  Runs the quick battery in this process, without git."""
 
 import importlib.util
+import shutil
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "differential.py"
 _spec = importlib.util.spec_from_file_location("differential", SCRIPT)
@@ -15,12 +18,28 @@ def test_quick_battery_is_deterministic():
     first = differential.battery(quick=True)
     assert differential.battery(quick=True) == first
     # k-means: 7 fixture trees at k = 2 and 20, and 50 point sets.  Samplers:
-    # 7 languages on two bit generators, 3 balanced sets and 1 eval set each.
-    assert len(first) == 7 * 2 + 50 + 2 * 7 * 4
+    # 7 languages on four bit generators, each entered fresh and after one
+    # draw, 3 balanced sets and 2 eval sets each.
+    assert len(first) == 7 * 2 + 50 + 4 * 2 * 7 * 5
     assert sum(line.startswith("kmeans tomita") for line in first) == 7 * 2
-    assert sum(line.startswith("sample_balanced(") for line in first) == 2 * 7 * 3
-    assert sum(" philox " in line for line in first) == 7 * 4
+    assert sum(line.startswith("sample_balanced(") for line in first) == 4 * 2 * 7 * 3
+    assert sum(line.startswith("sample_eval_set(") for line in first) == 4 * 2 * 7 * 2
+    for name in ("PCG64", "Philox", "MT19937", "SFC64"):
+        assert sum(f" {name} " in line for line in first) == 2 * 7 * 5
+    assert sum(" entry=1 " in line for line in first) == 4 * 7 * 5
     assert len(set(first)) == len(first)
+
+
+def test_tampered_fixture_is_refused(tmp_path, monkeypatch, capsys):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(differential.FIXTURES, fixtures)
+    tampered = fixtures / "tomita4.ckpt.gz"
+    tampered.write_bytes(tampered.read_bytes() + b"\0")
+    monkeypatch.setattr(differential, "FIXTURES", fixtures)
+    with pytest.raises(SystemExit) as exit_:
+        differential.kmeans_battery(quick=True)
+    assert exit_.value.code == 2
+    assert f"{tampered} does not match its sha256" in capsys.readouterr().err
 
 
 def test_differences_name_the_changed_lines():

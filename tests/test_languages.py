@@ -1,7 +1,7 @@
+import copy
 import logging
 import re
 from collections import Counter
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -10,7 +10,8 @@ from statemerge import languages
 from statemerge.automata import minimize
 from statemerge.languages import LabeledSample, gold_dfa, sample_balanced, sample_eval_set
 
-from conftest import all_strings, labeled
+from conftest import (all_strings, labeled, per_token_balanced, per_token_eval_set,
+                      randbelow)
 
 
 def tomita3_reference(w):
@@ -77,9 +78,17 @@ class TestPositiveCount:
                 == [brute[n] for n in range(11)])
 
 
-def walk_positive(language, n, rng):
+def positive_walks(language, n, rng, walks=1):
+    """walks positive walks of the samplers at length n, as strings."""
     table, counts = languages._accepting_counts(language, n)
-    return languages._walk_positive(table, counts, n, rng)
+    steps = languages._walk_steps(table, counts)
+    with languages._WordReader(rng) as words:
+        return [languages._walk(words, steps, n).translate(languages._TEXT).decode()
+                for _ in range(walks)]
+
+
+def walk_positive(language, n, rng):
+    return positive_walks(language, n, rng)[0]
 
 
 class TestUniformPositive:
@@ -105,9 +114,7 @@ class TestUniformPositive:
         language, n, draws = 5, 6, 10_000
         gold = gold_dfa(language)
         support = [w for w in all_strings(("a", "b"), 6) if len(w) == n and gold.accepts(w)]
-        table, completions = languages._accepting_counts(language, n)
-        counts = Counter(languages._walk_positive(table, completions, n, rng)
-                         for _ in range(draws))
+        counts = Counter(positive_walks(language, n, rng, draws))
         assert set(counts) <= set(support)
         p = 1 / len(support)
         sigma = (draws * p * (1 - p)) ** 0.5
@@ -184,61 +191,120 @@ def test_one_gold_machine_per_sampler_call(monkeypatch, rng):
     assert builds == [3, 5]
 
 
-@contextmanager
-def rng_bytes_only(rng):
-    """languages._byte_source with the reader switched off: every walk on
-    every generator reads rng.bytes, the reference the reader must match."""
-    yield rng.bytes
+def state_lists(rng):
+    """The whole generator state, arrays made lists, so states compare with ==."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return plain(rng.bit_generator.state)
 
 
 def assert_same_generator(a, b):
+    assert state_lists(a) == state_lists(b)
     # bytes(12) takes three uint32s, so a buffered half left behind shows.
     assert (a.bytes(12), a.integers(2**63)) == (b.bytes(12), b.integers(2**63))
 
 
-class TestPcg64Reader:
-    """The PCG64 reader against rng.bytes: the same values and the same
-    generator afterwards, so every later draw is the same too."""
+def first_token(rng, bound, first):
+    """One positive-walk step from a row with bound completions, the first
+    successor's count first: token 0 exactly when the step draws below first."""
+    steps = languages._walk_steps([[1, 1], [1, 1]], [[0, first], [bound, 0]])
+    with languages._WordReader(rng) as words:
+        return languages._walk(words, steps, 1)[0]
+
+
+ENTRIES = [0, 1, 2, 3]
+
+
+def dashed(args):
+    return "-".join(map(str, args))
+
+
+class WordReaderChecks:
+    """The samplers' word reader on one bit generator, against the per-token
+    oracle in conftest, which reads rng.bytes and rng.integers one draw at a
+    time: the same values, and the same generator afterwards, so every later
+    draw is the same too.  Each check enters after 0-3 uint32 draws; after an
+    odd count PCG64, Philox and SFC64 hold a buffered half."""
+    bit_generator = None
     BOUNDS = [2**k + d for k in (1, 7, 8, 31, 32, 33, 63, 64, 65, 100) for d in (-1, 0, 1)] \
         + [3 * 2**64 + 5, 2**96 + 1, 2**130 - 7, 2**200 + 3]
 
-    @pytest.mark.parametrize("drawn", [0, 1, 2, 3], ids=lambda n: f"after{n}")
+    def generators(self, seed, drawn, copies):
+        out = [np.random.Generator(self.bit_generator(seed)) for _ in range(copies)]
+        for rng in out:
+            rng.integers(2**32, size=drawn, dtype=np.uint32)
+        return out
+
+    @pytest.mark.parametrize("drawn", ENTRIES, ids=lambda n: f"after{n}")
     def test_randbelow_matches_rng_bytes(self, drawn):
-        # After an odd count of uint32s the generator holds a buffered half.
-        for seed in range(20):
-            reference, fast = np.random.default_rng(seed), np.random.default_rng(seed)
-            for rng in (reference, fast):
-                rng.integers(2**32, size=drawn, dtype=np.uint32)
-            expected = [languages._randbelow(reference.bytes, n) for n in self.BOUNDS]
-            with languages._byte_source(fast) as take:
-                assert take != fast.bytes
-                got = [languages._randbelow(take, n) for n in self.BOUNDS]
-            assert got == expected
-            assert fast.bit_generator.state == reference.bit_generator.state
+        # The step draws pick exactly when a first successor counting pick
+        # takes the second token and one counting pick + 1 the first.
+        for seed in range(5):
+            reference, at, above = self.generators(seed, drawn, 3)
+            for n in self.BOUNDS:
+                pick = randbelow(reference.bytes, n)
+                assert (first_token(at, n, pick), first_token(above, n, pick + 1)) == (1, 0)
+            assert state_lists(above) == state_lists(reference)
+            assert_same_generator(at, reference)
+
+    def sample_both(self, sample, oracle, args, seed=0, entries=ENTRIES):
+        for drawn in entries:
+            fast, reference = self.generators(seed, drawn, 2)
+            assert sample(*args, fast) == oracle(*args, reference)
             assert_same_generator(fast, reference)
 
-    def sample_both(self, monkeypatch, sample, args, make_rng):
-        fast_rng, reference_rng = make_rng(), make_rng()
-        fast = sample(*args, fast_rng)
-        with monkeypatch.context() as patch:
-            patch.setattr(languages, "_byte_source", rng_bytes_only)
-            reference = sample(*args, reference_rng)
-        assert fast == reference
-        assert_same_generator(fast_rng, reference_rng)
-
     @pytest.mark.parametrize("language", range(1, 8))
-    def test_full_protocol_training_draw(self, monkeypatch, language):
+    def test_full_protocol_training_draw(self, language):
         # The training set's shape: length 100, where bounds reach 2**100 and
-        # a draw takes four uint32s.
-        self.sample_both(monkeypatch, sample_balanced, (language, 100, 200),
-                         lambda: np.random.default_rng([0, language, 0]))
+        # a draw takes four uint32s.  The languages share out the entries.
+        self.sample_both(sample_balanced, per_token_balanced, (language, 100, 200),
+                         seed=[0, language, 0], entries=[language % 4])
 
-    @pytest.mark.parametrize("sample, args", [(sample_balanced, (4, 40, 20)),
-                                              (sample_eval_set, (7, 200, 30))],
-                             ids=["balanced", "eval"])
-    def test_other_generators_read_rng_bytes(self, monkeypatch, sample, args):
-        self.sample_both(monkeypatch, sample, args,
-                         lambda: np.random.Generator(np.random.MT19937(0)))
+    @pytest.mark.parametrize("args", [(4, 40, 20), (2, 7, 10), (1, 0, 4), (5, 31, 9),
+                                      (5, 32, 9), (3, 33, 9)], ids=dashed)
+    def test_balanced(self, args):
+        # Tomita 2 has no string of length 7: the whole draw is uniform.
+        self.sample_both(sample_balanced, per_token_balanced, args)
+
+    @pytest.mark.parametrize("args", [(7, 200, 30), (3, 50, 100), (2, 20, 1), (6, 20, 0)],
+                             ids=dashed)
+    def test_eval_set(self, args):
+        # At max_len 0 the length draw rng.integers(0, 1) reads no word: only
+        # the coins are drawn.
+        self.sample_both(sample_eval_set, per_token_eval_set, args)
+
+
+class TestPcg64Reader(WordReaderChecks):
+    bit_generator = np.random.PCG64
+
+
+class TestPhiloxReader(WordReaderChecks):
+    bit_generator = np.random.Philox
+
+
+class TestMt19937Reader(WordReaderChecks):
+    bit_generator = np.random.MT19937
+
+
+class TestSfc64Reader(WordReaderChecks):
+    bit_generator = np.random.SFC64
+
+
+def test_eval_length_draw_rejects_as_numpy_does():
+    # Lemire's draw at range 100 rejects a word w when w * 100 % 2**32 < 96,
+    # one word in about 45 million, so no seeded eval set meets one.  Word
+    # 19,646,382 of PCG64(0)'s uint32 stream is one; both generators stop
+    # just before it.
+    word, fast, reference = 19_646_382, *(np.random.default_rng(0) for _ in range(2))
+    for rng in (fast, reference):
+        rng.bit_generator.advance(word // 2)
+        rng.integers(2**32, size=word % 2, dtype=np.uint32)
+    peek = copy.deepcopy(fast)
+    assert int(peek.integers(2**32, dtype=np.uint32)) * 100 % 2**32 < 96
+    assert sample_eval_set(3, 5, 99, fast) == per_token_eval_set(3, 5, 99, reference)
+    assert_same_generator(fast, reference)
 
 
 class TestLabeledSample:
