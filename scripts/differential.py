@@ -13,7 +13,7 @@ differs.  Every output is one canonical text line.  The script prints the
 first differing lines and exits 1 on any difference, 0 when the outputs are
 equal and 2 when a checkout or a battery fails.
 
-The battery has two parts so far.  k-means: ``kmeans.kmeans`` on the
+The battery has three parts so far.  k-means: ``kmeans.kmeans`` on the
 prefix trees of the fixture models (Tomita 1-7, seeds 0-5, 30, 100 and 300
 extraction strings of length 10, k = 2, 5 and 20) and on 600 sets of tied
 and duplicated points; each line holds digests of the assignments and of the
@@ -29,7 +29,14 @@ balanced lengths include 7, at which Tomita 2 and 5 have no positive string,
 31, 32 and 33, where a positive walk's largest bounds cross 32 bits, and
 100, where one draw reads up to four uint32s; the eval sets' maximum lengths
 include 0, whose length draw reads no word.  ``--quick`` keeps one seed and
-smaller sets.
+smaller sets.  Prefix numbering: ``extraction.build_prefix_tree`` on the
+fixture models and their extraction strings (Tomita 1-7, seeds 0-2, 30, 100
+and 300 strings of length 10), one line of digests of the tree's parents,
+tokens, levels, visits, labels and feature bits; and ``rnn.eval_reference``
+and ``rnn.evaluate`` on each language's eval set at ``n_eval`` 100 and 1,000,
+one line of digests of the reference's prefix arrays, decisions, stored
+labels and ends, and the two accuracies.  ``--quick`` keeps seed 0, 30
+strings and ``n_eval`` 100.
 
 ``--print`` prints the battery's lines for the ``statemerge`` on the path
 instead, which is what each child process runs.
@@ -75,18 +82,20 @@ def tied_points(case: int) -> tuple[np.ndarray, np.ndarray, int]:
     return features, visits, int(rng.integers(1, min(len(visits), 20) + 1))
 
 
-def fixture_texts() -> dict[int, str]:
-    """The fixture checkpoints by language, each checked against its sha256
-    in perfbench/expected.json."""
+def fixture_models() -> dict:
+    """The fixture models by language, each checkpoint checked against its
+    sha256 in perfbench/expected.json."""
+    from statemerge.rnn import load_checkpoint, model_from_checkpoint
+
     pins = json.loads((PERFBENCH / "expected.json").read_text())["fixtures"]
-    texts = {}
+    models = {}
     for language in range(1, 8):
         name = f"tomita{language}.ckpt.gz"
         data = (FIXTURES / name).read_bytes()
         if hashlib.sha256(data).hexdigest() != pins[name]:
             fail(f"{FIXTURES / name} does not match its sha256 in perfbench/expected.json")
-        texts[language] = gzip.decompress(data).decode()
-    return texts
+        models[language] = model_from_checkpoint(*load_checkpoint(gzip.decompress(data).decode()))
+    return models
 
 
 def kmeans_battery(quick: bool) -> list[str]:
@@ -94,7 +103,6 @@ def kmeans_battery(quick: bool) -> list[str]:
     from statemerge.extraction import build_prefix_tree
     from statemerge.harness import extraction_strings
     from statemerge.kmeans import kmeans
-    from statemerge.rnn import load_checkpoint, model_from_checkpoint
 
     lines = []
 
@@ -107,8 +115,7 @@ def kmeans_battery(quick: bool) -> list[str]:
                      f" centroids={digest(centroids)} next={rng.integers(2**62)}")
 
     seeds, sizes, ks = ((0,), (30,), (2, 20)) if quick else (range(6), (30, 100, 300), (2, 5, 20))
-    for language, text in fixture_texts().items():
-        model = model_from_checkpoint(*load_checkpoint(text))
+    for language, model in fixture_models().items():
         for seed in seeds:
             for size in sizes:
                 tree = build_prefix_tree(model, extraction_strings(language, size, 10, seed))
@@ -137,8 +144,7 @@ def sampler_battery(quick: bool) -> list[str]:
             for sampler, args in calls:
                 rng = np.random.Generator(bit_generator([seed, *args]))
                 rng.integers(2**32, size=entry, dtype=np.uint32)
-                text = "\n".join(f"{s.x} {''.join('01'[b] for b in s.y)}"
-                                 for s in sampler(*args, rng))
+                text = "\n".join(f"{x} {y}" for x, y in rendered(sampler(*args, rng)))
                 lines.append(f"{sampler.__name__}{args} {bit_generator.__name__} seed={seed}"
                              f" entry={entry}"
                              f" samples={hashlib.sha256(text.encode()).hexdigest()[:16]}"
@@ -146,9 +152,56 @@ def sampler_battery(quick: bool) -> list[str]:
     return lines
 
 
+def rendered(samples) -> list[tuple[str, str]]:
+    """(string, one 0/1 per prefix label) per sample, from the arrays of a
+    languages.Samples or from a list of samples with fields x and y, the
+    format before it."""
+    from statemerge.languages import ALPHABET
+
+    if isinstance(samples, list):
+        return [(s.x, "".join("01"[b] for b in s.y)) for s in samples]
+    return [("".join(ALPHABET[t] for t in tokens[:n]), "".join("01"[b] for b in labels[:n + 1]))
+            for tokens, n, labels in zip(samples.tokens.tolist(), samples.lengths.tolist(),
+                                         samples.labels.tolist())]
+
+
+def prefix_battery(quick: bool) -> list[str]:
+    """The prefix-numbering lines for the statemerge package on the path."""
+    from statemerge.extraction import build_prefix_tree
+    from statemerge.harness import ExperimentConfig, eval_set_for, extraction_strings
+    from statemerge.rnn import eval_reference, evaluate
+
+    def ints(array: np.ndarray) -> str:
+        return digest(array.astype(np.int64))
+
+    def numbering(prefixes) -> str:
+        return " ".join(f"{field}={ints(getattr(prefixes, field))}"
+                        for field in ("parents", "tokens", "levels", "visits"))
+
+    seeds, sizes, n_evals = ((0,), (30,), (100,)) if quick else (range(3), (30, 100, 300),
+                                                                 (100, 1000))
+    lines = []
+    for language, model in fixture_models().items():
+        for seed in seeds:
+            for size in sizes:
+                tree = build_prefix_tree(model, extraction_strings(language, size, 10, seed))
+                lines.append(f"prefix_tree tomita{language} strings={size} seed={seed}"
+                             f" {numbering(tree)} labels={digest(tree.labels)}"
+                             f" features={digest(tree.features)}")
+        for n_eval in n_evals:
+            eval_set = eval_set_for(language, ExperimentConfig(n_eval=n_eval))
+            reference = eval_reference(model, eval_set)
+            lines.append(f"eval_reference tomita{language} n_eval={n_eval}"
+                         f" {numbering(reference.prefixes)}"
+                         f" decisions={digest(reference.prefixes.labels)}"
+                         f" labels={digest(reference.labels)} ends={ints(reference.ends)}"
+                         f" evaluate={evaluate(model, eval_set)!r}")
+    return lines
+
+
 def battery(quick: bool) -> list[str]:
     """The battery's lines for the statemerge package on the path."""
-    return kmeans_battery(quick) + sampler_battery(quick)
+    return kmeans_battery(quick) + sampler_battery(quick) + prefix_battery(quick)
 
 
 def differences(base: list[str], change: list[str], base_name: str,

@@ -36,7 +36,7 @@ from statemerge.harness import (ExperimentConfig, ExtractionConfig,  # noqa: E40
                                 TrainingConfig, ensure_trained, eval_set_for,
                                 extraction_strings, run_dir, run_extraction,
                                 run_kmeans_baseline)
-from statemerge.languages import LANGUAGE_IDS, LabeledSample, sample_balanced  # noqa: E402
+from statemerge.languages import ALPHABET, LANGUAGE_IDS, Samples, sample_balanced  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden.txt"
@@ -77,11 +77,14 @@ def fixture_models() -> dict[int, rnn.RnnModel]:
     return models
 
 
-def save_dataset(samples: list[LabeledSample], language: int, seed: int) -> str:
+def save_dataset(samples: Samples, language: int, seed: int) -> str:
     """The text the eval_set and evaluate lines hash: two header lines, then
     per sample its string, a tab and one 0/1 label per prefix."""
     lines = ["# dataset-format 1", f"# language {language} seed {seed} count {len(samples)}"]
-    lines += [s.x + "\t" + "".join("1" if b else "0" for b in s.y) for s in samples]
+    for tokens, n, labels in zip(samples.tokens.tolist(), samples.lengths.tolist(),
+                                 samples.labels.tolist()):
+        lines.append("".join(ALPHABET[t] for t in tokens[:n]) + "\t"
+                     + "".join("01"[b] for b in labels[:n + 1]))
     return "\n".join(lines) + "\n"
 
 

@@ -3,22 +3,23 @@
 Subcommands: train, extract, baseline, eval, sweep {data,kappa,epochs},
 table2, export-dot.  Every run writes its resolved configuration next to its
 outputs.  @FILE is replaced in place by FILE's arguments, one per line; a
-later argument overrides an earlier one.  BLAS runs on one thread, set before
-numpy loads, because the thread count changes the bits that training writes.
+later argument overrides an earlier one.  Loaded before numpy, it sets one
+BLAS thread, because the thread count changes the bits that training writes.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[var] = "1"
+if "numpy" not in sys.modules:
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
 
 import argparse
 import dataclasses
 import json
 import logging
-import sys
 import time
 from collections.abc import Callable
 from pathlib import Path

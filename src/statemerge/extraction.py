@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automata import Dfa, Nfa, determinize, minimize, successor_table
+from .languages import Samples
 from .rnn import Prefixes, RnnModel, _accepts, _head_probs, _step, number_prefixes
 
 logger = logging.getLogger(__name__)
@@ -25,14 +26,14 @@ class PrefixTree(Prefixes):
     features: np.ndarray  # (n_states, d); row q is the hidden state of state q
 
 
-def build_prefix_tree(model: RnnModel, strings: list[str]) -> PrefixTree:
-    """The states are the distinct prefixes of the strings, numbered by
-    number_prefixes.  A prefix's hidden state is one recurrence step from its
-    parent's, h(p a) = step(h(p), a), so each distinct prefix is computed once,
-    one step per level, and one head call labels all states.  A state's
-    features can differ in the last place from a per-string forward pass,
-    whose batches hold other rows."""
-    parents, tokens, levels, visits = number_prefixes(model, strings)
+def build_prefix_tree(model: RnnModel, samples: Samples) -> PrefixTree:
+    """The states are the distinct prefixes of the samples' strings, numbered
+    by number_prefixes; their stored labels are not read.  A prefix's hidden
+    state is one recurrence step from its parent's, h(p a) = step(h(p), a), so
+    each distinct prefix is computed once, one step per level, and one head
+    call labels all states.  A state's features can differ in the last place
+    from a per-string forward pass, whose batches hold other rows."""
+    parents, tokens, levels, visits = number_prefixes(model, samples)
     features = np.empty((len(parents), model.hidden_dim))
     h, above = np.zeros((1, model.hidden_dim)), 0  # the root's parent: the zero state
     for lo, hi in zip(levels[:-1].tolist(), levels[1:].tolist()):

@@ -24,7 +24,7 @@ from .automata import Dfa
 from .extraction import (ExtractionReport, PrefixTree, build_prefix_tree, extract,
                          machine_verdicts)
 from .kmeans import kmeans_extract
-from .languages import ALPHABET, LANGUAGE_IDS, LabeledSample, sample_balanced, sample_eval_set
+from .languages import ALPHABET, LANGUAGE_IDS, Samples, sample_balanced, sample_eval_set
 from .rnn import Checkpoint, EvalReference, RnnModel, best_checkpoint, eval_reference
 
 logger = logging.getLogger(__name__)
@@ -266,12 +266,11 @@ def fidelity(dfa: Dfa, reference: EvalReference) -> FidelityResult:
 # Experiments
 
 
-def extraction_strings(language: int, count: int, length: int, seed: int) -> list[str]:
-    rng = _rng(seed, language, 10)
-    return [s.x for s in sample_balanced(language, length, count, rng)]
+def extraction_strings(language: int, count: int, length: int, seed: int) -> Samples:
+    return sample_balanced(language, length, count, _rng(seed, language, 10))
 
 
-def eval_set_for(language: int, config: ExperimentConfig) -> list[LabeledSample]:
+def eval_set_for(language: int, config: ExperimentConfig) -> Samples:
     return sample_eval_set(language, config.n_eval, EVAL_MAX_LEN, _rng(language, 999))
 
 

@@ -17,15 +17,23 @@ LANGUAGE_IDS = tuple(range(1, 8))
 
 
 @dataclass(frozen=True)
-class LabeledSample:
-    """A string together with a membership label for each of its prefixes;
-    y[0] labels the empty string, so len(y) == len(x) + 1."""
-    x: str
-    y: tuple[bool, ...]
+class Samples:
+    """n strings with the verdict on each of their prefixes, as arrays.  Row
+    i's string is tokens[i, :lengths[i]], alphabet indices padded with
+    len(ALPHABET) to the width, the longest length; labels[i, t] is the
+    verdict on its prefix of length t, and past lengths[i] the verdict on
+    the whole string."""
+    tokens: np.ndarray   # (n, width) uint8
+    lengths: np.ndarray  # (n,) int
+    labels: np.ndarray   # (n, width + 1) bool
 
-    def __post_init__(self) -> None:
-        if len(self.y) != len(self.x) + 1:
-            raise ValueError("label vector must have one entry per prefix")
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @property
+    def inside(self) -> np.ndarray:
+        """(n, width + 1) bool: row i is True at its positions 0..lengths[i]."""
+        return np.arange(self.labels.shape[1]) <= self.lengths[:, None]
 
 
 def _dfa(n_states: int, accepting: set[int], edges: dict[tuple[int, str], int]) -> Dfa:
@@ -194,15 +202,12 @@ def _walk(words: _WordReader, steps: list[list[tuple[int, ...]]], length: int) -
     return out
 
 
-_TEXT = bytes.maketrans(bytes(range(len(ALPHABET))), "".join(ALPHABET).encode())
-
-
-def _labeled(table: list[list[int]], accepting: list[int],
-             strings: list[bytes]) -> list[LabeledSample]:
-    """Each string of alphabet indices with the verdict of every prefix: one
+def _labeled(table: list[list[int]], accepting: list[int], strings: list[bytes]) -> Samples:
+    """The strings of alphabet indices with the verdict of every prefix: one
     walk through the table's rows, level by level over all strings at once,
     padded with token len(ALPHABET), on which every row stays put."""
-    width = max(map(len, strings), default=0)
+    lengths = np.fromiter(map(len, strings), dtype=np.intp, count=len(strings))
+    width = int(lengths.max(initial=0))
     pad = bytes([len(ALPHABET)])
     tokens = np.frombuffer(b"".join(s.ljust(width, pad) for s in strings),
                            dtype=np.uint8).reshape(len(strings), width)
@@ -214,15 +219,11 @@ def _labeled(table: list[list[int]], accepting: list[int],
     for t, column in enumerate(tokens.T, start=1):
         rows = successors[rows, column]
         y[:, t] = verdicts[rows]
-    # Rows go to lists a block at a time: a training set's would take as much
-    # memory again as its label tuples.
-    return [LabeledSample(s.translate(_TEXT).decode(), tuple(labels[:len(s) + 1]))
-            for lo in range(0, len(strings), 1024)
-            for s, labels in zip(strings[lo:lo + 1024], y[lo:lo + 1024].tolist())]
+    return Samples(tokens, lengths, y)
 
 
 def sample_balanced(language: int, length: int, count: int,
-                    rng: np.random.Generator) -> list[LabeledSample]:
+                    rng: np.random.Generator) -> Samples:
     """count strings of one fixed length: half uniform over all strings, half
     uniform over the language (degrading to uniform, with a warning, when the
     language has no strings of that length)."""
@@ -245,7 +246,7 @@ def sample_balanced(language: int, length: int, count: int,
 
 
 def sample_eval_set(language: int, count: int, max_len: int,
-                    rng: np.random.Generator) -> list[LabeledSample]:
+                    rng: np.random.Generator) -> Samples:
     """count strings with lengths uniform on {0..max_len}; per string a fair
     coin picks forced-positive (when feasible at that length) vs uniform.  The
     length is rng.integers(0, max_len + 1) and the coin rng.integers(0, 2),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .languages import LabeledSample
+from .languages import Samples
 
 logger = logging.getLogger(__name__)
 
@@ -40,11 +40,8 @@ class RnnModel:
         return len(self.alphabet)
 
     def token_ids(self, w: str) -> list[int]:
-        try:
-            return [self.alphabet.index(t) for t in w]
-        except ValueError:
-            bad = next(t for t in w if t not in self.alphabet)
-            raise ValueError(f"token {bad!r} not in alphabet {self.alphabet}") from None
+        """forward's encoder: each token's index in the alphabet."""
+        return [self.alphabet.index(t) for t in w]
 
 
 def _accepts(yhat: np.ndarray) -> np.ndarray:
@@ -205,13 +202,13 @@ def param_norm(params: dict[str, np.ndarray]) -> float:
 
 @dataclass(frozen=True)
 class Prefixes:
-    """The distinct prefixes of a list of strings, numbered by number_prefixes,
+    """The distinct prefixes of a string set, numbered by number_prefixes,
     with the model's decision on each."""
     alphabet: tuple[str, ...]
     parents: np.ndarray  # (n_states,) int; state q's prefix is parents[q]'s plus one token
     tokens: np.ndarray   # (n_states,) int; that token's alphabet index, bos at the root
     levels: np.ndarray   # level t is states levels[t]:levels[t + 1]; the last entry is n_states
-    visits: np.ndarray   # the state at positions 0..len(w) of each string w, in input order
+    visits: np.ndarray   # the state at positions 0..len(w) of each string w, in row order
     labels: np.ndarray   # (n_states,) bool, the model's decision on each state
 
     @property
@@ -235,24 +232,22 @@ class Prefixes:
         return state
 
 
-def number_prefixes(model: RnnModel, strings: list[str]
+def number_prefixes(model: RnnModel, samples: Samples
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(parents, tokens, levels, visits) of the distinct prefixes of strings (see
-    Prefixes), numbered in BFS order from the root, state 0, with children in
-    alphabet order; visits counts a duplicate string once per occurrence.  The
-    root is its own parent and is reached on bos, so every state's hidden
-    vector is one _step from its parent's, the root's from zero.  Level t's
-    states are the distinct codes parent * |alphabet| + token over the strings
-    still running at step t; the parents are already in BFS order, so the
-    sorted codes number the level."""
-    if not strings:
+    """(parents, tokens, levels, visits) of the distinct prefixes of the
+    samples' strings (see Prefixes), whose tokens are the model's token ids,
+    numbered in BFS order from the root, state 0, with children in alphabet
+    order; visits counts a duplicate string once per occurrence.  The root is
+    its own parent and is reached on bos, so every state's hidden vector is
+    one _step from its parent's, the root's from zero.  Level t's states are
+    the distinct codes parent * |alphabet| + token over the strings still
+    running at step t; the parents are already in BFS order, so the sorted
+    codes number the level."""
+    if not len(samples):
         raise ValueError("need at least one string")
-    sigma = len(model.alphabet)
-    encoded = [model.token_ids(w) for w in strings]
-    lengths = np.array([len(w) for w in encoded])
-    inside = np.arange(lengths.max() + 1) <= lengths[:, None]
-    ids = np.zeros(inside[:, 1:].shape, dtype=np.intp)
-    ids[inside[:, 1:]] = [token for w in encoded for token in w]
+    sigma, ids, inside = len(model.alphabet), samples.tokens, samples.inside
+    if np.any(ids[inside[:, 1:]] >= sigma):
+        raise ValueError(f"token ids must lie below the alphabet size {sigma}")
     reached = np.zeros(inside.shape, dtype=np.intp)  # the root, 0, at position 0
     codes = [np.zeros(1, dtype=np.intp)]  # per level, its states' codes in ascending order
     levels = [0, 1]
@@ -278,13 +273,13 @@ class EvalReference:
     ends: np.ndarray    # (n,) int
 
 
-def eval_reference(model: RnnModel, samples: list[LabeledSample]) -> EvalReference:
+def eval_reference(model: RnnModel, samples: Samples) -> EvalReference:
     """Built once per (model, sample set), and then scored against any number of
     machines.  One _step per level of the samples' prefixes, keeping only that
     level's hidden states and the decisions: a state's hidden bits can differ
     from a per-length batch's in the last place, and the decisions were checked
     equal."""
-    parents, tokens, levels, visits = number_prefixes(model, [s.x for s in samples])
+    parents, tokens, levels, visits = number_prefixes(model, samples)
     decisions = np.empty(len(parents), dtype=bool)
     h, above = np.zeros((1, model.hidden_dim)), 0  # the root's parent: the zero state
     for lo, hi in zip(levels[:-1].tolist(), levels[1:].tolist()):
@@ -292,11 +287,11 @@ def eval_reference(model: RnnModel, samples: list[LabeledSample]) -> EvalReferen
         decisions[lo:hi] = _accepts(_head_probs(model.params, h))
         above = lo
     prefixes = Prefixes(model.alphabet, parents, tokens, levels, visits, decisions)
-    return EvalReference(prefixes, np.array([y for s in samples for y in s.y], dtype=bool),
-                         np.cumsum([len(s.y) for s in samples]) - 1)
+    return EvalReference(prefixes, samples.labels[samples.inside],
+                         np.cumsum(samples.lengths + 1) - 1)
 
 
-def evaluate(model: RnnModel, samples: list[LabeledSample]) -> tuple[float, float]:
+def evaluate(model: RnnModel, samples: Samples) -> tuple[float, float]:
     """(per-prefix accuracy, full-string accuracy) against stored labels."""
     reference = eval_reference(model, samples)
     prefixes = reference.prefixes
@@ -305,19 +300,19 @@ def evaluate(model: RnnModel, samples: list[LabeledSample]) -> tuple[float, floa
     return correct / len(match), string_correct / len(samples)
 
 
-def train(model: RnnModel, train_set: list[LabeledSample], dev_set: list[LabeledSample],
+def train(model: RnnModel, train_set: Samples, dev_set: Samples,
           epochs: int, rng: np.random.Generator,
           batch_size: int) -> tuple[list[Checkpoint], list[EpochMetrics]]:
     """Minibatched BPTT training with ADAMW; one checkpoint and metrics row per epoch."""
     if not train_set or not dev_set:
         raise ValueError("train and dev sets must be nonempty")
-    if len({len(s.x) for s in train_set}) != 1:
+    n, width = train_set.tokens.shape
+    if np.any(train_set.lengths != width):
         raise ValueError("batch requires same-length strings")
-    # Encoded once; each batch takes its rows.  The smallest id type that holds
-    # bos keeps a full-protocol set (100k x 101) at one byte per token.
-    all_ids = np.array([[model.bos] + model.token_ids(s.x) for s in train_set],
-                       dtype=np.min_scalar_type(model.bos))
-    all_labels = np.array([s.y for s in train_set], dtype=bool)
+    # Each batch takes its rows.  The smallest id type that holds bos keeps a
+    # full-protocol set (100k x 101) at one byte per token.
+    all_ids = np.empty((n, width + 1), dtype=np.min_scalar_type(model.bos))
+    all_ids[:, 0], all_ids[:, 1:] = model.bos, train_set.tokens
     params = {k: p.copy() for k, p in model.params.items()}
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
@@ -330,7 +325,7 @@ def train(model: RnnModel, train_set: list[LabeledSample], dev_set: list[Labeled
         n_batches = 0
         for start in range(0, len(order), batch_size):
             rows = order[start:start + batch_size]
-            loss, grads = loss_and_grads(params, all_ids[rows], all_labels[rows])
+            loss, grads = loss_and_grads(params, all_ids[rows], train_set.labels[rows])
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch} batch {n_batches}")
             step += 1

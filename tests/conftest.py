@@ -5,6 +5,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from statemerge.automata import Dfa, Nfa, prefix_decisions, successor_table
 from statemerge.extraction import PrefixTree
 from statemerge.harness import FidelityResult
-from statemerge.languages import ALPHABET, LabeledSample, _accepting_counts, gold_dfa
+from statemerge.languages import ALPHABET, Samples, _accepting_counts, gold_dfa
 from statemerge.rnn import (ForwardResult, RnnModel, _accepts, _forward_ids, _head_probs, _step,
                             load_checkpoint, model_from_checkpoint)
 
@@ -36,6 +37,37 @@ def all_strings(alphabet, max_len):
     for n in range(max_len + 1):
         for tokens in itertools.product(alphabet, repeat=n):
             yield "".join(tokens)
+
+
+class LabeledSample(NamedTuple):
+    """The oracles' string-set format, a list of these: a string and the
+    verdict on each of its prefixes, y[0] on the empty one."""
+    x: str
+    y: tuple[bool, ...]
+
+
+def pairs(samples):
+    """Either string-set format as a list of (string, labels) pairs: a
+    languages.Samples row by row, or a list of pairs as it is."""
+    if not isinstance(samples, Samples):
+        return [LabeledSample(*s) for s in samples]
+    return [LabeledSample("".join(ALPHABET[t] for t in tokens[:n]), tuple(labels[:n + 1]))
+            for tokens, n, labels in zip(samples.tokens.tolist(), samples.lengths.tolist(),
+                                         samples.labels.tolist())]
+
+
+def as_samples(items, alphabet=ALPHABET):
+    """A languages.Samples of strings or (string, labels) pairs, each token
+    its index in alphabet; a bare string's labels are all False."""
+    items = [(w, (False,) * (len(w) + 1)) if isinstance(w, str) else tuple(w) for w in items]
+    lengths = np.array([len(w) for w, _ in items], dtype=np.intp)
+    width = int(lengths.max(initial=0))
+    tokens = np.full((len(items), width), len(alphabet), dtype=np.uint8)
+    labels = np.empty((len(items), width + 1), dtype=bool)
+    for i, (w, y) in enumerate(items):
+        tokens[i, :len(w)] = [alphabet.index(t) for t in w]
+        labels[i] = list(y) + [y[-1]] * (width - len(w))
+    return Samples(tokens, lengths, labels)
 
 
 def labeled(language, w):

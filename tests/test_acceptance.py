@@ -42,7 +42,7 @@ from statemerge.languages import ALPHABET, gold_dfa
 from statemerge.rnn import (eval_reference, init_model, kappa_bound, loss_and_grads,
                             model_from_checkpoint)
 
-from conftest import all_strings, random_dfa, random_nfa, same_language
+from conftest import all_strings, as_samples, random_dfa, random_nfa, same_language
 from test_languages import REFERENCE_ORACLES
 
 CACHE = Path(__file__).resolve().parent.parent / "artifacts" / "models"
@@ -206,7 +206,7 @@ class TestCriterion6Properties:
             n = int(rng.integers(1, 12))
             strings = ["".join(rng.choice(ALPHABET, size=rng.integers(0, 9)))
                        for _ in range(n)]
-            tree = build_prefix_tree(m, strings)
+            tree = build_prefix_tree(m, as_samples(strings))
             kappa = float(rng.uniform(0.001, 0.9))
             merged = merge_all(tree, kappa)
             # Every training string keeps a path, and positive strings keep a
@@ -219,7 +219,7 @@ class TestCriterion6Properties:
                     assert current, f"path lost for {w!r} at kappa={kappa}"
                 if tree.labels[tree.state_of(w)]:
                     assert current & merged.accepting
-        tree = build_prefix_tree(m, ["abba", "baab", "bb", "aaa"])
+        tree = build_prefix_tree(m, as_samples(["abba", "baab", "bb", "aaa"]))
         untouched = merge_all(tree, 1e-12)
         assert set(untouched.states) == set(range(tree.n_states))
 

@@ -338,3 +338,23 @@ def test_train_runs_at_one_blas_thread(tmp_path):
     argv = ["-m", "statemerge.cli", "--language", "7", "--out", str(cli_out), "train",
             "--n-train", "128", "--train-len", "20", "--epochs", "1", "--hidden-dim", "100"]
     assert run_files(argv, 2, run_dir(THREADED, cli_out / "models")) == expected
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("imports, expected", [
+    ("statemerge.cli, numpy", ["1", "1", "1"]),
+    ("numpy, statemerge.cli", [None, None, None])])
+def test_blas_variables_set_only_before_numpy_loads(imports, expected):
+    """The CLI sets one BLAS thread when it loads before numpy, the only case
+    in which the variables act; after numpy it leaves the environment that a
+    library caller's children inherit as it was."""
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_VARS}
+    env["PYTHONPATH"] = str(SRC)
+    child = subprocess.run(
+        [sys.executable, "-c", f"import json, os; import {imports}; "
+         f"print(json.dumps([os.environ.get(var) for var in {BLAS_VARS!r}]))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == expected

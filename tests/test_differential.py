@@ -19,9 +19,12 @@ def test_quick_battery_is_deterministic():
     assert differential.battery(quick=True) == first
     # k-means: 7 fixture trees at k = 2 and 20, and 50 point sets.  Samplers:
     # 7 languages on four bit generators, each entered fresh and after one
-    # draw, 3 balanced sets and 2 eval sets each.
-    assert len(first) == 7 * 2 + 50 + 4 * 2 * 7 * 5
+    # draw, 3 balanced sets and 2 eval sets each.  Prefix numbering: 7
+    # fixture trees and 7 eval references.
+    assert len(first) == 7 * 2 + 50 + 4 * 2 * 7 * 5 + 7 + 7
     assert sum(line.startswith("kmeans tomita") for line in first) == 7 * 2
+    assert sum(line.startswith("prefix_tree tomita") for line in first) == 7
+    assert sum(line.startswith("eval_reference tomita") for line in first) == 7
     assert sum(line.startswith("sample_balanced(") for line in first) == 4 * 2 * 7 * 3
     assert sum(line.startswith("sample_eval_set(") for line in first) == 4 * 2 * 7 * 2
     for name in ("PCG64", "Philox", "MT19937", "SFC64"):

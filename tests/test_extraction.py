@@ -6,11 +6,11 @@ from statemerge.automata import AlphabetError, Dfa, Nfa, prefix_decisions
 from statemerge.extraction import (build_prefix_tree, extract, machine_verdicts, merge_all,
                                    train_set_fidelity)
 from statemerge.harness import extraction_strings
-from statemerge.languages import ALPHABET, gold_dfa
+from statemerge.languages import ALPHABET, Samples, gold_dfa
 from statemerge.rnn import forward, init_model
 
-from conftest import (edges_of, edges_train_set_fidelity, fixture_model, random_dfa,
-                      string_keyed_prefix_tree, trie)
+from conftest import (as_samples, edges_of, edges_train_set_fidelity, fixture_model, pairs,
+                      random_dfa, string_keyed_prefix_tree, trie)
 
 
 def small_model(seed=0):
@@ -33,7 +33,7 @@ def random_strings(rng, count, max_len=8):
 
 class TestBuildPrefixTree:
     def test_single_string_path(self):
-        tree = build_prefix_tree(small_model(), ["ab"])
+        tree = build_prefix_tree(small_model(), as_samples(["ab"]))
         assert tree.n_states == 3
         assert edges_of(tree) == {(0, "a"): 1, (1, "b"): 2}
         assert tree.parents.tolist() == [0, 0, 1]
@@ -41,7 +41,7 @@ class TestBuildPrefixTree:
         assert tree.levels.tolist() == [0, 1, 2, 3]
 
     def test_shared_prefix(self):
-        tree = build_prefix_tree(small_model(), ["ab", "aa"])
+        tree = build_prefix_tree(small_model(), as_samples(["ab", "aa"]))
         assert tree.n_states == 4
         edges = edges_of(tree)
         assert edges[(0, "a")] == 1
@@ -49,7 +49,7 @@ class TestBuildPrefixTree:
         assert tree.levels.tolist() == [0, 1, 2, 4]
 
     def test_bfs_numbering(self):
-        tree = build_prefix_tree(small_model(), ["ba", "ab"])
+        tree = build_prefix_tree(small_model(), as_samples(["ba", "ab"]))
         # Level order with children in alphabet order: root, q_a, q_b, q_ab, q_ba.
         assert edges_of(tree) == {(0, "a"): 1, (0, "b"): 2, (1, "b"): 3, (2, "a"): 4}
         assert [tree.state_of(p) for p in ("", "a", "b", "ab", "ba", "aa", "abb")] == [
@@ -57,7 +57,7 @@ class TestBuildPrefixTree:
 
     def test_bfs_numbering_follows_model_alphabet(self):
         m = init_model(("b", "a"), 4, 8, np.random.default_rng(0))
-        tree = build_prefix_tree(m, ["ab", "ba"])
+        tree = build_prefix_tree(m, as_samples(["ab", "ba"], m.alphabet))
         # Children in the model's alphabet order: root, q_b, q_a, q_ba, q_ab.
         assert edges_of(tree) == {(0, "b"): 1, (0, "a"): 2, (1, "a"): 3, (2, "b"): 4}
 
@@ -77,14 +77,14 @@ class TestBuildPrefixTree:
 
         monkeypatch.setattr(extraction, "_step", counted)
         monkeypatch.setattr(rnn, "forward", refuse)
-        tree = build_prefix_tree(m, strings)
+        tree = build_prefix_tree(m, as_samples(strings))
         assert_same_tree(tree, expected)
         # Levels: the root; a, b; ab, bb; aba, abb, bbb; abab, abba.
         assert steps == [1, 2, 2, 3, 2]
 
     def test_labels_and_features_from_model(self):
         m = small_model()
-        tree = build_prefix_tree(m, ["ab"])
+        tree = build_prefix_tree(m, as_samples(["ab"]))
         result = forward(m, "ab")
         assert tree.labels.tolist() == rnn._accepts(result.yhat).tolist()
         for i in range(3):
@@ -93,7 +93,7 @@ class TestBuildPrefixTree:
     def test_tree_memorizes_own_prefixes(self, rng):
         m = small_model(3)
         strings = random_strings(rng, 30)
-        tree = build_prefix_tree(m, strings)
+        tree = build_prefix_tree(m, as_samples(strings))
         dfa = trie_dfa(tree)
         for w in strings:
             preds = rnn._accepts(forward(m, w).yhat)
@@ -103,17 +103,19 @@ class TestBuildPrefixTree:
     def test_feature_determinism(self, rng):
         m = small_model(4)
         strings = random_strings(rng, 20)
-        t1 = build_prefix_tree(m, strings)
-        t2 = build_prefix_tree(m, list(strings))
+        t1 = build_prefix_tree(m, as_samples(strings))
+        t2 = build_prefix_tree(m, as_samples(strings))
         assert edges_of(t1) == edges_of(t2)
         assert all(np.array_equal(a, b) for a, b in zip(t1.features, t2.features))
 
     def test_rejects_bad_token(self):
-        with pytest.raises(ValueError):
-            build_prefix_tree(small_model(), ["ax"])
+        # Token id 2 is bos, and the padding: "a" then a third token.
+        bad = Samples(np.array([[0, 2]], dtype=np.uint8), np.array([2]), np.zeros((1, 3), bool))
+        with pytest.raises(ValueError, match="alphabet size 2"):
+            build_prefix_tree(small_model(), bad)
 
     def test_visits_count_each_occurrence(self):
-        tree = build_prefix_tree(small_model(), ["ab", "", "ab", "b"])
+        tree = build_prefix_tree(small_model(), as_samples(["ab", "", "ab", "b"]))
         # States: root 0, a 1, b 2, ab 3.
         assert tree.visits.tolist() == [0, 1, 3, 0, 0, 1, 3, 0, 2]
 
@@ -139,17 +141,20 @@ class TestPrefixTreeOracle:
             strings = random_strings(rng, int(rng.integers(1, 25)))
             strings += [strings[i] for i in rng.integers(0, len(strings), size=3)] + [""]
             strings = [strings[i] for i in rng.permutation(len(strings))]
-            assert_same_tree(build_prefix_tree(m, strings), string_keyed_prefix_tree(m, strings))
+            assert_same_tree(build_prefix_tree(m, as_samples(strings, alphabet)),
+                             string_keyed_prefix_tree(m, strings))
 
     def test_only_empty_strings(self):
         m = small_model(2)
-        assert_same_tree(build_prefix_tree(m, ["", ""]), string_keyed_prefix_tree(m, ["", ""]))
+        assert_same_tree(build_prefix_tree(m, as_samples(["", ""])),
+                         string_keyed_prefix_tree(m, ["", ""]))
 
     @pytest.mark.parametrize("language", range(1, 8))
     def test_fixture_models(self, language):
         m = fixture_model(language)
-        strings = extraction_strings(language, 150, 15, 0)
-        assert_same_tree(build_prefix_tree(m, strings), string_keyed_prefix_tree(m, strings))
+        samples = extraction_strings(language, 150, 15, 0)
+        assert_same_tree(build_prefix_tree(m, samples),
+                         string_keyed_prefix_tree(m, [s.x for s in pairs(samples)]))
 
 
 def toy_tree(labels, features, edges=None):
@@ -358,7 +363,7 @@ class TestMergeAll:
     def test_distinct_features_no_merge(self, rng):
         m = small_model(7)
         strings = random_strings(rng, 10)
-        tree = build_prefix_tree(m, strings)
+        tree = build_prefix_tree(m, as_samples(strings))
         merged = merge_all(tree, 1e-12)
         cos_max = _max_offdiag_cosine(tree)
         if cos_max <= 1 - 1e-12:
@@ -378,7 +383,7 @@ class TestMergeAll:
         for trial in range(20):
             m = small_model(100 + trial)
             strings = random_strings(rng, 15)
-            tree = build_prefix_tree(m, strings)
+            tree = build_prefix_tree(m, as_samples(strings))
             kappa = float(rng.uniform(0.01, 0.8))
             merged = merge_all(tree, kappa)
             for w in strings:
@@ -392,7 +397,7 @@ class TestMergeAll:
 
     def test_labels_preserved_under_merging(self, rng):
         m = small_model(9)
-        tree = build_prefix_tree(m, random_strings(rng, 20))
+        tree = build_prefix_tree(m, as_samples(random_strings(rng, 20)))
         merged = merge_all(tree, 0.3)
         for state in merged.states:
             assert (state in merged.accepting) == tree.labels[state]
@@ -411,7 +416,7 @@ class TestExtract:
     def test_pipeline_monotonicity(self, rng):
         m = small_model(13)
         strings = random_strings(rng, 40)
-        report = extract(build_prefix_tree(m, strings), 0.05)
+        report = extract(build_prefix_tree(m, as_samples(strings)), 0.05)
         trie, merged, minimized = report.sizes
         assert merged <= trie
         assert minimized <= len(report.determinized.states)
@@ -419,13 +424,13 @@ class TestExtract:
     def test_train_fidelity_counts_prefix_agreement(self, rng):
         m = small_model(17)
         strings = random_strings(rng, 25)
-        tree = build_prefix_tree(m, strings)
+        tree = build_prefix_tree(m, as_samples(strings))
         # The unmerged trie always agrees with itself.
         assert train_set_fidelity(trie_dfa(tree), tree) == 1.0
 
     def test_empty_strings_rejected(self):
         with pytest.raises(ValueError):
-            build_prefix_tree(small_model(), [])
+            build_prefix_tree(small_model(), as_samples([]))
 
 
 class TestMachineVerdicts:
@@ -447,7 +452,7 @@ class TestMachineVerdicts:
             m = init_model(alphabet, 3, 5, rng)
             strings = random_strings(rng, int(rng.integers(1, 25))) + [""]
             strings += [strings[i] for i in rng.integers(0, len(strings), size=3)]
-            tree = build_prefix_tree(m, strings)
+            tree = build_prefix_tree(m, as_samples(strings, alphabet))
             # Sparse machines send some prefixes to the sink row.
             machines = [trie_dfa(tree)] + [random_dfa(rng, int(rng.integers(1, 6)), edge_prob=p)
                                           for p in (0.3, 0.85, 1.0)]
@@ -455,12 +460,12 @@ class TestMachineVerdicts:
                 self.assert_matches_oracles(dfa, tree, strings)
 
     def test_only_empty_strings(self):
-        tree = build_prefix_tree(small_model(2), ["", ""])
+        tree = build_prefix_tree(small_model(2), as_samples(["", ""]))
         for dfa in (Dfa(ALPHABET, {0}, 0, {}, {0}), Dfa(ALPHABET, {3}, 3, {}, set())):
             self.assert_matches_oracles(dfa, tree, ["", ""])
 
     def test_machine_missing_a_token_rejected(self):
-        tree = build_prefix_tree(small_model(), ["ab", "a"])
+        tree = build_prefix_tree(small_model(), as_samples(["ab", "a"]))
         dfa = Dfa(("a",), {0}, 0, {(0, "a"): 0}, {0})
         for walk in (train_set_fidelity, edges_train_set_fidelity):
             with pytest.raises(AlphabetError):
@@ -468,8 +473,9 @@ class TestMachineVerdicts:
 
     @pytest.mark.parametrize("language", range(1, 8))
     def test_fixture_models(self, language):
-        strings = extraction_strings(language, 150, 15, 0)
-        tree = build_prefix_tree(fixture_model(language), strings)
+        samples = extraction_strings(language, 150, 15, 0)
+        tree = build_prefix_tree(fixture_model(language), samples)
+        strings = [s.x for s in pairs(samples)]
         for kappa in (0.4, 0.01):
             self.assert_matches_oracles(extract(tree, kappa).final, tree, strings)
         self.assert_matches_oracles(gold_dfa(language), tree, strings)

@@ -29,8 +29,8 @@ from statemerge.languages import ALPHABET, gold_dfa, sample_eval_set
 from statemerge.rnn import (EpochMetrics, eval_reference, forward, init_model, load_checkpoint,
                             save_checkpoint)
 
-from conftest import (fixture_model, forward_many, labeled, padded_eval_reference,
-                      padded_fidelity, random_dfa)
+from conftest import (as_samples, fixture_model, forward_many, labeled, padded_eval_reference,
+                      padded_fidelity, pairs, random_dfa)
 
 
 SHIPPED = Path(__file__).resolve().parent.parent / "artifacts" / "models"
@@ -125,11 +125,12 @@ def rename(dfa, ids):
 def per_string_fidelity(dfa, model, eval_set):
     """The oracle: each string's machine verdicts by prefix_decisions against
     the model's decisions on that string run alone, counted string by string."""
-    pairs = [(prefix_decisions(dfa, s.x), rnn._accepts(forward(model, s.x).yhat).tolist())
-             for s in eval_set]
-    agree = [p == q for dfa_preds, rnn_preds in pairs for p, q in zip(dfa_preds, rnn_preds)]
-    return FidelityResult(sum(d[-1] == r[-1] for d, r in pairs) / len(pairs),
-                          sum(d[-1] == s.y[-1] for (d, _), s in zip(pairs, eval_set)) / len(pairs),
+    eval_set = pairs(eval_set)
+    runs = [(prefix_decisions(dfa, s.x), rnn._accepts(forward(model, s.x).yhat).tolist())
+            for s in eval_set]
+    agree = [p == q for dfa_preds, rnn_preds in runs for p, q in zip(dfa_preds, rnn_preds)]
+    return FidelityResult(sum(d[-1] == r[-1] for d, r in runs) / len(runs),
+                          sum(d[-1] == s.y[-1] for (d, _), s in zip(runs, eval_set)) / len(runs),
                           sum(agree) / len(agree))
 
 
@@ -141,13 +142,14 @@ class TestFidelity:
         model = init_model(ALPHABET, 4, 8, rng)
         eval_set = sample_eval_set(4, 200, 10, rng)
         result = fidelity(dfa, eval_reference(model, eval_set))
-        positive_rate = sum(s.y[-1] for s in eval_set) / len(eval_set)
+        positive_rate = sum(s.y[-1] for s in pairs(eval_set)) / len(eval_set)
         assert result.vs_gold == pytest.approx(positive_rate)
 
     def test_prefix_decisions_match_per_string_forward(self, rng):
         model = init_model(ALPHABET, 4, 8, rng)
         dfa = gold_dfa(3)
-        eval_set = [labeled(3, w) for w in ["", "a", "ab", "bba", "abab", "ab", "bbab"]]
+        strings = ["", "a", "ab", "bba", "abab", "ab", "bbab"]
+        eval_set = as_samples([labeled(3, w) for w in strings])
         result = fidelity(dfa, eval_reference(model, eval_set))
         assert result == per_string_fidelity(dfa, model, eval_set)
 
@@ -156,15 +158,16 @@ class TestFidelity:
         # forward_many call over the whole set.
         model = init_model(ALPHABET, 4, 8, rng)
         dfa = gold_dfa(4)
-        eval_set = sample_eval_set(4, 300, 12, rng)
+        samples = sample_eval_set(4, 300, 12, rng)
+        eval_set = pairs(samples)
         runs = [rnn._accepts(r.yhat).tolist() for r in forward_many(model, [s.x for s in eval_set])]
-        pairs = [(prefix_decisions(dfa, s.x), r) for s, r in zip(eval_set, runs)]
-        agree = [p == q for dfa_preds, rnn_preds in pairs for p, q in zip(dfa_preds, rnn_preds)]
-        result = fidelity(dfa, eval_reference(model, eval_set))
+        both = [(prefix_decisions(dfa, s.x), r) for s, r in zip(eval_set, runs)]
+        agree = [p == q for dfa_preds, rnn_preds in both for p, q in zip(dfa_preds, rnn_preds)]
+        result = fidelity(dfa, eval_reference(model, samples))
         assert result.prefix_vs_rnn == sum(agree) / len(agree)
-        assert result.vs_rnn == sum(d[-1] == r[-1] for d, r in pairs) / len(pairs)
+        assert result.vs_rnn == sum(d[-1] == r[-1] for d, r in both) / len(both)
         assert result.vs_gold == sum(d[-1] == s.y[-1]
-                                     for (d, _), s in zip(pairs, eval_set)) / len(pairs)
+                                     for (d, _), s in zip(both, eval_set)) / len(both)
 
     def test_table_walk_matches_per_string_oracle(self, rng):
         model = init_model(ALPHABET, 4, 8, rng)
@@ -185,14 +188,14 @@ class TestFidelity:
 
     def test_machine_missing_a_token_rejected(self, rng):
         model = init_model(ALPHABET, 4, 8, rng)
-        reference = eval_reference(model, [labeled(1, "aa")])
+        reference = eval_reference(model, as_samples([labeled(1, "aa")]))
         with pytest.raises(AlphabetError):
             fidelity(Dfa(("a",), {0}, 0, {(0, "a"): 0}, {0}), reference)
 
     def test_empty_eval_set_rejected(self, rng):
         model = init_model(ALPHABET, 4, 8, rng)
         with pytest.raises(ValueError):
-            eval_reference(model, [])
+            eval_reference(model, as_samples([]))
 
 
 def machines_for(rng, alphabet):
@@ -214,7 +217,8 @@ class TestFidelityOracle:
 
     @staticmethod
     def assert_matches(model, samples, machines):
-        reference = eval_reference(model, samples)
+        """samples is a list of pairs, its tokens indices in the model's alphabet."""
+        reference = eval_reference(model, as_samples(samples, model.alphabet))
         padded = padded_eval_reference(model, samples)
         for dfa in machines:
             assert repr(fidelity(dfa, reference)) == repr(padded_fidelity(dfa, padded))
@@ -225,7 +229,7 @@ class TestFidelityOracle:
             alphabet = ("a", "b") if trial % 2 else ("b", "a")
             model = init_model(alphabet, 3, 5, rng)
             language = trial % 7 + 1
-            mixed = sample_eval_set(language, int(rng.integers(1, 40)), 9, rng)
+            mixed = pairs(sample_eval_set(language, int(rng.integers(1, 40)), 9, rng))
             mixed += [labeled(language, "")] + [mixed[i] for i in rng.integers(0, len(mixed), 3)]
             sets = [[mixed[i] for i in rng.permutation(len(mixed))], [labeled(language, "")] * 2,
                     [labeled(language, "abba")]]
@@ -240,14 +244,14 @@ class TestFidelityOracle:
         machines = [extract(tree, 0.01).final, extract(tree, 0.4).final,
                     kmeans_extract(tree, 20, np.random.default_rng(0)), gold_dfa(language)]
         others = machines_for(np.random.default_rng(language), model.alphabet)
-        self.assert_matches(model, samples, machines + others)
+        self.assert_matches(model, pairs(samples), machines + others)
 
     def test_machine_missing_a_token_rejected(self, rng):
         model = init_model(ALPHABET, 4, 8, rng)
         samples = [labeled(1, "aa"), labeled(1, "")]
         dfa = Dfa(("a",), {0}, 0, {(0, "a"): 0}, {0})
         with pytest.raises(AlphabetError):
-            fidelity(dfa, eval_reference(model, samples))
+            fidelity(dfa, eval_reference(model, as_samples(samples)))
         with pytest.raises(AlphabetError):
             padded_fidelity(dfa, padded_eval_reference(model, samples))
 
@@ -366,15 +370,15 @@ class TestExperiments:
     def test_extraction_strings_deterministic(self):
         a = extraction_strings(5, 30, 8, seed=2)
         b = extraction_strings(5, 30, 8, seed=2)
-        assert a == b
+        assert pairs(a) == pairs(b)
         assert len(a) == 30
-        assert all(len(w) <= 8 for w in a)
+        assert all(len(s.x) == 8 for s in pairs(a))
 
     def test_eval_set_respects_language(self):
         eval_set = eval_set_for(6, SMALL_EXPERIMENT)
         assert len(eval_set) == SMALL_EXPERIMENT.n_eval
         gold = gold_dfa(6)
-        for s in eval_set:
+        for s in pairs(eval_set):
             assert s.y[-1] == gold.accepts(s.x)
 
     def test_run_extraction_row(self, tiny_run):

@@ -12,7 +12,7 @@ from statemerge.harness import extraction_strings
 from statemerge.kmeans import kmeans, kmeans_extract
 from statemerge.rnn import _accepts, forward, init_model
 
-from conftest import fixture_model
+from conftest import as_samples, fixture_model
 
 
 # The module: the package attribute statemerge.kmeans is the function.
@@ -40,7 +40,8 @@ class TestCollectHiddenStates:
         monkeypatch.setattr(kmeans_module, "kmeans", one_cluster_each)
         monkeypatch.setattr(kmeans_module, "minimize", lambda dfa: dfa)
         n = sum(len(w) + 1 for w in strings)
-        dfa = kmeans_extract(build_prefix_tree(model, strings), n, np.random.default_rng(0))
+        tree = build_prefix_tree(model, as_samples(strings))
+        dfa = kmeans_extract(tree, n, np.random.default_rng(0))
         return seen["points"], dfa
 
     def test_record_count(self, monkeypatch):
@@ -75,7 +76,7 @@ class TestCollectHiddenStates:
         m = small_model(0)
         strings = ["ab", "a", "ab", "", "b", "ab"]
         points, dfa = self.records(monkeypatch, m, strings)
-        tree = build_prefix_tree(m, strings)
+        tree = build_prefix_tree(m, as_samples(strings))
         states = [tree.state_of(w[:i]) for w in strings for i in range(len(w) + 1)]
         assert len(points) == len(states) == 14
         assert np.array_equal(points, tree.features[states])
@@ -303,7 +304,7 @@ class TestReadOff:
     def extract(self, monkeypatch, strings, decisions, assignments, k):
         """Read off the machine of the tree of strings, each state labelled
         with decisions[its prefix], one cluster per position of the visits."""
-        tree = build_prefix_tree(small_model(0), strings)
+        tree = build_prefix_tree(small_model(0), as_samples(strings))
         labels = {tree.state_of(w[:i]): decisions[w[:i]]
                   for w in strings for i in range(len(w) + 1)}
         tree = dataclasses.replace(
@@ -341,18 +342,19 @@ class TestKmeansExtract:
 
     def test_returns_runnable_dfa(self):
         m = small_model(1)
-        dfa = kmeans_extract(build_prefix_tree(m, self.STRINGS), 4, np.random.default_rng(0))
+        tree = build_prefix_tree(m, as_samples(self.STRINGS))
+        dfa = kmeans_extract(tree, 4, np.random.default_rng(0))
         assert dfa.alphabet == m.alphabet
         for w in self.STRINGS:
             assert len(prefix_decisions(dfa, w)) == len(w) + 1
 
     def test_deterministic_given_seed(self):
-        tree = build_prefix_tree(small_model(2), self.STRINGS)
+        tree = build_prefix_tree(small_model(2), as_samples(self.STRINGS))
         d1 = kmeans_extract(tree, 5, np.random.default_rng(9))
         d2 = kmeans_extract(tree, 5, np.random.default_rng(9))
         assert d1 == d2
 
     def test_single_cluster_gives_one_state(self):
-        tree = build_prefix_tree(small_model(3), self.STRINGS)
+        tree = build_prefix_tree(small_model(3), as_samples(self.STRINGS))
         dfa = kmeans_extract(tree, 1, np.random.default_rng(0))
         assert len(dfa.states) == 1

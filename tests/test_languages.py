@@ -8,9 +8,9 @@ import pytest
 
 from statemerge import languages
 from statemerge.automata import minimize
-from statemerge.languages import LabeledSample, gold_dfa, sample_balanced, sample_eval_set
+from statemerge.languages import ALPHABET, gold_dfa, sample_balanced, sample_eval_set
 
-from conftest import (all_strings, labeled, per_token_balanced, per_token_eval_set,
+from conftest import (all_strings, labeled, pairs, per_token_balanced, per_token_eval_set,
                       randbelow)
 
 
@@ -83,7 +83,7 @@ def positive_walks(language, n, rng, walks=1):
     table, counts = languages._accepting_counts(language, n)
     steps = languages._walk_steps(table, counts)
     with languages._WordReader(rng) as words:
-        return [languages._walk(words, steps, n).translate(languages._TEXT).decode()
+        return ["".join(ALPHABET[t] for t in languages._walk(words, steps, n))
                 for _ in range(walks)]
 
 
@@ -124,26 +124,26 @@ class TestUniformPositive:
 
 class TestBalancedSampler:
     def test_labels_match_membership(self, rng):
-        for sample in sample_balanced(2, 8, 10, rng):
+        for sample in pairs(sample_balanced(2, 8, 10, rng)):
             assert sample == labeled(2, sample.x)
 
     def test_fixed_length(self, rng):
-        assert all(len(s.x) == 9 for s in sample_balanced(4, 9, 11, rng))
+        assert all(len(s.x) == 9 for s in pairs(sample_balanced(4, 9, 11, rng)))
 
     def test_deterministic(self):
         a = sample_balanced(3, 10, 20, np.random.default_rng(7))
         b = sample_balanced(3, 10, 20, np.random.default_rng(7))
-        assert a == b
+        assert pairs(a) == pairs(b)
 
     def test_positive_half_is_positive(self, rng):
-        samples = sample_balanced(2, 10, 40, rng)
+        samples = pairs(sample_balanced(2, 10, 40, rng))
         assert all(s.y[-1] for s in samples[20:])
 
     def test_infeasible_falls_back_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING):
             samples = sample_balanced(2, 7, 10, np.random.default_rng(0))
         assert len(samples) == 10
-        assert all(len(s.x) == 7 for s in samples)
+        assert all(len(s.x) == 7 for s in pairs(samples))
         assert any("no strings of length" in r.message for r in caplog.records)
 
     def test_count_too_small(self, rng):
@@ -161,19 +161,20 @@ class TestEvalSampler:
     def test_counts_and_lengths(self, rng):
         samples = sample_eval_set(3, 1000, 50, rng)
         assert len(samples) == 1000
-        assert all(0 <= len(s.x) <= 50 for s in samples)
+        assert all(0 <= len(s.x) <= 50 for s in pairs(samples))
 
     def test_max_len_zero(self, rng):
-        samples = sample_eval_set(2, 5, 0, rng)
+        samples = pairs(sample_eval_set(2, 5, 0, rng))
+        assert len(samples) == 5
         assert all(s.x == "" and s.y == (True,) for s in samples)
 
     def test_deterministic(self):
         a = sample_eval_set(6, 100, 20, np.random.default_rng(3))
         b = sample_eval_set(6, 100, 20, np.random.default_rng(3))
-        assert a == b
+        assert pairs(a) == pairs(b)
 
     def test_labels_exact(self, rng):
-        for s in sample_eval_set(7, 100, 15, rng):
+        for s in pairs(sample_eval_set(7, 100, 15, rng)):
             assert s == labeled(7, s.x)
 
 
@@ -252,7 +253,7 @@ class WordReaderChecks:
     def sample_both(self, sample, oracle, args, seed=0, entries=ENTRIES):
         for drawn in entries:
             fast, reference = self.generators(seed, drawn, 2)
-            assert sample(*args, fast) == oracle(*args, reference)
+            assert pairs(sample(*args, fast)) == pairs(oracle(*args, reference))
             assert_same_generator(fast, reference)
 
     @pytest.mark.parametrize("language", range(1, 8))
@@ -303,11 +304,49 @@ def test_eval_length_draw_rejects_as_numpy_does():
         rng.integers(2**32, size=word % 2, dtype=np.uint32)
     peek = copy.deepcopy(fast)
     assert int(peek.integers(2**32, dtype=np.uint32)) * 100 % 2**32 < 96
-    assert sample_eval_set(3, 5, 99, fast) == per_token_eval_set(3, 5, 99, reference)
+    assert pairs(sample_eval_set(3, 5, 99, fast)) == pairs(per_token_eval_set(3, 5, 99, reference))
     assert_same_generator(fast, reference)
 
 
-class TestLabeledSample:
-    def test_label_length_validated(self):
-        with pytest.raises(ValueError):
-            LabeledSample("ab", (True,))
+SAMPLER_CALLS = [(sample_balanced, dict(language=3, length=12, count=40)),
+                 (sample_balanced, dict(language=2, length=7, count=9)),
+                 (sample_balanced, dict(language=5, length=0, count=2)),
+                 (sample_eval_set, dict(language=4, count=60, max_len=15)),
+                 (sample_eval_set, dict(language=6, count=7, max_len=0)),
+                 (sample_eval_set, dict(language=1, count=0, max_len=5))]
+
+
+@pytest.mark.parametrize("sampler, kwargs", SAMPLER_CALLS,
+                         ids=[f"{sampler.__name__}-{dashed(kwargs.values())}"
+                              for sampler, kwargs in SAMPLER_CALLS])
+class TestSamples:
+    """The arrays both samplers return, languages.Samples."""
+
+    @staticmethod
+    def draw(sampler, kwargs):
+        return sampler(**kwargs, rng=np.random.default_rng(list(kwargs.values()))), kwargs["count"]
+
+    def test_len_is_the_requested_count(self, sampler, kwargs):
+        samples, count = self.draw(sampler, kwargs)
+        assert len(samples) == count
+        assert samples.lengths.shape == (count,)
+
+    def test_shapes_and_types(self, sampler, kwargs):
+        samples, count = self.draw(sampler, kwargs)
+        width = int(samples.lengths.max(initial=0))
+        assert samples.tokens.shape == (count, width) and samples.tokens.dtype == np.uint8
+        assert samples.labels.shape == (count, width + 1) and samples.labels.dtype == bool
+
+    def test_tokens_past_each_length_are_padding(self, sampler, kwargs):
+        samples, _ = self.draw(sampler, kwargs)
+        inside = samples.inside[:, 1:]
+        assert np.all(samples.tokens[~inside] == len(ALPHABET))
+        assert np.all(samples.tokens[inside] < len(ALPHABET))
+
+    def test_label_rows_are_the_gold_prefix_verdicts(self, sampler, kwargs):
+        samples, _ = self.draw(sampler, kwargs)
+        language = kwargs["language"]
+        for s, row, n in zip(pairs(samples), samples.labels.tolist(), samples.lengths.tolist()):
+            assert s == labeled(language, s.x)
+            # Past its length a row repeats the verdict on the whole string.
+            assert row[n:] == [s.y[-1]] * (len(row) - n)

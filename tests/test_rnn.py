@@ -12,8 +12,8 @@ from statemerge.rnn import (AdamWHyper, Checkpoint, TrainingError,
                             kappa_bound, load_checkpoint, loss_and_grads,
                             model_from_checkpoint, save_checkpoint, train)
 
-from conftest import (PaddedEvalReference, fixture_model, forward_many, labeled,
-                      padded_eval_reference, padded_evaluate)
+from conftest import (PaddedEvalReference, as_samples, fixture_model, forward_many, labeled,
+                      padded_eval_reference, padded_evaluate, pairs)
 
 # The optimizer of every training run, and the default training config's batch size.
 HYPER = rnn.ADAMW
@@ -103,6 +103,7 @@ class TestDecisions:
 
 def evaluate_per_sample(model, samples):
     """The oracle: evaluate as a loop over the samples, one count each."""
+    samples = pairs(samples)
     correct = total = string_correct = 0
     for sample, result in zip(samples, forward_many(model, [s.x for s in samples])):
         match = rnn._accepts(result.yhat) == np.array(sample.y)
@@ -114,7 +115,9 @@ def evaluate_per_sample(model, samples):
 
 def per_length_eval_reference(model, samples):
     """The oracle: the eval_reference before the padded time loop, one
-    forward_many batch per length, verbatim but for its class."""
+    forward_many batch per length, verbatim but for its class and for taking
+    either string-set format."""
+    samples = pairs(samples)
     if not samples:
         raise ValueError("need at least one sample")
     lengths = np.array([len(s.x) for s in samples])
@@ -151,7 +154,7 @@ def assert_same_reference(actual, expected):
 class TestEvalReference:
     def test_layout(self, rng):
         m = init_model(ALPHABET, 4, 8, rng)
-        samples = [labeled(2, "ab"), labeled(2, ""), labeled(2, "abab")]
+        samples = as_samples([labeled(2, "ab"), labeled(2, ""), labeled(2, "abab")])
         ref = eval_reference(m, samples)
         # States: the root, a, ab, aba, abab, one per level.
         assert ref.prefixes.parents.tolist() == [0, 0, 1, 2, 3]
@@ -167,8 +170,9 @@ class TestEvalReference:
     def test_evaluate_matches_per_sample_loop_on_mixed_lengths(self, rng):
         for language in (2, 4, 6):
             m = init_model(ALPHABET, 4, 8, rng)
-            samples = (sample_eval_set(language, 60, 12, rng)
-                       + sample_balanced(language, 7, 40, rng) + [labeled(language, "")])
+            samples = as_samples(pairs(sample_eval_set(language, 60, 12, rng))
+                                 + pairs(sample_balanced(language, 7, 40, rng))
+                                 + [labeled(language, "")])
             result = evaluate(m, samples)
             assert result == evaluate_per_sample(m, samples)
             assert all(type(value) is float for value in result)
@@ -181,16 +185,18 @@ class TestEvalReference:
             if trial < 2:  # every prefix an exact 0.5 tie, which rejects
                 m.params["w_out"] = np.zeros_like(m.params["w_out"])
             language = trial % 7 + 1
-            mixed = (sample_eval_set(language, 30, 9, rng)
+            mixed = (pairs(sample_eval_set(language, 30, 9, rng))
                      + [labeled(language, ""), labeled(language, "")])
             shuffled = [mixed[i] for i in rng.permutation(len(mixed))]
             sets = [mixed, shuffled, [labeled(language, "")], [labeled(language, "abba")],
-                    sample_balanced(language, 6, 8, rng), [labeled(language, "")] * 3]
+                    pairs(sample_balanced(language, 6, 8, rng)), [labeled(language, "")] * 3]
             for samples in sets:
-                actual = eval_reference(m, samples)
+                # The model's tokens are indices in its own alphabet.
+                actual = eval_reference(m, as_samples(samples, alphabet))
                 assert_same_reference(actual, per_length_eval_reference(m, samples))
                 assert_same_reference(actual, padded_eval_reference(m, samples))
-                assert repr(evaluate(m, samples)) == repr(padded_evaluate(m, samples))
+                assert repr(evaluate(m, as_samples(samples, alphabet))) == repr(
+                    padded_evaluate(m, samples))
 
     @pytest.mark.parametrize("language", range(1, 8))
     def test_matches_per_length_oracle_on_fixture_models(self, language):
@@ -198,12 +204,12 @@ class TestEvalReference:
         samples = sample_eval_set(language, 100, 50, np.random.default_rng([language, 999]))
         actual = eval_reference(m, samples)
         assert_same_reference(actual, per_length_eval_reference(m, samples))
-        assert_same_reference(actual, padded_eval_reference(m, samples))
-        assert repr(evaluate(m, samples)) == repr(padded_evaluate(m, samples))
+        assert_same_reference(actual, padded_eval_reference(m, pairs(samples)))
+        assert repr(evaluate(m, samples)) == repr(padded_evaluate(m, pairs(samples)))
 
     def test_one_step_per_level_and_no_forward(self, rng, monkeypatch):
         m = init_model(ALPHABET, 4, 8, rng)
-        samples = sample_eval_set(3, 40, 17, rng) + [labeled(3, "")]
+        samples = as_samples(pairs(sample_eval_set(3, 40, 17, rng)) + [labeled(3, "")])
         expected = per_length_eval_reference(m, samples)
         steps = []
         step = rnn._step
@@ -219,9 +225,9 @@ class TestEvalReference:
         monkeypatch.setattr(rnn, "forward", refuse)
         assert_same_reference(eval_reference(m, samples), expected)
         # Step t runs the distinct prefixes of length t once each.
-        lengths = [len(s.x) for s in samples]
-        assert steps == [len({s.x[:t] for s in samples if len(s.x) >= t})
-                         for t in range(max(lengths) + 1)]
+        strings = [s.x for s in pairs(samples)]
+        assert steps == [len({w[:t] for w in strings if len(w) >= t})
+                         for t in range(max(map(len, strings)) + 1)]
 
 
 def pure_adamw_step(params, grads, state_step, state_m, state_v, hyper):
@@ -358,13 +364,13 @@ class TestTraining:
     def test_empty_sets_rejected(self, rng):
         m = init_model(ALPHABET, 4, 8, rng)
         with pytest.raises(ValueError):
-            train(m, [], [labeled(1, "a")], 1, rng, BATCH)
+            train(m, as_samples([]), as_samples([labeled(1, "a")]), 1, rng, BATCH)
 
     def test_mixed_lengths_rejected_before_any_step(self, rng, monkeypatch):
         calls = []
         step = rnn.loss_and_grads
         monkeypatch.setattr(rnn, "loss_and_grads", lambda *a: calls.append(1) or step(*a))
-        data = [labeled(1, "a"), labeled(1, "aa")]
+        data = as_samples([labeled(1, "a"), labeled(1, "aa")])
         m = init_model(ALPHABET, 4, 8, rng)
         with pytest.raises(ValueError, match="same-length"):
             train(m, data, data, 1, rng, 1)
