@@ -13,7 +13,7 @@ differs.  Every output is one canonical text line.  The script prints the
 first differing lines and exits 1 on any difference, 0 when the outputs are
 equal and 2 when a checkout or a battery fails.
 
-The battery has three parts so far.  k-means: ``kmeans.kmeans`` on the
+The battery has four parts so far.  k-means: ``kmeans.kmeans`` on the
 prefix trees of the fixture models (Tomita 1-7, seeds 0-5, 30, 100 and 300
 extraction strings of length 10, k = 2, 5 and 20) and on 600 sets of tied
 and duplicated points; each line holds digests of the assignments and of the
@@ -24,19 +24,24 @@ point sets.  Samplers: ``languages.sample_balanced`` and
 ``languages.sample_eval_set`` for Tomita 1-7 on PCG64, Philox, MT19937 and
 SFC64 generators, each entered fresh and after one uint32 draw (which leaves
 PCG64, Philox and SFC64 holding a buffered half); each line holds a digest of
-the strings and their prefix labels, and the generator's next draw.  The
-balanced lengths include 7, at which Tomita 2 and 5 have no positive string,
-31, 32 and 33, where a positive walk's largest bounds cross 32 bits, and
-100, where one draw reads up to four uint32s; the eval sets' maximum lengths
-include 0, whose length draw reads no word.  ``--quick`` keeps one seed and
-smaller sets.  Prefix numbering: ``extraction.build_prefix_tree`` on the
+the set's ``save_dataset`` text, and the generator's next draw.  A revision
+whose samplers return anything but a ``languages.Samples`` fails the
+battery.  The balanced lengths include 7, at which Tomita 2 and 5 have no
+positive string, 31, 32 and 33, where a positive walk's largest bounds cross
+32 bits, and 100, where one draw reads up to four uint32s; the eval sets'
+maximum lengths include 0, whose length draw reads no word.  ``--quick``
+keeps one seed and smaller sets.  Prefix numbering: ``extraction.build_prefix_tree`` on the
 fixture models and their extraction strings (Tomita 1-7, seeds 0-2, 30, 100
 and 300 strings of length 10), one line of digests of the tree's parents,
 tokens, levels, visits, labels and feature bits; and ``rnn.eval_reference``
 and ``rnn.evaluate`` on each language's eval set at ``n_eval`` 100 and 1,000,
 one line of digests of the reference's prefix arrays, decisions, stored
 labels and ends, and the two accuracies.  ``--quick`` keeps seed 0, 30
-strings and ``n_eval`` 100.
+strings and ``n_eval`` 100.  Golden: the lines tests/golden.txt pins, which
+scripts/pin_golden.py writes (eval sets, ``rnn.evaluate``,
+``harness.run_extraction`` at kappa 0.01 and 0.4 and
+``harness.run_kmeans_baseline`` at k = 20 on 100 strings, seeds 0-2, and one
+tiny ``harness.ensure_trained`` run per language); it has no quick variant.
 
 ``--print`` prints the battery's lines for the ``statemerge`` on the path
 instead, which is what each child process runs.
@@ -61,10 +66,19 @@ BLAS_ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS
                                         "MKL_NUM_THREADS")}
 SHOWN = 12
 BIT_GENERATORS = (np.random.PCG64, np.random.Philox, np.random.MT19937, np.random.SFC64)
+GOLDEN_SEEDS = (0, 1, 2)
+GOLDEN_KAPPAS = (0.01, 0.4)
+# Every Tomita language has positive and negative strings of length 12.
+TRAIN_SIZES = dict(n_train=64, train_len=12, n_dev=20, dev_len=12, embed_dim=4,
+                   hidden_dim=8, epochs=2, batch_size=16)
 
 
 def digest(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def tied_points(case: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -144,25 +158,25 @@ def sampler_battery(quick: bool) -> list[str]:
             for sampler, args in calls:
                 rng = np.random.Generator(bit_generator([seed, *args]))
                 rng.integers(2**32, size=entry, dtype=np.uint32)
-                text = "\n".join(f"{x} {y}" for x, y in rendered(sampler(*args, rng)))
+                text = save_dataset(sampler(*args, rng), language, seed)
                 lines.append(f"{sampler.__name__}{args} {bit_generator.__name__} seed={seed}"
-                             f" entry={entry}"
-                             f" samples={hashlib.sha256(text.encode()).hexdigest()[:16]}"
+                             f" entry={entry} samples={sha(text)[:16]}"
                              f" next={rng.integers(2**62)}")
     return lines
 
 
-def rendered(samples) -> list[tuple[str, str]]:
-    """(string, one 0/1 per prefix label) per sample, from the arrays of a
-    languages.Samples or from a list of samples with fields x and y, the
-    format before it."""
+def save_dataset(samples, language: int, seed: int) -> str:
+    """The text of a languages.Samples that the eval_set, evaluate and sampler
+    lines hash: two header lines, then per sample its string, a tab and one
+    0/1 label per prefix."""
     from statemerge.languages import ALPHABET
 
-    if isinstance(samples, list):
-        return [(s.x, "".join("01"[b] for b in s.y)) for s in samples]
-    return [("".join(ALPHABET[t] for t in tokens[:n]), "".join("01"[b] for b in labels[:n + 1]))
-            for tokens, n, labels in zip(samples.tokens.tolist(), samples.lengths.tolist(),
-                                         samples.labels.tolist())]
+    lines = ["# dataset-format 1", f"# language {language} seed {seed} count {len(samples)}"]
+    for tokens, n, labels in zip(samples.tokens.tolist(), samples.lengths.tolist(),
+                                 samples.labels.tolist()):
+        lines.append("".join(ALPHABET[t] for t in tokens[:n]) + "\t"
+                     + "".join("01"[b] for b in labels[:n + 1]))
+    return "\n".join(lines) + "\n"
 
 
 def prefix_battery(quick: bool) -> list[str]:
@@ -199,9 +213,67 @@ def prefix_battery(quick: bool) -> list[str]:
     return lines
 
 
+def golden_battery() -> list[str]:
+    """The lines tests/golden.txt pins, for the statemerge package on the path:
+    per language one eval set and reference, one rnn.evaluate on a balanced
+    set, and one string set and prefix tree per seed for state merging at
+    every kappa and for k-means; then one tiny ensure_trained run per
+    language, each into an empty cache."""
+    from statemerge.automata import save_dfa
+    from statemerge.extraction import build_prefix_tree
+    from statemerge.harness import (ExperimentConfig, ExtractionConfig, TrainingConfig,
+                                    ensure_trained, eval_set_for, extraction_strings, run_dir,
+                                    run_extraction, run_kmeans_baseline)
+    from statemerge.languages import sample_balanced
+    from statemerge.rnn import eval_reference, evaluate
+
+    def scores(row) -> str:
+        return f"{row.acc_vs_rnn!r} {row.acc_vs_gold!r} {row.prefix_vs_rnn!r}"
+
+    config = ExperimentConfig(n_eval=100, extraction=ExtractionConfig(n_strings=100))
+    ext, k = config.extraction, config.kmeans_k
+    lines = []
+    for language, model in fixture_models().items():
+        eval_set = eval_set_for(language, config)
+        reference = eval_reference(model, eval_set)
+        trees = {seed: build_prefix_tree(
+                     model, extraction_strings(language, ext.n_strings, ext.string_len, seed))
+                 for seed in GOLDEN_SEEDS}
+        lines.append(f"eval_set {language} {sha(save_dataset(eval_set, language, 999))}")
+        # Labelled by the next language, so that the accuracies fall short of 1.
+        other = language % 7 + 1
+        balanced = sample_balanced(other, 20, 200, np.random.default_rng([language, 7]))
+        accuracy, string_accuracy = evaluate(model, balanced)
+        lines.append(f"evaluate {language} {sha(save_dataset(balanced, other, 7))} "
+                     f"{accuracy!r} {string_accuracy!r}")
+        for kappa, seed in itertools.product(GOLDEN_KAPPAS, GOLDEN_SEEDS):
+            row, report = run_extraction(language, seed, 0, trees[seed], kappa, reference)
+            lines.append(f"state_merging {language} {kappa} {seed} "
+                         f"{sha(save_dfa(report.final))} {','.join(map(str, report.sizes))} "
+                         f"{len(report.determinized.states)} {report.train_fidelity!r} "
+                         f"{scores(row)}")
+        for seed in GOLDEN_SEEDS:
+            row, dfa = run_kmeans_baseline(language, seed, 0, trees[seed], k, reference)
+            lines.append(f"kmeans {language} {k} {seed} {sha(save_dfa(dfa))} "
+                         f"{len(dfa.states)} {scores(row)}")
+    for language in range(1, 8):
+        training = TrainingConfig(language, **TRAIN_SIZES)
+        with tempfile.TemporaryDirectory() as cache:
+            _, metrics = ensure_trained(training, Path(cache))
+            run = hashlib.sha256()
+            for path in sorted(run_dir(training, Path(cache)).iterdir()):
+                data = path.read_bytes()
+                run.update(f"{path.name}\n{len(data)}\n".encode() + data)
+        lines.append(f"train {language} {run.hexdigest()} {metrics[-1].train_loss!r} "
+                     f"{metrics[-1].dev_accuracy!r}")
+    return lines
+
+
 def battery(quick: bool) -> list[str]:
-    """The battery's lines for the statemerge package on the path."""
-    return kmeans_battery(quick) + sampler_battery(quick) + prefix_battery(quick)
+    """The battery's lines for the statemerge package on the path.  The golden
+    part has no quick variant."""
+    return (kmeans_battery(quick) + sampler_battery(quick) + prefix_battery(quick)
+            + golden_battery())
 
 
 def differences(base: list[str], change: list[str], base_name: str,

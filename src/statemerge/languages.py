@@ -108,8 +108,9 @@ class _WordReader:
     window holds the words (raw), their byte swaps (swapped) and top bits
     (tops); pos indexes its next word, done counts the words handed out
     before it.  On exit the reader restores the entry state and draws again
-    exactly the words handed out, so the generator ends where drawing them
-    one by one leaves it, buffered state included (PCG64's buffered half)."""
+    exactly the words handed out, BLOCK at a time, so the generator ends where
+    drawing them one by one leaves it, buffered state included (PCG64's
+    buffered half)."""
     BLOCK = 1024
 
     def __init__(self, rng: np.random.Generator):
@@ -125,7 +126,10 @@ class _WordReader:
 
     def __exit__(self, *exc_info: object) -> None:
         self.rng.bit_generator.state = self.entry
-        self.rng.integers(0, 2**32, size=self.done + self.pos, dtype=np.uint32)
+        handed_out = self.done + self.pos
+        for start in range(0, handed_out, self.BLOCK):
+            self.rng.integers(0, 2**32, size=min(self.BLOCK, handed_out - start),
+                              dtype=np.uint32)
 
     def refill(self, n: int) -> None:
         """Drop the window's words before pos and fetch a block, or n words if
@@ -236,8 +240,12 @@ def sample_balanced(language: int, length: int, count: int,
         logger.warning(
             "Tomita %d has no strings of length %d; sampling the positive half uniformly",
             language, length)
-    strings = [row.tobytes() for row in rng.integers(
-        0, len(ALPHABET), size=(count - n_positive * feasible, length)).astype(np.uint8)]
+    # rng.integers(0, 2, size) is the top bit of the same uint32 draw.
+    uniform = rng.integers(0, 2**32, size=(count - n_positive * feasible, length),
+                           dtype=np.uint32)
+    uniform >>= 31
+    strings = [row.tobytes() for row in uniform.astype(np.uint8)]
+    del uniform
     if feasible:
         steps = _walk_steps(table, counts)
         with _WordReader(rng) as words:

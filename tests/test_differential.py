@@ -1,8 +1,10 @@
 """scripts/differential.py: its battery is deterministic, so any difference
 between two revisions is the program's, and the diff names the lines that
-differ.  Runs the quick battery in this process, without git."""
+differ.  Runs the quick battery, its golden part included, in this process,
+without git."""
 
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -20,9 +22,16 @@ def test_quick_battery_is_deterministic():
     # k-means: 7 fixture trees at k = 2 and 20, and 50 point sets.  Samplers:
     # 7 languages on four bit generators, each entered fresh and after one
     # draw, 3 balanced sets and 2 eval sets each.  Prefix numbering: 7
-    # fixture trees and 7 eval references.
-    assert len(first) == 7 * 2 + 50 + 4 * 2 * 7 * 5 + 7 + 7
+    # fixture trees and 7 eval references.  Golden, in full: per language an
+    # eval set, an evaluate, state merging at 2 kappas and k-means on 3 seeds,
+    # and a training run.
+    assert len(first) == 7 * 2 + 50 + 4 * 2 * 7 * 5 + 7 + 7 + 7 * (1 + 1 + 2 * 3 + 3 + 1) == 442
     assert sum(line.startswith("kmeans tomita") for line in first) == 7 * 2
+    assert sum(line.startswith("eval_set ") for line in first) == 7
+    assert sum(line.startswith("evaluate ") for line in first) == 7
+    assert sum(line.startswith("state_merging ") for line in first) == 7 * 2 * 3
+    assert sum(re.match(r"kmeans \d", line) is not None for line in first) == 7 * 3
+    assert sum(line.startswith("train ") for line in first) == 7
     assert sum(line.startswith("prefix_tree tomita") for line in first) == 7
     assert sum(line.startswith("eval_reference tomita") for line in first) == 7
     assert sum(line.startswith("sample_balanced(") for line in first) == 4 * 2 * 7 * 3

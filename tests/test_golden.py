@@ -6,9 +6,11 @@ at kappa 0.01 and 0.4 and k-means at k = 20 (100 extraction strings, seeds
 0-2), and rnn.evaluate on a fixed balanced set.  Training is pinned by one
 tiny harness.ensure_trained run per language: the sha256 of its run
 directory, its final loss and its final dev accuracy.  Floats are pinned by
-repr, so a difference in the last bit fails.  scripts/pin_golden.py computes
-them in a child process with one BLAS thread, and rewrites the file when run
-without arguments; do that only for a change meant to change these outputs.
+repr, so a difference in the last bit fails.  The lines are the golden part
+of scripts/differential.py's battery (golden_battery); scripts/pin_golden.py
+prints them in a child process with one BLAS thread, and rewrites the file
+when run without arguments; do that only for a change meant to change these
+outputs.
 """
 
 import os
@@ -38,4 +40,5 @@ def test_outputs_match_golden_file():
     differ = [f"- {e}\n+ {a}" for e, a in zip(expected, actual) if e != a]
     assert len(actual) == len(expected) and not differ, (
         f"{len(differ)} of {len(expected)} golden lines differ; pinned on {pinned_on}, "
-        f"running on {running_on}\n" + "\n".join(differ[:10]))
+        f"running on {running_on}; python scripts/differential.py HEAD shows the wider "
+        "diff against the last commit\n" + "\n".join(differ[:10]))

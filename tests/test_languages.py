@@ -1,6 +1,7 @@
 import copy
 import logging
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -291,6 +292,32 @@ class TestMt19937Reader(WordReaderChecks):
 
 class TestSfc64Reader(WordReaderChecks):
     bit_generator = np.random.SFC64
+
+
+def test_exit_redraws_a_block_at_a_time():
+    # About 2**20 words handed out, 4 MiB as one draw: the exit redraws them
+    # BLOCK at a time, and the generator ends where one draw of them all, from
+    # the same entry, leaves it.  Each generator enters after one uint32 draw,
+    # holding a buffered half where it has one, and an odd count leaves one.
+    n_words = 2**20 + 3
+    for bit_generator in (np.random.PCG64, np.random.Philox, np.random.MT19937,
+                          np.random.SFC64):
+        rng, reference = (np.random.Generator(bit_generator(0)) for _ in range(2))
+        for generator in (rng, reference):
+            generator.integers(2**32, dtype=np.uint32)
+        words = languages._WordReader(rng)
+        for _ in range(n_words // words.BLOCK):
+            words.take(words.BLOCK)
+        words.take(n_words % words.BLOCK)
+        tracemalloc.start()
+        try:
+            words.__exit__(None, None, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        reference.integers(2**32, size=n_words, dtype=np.uint32)
+        assert_same_generator(rng, reference)
 
 
 def test_eval_length_draw_rejects_as_numpy_does():
