@@ -13,7 +13,7 @@ differs.  Every output is one canonical text line.  The script prints the
 first differing lines and exits 1 on any difference, 0 when the outputs are
 equal and 2 when a checkout or a battery fails.
 
-The battery has four parts so far.  k-means: ``kmeans.kmeans`` on the
+The battery has five parts so far.  k-means: ``kmeans.kmeans`` on the
 prefix trees of the fixture models (Tomita 1-7, seeds 0-5, 30, 100 and 300
 extraction strings of length 10, k = 2, 5 and 20) and on 600 sets of tied
 and duplicated points; each line holds digests of the assignments and of the
@@ -37,7 +37,13 @@ tokens, levels, visits, labels and feature bits; and ``rnn.eval_reference``
 and ``rnn.evaluate`` on each language's eval set at ``n_eval`` 100 and 1,000,
 one line of digests of the reference's prefix arrays, decisions, stored
 labels and ends, and the two accuracies.  ``--quick`` keeps seed 0, 30
-strings and ``n_eval`` 100.  Golden: the lines tests/golden.txt pins, which
+strings and ``n_eval`` 100.  Merging: ``extraction._lowest_matches`` and
+``extraction.merge_all`` at kappa 0.5, 0.4 and 0.01 on the fixture models'
+prefix trees (Tomita 1-7; seeds 0-2 with 30, 100 and 300 strings of length
+10, and seed 0 with 50, 150 and 500 strings of length 15), one line of
+digests of the map of lowest matches and of the merged NFA's canonical text.
+``--quick`` keeps seed 0 with 30 strings of length 10 and 150 of length 15.
+Golden: the lines tests/golden.txt pins, which
 scripts/pin_golden.py writes (eval sets, ``rnn.evaluate``,
 ``harness.run_extraction`` at kappa 0.01 and 0.4 and
 ``harness.run_kmeans_baseline`` at k = 20 on 100 strings, seeds 0-2, and one
@@ -213,6 +219,37 @@ def prefix_battery(quick: bool) -> list[str]:
     return lines
 
 
+def nfa_text(nfa) -> str:
+    """An automata.Nfa as canonical text: sorted states, the initial state,
+    sorted accepting states and sorted transitions."""
+    edges = (f"{src} {token} {dst}" for (src, token), dsts in sorted(nfa.transitions.items())
+             for dst in sorted(dsts))
+    return "\n".join([f"states {sorted(nfa.states)}", f"initial {nfa.initial}",
+                      f"accepting {sorted(nfa.accepting)}", *edges]) + "\n"
+
+
+def merge_battery(quick: bool) -> list[str]:
+    """The state-merging lines for the statemerge package on the path."""
+    from statemerge.extraction import _lowest_matches, build_prefix_tree, merge_all
+    from statemerge.harness import extraction_strings
+
+    if quick:
+        shapes = [(0, 30, 10), (0, 150, 15)]
+    else:  # (seed, strings, length): the golden sizes, the benchmark's sweep, the CLI grid's top
+        shapes = [(seed, size, 10) for seed in range(3) for size in (30, 100, 300)]
+        shapes += [(0, size, 15) for size in (50, 150, 500)]
+    lines = []
+    for language, model in fixture_models().items():
+        for seed, size, length in shapes:
+            tree = build_prefix_tree(model, extraction_strings(language, size, length, seed))
+            for kappa in (0.5, 0.4, 0.01):
+                lowest = _lowest_matches(tree, kappa).astype(np.int64)
+                lines.append(f"merge tomita{language} strings={size}x{length} seed={seed}"
+                             f" kappa={kappa} lowest={digest(lowest)}"
+                             f" nfa={sha(nfa_text(merge_all(tree, kappa)))[:16]}")
+    return lines
+
+
 def golden_battery() -> list[str]:
     """The lines tests/golden.txt pins, for the statemerge package on the path:
     per language one eval set and reference, one rnn.evaluate on a balanced
@@ -273,7 +310,7 @@ def battery(quick: bool) -> list[str]:
     """The battery's lines for the statemerge package on the path.  The golden
     part has no quick variant."""
     return (kmeans_battery(quick) + sampler_battery(quick) + prefix_battery(quick)
-            + golden_battery())
+            + merge_battery(quick) + golden_battery())
 
 
 def differences(base: list[str], change: list[str], base_name: str,

@@ -15,7 +15,7 @@ from .rnn import Prefixes, RnnModel, _accepts, _head_probs, _step, number_prefix
 
 logger = logging.getLogger(__name__)
 
-# Similarity entries per row block of merge_all (float64, about 0.5 MB).
+# Similarity entries per product in merge_all's search (float64, about 0.5 MB).
 CELLS = 1 << 16
 
 
@@ -73,11 +73,15 @@ def merge_all(tree: PrefixTree, kappa: float) -> Nfa:
 def _lowest_matches(tree: PrefixTree, kappa: float) -> np.ndarray:
     """rep[i], the lowest j < i with i's label and cos(i, j) > 1 - kappa, else i.
 
-    Only states of one label can match, so the unit rows are laid out sorted
-    by label, stably, and each label's contiguous slice is compared with
-    itself by blocked matrix products over its lower triangle.  Within a
-    slice the ids ascend, so the lowest match in the slice is the lowest
-    same-label match overall."""
+    Only states of one label match, so the unit rows are sorted by label,
+    stably, and each label's slice, ids ascending, is searched alone.  Its
+    rows go in blocks of sqrt(CELLS), whose unmatched rows meet column blocks
+    that ascend from the slice's first id, doubling in width from 1/8 of the
+    row block, each product capped at CELLS entries.  A row leaves at its
+    first block with a match, whose first True is its lowest match, or when
+    the columns reach its own id: little work when states match early, the
+    whole triangle when none do.  BLAS may round a dot product differently in
+    another block shape; scripts/differential.py and the tests check the maps."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie strictly between 0 and 1")
     order = np.argsort(tree.labels, kind="stable")
@@ -91,14 +95,20 @@ def _lowest_matches(tree: PrefixTree, kappa: float) -> np.ndarray:
     threshold = 1.0 - kappa
     lowest = np.arange(tree.n_states)  # positions in the sorted layout
     split = int(np.count_nonzero(~tree.labels))
+    rows = int(CELLS ** 0.5)
     for lo, hi in ((0, split), (split, tree.n_states)):
-        rows = max(1, CELLS // max(1, hi - lo))
         for start in range(lo, hi, rows):
-            stop = min(start + rows, hi)
-            match = unit[start:stop] @ unit[lo:stop].T > threshold
-            match &= np.tri(stop - start, stop - lo, start - lo - 1, dtype=bool)  # j < i
-            found = np.flatnonzero(match.any(axis=1))
-            lowest[start + found] = lo + match[found].argmax(axis=1)
+            pending = np.arange(max(start, lo + 1), min(start + rows, hi))  # lo has no j < lo
+            first, width = lo, max(1, rows // 8)
+            while pending.size:
+                stop = min(first + min(width, CELLS // pending.size), int(pending[-1]))
+                match = unit[pending] @ unit[first:stop].T > threshold
+                if stop > pending[0]:
+                    match &= np.arange(first, stop) < pending[:, None]  # j < i
+                hit = match.any(axis=1)
+                lowest[pending[hit]] = first + match[hit].argmax(axis=1)
+                pending = pending[~hit & (pending > stop)]
+                first, width = stop, 2 * width
     rep = np.empty_like(lowest)
     rep[order] = order[lowest]
     return rep

@@ -22,10 +22,11 @@ def test_quick_battery_is_deterministic():
     # k-means: 7 fixture trees at k = 2 and 20, and 50 point sets.  Samplers:
     # 7 languages on four bit generators, each entered fresh and after one
     # draw, 3 balanced sets and 2 eval sets each.  Prefix numbering: 7
-    # fixture trees and 7 eval references.  Golden, in full: per language an
-    # eval set, an evaluate, state merging at 2 kappas and k-means on 3 seeds,
-    # and a training run.
-    assert len(first) == 7 * 2 + 50 + 4 * 2 * 7 * 5 + 7 + 7 + 7 * (1 + 1 + 2 * 3 + 3 + 1) == 442
+    # fixture trees and 7 eval references.  Merging: 7 languages, 2 trees, 3
+    # kappas.  Golden, in full: per language an eval set, an evaluate, state
+    # merging at 2 kappas and k-means on 3 seeds, and a training run.
+    assert len(first) == (7 * 2 + 50 + 4 * 2 * 7 * 5 + 7 + 7 + 7 * 2 * 3
+                          + 7 * (1 + 1 + 2 * 3 + 3 + 1)) == 484
     assert sum(line.startswith("kmeans tomita") for line in first) == 7 * 2
     assert sum(line.startswith("eval_set ") for line in first) == 7
     assert sum(line.startswith("evaluate ") for line in first) == 7
@@ -34,6 +35,8 @@ def test_quick_battery_is_deterministic():
     assert sum(line.startswith("train ") for line in first) == 7
     assert sum(line.startswith("prefix_tree tomita") for line in first) == 7
     assert sum(line.startswith("eval_reference tomita") for line in first) == 7
+    assert sum(line.startswith("merge tomita") for line in first) == 7 * 2 * 3
+    assert sum(" strings=150x15 " in line for line in first) == 7 * 3
     assert sum(line.startswith("sample_balanced(") for line in first) == 4 * 2 * 7 * 3
     assert sum(line.startswith("sample_eval_set(") for line in first) == 4 * 2 * 7 * 2
     for name in ("PCG64", "Philox", "MT19937", "SFC64"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -357,6 +359,62 @@ class TestLabelClasses:
             lowest, expected = all_pairs_merge(tree, kappa)
             assert extraction._lowest_matches(tree, kappa).tolist() == lowest.tolist()
             assert merge_all(tree, kappa) == expected
+
+
+def seam_tree():
+    """One label on a 600-state chain.  States 0-299 are the rows of a random
+    orthogonal matrix and state i >= 300 a multiple of state i - 300's row,
+    so each later state's only match lies 300 ids back: past the first column
+    block, and for the states of a later row block in an earlier one."""
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(300, 300)))
+    return toy_tree([True] * 600, np.concatenate([q, q * np.linspace(0.5, 2.0, 300)[:, None]]))
+
+
+def no_match_tree():
+    """One label on a 4,000-state chain of Gaussian rows in 16 dimensions: at
+    kappa 0.001 no two are within the 2.6 degrees a match needs."""
+    return toy_tree([True] * 4000, np.random.default_rng(5).normal(size=(4000, 16)))
+
+
+class TestLowestMatchScan:
+    """_lowest_matches stops each row at its first column block with a match;
+    it must find the same lowest match as the all-pairs oracle."""
+
+    @staticmethod
+    def assert_matches_oracle(tree, kappa):
+        lowest, expected = all_pairs_merge(tree, kappa)
+        assert extraction._lowest_matches(tree, kappa).tolist() == lowest.tolist()
+        assert merge_all(tree, kappa) == expected
+        return lowest
+
+    @pytest.mark.parametrize("language", range(1, 8))
+    def test_fixture_models(self, language):
+        samples = extraction_strings(language, 150, 15, 0)
+        tree = build_prefix_tree(fixture_model(language), samples)
+        for kappa in (0.01, 0.4):
+            self.assert_matches_oracle(tree, kappa)
+
+    @pytest.mark.parametrize("cells", [extraction.CELLS, 256, 1])
+    def test_matches_past_the_first_column_block(self, cells, monkeypatch):
+        monkeypatch.setattr(extraction, "CELLS", cells)
+        lowest = self.assert_matches_oracle(seam_tree(), 0.01)
+        assert lowest.tolist() == list(range(300)) * 2
+
+    def test_no_match(self):
+        tree = no_match_tree()
+        assert self.assert_matches_oracle(tree, 0.001).tolist() == list(range(tree.n_states))
+
+    def test_peak_memory_within_cells(self):
+        # The unit rows plus a few products of CELLS entries.  A column block
+        # wider than CELLS allows, over 256 rows, overshoots about twofold.
+        tree = no_match_tree()
+        tracemalloc.start()
+        try:
+            extraction._lowest_matches(tree, 0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tree.features.nbytes + 4 * extraction.CELLS * 8
 
 
 class TestMergeAll:
