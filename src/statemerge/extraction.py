@@ -11,7 +11,7 @@ import numpy as np
 
 from .automata import Dfa, Nfa, determinize, minimize, successor_table
 from .languages import Samples
-from .rnn import Prefixes, RnnModel, _accepts, _head_probs, _step, number_prefixes
+from .rnn import Prefixes, RnnModel, _accepts, _head_probs, level_states, number_prefixes
 
 logger = logging.getLogger(__name__)
 
@@ -28,17 +28,13 @@ class PrefixTree(Prefixes):
 
 def build_prefix_tree(model: RnnModel, samples: Samples) -> PrefixTree:
     """The states are the distinct prefixes of the samples' strings, numbered
-    by number_prefixes; their stored labels are not read.  A prefix's hidden
-    state is one recurrence step from its parent's, h(p a) = step(h(p), a), so
-    each distinct prefix is computed once, one step per level, and one head
-    call labels all states.  A state's features can differ in the last place
-    from a per-string forward pass, whose batches hold other rows."""
+    by number_prefixes; their stored labels are not read.  Each distinct
+    prefix's hidden state is computed once, h(p a) = step(h(p), a), by
+    level_states, and one head call labels all states."""
     parents, tokens, levels, visits = number_prefixes(model, samples)
     features = np.empty((len(parents), model.hidden_dim))
-    h, above = np.zeros((1, model.hidden_dim)), 0  # the root's parent: the zero state
-    for lo, hi in zip(levels[:-1].tolist(), levels[1:].tolist()):
-        h = features[lo:hi] = _step(model.params, h[parents[lo:hi] - above], tokens[lo:hi])
-        above = lo
+    for lo, hi, h in level_states(model, parents, tokens, levels):
+        features[lo:hi] = h
     labels = _accepts(_head_probs(model.params, features))
     return PrefixTree(model.alphabet, parents, tokens, levels, visits, labels, features)
 
@@ -55,19 +51,23 @@ def merge_all(tree: PrefixTree, kappa: float) -> Nfa:
     and 1 - kappa > 0, so it never matches.  The merged machine is the tree
     with every state replaced by the end of its representative chain, as in
     RPNI's quotient of the prefix-tree acceptor; merging may therefore create
-    self-loops and nondeterminism.
+    self-loops and nondeterminism.  Its edges are the distinct codes
+    (rep[parent] * |alphabet| + token) * n_states + rep[child] of the tree's.
     """
     rep = _lowest_matches(tree, kappa)
     # rep[i] <= i, so the chains descend; pointer jumping reaches their ends.
     while not np.array_equal(rep[rep], rep):
         rep = rep[rep]
+    n, sigma = tree.n_states, len(tree.alphabet)
+    # Sorted, then the distinct ones: np.unique would import numpy.ma, 0.7 MB of peak memory.
+    codes = np.sort((rep[tree.parents[1:]] * sigma + tree.tokens[1:]) * n + rep[1:])
+    edges, dsts = np.divmod(codes[np.diff(codes, prepend=-1) > 0], n)
     transitions: dict[tuple[int, str], set[int]] = {}
-    for src, token, dst in zip(rep[tree.parents[1:]].tolist(), tree.tokens[1:].tolist(),
-                               rep[1:].tolist()):
-        transitions.setdefault((src, tree.alphabet[token]), set()).add(dst)
-    states = set(np.flatnonzero(rep == np.arange(tree.n_states)).tolist())
-    return Nfa(tree.alphabet, states, int(rep[0]), transitions,
-               {q for q in states if tree.labels[q]})
+    for edge, dst in zip(edges.tolist(), dsts.tolist()):
+        transitions.setdefault((edge // sigma, tree.alphabet[edge % sigma]), set()).add(dst)
+    states = rep == np.arange(n)
+    return Nfa(tree.alphabet, set(np.flatnonzero(states).tolist()), int(rep[0]), transitions,
+               set(np.flatnonzero(states & tree.labels).tolist()))
 
 
 def _lowest_matches(tree: PrefixTree, kappa: float) -> np.ndarray:

@@ -3,6 +3,7 @@ labels, and seeded samplers for training and evaluation data."""
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -14,6 +15,8 @@ logger = logging.getLogger(__name__)
 
 ALPHABET: tuple[str, ...] = ("a", "b")
 LANGUAGE_IDS = tuple(range(1, 8))
+# The samplers' tables: built once per (language, length), shared, hence tuples.
+Table = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,8 @@ def gold_dfa(language: int) -> Dfa:
     raise ValueError(f"unknown Tomita language id {language}; expected 1-7")
 
 
-def _accepting_counts(language: int, max_len: int) -> tuple[list[list[int]], list[list[int]]]:
+@functools.lru_cache(maxsize=256)
+def _accepting_counts(language: int, max_len: int) -> tuple[Table, Table]:
     """The gold machine's successor_table (row 0 is the initial state, the
     last row the sink) and counts[r][row] = number of length-r strings accepted
     from that row, for every r <= max_len; the sink row counts 0, and counts[0]
@@ -93,11 +97,11 @@ def _accepting_counts(language: int, max_len: int) -> tuple[list[list[int]], lis
         raise ValueError(f"length must be nonnegative, got {max_len}")
     dfa = gold_dfa(language)
     states, table = successor_table(dfa, ALPHABET)
-    counts = [[int(q in dfa.accepting) for q in states] + [0]]
+    counts = [tuple(int(q in dfa.accepting) for q in states) + (0,)]
     for _ in range(max_len):
         shorter = counts[-1]
-        counts.append([sum(shorter[dst] for dst in row) for row in table])
-    return table, counts
+        counts.append(tuple(sum(shorter[dst] for dst in row) for row in table))
+    return tuple(map(tuple, table)), tuple(counts)
 
 
 class _WordReader:
@@ -158,8 +162,8 @@ class _WordReader:
         return self.tops[i:i + n]
 
 
-def _walk_steps(table: list[list[int]],
-                counts: list[list[int]]) -> list[list[tuple[int, ...]]]:
+@functools.lru_cache(maxsize=256)
+def _walk_steps(table: Table, counts: Table) -> tuple[Table, ...]:
     """steps[r][row] for the positive walk with r tokens to go from row: the
     bound counts[r][row]; the words one draw below it reads and the shift that
     keeps the bound's bit length of them; the first successor's count of
@@ -171,10 +175,10 @@ def _walk_steps(table: list[list[int]],
             k = bound.bit_length()
             n_words = (k + 31) // 32
             steps[-1].append((bound, n_words, 32 * n_words - k, shorter[first], first, second))
-    return steps
+    return tuple(map(tuple, steps))
 
 
-def _walk(words: _WordReader, steps: list[list[tuple[int, ...]]], length: int) -> bytearray:
+def _walk(words: _WordReader, steps: tuple[Table, ...], length: int) -> bytearray:
     """A uniform in-language string of the given length (which must have one),
     as alphabet indices.  Each step draws pick uniform below its row's bound:
     the top bit_length(bound) bits of the next words' big-endian bytes (the
@@ -206,7 +210,7 @@ def _walk(words: _WordReader, steps: list[list[tuple[int, ...]]], length: int) -
     return out
 
 
-def _labeled(table: list[list[int]], accepting: list[int], strings: list[bytes]) -> Samples:
+def _labeled(table: Table, accepting: tuple[int, ...], strings: list[bytes]) -> Samples:
     """The strings of alphabet indices with the verdict of every prefix: one
     walk through the table's rows, level by level over all strings at once,
     padded with token len(ALPHABET), on which every row stays put."""
@@ -215,7 +219,7 @@ def _labeled(table: list[list[int]], accepting: list[int], strings: list[bytes])
     pad = bytes([len(ALPHABET)])
     tokens = np.frombuffer(b"".join(s.ljust(width, pad) for s in strings),
                            dtype=np.uint8).reshape(len(strings), width)
-    successors = np.array([row + [i] for i, row in enumerate(table)])
+    successors = np.array([(*row, i) for i, row in enumerate(table)])
     verdicts = np.array(accepting, dtype=bool)
     rows = np.zeros(len(strings), dtype=np.intp)
     y = np.empty((len(strings), width + 1), dtype=bool)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,28 +240,41 @@ def number_prefixes(model: RnnModel, samples: Samples
     numbered in BFS order from the root, state 0, with children in alphabet
     order; visits counts a duplicate string once per occurrence.  The root is
     its own parent and is reached on bos, so every state's hidden vector is
-    one _step from its parent's, the root's from zero.  Level t's states are
-    the distinct codes parent * |alphabet| + token over the strings still
-    running at step t; the parents are already in BFS order, so the sorted
-    codes number the level."""
+    one _step from its parent's, the root's from zero.  One lexicographic sort
+    of the rows as the model reads them, bos first and as padding, numbers
+    every level: sorted row r's prefix of length t is a new state when t
+    exceeds its strings' common-prefix length with row r - 1 and lies inside
+    r, and a level's states in sorted row order are in BFS order."""
     if not len(samples):
         raise ValueError("need at least one string")
     sigma, ids, inside = len(model.alphabet), samples.tokens, samples.inside
     if np.any(ids[inside[:, 1:]] >= sigma):
         raise ValueError(f"token ids must lie below the alphabet size {sigma}")
-    reached = np.zeros(inside.shape, dtype=np.intp)  # the root, 0, at position 0
-    codes = [np.zeros(1, dtype=np.intp)]  # per level, its states' codes in ascending order
-    levels = [0, 1]
-    for t in range(1, inside.shape[1]):
-        rows = np.flatnonzero(inside[:, t])
-        level, inverse = np.unique(reached[rows, t - 1] * sigma + ids[rows, t - 1],
-                                   return_inverse=True)
-        reached[rows, t] = levels[-1] + inverse
-        codes.append(level)
-        levels.append(levels[-1] + len(level))
-    parents, tokens = np.divmod(np.concatenate(codes), sigma)
-    tokens[0] = model.bos
-    return parents, tokens, np.array(levels), reached[inside]
+    key = np.where(inside, np.pad(ids, ((0, 0), (1, 0)), constant_values=model.bos), model.bos)
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    lcp = np.full(len(key), -1)  # row 0 shares no prefix, not even the root
+    lcp[1:] = np.logical_and.accumulate(key[1:] == key[:-1], axis=1).sum(axis=1) - 1
+    t = np.arange(key.shape[1])
+    opens = (t > lcp[:, None]) & (t <= samples.lengths[order, None])
+    levels = np.concatenate(([0], np.cumsum(np.count_nonzero(opens, axis=0))))
+    reached = np.cumsum(opens, axis=0) + (levels[:-1] - 1)  # each level's running count
+    steps, rows = np.nonzero(opens.T)  # the states in BFS order; the root is its own parent
+    parents, tokens = reached[rows, np.maximum(steps - 1, 0)], key[rows, steps].astype(np.intp)
+    reached[order] = reached.copy()
+    return parents, tokens, levels, reached[inside]
+
+
+def level_states(model: RnnModel, parents: np.ndarray, tokens: np.ndarray,
+                 levels: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(lo, hi, h) per level of number_prefixes's numbering: h holds the hidden
+    states of states lo:hi, one _step batch from their parents'.  A state's
+    bits can differ in the last place from a batch that holds other rows."""
+    h, above = np.zeros((1, model.hidden_dim)), 0  # the root's parent: the zero state
+    for lo, hi in zip(levels[:-1].tolist(), levels[1:].tolist()):
+        h = _step(model.params, h[parents[lo:hi] - above], tokens[lo:hi])
+        yield lo, hi, h
+        above = lo
 
 
 @dataclass(frozen=True)
@@ -275,17 +289,11 @@ class EvalReference:
 
 def eval_reference(model: RnnModel, samples: Samples) -> EvalReference:
     """Built once per (model, sample set), and then scored against any number of
-    machines.  One _step per level of the samples' prefixes, keeping only that
-    level's hidden states and the decisions: a state's hidden bits can differ
-    from a per-length batch's in the last place, and the decisions were checked
-    equal."""
+    machines.  Keeps the decisions of each level_states level, not its states."""
     parents, tokens, levels, visits = number_prefixes(model, samples)
     decisions = np.empty(len(parents), dtype=bool)
-    h, above = np.zeros((1, model.hidden_dim)), 0  # the root's parent: the zero state
-    for lo, hi in zip(levels[:-1].tolist(), levels[1:].tolist()):
-        h = _step(model.params, h[parents[lo:hi] - above], tokens[lo:hi])
+    for lo, hi, h in level_states(model, parents, tokens, levels):
         decisions[lo:hi] = _accepts(_head_probs(model.params, h))
-        above = lo
     prefixes = Prefixes(model.alphabet, parents, tokens, levels, visits, decisions)
     return EvalReference(prefixes, samples.labels[samples.inside],
                          np.cumsum(samples.lengths + 1) - 1)

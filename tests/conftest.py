@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from statemerge.automata import Dfa, Nfa, prefix_decisions, successor_table
+from statemerge import extraction
 from statemerge.extraction import PrefixTree
 from statemerge.harness import FidelityResult
 from statemerge.languages import ALPHABET, Samples, _accepting_counts, gold_dfa
@@ -324,6 +325,66 @@ def edges_of(prefixes):
     """The (parent, token) -> state dict of a Prefixes or PrefixTree."""
     return {(parent, prefixes.alphabet[token]): q for q, (parent, token) in
             enumerate(zip(prefixes.parents.tolist(), prefixes.tokens.tolist())) if q}
+
+
+def per_level_number_prefixes(model, samples):
+    """Oracle: the earlier rnn.number_prefixes, verbatim.
+    (parents, tokens, levels, visits) of the distinct prefixes of the
+    samples' strings (see Prefixes), whose tokens are the model's token ids,
+    numbered in BFS order from the root, state 0, with children in alphabet
+    order; visits counts a duplicate string once per occurrence.  The root is
+    its own parent and is reached on bos, so every state's hidden vector is
+    one _step from its parent's, the root's from zero.  Level t's states are
+    the distinct codes parent * |alphabet| + token over the strings still
+    running at step t; the parents are already in BFS order, so the sorted
+    codes number the level."""
+    if not len(samples):
+        raise ValueError("need at least one string")
+    sigma, ids, inside = len(model.alphabet), samples.tokens, samples.inside
+    if np.any(ids[inside[:, 1:]] >= sigma):
+        raise ValueError(f"token ids must lie below the alphabet size {sigma}")
+    reached = np.zeros(inside.shape, dtype=np.intp)  # the root, 0, at position 0
+    codes = [np.zeros(1, dtype=np.intp)]  # per level, its states' codes in ascending order
+    levels = [0, 1]
+    for t in range(1, inside.shape[1]):
+        rows = np.flatnonzero(inside[:, t])
+        level, inverse = np.unique(reached[rows, t - 1] * sigma + ids[rows, t - 1],
+                                   return_inverse=True)
+        reached[rows, t] = levels[-1] + inverse
+        codes.append(level)
+        levels.append(levels[-1] + len(level))
+    parents, tokens = np.divmod(np.concatenate(codes), sigma)
+    tokens[0] = model.bos
+    return parents, tokens, np.array(levels), reached[inside]
+
+
+def per_edge_merge_all(tree, kappa):
+    """Oracle: the earlier extraction.merge_all, verbatim but for reaching
+    _lowest_matches through its module.
+    Quotient of the prefix tree by a representative map.
+
+    rep[i] is the lowest j < i with labels[j] == labels[i] and
+    cos(i, j) > 1 - kappa, or i when no such j exists.  This is the scan that
+    visits BFS ids descending and folds each state into its lowest alive
+    match: every lower id is still alive when q_i is visited, and an alive
+    higher id q_k never matches q_i, since q_k saw q_i as a live candidate and
+    would have been folded.  A zero-norm feature has cosine 0 with every row
+    and 1 - kappa > 0, so it never matches.  The merged machine is the tree
+    with every state replaced by the end of its representative chain, as in
+    RPNI's quotient of the prefix-tree acceptor; merging may therefore create
+    self-loops and nondeterminism.
+    """
+    rep = extraction._lowest_matches(tree, kappa)
+    # rep[i] <= i, so the chains descend; pointer jumping reaches their ends.
+    while not np.array_equal(rep[rep], rep):
+        rep = rep[rep]
+    transitions: dict[tuple[int, str], set[int]] = {}
+    for src, token, dst in zip(rep[tree.parents[1:]].tolist(), tree.tokens[1:].tolist(),
+                               rep[1:].tolist()):
+        transitions.setdefault((src, tree.alphabet[token]), set()).add(dst)
+    states = set(np.flatnonzero(rep == np.arange(tree.n_states)).tolist())
+    return Nfa(tree.alphabet, states, int(rep[0]), transitions,
+               {q for q in states if tree.labels[q]})
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from statemerge.languages import ALPHABET, Samples, gold_dfa
 from statemerge.rnn import forward, init_model
 
 from conftest import (as_samples, edges_of, edges_train_set_fidelity, fixture_model, pairs,
-                      random_dfa, string_keyed_prefix_tree, trie)
+                      per_edge_merge_all, random_dfa, string_keyed_prefix_tree, trie)
 
 
 def small_model(seed=0):
@@ -77,7 +77,7 @@ class TestBuildPrefixTree:
         def refuse(*args):
             raise AssertionError("build_prefix_tree called forward")
 
-        monkeypatch.setattr(extraction, "_step", counted)
+        monkeypatch.setattr(rnn, "_step", counted)
         monkeypatch.setattr(rnn, "forward", refuse)
         tree = build_prefix_tree(m, as_samples(strings))
         assert_same_tree(tree, expected)
@@ -330,6 +330,34 @@ class TestMergeReference:
             lowest, expected = all_pairs_merge(tree, kappa)
             assert extraction._lowest_matches(tree, kappa).tolist() == lowest.tolist()
             assert merged == expected
+
+
+class TestQuotient:
+    """merge_all's quotient from the distinct edge codes against the earlier
+    loop over every tree edge: the same machine, of plain ints."""
+
+    @staticmethod
+    def assert_same_quotient(tree, kappa):
+        merged = merge_all(tree, kappa)
+        assert merged == per_edge_merge_all(tree, kappa)
+        ids = [merged.initial, *merged.states, *merged.accepting]
+        ids += [q for (src, _), dsts in merged.transitions.items() for q in (src, *dsts)]
+        assert all(type(q) is int for q in ids)
+
+    def test_random_trees(self, rng):
+        # About a tenth of random_tree's rows are zero, which never merge.
+        for trial in range(200):
+            tree = random_tree(rng, int(rng.integers(1, 80)), one_label=trial % 4 == 0)
+            for kappa in (0.001, 0.05, 0.4, 0.9):
+                self.assert_same_quotient(tree, kappa)
+
+    def test_three_token_alphabet(self, rng):
+        m = init_model(("a", "b", "c"), 3, 4, rng)
+        strings = ["".join("abc"[i] for i in rng.integers(0, 3, size=int(n)))
+                   for n in rng.integers(0, 7, size=40)]
+        tree = build_prefix_tree(m, as_samples(strings, m.alphabet))
+        for kappa in (0.001, 0.05, 0.4, 0.9):
+            self.assert_same_quotient(tree, kappa)
 
 
 class TestLabelClasses:

@@ -180,6 +180,7 @@ class TestEvalSampler:
 
 
 def test_one_gold_machine_per_sampler_call(monkeypatch, rng):
+    """At most one per call, and none once the (language, length) tables are built."""
     builds = []
 
     def counted_gold_dfa(language):
@@ -187,10 +188,24 @@ def test_one_gold_machine_per_sampler_call(monkeypatch, rng):
         return gold_dfa(language)
 
     monkeypatch.setattr(languages, "gold_dfa", counted_gold_dfa)
+    languages._accepting_counts.cache_clear()
     sample_balanced(3, 20, 100, rng)
     assert builds == [3]
     sample_eval_set(5, 100, 20, rng)
+    sample_eval_set(3, 100, 20, rng)
     assert builds == [3, 5]
+    sample_balanced(3, 20, 100, rng)
+    sample_balanced(3, 21, 100, rng)
+    assert builds == [3, 5, 3]
+
+
+def test_sampler_tables_are_shared_and_immutable():
+    table, counts = languages._accepting_counts(4, 12)
+    steps = languages._walk_steps(table, counts)
+    assert languages._accepting_counts(4, 12)[1] is counts
+    assert languages._walk_steps(*languages._accepting_counts(4, 12)) is steps
+    for shared in (table, counts, steps, table[0], counts[12], steps[12], steps[12][0]):
+        assert type(shared) is tuple
 
 
 def state_lists(rng):
@@ -211,7 +226,7 @@ def assert_same_generator(a, b):
 def first_token(rng, bound, first):
     """One positive-walk step from a row with bound completions, the first
     successor's count first: token 0 exactly when the step draws below first."""
-    steps = languages._walk_steps([[1, 1], [1, 1]], [[0, first], [bound, 0]])
+    steps = languages._walk_steps(((1, 1), (1, 1)), ((0, first), (bound, 0)))
     with languages._WordReader(rng) as words:
         return languages._walk(words, steps, 1)[0]
 

@@ -6,14 +6,14 @@ import pytest
 
 from statemerge import rnn
 from statemerge.harness import TrainingConfig
-from statemerge.languages import ALPHABET, sample_balanced, sample_eval_set
+from statemerge.languages import ALPHABET, Samples, sample_balanced, sample_eval_set
 from statemerge.rnn import (AdamWHyper, Checkpoint, TrainingError,
                             adamw_step, eval_reference, evaluate, forward, init_model,
                             kappa_bound, load_checkpoint, loss_and_grads,
                             model_from_checkpoint, save_checkpoint, train)
 
 from conftest import (PaddedEvalReference, as_samples, fixture_model, forward_many, labeled,
-                      padded_eval_reference, padded_evaluate, pairs)
+                      padded_eval_reference, padded_evaluate, pairs, per_level_number_prefixes)
 
 # The optimizer of every training run, and the default training config's batch size.
 HYPER = rnn.ADAMW
@@ -228,6 +228,49 @@ class TestEvalReference:
         strings = [s.x for s in pairs(samples)]
         assert steps == [len({w[:t] for w in strings if len(w) >= t})
                          for t in range(max(map(len, strings)) + 1)]
+
+
+def assert_same_numbering(model, samples):
+    """number_prefixes's four arrays equal the per-level oracle's, dtypes included."""
+    actual = rnn.number_prefixes(model, samples)
+    expected = per_level_number_prefixes(model, samples)
+    for name, a, e in zip(("parents", "tokens", "levels", "visits"), actual, expected):
+        assert a.dtype == e.dtype and a.tolist() == e.tolist(), name
+
+
+class TestNumberPrefixes:
+    """The one-sort numbering against the earlier per-level one."""
+
+    @pytest.mark.parametrize("strings", [
+        ["ab", "ab", "", "ba", "ab", "b", "b"], [""], ["", "", ""], ["abba"],
+        ["aaaa", "aa", "a", "aaab", "b", ""], ["b", "a"], ["ab", "abab", "aba", "ab"]],
+        ids=["duplicates", "empty", "empties", "single", "nested", "reversed", "repeated"])
+    def test_hand_sets(self, strings):
+        for alphabet in (ALPHABET, ("b", "a")):
+            m = init_model(alphabet, 3, 4, np.random.default_rng(0))
+            assert_same_numbering(m, as_samples(strings, alphabet))
+
+    @pytest.mark.parametrize("language", range(1, 8))
+    def test_sampler_shapes(self, language):
+        m = init_model(ALPHABET, 3, 4, np.random.default_rng(language))
+        rng = np.random.default_rng([language, 31])
+        sets = [sample_balanced(language, length, count, rng)
+                for length, count in ((1, 2), (7, 15), (10, 100), (15, 500))]
+        sets += [sample_eval_set(language, count, max_len, rng)
+                 for count, max_len in ((1, 0), (5, 0), (3, 1), (7, 50), (100, 50), (1000, 12))]
+        for samples in sets:
+            assert_same_numbering(m, samples)
+            order = rng.permutation(len(samples))
+            assert_same_numbering(m, Samples(samples.tokens[order], samples.lengths[order],
+                                             samples.labels[order]))
+
+    def test_padding_is_not_read(self, rng):
+        m = init_model(ALPHABET, 3, 4, rng)
+        samples = sample_eval_set(4, 200, 9, rng)
+        noisy = samples.tokens.copy()
+        outside = ~samples.inside[:, 1:]
+        noisy[outside] = rng.integers(0, 3, size=int(outside.sum()))
+        assert_same_numbering(m, Samples(noisy, samples.lengths, samples.labels))
 
 
 def pure_adamw_step(params, grads, state_step, state_m, state_v, hyper):
