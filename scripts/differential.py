@@ -13,7 +13,7 @@ differs.  Every output is one canonical text line.  The script prints the
 first differing lines and exits 1 on any difference, 0 when the outputs are
 equal and 2 when a checkout or a battery fails.
 
-The battery has five parts so far.  k-means: ``kmeans.kmeans`` on the
+The battery has six parts.  k-means: ``kmeans.kmeans`` on the
 prefix trees of the fixture models (Tomita 1-7, seeds 0-5, 30, 100 and 300
 extraction strings of length 10, k = 2, 5 and 20) and on 600 sets of tied
 and duplicated points; each line holds digests of the assignments and of the
@@ -48,11 +48,18 @@ scripts/pin_golden.py writes (eval sets, ``rnn.evaluate``,
 ``harness.run_extraction`` at kappa 0.01 and 0.4 and
 ``harness.run_kmeans_baseline`` at k = 20 on 100 strings, seeds 0-2, and one
 tiny ``harness.ensure_trained`` run per language); it has no quick variant.
+Drivers: the rows of ``harness.reproduce_table2``, ``harness.sweep_data_size``
+(at its default string length and at 15, the benchmark's), and
+``harness.sweep_kappa`` on the fixture models, and of ``harness.sweep_epochs``
+on the tiny runs, with ``ExperimentConfig``'s defaults (the CLI's), one line
+per row without ``wall_time``.  ``--quick`` keeps seed 0, 30 extraction
+strings, 100 eval strings and data sizes 15 and 75.
 
 ``--print`` prints the battery's lines for the ``statemerge`` on the path
 instead, which is what each child process runs.
 """
 import argparse
+import dataclasses
 import difflib
 import gzip
 import hashlib
@@ -254,13 +261,11 @@ def golden_battery() -> list[str]:
     """The lines tests/golden.txt pins, for the statemerge package on the path:
     per language one eval set and reference, one rnn.evaluate on a balanced
     set, and one string set and prefix tree per seed for state merging at
-    every kappa and for k-means; then one tiny ensure_trained run per
-    language, each into an empty cache."""
+    every kappa and for k-means; then the tiny runs of tiny_runs."""
     from statemerge.automata import save_dfa
     from statemerge.extraction import build_prefix_tree
-    from statemerge.harness import (ExperimentConfig, ExtractionConfig, TrainingConfig,
-                                    ensure_trained, eval_set_for, extraction_strings, run_dir,
-                                    run_extraction, run_kmeans_baseline)
+    from statemerge.harness import (ExperimentConfig, ExtractionConfig, eval_set_for,
+                                    extraction_strings, run_extraction, run_kmeans_baseline)
     from statemerge.languages import sample_balanced
     from statemerge.rnn import eval_reference, evaluate
 
@@ -293,24 +298,65 @@ def golden_battery() -> list[str]:
             row, dfa = run_kmeans_baseline(language, seed, 0, trees[seed], k, reference)
             lines.append(f"kmeans {language} {k} {seed} {sha(save_dfa(dfa))} "
                          f"{len(dfa.states)} {scores(row)}")
+    for language, (run, _, metrics) in tiny_runs().items():
+        lines.append(f"train {language} {run} {metrics[-1].train_loss!r} "
+                     f"{metrics[-1].dev_accuracy!r}")
+    return lines
+
+
+def tiny_runs() -> dict:
+    """Per language, one tiny ensure_trained run into an empty cache: the
+    sha256 over its run directory's files, its checkpoints and its metrics."""
+    from statemerge.harness import TrainingConfig, ensure_trained, run_dir
+
+    runs = {}
     for language in range(1, 8):
         training = TrainingConfig(language, **TRAIN_SIZES)
         with tempfile.TemporaryDirectory() as cache:
-            _, metrics = ensure_trained(training, Path(cache))
+            checkpoints, metrics = ensure_trained(training, Path(cache))
             run = hashlib.sha256()
             for path in sorted(run_dir(training, Path(cache)).iterdir()):
                 data = path.read_bytes()
                 run.update(f"{path.name}\n{len(data)}\n".encode() + data)
-        lines.append(f"train {language} {run.hexdigest()} {metrics[-1].train_loss!r} "
-                     f"{metrics[-1].dev_accuracy!r}")
-    return lines
+        runs[language] = run.hexdigest(), checkpoints, metrics
+    return runs
+
+
+def driver_battery(quick: bool) -> list[str]:
+    """The experiment drivers' rows for the statemerge package on the path,
+    one line per row with wall_time dropped: reproduce_table2,
+    sweep_data_size at its default string length and at the benchmark's 15
+    and sweep_kappa on the fixture models, and sweep_epochs on the tiny runs
+    of tiny_runs."""
+    from statemerge.harness import (RESULT_FIELDS, ExperimentConfig, ExtractionConfig,
+                                    reproduce_table2, sweep_data_size, sweep_epochs, sweep_kappa)
+
+    def rows(driver: str, results) -> list[str]:
+        return [f"{driver} " + " ".join(f"{field}={getattr(row, field)!r}"
+                                        for field in RESULT_FIELDS if field != "wall_time")
+                for row in results]
+
+    models = fixture_models()
+    config, grid = ExperimentConfig(), {}  # the CLI's table2 and sweeps
+    if quick:
+        config = ExperimentConfig(seeds=(0,), n_eval=100,
+                                  extraction=ExtractionConfig(n_strings=30))
+        grid = {"grid": (15, 75)}
+    lines = rows("reproduce_table2", reproduce_table2(config, models)[0])
+    lines += rows("sweep_data_size(default)", sweep_data_size(config, models, **grid))
+    lines += rows("sweep_data_size(15)", sweep_data_size(config, models, **grid, string_len=15))
+    for language, model in models.items():
+        one = dataclasses.replace(config, languages=(language,), seeds=(0,))
+        lines += rows("sweep_kappa", (row for row, _ in sweep_kappa(one, model)))
+    return lines + rows("sweep_epochs", sweep_epochs(
+        config, {language: checkpoints for language, (_, checkpoints, _) in tiny_runs().items()}))
 
 
 def battery(quick: bool) -> list[str]:
     """The battery's lines for the statemerge package on the path.  The golden
     part has no quick variant."""
     return (kmeans_battery(quick) + sampler_battery(quick) + prefix_battery(quick)
-            + merge_battery(quick) + golden_battery())
+            + merge_battery(quick) + golden_battery() + driver_battery(quick))
 
 
 def differences(base: list[str], change: list[str], base_name: str,

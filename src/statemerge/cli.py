@@ -1,10 +1,13 @@
 """Command line entry point.
 
 Subcommands: train, extract, baseline, eval, sweep {data,kappa,epochs},
-table2, export-dot.  Every run writes its resolved configuration next to its
-outputs.  @FILE is replaced in place by FILE's arguments, one per line; a
-later argument overrides an earlier one.  Loaded before numpy, it sets one
-BLAS thread, because the thread count changes the bits that training writes.
+table2, export-dot.  Every command that trains or loads a model starts from
+the shipped protocol (harness.full_scale_config), with explicit training
+flags on top, so --out artifacts reuses the shipped runs.  Every run writes
+its resolved configuration next to its outputs.  @FILE is replaced in place
+by FILE's arguments, one per line; a later argument overrides an earlier one.
+Loaded before numpy, it sets one BLAS thread, because the thread count
+changes the bits that training writes.
 """
 
 from __future__ import annotations
@@ -59,11 +62,10 @@ EXTRACTION_FIELDS = {"kappa": "kappa", "data": "n_strings", "length": "string_le
 
 
 def _training_config(args: argparse.Namespace, language: int) -> TrainingConfig:
-    """The full-scale or default config, with every explicit training flag on top."""
-    base = (harness.full_scale_config(language, args.seed) if getattr(args, "full", False)
-            else TrainingConfig(language, args.seed))
-    return dataclasses.replace(base, **{f: getattr(args, f) for f in TRAINING_FIELDS
-                                        if getattr(args, f, None) is not None})
+    """The shipped protocol, with every explicit training flag on top."""
+    return dataclasses.replace(harness.full_scale_config(language, args.seed),
+                               **{f: getattr(args, f) for f in TRAINING_FIELDS
+                                  if getattr(args, f, None) is not None})
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -82,16 +84,17 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _trained_model(args: argparse.Namespace, language: int):
-    cfg = _training_config(args, language)
-    checkpoints, _ = ensure_trained(cfg, Path(args.out) / "models")
-    return best_model(checkpoints), cfg
+def _trained(args: argparse.Namespace, languages: tuple[int, ...]
+             ) -> tuple[list[TrainingConfig], dict[int, list[rnn.Checkpoint]]]:
+    """The training config per language, and the checkpoints of its run in
+    the model cache under --out, trained if the cache lacks it."""
+    training = [_training_config(args, language) for language in languages]
+    return training, {cfg.language: ensure_trained(cfg, Path(args.out) / "models")[0]
+                      for cfg in training}
 
 
-def _trained_models(args: argparse.Namespace, languages: tuple[int, ...]):
-    """The model per language, and the training configs that made them."""
-    trained = [_trained_model(args, language) for language in languages]
-    return dict(zip(languages, (model for model, _ in trained))), [cfg for _, cfg in trained]
+def _best_models(checkpoints: dict[int, list[rnn.Checkpoint]]) -> dict[int, rnn.RnnModel]:
+    return {language: best_model(ckpts) for language, ckpts in checkpoints.items()}
 
 
 def _write_run(out: Path, training: list[TrainingConfig],
@@ -133,7 +136,8 @@ def cmd_machine(args: argparse.Namespace) -> int:
     and baseline draw one string set from --seed."""
     stored = load_dfa(Path(args.dfa).read_text()) if args.command == "eval" else None
     language, seed = args.language, args.seed
-    model, train_cfg = _trained_model(args, language)
+    training, checkpoints = _trained(args, (language,))
+    model = best_model(checkpoints[language])
     config = _experiment_config(args)
     reference = rnn.eval_reference(model, harness.eval_set_for(language, config))
     if stored is not None:
@@ -156,14 +160,14 @@ def cmd_machine(args: argparse.Namespace) -> int:
         tag += "_kmeans"
         print(f"tomita {language} kmeans: {len(dfa.states)} states, "
               f"fidelity vs RNN {row.acc_vs_rnn:.4f}")
-    _write_run(Path(args.out), [train_cfg], config, ("results.csv", [row]), {tag: dfa})
+    _write_run(Path(args.out), training, config, ("results.csv", [row]), {tag: dfa})
     return 0
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
     config = _experiment_config(args)
-    models, training = _trained_models(args, config.languages)
-    rows, summary = harness.reproduce_table2(config, models)
+    training, checkpoints = _trained(args, config.languages)
+    rows, summary = harness.reproduce_table2(config, _best_models(checkpoints))
     _write_run(Path(args.out), training, config, ("table2_rows.csv", rows))
     for (language, method), s in sorted(summary.items()):
         print(f"tomita {language} {method:13s}: {100 * s.mean_acc:6.2f} "
@@ -174,17 +178,14 @@ def cmd_table2(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
     config = _experiment_config(args)
+    training, checkpoints = _trained(args, config.languages)
     machines = {}
     if args.kind == "epochs":
-        training = [harness.light_config(language, args.seed) for language in config.languages]
-        checkpoints = {cfg.language: ensure_trained(cfg, out / "models")[0] for cfg in training}
         rows = harness.sweep_epochs(config, checkpoints)
+    elif args.kind == "data":
+        rows = harness.sweep_data_size(config, _best_models(checkpoints))
     else:
-        models, training = _trained_models(args, config.languages)
-    if args.kind == "data":
-        rows = harness.sweep_data_size(config, models)
-    elif args.kind == "kappa":
-        (language, model), = models.items()
+        (language, model), = _best_models(checkpoints).items()
         results = harness.sweep_kappa(config, model)
         rows = [row for row, _ in results]
         for row, report in results:
@@ -231,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--length", type=_int_at_least(0), default=10)
 
     p_train = sub.add_parser("train", help="train a recognizer", parents=[training])
-    p_train.add_argument("--full", action="store_true",
-                         help="start from the shipped full-scale training protocol")
     p_train.set_defaults(func=cmd_train)
 
     p_extract = sub.add_parser("extract", help="state-merging extraction",

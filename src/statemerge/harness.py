@@ -62,7 +62,8 @@ def full_scale_config(language: int, seed: int = 0) -> TrainingConfig:
 
 
 def light_config(language: int, seed: int = 0) -> TrainingConfig:
-    """Smaller run used for the per-epoch (implicit merging) sweeps."""
+    """The benchmark's fixture models: perfbench/make_fixtures.py, its only
+    caller, trains them with this protocol."""
     return TrainingConfig(language, seed, n_train=5_000, epochs=20)
 
 
@@ -348,7 +349,9 @@ def reproduce_table2(config: ExperimentConfig, models: dict[int, RnnModel]
 
 def sweep_data_size(config: ExperimentConfig, models: dict[int, RnnModel],
                     grid: tuple[int, ...] = (15, 25, 45, 75, 135, 200, 300, 500),
-                    string_len: int = 15) -> list[ResultRow]:
+                    string_len: int = 16) -> list[ResultRow]:
+    """State-merging rows per language, data size of grid and seed.  The
+    default length is even: Tomita 2 and 5 have no strings of odd length."""
     rows = []
     for language in config.languages:
         reference = eval_reference(models[language], eval_set_for(language, config))
@@ -396,16 +399,3 @@ def sweep_epochs(config: ExperimentConfig,
                 rows.append(row)
     return rows
 
-
-def min_data_for_full_fidelity(model: RnnModel, language: int, seed: int,
-                               config: ExperimentConfig, grid: tuple[int, ...],
-                               reference: EvalReference) -> int | None:
-    """Smallest grid entry at which extraction reaches 100% fidelity."""
-    ext = config.extraction
-    for n_strings in sorted(grid):
-        tree = build_prefix_tree(
-            model, extraction_strings(language, n_strings, ext.string_len, seed))
-        row, _ = run_extraction(language, seed, 0, tree, ext.kappa, reference)
-        if row.acc_vs_rnn == 1.0:
-            return n_strings
-    return None

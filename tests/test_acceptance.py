@@ -6,7 +6,7 @@ and training-sanity criteria run first; the experiment criteria depend on the
 recognizers shipped under artifacts/models, trained with the protocol of
 harness.full_scale_config.  The suite never trains:
 a shipped run that the training cache does not accept fails the suite, naming
-the run, and ``statemerge --out artifacts --language N train --full``
+the run, and ``statemerge --out artifacts --language N train``
 regenerates it.
 
 Pinned tolerances:
@@ -25,6 +25,7 @@ Pinned tolerances:
   criterion 7: per-prefix dev accuracy exactly 1.0 for every language.
 """
 
+import dataclasses
 import math
 import statistics
 from pathlib import Path
@@ -35,9 +36,8 @@ import pytest
 from statemerge.automata import Dfa, determinize, equivalent, minimize
 from statemerge.extraction import build_prefix_tree, merge_all
 from statemerge.harness import (ExperimentConfig, best_model, eval_set_for, extraction_strings,
-                                full_scale_config, load_finished_run,
-                                min_data_for_full_fidelity, run_dir, run_extraction,
-                                run_kmeans_baseline)
+                                full_scale_config, load_finished_run, run_dir, run_extraction,
+                                run_kmeans_baseline, sweep_data_size)
 from statemerge.languages import ALPHABET, gold_dfa
 from statemerge.rnn import (eval_reference, init_model, kappa_bound, loss_and_grads,
                             model_from_checkpoint)
@@ -69,7 +69,7 @@ def shipped_run(language):
         pytest.fail(f"{out_dir} is not a finished run of tomita {language}'s training "
                     f"config and the suite trains nothing; regenerate it from the repository "
                     f"root with PYTHONPATH=src python -m statemerge.cli --out artifacts "
-                    f"--language {language} train --full")
+                    f"--language {language} train")
     return run
 
 
@@ -345,13 +345,16 @@ class TestCriterion5ImplicitMerging:
                     runs[language, ckpt.metadata["epoch"]] = (
                         model, eval_reference(model, eval_sets[language]))
 
-        def min_data(epoch, seed):
-            model, reference = runs[6, epoch]
-            found = min_data_for_full_fidelity(model, 6, seed, CONFIG, self.GRID, reference)
-            return found if found is not None else math.inf
+        def min_data(epoch):
+            """Tomita 6's smallest grid entry at full fidelity, per seed 0-2."""
+            model, _ = runs[6, epoch]
+            rows = sweep_data_size(dataclasses.replace(CONFIG, languages=(6,), seeds=(0, 1, 2)),
+                                   {6: model}, self.GRID, CONFIG.extraction.string_len)
+            return [min((row.data_count for row in rows
+                         if row.seed == seed and row.acc_vs_rnn == 1.0), default=math.inf)
+                    for seed in (0, 1, 2)]
 
-        early_needs = [min_data(2, seed) for seed in (0, 1, 2)]
-        late_needs = [min_data(final[6], seed) for seed in (0, 1, 2)]
+        early_needs, late_needs = min_data(2), min_data(final[6])
         data_ok = statistics.median(late_needs) < statistics.median(early_needs)
 
         def merged_size(language, epoch):

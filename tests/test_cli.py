@@ -5,17 +5,18 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from statemerge import cli, harness
+from statemerge import cli, harness, rnn
 from statemerge.automata import load_dfa, save_dfa, to_dot
 from statemerge.cli import _experiment_config, _training_config, build_parser, main
 from statemerge.harness import (RESULT_FIELDS, ExperimentConfig, TrainingConfig, best_model,
-                                ensure_trained, run_dir, to_csv)
+                                ensure_trained, load_finished_run, run_dir, to_csv)
 from statemerge.languages import gold_dfa
 
 TINY = dict(n_train=40, train_len=6, n_dev=20, dev_len=8, embed_dim=4, hidden_dim=8, epochs=2)
@@ -66,7 +67,7 @@ class TestParser:
         assert "must" in capsys.readouterr().err
 
     # Each case holds the arguments after --language 1: an argument file with
-    # them exits 2, as the same arguments typed do.  Cases 11-16, 22 and 23
+    # them exits 2, as the same arguments typed do.  Cases 11-16 and 22-24
     # name options the command lacks or give a flag a value; case 18 gives
     # sweep kappa a --kappa its grid would ignore.  The ids carry these case
     # numbers, so a case keeps its id when others are added or removed.
@@ -81,7 +82,7 @@ class TestParser:
         17: ["extract", "--data=1"], 18: ["sweep", "kappa", "--kappa=0.3"],
         19: ["train", "--n-train=1"], 20: ["train", "--hidden-dim=0"],
         21: ["--seed=-1", "train"], 22: ["extract", "--threads=2"],
-        23: ["--threads=2", "table2"]}
+        23: ["--threads=2", "table2"], 24: ["train", "--full"]}
 
     @pytest.mark.parametrize("config", CHECKED.values(),
                              ids=[f"config{i}-env{i}" for i in CHECKED])
@@ -109,24 +110,27 @@ class TestParser:
         assert "error:" in capsys.readouterr().err
 
     def test_config_keys_of_the_command_accepted(self, tmp_path):
-        typed = ["--seed=4", "--verbose", "train", "--full", "--epochs=3"]
+        typed = ["--seed=4", "--verbose", "train", "--epochs=3"]
         parser = build_parser()
         args = parser.parse_args([write_args(tmp_path / "run.args", typed)])
         assert args == parser.parse_args(typed)
-        assert (args.full, args.verbose, args.epochs, args.seed) == (True, True, 3, 4)
+        assert (args.verbose, args.epochs, args.seed) == (True, 3, 4)
+        assert _training_config(args, 2) == dataclasses.replace(
+            harness.full_scale_config(2, seed=4), epochs=3)
 
-    def test_full_keeps_explicit_training_flags(self):
-        args = build_parser().parse_args(["train", "--full", "--epochs", "3",
-                                          "--n-train", "50"])
+    def test_training_flags_apply_on_top_of_the_shipped_protocol(self):
+        args = build_parser().parse_args(["train", "--epochs", "3", "--n-train", "50"])
         cfg = _training_config(args, 2)
         assert (cfg.epochs, cfg.n_train, cfg.train_len, cfg.dev_len) == (3, 50, 100, 200)
 
-    def test_full_is_the_shipped_protocol(self):
-        parse = build_parser().parse_args
-        cfg = _training_config(parse(["--language", "7", "train", "--full"]), 7)
+    @pytest.mark.parametrize("argv", [
+        ["train"], ["extract"], ["baseline"], ["eval", "--dfa", "x"], ["table2"],
+        ["sweep", "data"], ["sweep", "kappa"], ["sweep", "epochs"]],
+        ids=["train", "extract", "baseline", "eval", "table2", "sweep-data", "sweep-kappa",
+             "sweep-epochs"])
+    def test_every_command_starts_from_the_shipped_protocol(self, argv):
+        cfg = _training_config(build_parser().parse_args(["--language", "7"] + argv), 7)
         assert cfg == harness.full_scale_config(7) and cfg.epochs == 24
-        args = parse(["--language", "7", "train", "--full", "--epochs", "3"])
-        assert _training_config(args, 7) == dataclasses.replace(cfg, epochs=3)
 
     def test_explicit_values_kept(self):
         args = build_parser().parse_args(["--language", "1", "extract", "--kappa", "0.5",
@@ -298,6 +302,56 @@ class TestRecordedRuns:
             [4], [0, 1, 2, 3, 4])
 
 
+SHIPPED_TOMITA1 = run_dir(harness.full_scale_config(1),
+                          Path(__file__).resolve().parent.parent / "artifacts" / "models")
+
+
+def files_under(root):
+    """Each path under root, with the sha256 of its bytes if it is a file."""
+    return {str(path.relative_to(root)):
+            hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+            for path in root.rglob("*")}
+
+
+class TestShippedRun:
+    """table2 and the data and epoch sweeps on a copy of the shipped Tomita 1
+    run train nothing, leave the model cache as it was, and write the
+    drivers' rows on that run."""
+
+    @pytest.fixture(scope="class")
+    def shipped(self, tmp_path_factory):
+        # A copy, not a link: a run that failed the cache check would be
+        # retrained in place.
+        out = tmp_path_factory.mktemp("shipped")
+        shutil.copytree(SHIPPED_TOMITA1, out / "models" / SHIPPED_TOMITA1.name)
+        checkpoints, _ = load_finished_run(harness.full_scale_config(1), SHIPPED_TOMITA1)
+        return out, checkpoints
+
+    @pytest.mark.parametrize("command, table, driver", [
+        (["table2"], "table2_rows.csv",
+         lambda config, ckpts: harness.reproduce_table2(config, {1: best_model(ckpts)})[0]),
+        (["sweep", "data"], "sweep_data.csv",
+         lambda config, ckpts: harness.sweep_data_size(config, {1: best_model(ckpts)})),
+        (["sweep", "epochs"], "sweep_epochs.csv",
+         lambda config, ckpts: harness.sweep_epochs(config, {1: ckpts}))],
+        ids=["table2", "sweep-data", "sweep-epochs"])
+    def test_writes_the_drivers_rows_and_trains_nothing(self, command, table, driver, shipped,
+                                                        monkeypatch):
+        out, checkpoints = shipped
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a command trained a model")
+
+        monkeypatch.setattr(rnn, "train", no_training)
+        models = files_under(out / "models")
+        assert run_cli(["--language", "1", "--out", str(out)] + command) == 0
+        assert files_under(out / "models") == models
+        assert resolved_config(out)["training"] == [harness.full_scale_config(1).record()]
+        expected = driver(ExperimentConfig(languages=(1,)), checkpoints)
+        assert (without_wall_time((out / table).read_text())
+                == without_wall_time(to_csv(RESULT_FIELDS, expected)))
+
+
 def test_train_all_languages_records_each_config(tmp_path):
     assert run_cli(["--out", str(tmp_path), "train"] + TINY_ARGS) == 0
     resolved = json.loads((tmp_path / "resolved_config.json").read_text())
@@ -336,7 +390,8 @@ def test_train_runs_at_one_blas_thread(tmp_path):
         pytest.skip("two BLAS threads train the same bytes as one on this machine, "
                     "so it cannot show a thread count leaking into training")
     argv = ["-m", "statemerge.cli", "--language", "7", "--out", str(cli_out), "train",
-            "--n-train", "128", "--train-len", "20", "--epochs", "1", "--hidden-dim", "100"]
+            "--n-train", "128", "--train-len", "20", "--dev-len", "100", "--epochs", "1",
+            "--hidden-dim", "100"]
     assert run_files(argv, 2, run_dir(THREADED, cli_out / "models")) == expected
 
 

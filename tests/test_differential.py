@@ -25,8 +25,10 @@ def test_quick_battery_is_deterministic():
     # fixture trees and 7 eval references.  Merging: 7 languages, 2 trees, 3
     # kappas.  Golden, in full: per language an eval set, an evaluate, state
     # merging at 2 kappas and k-means on 3 seeds, and a training run.
+    # Drivers, per language on seed 0: table 2's two rows, the data sweep's
+    # 2 sizes at 2 lengths, 3 kappas, and the epoch sweep's 2 epochs.
     assert len(first) == (7 * 2 + 50 + 4 * 2 * 7 * 5 + 7 + 7 + 7 * 2 * 3
-                          + 7 * (1 + 1 + 2 * 3 + 3 + 1)) == 484
+                          + 7 * (1 + 1 + 2 * 3 + 3 + 1) + 7 * (2 + 2 * 2 + 3 + 2)) == 561
     assert sum(line.startswith("kmeans tomita") for line in first) == 7 * 2
     assert sum(line.startswith("eval_set ") for line in first) == 7
     assert sum(line.startswith("evaluate ") for line in first) == 7
@@ -39,6 +41,9 @@ def test_quick_battery_is_deterministic():
     assert sum(" strings=150x15 " in line for line in first) == 7 * 3
     assert sum(line.startswith("sample_balanced(") for line in first) == 4 * 2 * 7 * 3
     assert sum(line.startswith("sample_eval_set(") for line in first) == 4 * 2 * 7 * 2
+    for driver, rows in (("reproduce_table2", 2), ("sweep_data_size(default)", 2),
+                         ("sweep_data_size(15)", 2), ("sweep_kappa", 3), ("sweep_epochs", 2)):
+        assert sum(line.startswith(f"{driver} ") for line in first) == 7 * rows
     for name in ("PCG64", "Philox", "MT19937", "SFC64"):
         assert sum(f" {name} " in line for line in first) == 2 * 7 * 5
     assert sum(" entry=1 " in line for line in first) == 4 * 7 * 5

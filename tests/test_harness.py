@@ -478,3 +478,14 @@ class TestSweeps:
         rows = sweep_epochs(self.CONFIG, {1: checkpoints})
         assert [(r.epoch, r.seed) for r in rows] == [(1, 0), (1, 1), (2, 0), (2, 1)]
         assert all(r.language == 1 and r.data_count == 40 for r in rows)
+
+    def test_sweep_data_draws_positive_strings_for_every_language(self, caplog):
+        # At the default string length every Tomita language has positive
+        # strings, so no draw fills its positive half uniformly.
+        model = init_model(ALPHABET, 2, 4, np.random.default_rng(0))
+        config = dataclasses.replace(SMALL_EXPERIMENT, seeds=(0,), n_eval=10)
+        with caplog.at_level(logging.WARNING, logger="statemerge.languages"):
+            rows = harness.sweep_data_size(config, dict.fromkeys(config.languages, model),
+                                           grid=(2,))
+        assert len(rows) == 7
+        assert "has no strings of length" not in caplog.text
