@@ -15,12 +15,13 @@ equal and 2 when a checkout or a battery fails.
 
 The battery has six parts.  k-means: ``kmeans.kmeans`` on the
 prefix trees of the fixture models (Tomita 1-7, seeds 0-5, 30, 100 and 300
-extraction strings of length 10, k = 2, 5 and 20) and on 600 sets of tied
-and duplicated points; each line holds digests of the assignments and of the
-centroids' bits, and the generator's next draw.  The fixture files are
-checked against their sha256 in ``perfbench/expected.json`` first; a
-mismatch exits 2.  ``--quick`` keeps seed 0, 30 strings, k = 2 and 20, and 50
-point sets.  Samplers: ``languages.sample_balanced`` and
+extraction strings of length 10, k = 2, 5 and 20), on 600 sets of tied
+and duplicated points and on 600 mirror-symmetric sets, whose restarts tie
+in distortion to the last bits; each line holds digests of the assignments
+and of the centroids' bits, and the generator's next draw.  The fixture
+files are checked against their sha256 in ``perfbench/expected.json``
+first; a mismatch exits 2.  ``--quick`` keeps seed 0, 30 strings, k = 2 and
+20, and 50 sets of each kind.  Samplers: ``languages.sample_balanced`` and
 ``languages.sample_eval_set`` for Tomita 1-7 on PCG64, Philox, MT19937 and
 SFC64 generators, each entered fresh and after one uint32 draw (which leaves
 PCG64, Philox and SFC64 holding a buffered half); each line holds a digest of
@@ -109,6 +110,18 @@ def tied_points(case: int) -> tuple[np.ndarray, np.ndarray, int]:
     return features, visits, int(rng.integers(1, min(len(visits), 20) + 1))
 
 
+def mirrored_points(case: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(features, visits, k): saturated rows and their mirror images (the
+    coordinates reversed), one visit each.  A clustering and its mirror image
+    have one distortion in exact arithmetic, so restarts that reach the two
+    differ in distortion by rounding alone."""
+    rng = np.random.default_rng([case, 2])
+    m, d = int(rng.integers(2, 20)), int(rng.integers(2, 8))
+    rows = np.tanh(rng.normal(size=(m, d)) * rng.choice([0.5, 3.0, 30.0]))
+    return (np.concatenate([rows, rows[:, ::-1]]), np.arange(2 * m),
+            int(rng.integers(2, min(2 * m, 12) + 1)))
+
+
 def fixture_models() -> dict:
     """The fixture models by language, each checkpoint checked against its
     sha256 in perfbench/expected.json."""
@@ -151,6 +164,7 @@ def kmeans_battery(quick: bool) -> list[str]:
                                tree.visits, k, seed)
     for case in range(50 if quick else 600):
         run_kmeans(f"tied case={case}", *tied_points(case), case)
+        run_kmeans(f"mirrored case={case}", *mirrored_points(case), case)
     return lines
 
 

@@ -100,9 +100,10 @@ def _best_models(checkpoints: dict[int, list[rnn.Checkpoint]]) -> dict[int, rnn.
 def _write_run(out: Path, training: list[TrainingConfig],
                experiment: ExperimentConfig | None = None,
                table: tuple[str, list[ResultRow]] | None = None,
-               machines: dict[str, Dfa] | None = None) -> None:
+               machines: dict[str, Dfa] | None = None, drawn: dict | None = None) -> None:
     """Every command's outputs: the result table (file name, rows), each machine
-    as TAG.dfa and TAG.dot, and resolved_config.json naming what ran."""
+    as TAG.dfa and TAG.dot, and resolved_config.json naming what ran, with
+    drawn's keys on top."""
     out.mkdir(parents=True, exist_ok=True)
     if table is not None:
         name, rows = table
@@ -113,6 +114,7 @@ def _write_run(out: Path, training: list[TrainingConfig],
     resolved = {"training": [cfg.record() for cfg in training]}
     if experiment is not None:
         resolved["experiment"] = dataclasses.asdict(experiment)
+    resolved.update(drawn or {})
     (out / "resolved_config.json").write_text(
         json.dumps(resolved, indent=2, sort_keys=True, default=str) + "\n")
 
@@ -179,11 +181,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
     config = _experiment_config(args)
     training, checkpoints = _trained(args, config.languages)
-    machines = {}
+    machines, drawn = {}, {}
     if args.kind == "epochs":
         rows = harness.sweep_epochs(config, checkpoints)
     elif args.kind == "data":
         rows = harness.sweep_data_size(config, _best_models(checkpoints))
+        drawn["data_sweep"] = {"grid": harness.DATA_GRID, "string_len": harness.DATA_STRING_LEN}
     else:
         (language, model), = _best_models(checkpoints).items()
         results = harness.sweep_kappa(config, model)
@@ -193,7 +196,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             machines.update({f"{tag}_merged": report.determinized, f"{tag}_final": report.final})
             print(f"kappa {row.kappa}: merged {report.sizes[1]}, "
                   f"minimized {report.sizes[2]}, fidelity {row.acc_vs_rnn:.4f}")
-    _write_run(out, training, config, (f"sweep_{args.kind}.csv", rows), machines)
+    _write_run(out, training, config, (f"sweep_{args.kind}.csv", rows), machines, drawn)
     print(f"wrote sweep results to {out}")
     return 0
 

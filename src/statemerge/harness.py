@@ -84,9 +84,13 @@ class ExperimentConfig:
     threads: int = 1
 
 
-# The longest eval string, and the merge tolerances sweep_kappa runs.
+# The longest eval string, the merge tolerances sweep_kappa runs, and the
+# data sizes and string length sweep_data_size runs by default (the length is
+# even: Tomita 2 and 5 have no strings of odd length).
 EVAL_MAX_LEN = 50
 KAPPAS = (0.5, 0.4, 0.01)
+DATA_GRID = (15, 25, 45, 75, 135, 200, 300, 500)
+DATA_STRING_LEN = 16
 
 
 @dataclass
@@ -348,10 +352,10 @@ def reproduce_table2(config: ExperimentConfig, models: dict[int, RnnModel]
 
 
 def sweep_data_size(config: ExperimentConfig, models: dict[int, RnnModel],
-                    grid: tuple[int, ...] = (15, 25, 45, 75, 135, 200, 300, 500),
-                    string_len: int = 16) -> list[ResultRow]:
-    """State-merging rows per language, data size of grid and seed.  The
-    default length is even: Tomita 2 and 5 have no strings of odd length."""
+                    grid: tuple[int, ...] = DATA_GRID,
+                    string_len: int = DATA_STRING_LEN) -> list[ResultRow]:
+    """State-merging rows per language, data size of grid and seed, on
+    strings of length string_len."""
     rows = []
     for language in config.languages:
         reference = eval_reference(models[language], eval_set_for(language, config))

@@ -4,6 +4,8 @@ transitions."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .automata import Dfa, minimize
@@ -27,14 +29,19 @@ def kmeans(features: np.ndarray, visits: np.ndarray, k: int,
 
     The result is bit for bit that of ranking every point against every
     centroid by the exact sum of (x - c)**2 over the d coordinates, with
-    ties to the lowest centroid id, at the cost of one GEMM per iteration
-    over the rows of features and the centroids of all running restarts:
+    ties to the lowest centroid id, at the cost of one table of expansions
+    per call over the rows of features:
 
-    - Each row is ranked by the expansion ||x||^2 - 2 x.c + ||c||^2.  The
-      expansion and the exact sum each round by about d * eps * (||x||^2 +
-      ||c||^2), in any summation order, far below tol = 1e-9 (||x||^2 + max
-      ||c||^2) (plus 1e-300, which keeps tol positive when the norms
-      underflow), so batching the restarts' products changes no result.
+    - Each row is ranked by the expansion ||x||^2 - 2 x.c + ||c||^2, read
+      from a table with one entry per (restart, centroid, row).  The first
+      iteration fills it with one GEMM; each later one recomputes, in one
+      GEMM, only the entries of the centroids whose values the last step
+      changed (a recomputed mean or a reseed).  The expansion and the exact
+      sum each round by about d * eps * (||x||^2 + ||c||^2), in any
+      summation order, far below tol = 1e-9 (||x||^2 + max ||c||^2) (plus
+      1e-300, which keeps tol positive when the norms underflow).  So
+      batching the products changes no result, and an entry from an earlier
+      iteration, the expansion of a centroid unchanged since, is within tol.
     - So a centroid whose exact sum is no larger than that of the
       expansion's winner lies within 2 tol of the row minimum.  Every row
       with a second centroid that close is re-ranked by the exact sum.
@@ -62,7 +69,17 @@ def kmeans(features: np.ndarray, visits: np.ndarray, k: int,
     is stale when it gained or lost a position in the ranking or a reseed.
     The clusters are walked in order with the mask read live, so a cluster
     robbed by an earlier one's reseed is recomputed at once, as in a full
-    recomputation, and one robbed by a later one's in the next iteration."""
+    recomputation, and one robbed by a later one's in the next iteration.
+
+    The best restart is read from the table where it decides.  A restart
+    that converged with no centroid changed by its last step estimates its
+    distortion D = ((points - c[a])**2).sum() by the sum E of its entries at
+    (assignment, row) over the positions.  E and D differ by the entries'
+    rounding, under tol per position, plus that of the two pairwise sums,
+    each far under 1e-13 of its size: D lies in E +- (sum of tol + 1e-12
+    |E|).  Any other restart's interval is its D.  A restart whose interval
+    starts above the lowest upper end cannot be best; of the rest, the first
+    with the smallest D is, and D is computed only if more than one is left."""
     n = len(visits)
     if k < 1:
         raise ValueError("k must be positive")
@@ -72,25 +89,48 @@ def kmeans(features: np.ndarray, visits: np.ndarray, k: int,
     centroids = points[[rng.choice(n, size=k, replace=False) for _ in range(N_INIT)]]
     assignments = np.full((N_INIT, n), -1)
     stale = np.ones((N_INIT, k), dtype=bool)
+    moved = np.ones((N_INIT, k), dtype=bool)  # table slices to recompute
+    fresh = np.zeros(N_INIT, dtype=bool)  # converged, its table slices current
     sq_norms = np.einsum("ij,ij->i", features, features)
+    table = np.empty((N_INIT, k, len(features)))
+    c_sq = np.empty((N_INIT, k))
     active = list(range(N_INIT))
+
+    def tolerance(runs):  # per (restart, row)
+        return 1e-9 * (sq_norms + c_sq[runs].max(axis=1)[:, None]) + 1e-300
+
     for _ in range(MAX_LLOYD_ITERATIONS):
         if not active:
             break
-        running = centroids[active]
-        c_sq = np.einsum("rkd,rkd->rk", running, running)
-        products = features @ running.reshape(-1, features.shape[1]).T
-        dists = sq_norms[:, None, None] - 2 * products.reshape(len(features), -1, k) + c_sq
-        winners = dists.argmin(axis=2)
-        tol = 1e-9 * (sq_norms[:, None] + c_sq.max(axis=1)) + 1e-300
-        cutoff = np.take_along_axis(dists, winners[:, :, None], axis=2)[:, :, 0] + 2 * tol
-        near = np.count_nonzero(dists <= cutoff[:, :, None], axis=2) > 1
+        runs, ids = np.nonzero(moved)
+        rewritten = centroids[runs, ids]
+        c_sq[runs, ids] = np.einsum("pd,pd->p", rewritten, rewritten)
+        table[runs, ids] = sq_norms - 2 * (rewritten @ features.T) + c_sq[runs, ids, None]
+        ranked = table[active]
+        within = ranked <= (ranked.min(axis=1) + 2 * tolerance(active))[:, None, :]
+        winners = within.argmax(axis=1)
+        near = np.count_nonzero(within, axis=1) > 1
         for j, run in enumerate(list(active)):
-            if _update(features, visits, points, winners[:, j], np.flatnonzero(near[:, j]),
-                       centroids[run], assignments[run], stale[run]):
+            before = centroids[run].copy()
+            converged = _update(features, visits, points, winners[j], np.flatnonzero(near[j]),
+                                centroids[run], assignments[run], stale[run])
+            moved[run] = (centroids[run] != before).any(axis=1)
+            if converged:
                 active.remove(run)
-    best = min(range(N_INIT), key=lambda run: float(
-        ((points - centroids[run][assignments[run]]) ** 2).sum()))
+                fresh[run], moved[run] = not moved[run].any(), False
+
+    @functools.cache
+    def distortion(run: int) -> float:
+        return float(((points - centroids[run][assignments[run]]) ** 2).sum())
+
+    read = np.flatnonzero(fresh)
+    estimate = table[read[:, None], assignments[read], visits].sum(axis=1)
+    margin = tolerance(read)[:, visits].sum(axis=1) + 1e-12 * abs(estimate)
+    low = np.array([0.0 if fresh[run] else distortion(run) for run in range(N_INIT)])
+    high = low.copy()
+    low[read], high[read] = estimate - margin, estimate + margin
+    candidates = np.flatnonzero(low <= high.min())
+    best = candidates[0] if len(candidates) == 1 else min(candidates, key=distortion)
     return assignments[best], centroids[best]
 
 

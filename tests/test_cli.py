@@ -351,6 +351,20 @@ class TestShippedRun:
         assert (without_wall_time((out / table).read_text())
                 == without_wall_time(to_csv(RESULT_FIELDS, expected)))
 
+    def test_sweep_data_records_the_strings_it_drew(self, shipped):
+        # The grid is the table's data sizes, and the driver on the recorded
+        # grid and string length gives the table's rows.
+        out, checkpoints = shipped
+        assert run_cli(["--language", "1", "--out", str(out), "sweep", "data"]) == 0
+        drawn = resolved_config(out)["data_sweep"]
+        table = without_wall_time((out / "sweep_data.csv").read_text())
+        assert sorted({int(row["data_count"]) for row in table}) == drawn["grid"]
+        expected = harness.sweep_data_size(ExperimentConfig(languages=(1,)),
+                                           {1: best_model(checkpoints)},
+                                           grid=tuple(drawn["grid"]),
+                                           string_len=drawn["string_len"])
+        assert table == without_wall_time(to_csv(RESULT_FIELDS, expected))
+
 
 def test_train_all_languages_records_each_config(tmp_path):
     assert run_cli(["--out", str(tmp_path), "train"] + TINY_ARGS) == 0

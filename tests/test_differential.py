@@ -19,7 +19,8 @@ _spec.loader.exec_module(differential)
 def test_quick_battery_is_deterministic():
     first = differential.battery(quick=True)
     assert differential.battery(quick=True) == first
-    # k-means: 7 fixture trees at k = 2 and 20, and 50 point sets.  Samplers:
+    # k-means: 7 fixture trees at k = 2 and 20, 50 tied and 50 mirrored
+    # point sets.  Samplers:
     # 7 languages on four bit generators, each entered fresh and after one
     # draw, 3 balanced sets and 2 eval sets each.  Prefix numbering: 7
     # fixture trees and 7 eval references.  Merging: 7 languages, 2 trees, 3
@@ -27,9 +28,11 @@ def test_quick_battery_is_deterministic():
     # merging at 2 kappas and k-means on 3 seeds, and a training run.
     # Drivers, per language on seed 0: table 2's two rows, the data sweep's
     # 2 sizes at 2 lengths, 3 kappas, and the epoch sweep's 2 epochs.
-    assert len(first) == (7 * 2 + 50 + 4 * 2 * 7 * 5 + 7 + 7 + 7 * 2 * 3
-                          + 7 * (1 + 1 + 2 * 3 + 3 + 1) + 7 * (2 + 2 * 2 + 3 + 2)) == 561
+    assert len(first) == (7 * 2 + 2 * 50 + 4 * 2 * 7 * 5 + 7 + 7 + 7 * 2 * 3
+                          + 7 * (1 + 1 + 2 * 3 + 3 + 1) + 7 * (2 + 2 * 2 + 3 + 2)) == 611
     assert sum(line.startswith("kmeans tomita") for line in first) == 7 * 2
+    assert sum(line.startswith("kmeans tied ") for line in first) == 50
+    assert sum(line.startswith("kmeans mirrored ") for line in first) == 50
     assert sum(line.startswith("eval_set ") for line in first) == 7
     assert sum(line.startswith("evaluate ") for line in first) == 7
     assert sum(line.startswith("state_merging ") for line in first) == 7 * 2 * 3

@@ -145,18 +145,20 @@ class TestKmeans:
             assert multi <= single + 1e-9
 
 
-def reference_kmeans(points, k, rng, n_init=10, reseeds=None):
+def reference_kmeans(points, k, rng, n_init=10, reseeds=None, iterations=100):
     """kmeans with every point ranked against every centroid by the exact
-    sum of squares over the (N, k, d) broadcast: the oracle for the ranking
-    by the distance expansion and for ranking distinct rows only.  Each
-    reseed of an empty cluster appends (its cluster id, the cluster it takes
-    its point from) to reseeds, if given."""
+    sum of squares over the (N, k, d) broadcast, and the best restart chosen
+    by the exact distortion: the oracle for the ranking by the distance
+    expansion, for ranking distinct rows only and for reading distortions
+    from the table.  Each restart stops after at most iterations Lloyd
+    steps.  Each reseed of an empty cluster appends (its cluster id, the
+    cluster it takes its point from) to reseeds, if given."""
     best = None
     for _ in range(n_init):
         n = len(points)
         centroids = points[rng.choice(n, size=k, replace=False)].copy()
         assignments = np.full(n, -1)
-        for _ in range(100):
+        for _ in range(iterations):
             dists = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
             new_assignments = dists.argmin(axis=1)
             point_dists = dists[np.arange(n), new_assignments]
@@ -191,25 +193,54 @@ def hidden_like_points(seed):
     return points, int(rng.integers(1, n + 1))
 
 
+def mirrored_points(seed):
+    """Saturated rows and their mirror images, each row with its coordinates
+    reversed: a clustering and its mirror image have one distortion in
+    exact arithmetic, and float sums over the two differ in the last bits."""
+    rng = np.random.default_rng(seed)
+    m, d = int(rng.integers(2, 20)), int(rng.integers(2, 8))
+    rows = np.tanh(rng.normal(size=(m, d)) * rng.choice([0.5, 3.0, 30.0]))
+    return np.concatenate([rows, rows[:, ::-1]]), int(rng.integers(2, min(2 * m, 12) + 1))
+
+
 class TestLloydReference:
     SEEDS = range(200)
 
-    def test_matches_exact_ranking(self, monkeypatch):
+    def assert_matches_reference(self, monkeypatch, sets, iterations=100, reseeds=None):
+        """kmeans at 3 restarts of at most iterations steps each gives the
+        oracle's bits on sets(seed), for every seed."""
         monkeypatch.setattr(kmeans_module, "N_INIT", 3)
-        reseeds = []
+        monkeypatch.setattr(kmeans_module, "MAX_LLOYD_ITERATIONS", iterations)
         for seed in self.SEEDS:
-            points, k = hidden_like_points(seed)
+            points, k = sets(seed)
             a, c = kmeans_all(points, k, np.random.default_rng(seed))
             ref_a, ref_c = reference_kmeans(points, k, np.random.default_rng(seed), n_init=3,
-                                            reseeds=reseeds)
+                                            reseeds=reseeds, iterations=iterations)
             assert np.array_equal(a, ref_a), seed
             assert np.array_equal(c, ref_c), seed
+
+    def test_matches_exact_ranking(self, monkeypatch):
+        reseeds = []
+        self.assert_matches_reference(monkeypatch, hidden_like_points, reseeds=reseeds)
         # Empty clusters came up and were reseeded as the oracle reseeds them:
         # the empty-cluster gate saw every one.  Some reseeds took their point
         # from a later cluster, whose mean the same iteration recomputes, and
         # some from an earlier one, whose mean waits for the next iteration.
         assert any(loser > c for c, loser in reseeds)
         assert any(loser < c for c, loser in reseeds)
+
+    @pytest.mark.parametrize("iterations", [1, 2])
+    def test_matches_exact_ranking_when_restarts_stop_unconverged(self, monkeypatch,
+                                                                 iterations):
+        # The restarts stop at the cap, all of them at 1 and most at 2, with
+        # centroids the last step moved: the table holds distances to the
+        # centroids before it, so their distortion must come from the exact sum.
+        self.assert_matches_reference(monkeypatch, hidden_like_points, iterations)
+
+    def test_mirror_symmetric_sets(self, monkeypatch):
+        # Restarts that converge to mirror images of one clustering tie
+        # within the table's margin, so the exact sums pick the best.
+        self.assert_matches_reference(monkeypatch, mirrored_points)
 
     def test_identical_seed_centroids_rank_as_exact_ties(self, monkeypatch):
         # Seeding picks two identical points, so every row has two centroids
