@@ -13,7 +13,7 @@ differs.  Every output is one canonical text line.  The script prints the
 first differing lines and exits 1 on any difference, 0 when the outputs are
 equal and 2 when a checkout or a battery fails.
 
-The battery has six parts.  k-means: ``kmeans.kmeans`` on the
+The battery has seven parts.  k-means: ``kmeans.kmeans`` on the
 prefix trees of the fixture models (Tomita 1-7, seeds 0-5, 30, 100 and 300
 extraction strings of length 10, k = 2, 5 and 20), on 600 sets of tied
 and duplicated points and on 600 mirror-symmetric sets, whose restarts tie
@@ -44,6 +44,13 @@ prefix trees (Tomita 1-7; seeds 0-2 with 30, 100 and 300 strings of length
 10, and seed 0 with 50, 150 and 500 strings of length 15), one line of
 digests of the map of lowest matches and of the merged NFA's canonical text.
 ``--quick`` keeps seed 0 with 30 strings of length 10 and 150 of length 15.
+Automata: ``automata.determinize``, ``minimize`` and ``equivalent`` on 3,000
+seeded random machines (an NFA and a partial DFA of 1-5 states over 1-3
+tokens, and the DFA with its states renamed and an unreachable state
+added), one line per case of ``save_dfa`` digests of the determinized NFA,
+its minimal form and the minimal forms of both DFAs, and the verdicts of
+``equivalent`` on the determinized NFA against the DFA and on the DFA
+against its renamed copy.  ``--quick`` keeps 300 cases.
 Golden: the lines tests/golden.txt pins, which
 scripts/pin_golden.py writes (eval sets, ``rnn.evaluate``,
 ``harness.run_extraction`` at kappa 0.01 and 0.4 and
@@ -271,6 +278,54 @@ def merge_battery(quick: bool) -> list[str]:
     return lines
 
 
+def random_machines(case: int) -> tuple:
+    """(nfa, dfa, renamed): a random NFA and a random partial DFA over one
+    alphabet of 1-3 tokens with 1-5 states, and dfa with its state ids
+    permuted and one unreachable state added, which recognizes dfa's language.
+    Few states and tokens make unequal random machines equivalent often
+    enough (both empty, say) that either verdict comes up."""
+    from statemerge.automata import Dfa, Nfa
+
+    rng = np.random.default_rng([case, 3])
+    alphabet = ("a", "b", "c")[:int(rng.integers(1, 4))]
+    n, m = (int(x) for x in rng.integers(1, 6, size=2))
+    edges = {}
+    for src, token in itertools.product(range(n), alphabet):
+        dsts = {int(dst) for dst in np.flatnonzero(rng.random(n) < 0.35)}
+        if dsts:
+            edges[src, token] = dsts
+    nfa = Nfa(alphabet, set(range(n)), 0, edges,
+              {int(state) for state in np.flatnonzero(rng.random(n) < 0.4)})
+    dfa = Dfa(alphabet, set(range(m)), 0,
+              {(src, token): int(rng.integers(m)) for src in range(m) for token in alphabet
+               if rng.random() < 0.8},
+              {int(state) for state in np.flatnonzero(rng.random(m) < 0.4)})
+    ids = [int(i) for i in rng.permutation(m + 1)]
+    renamed = Dfa(alphabet, set(ids), ids[0],
+                  {(ids[src], token): ids[dst] for (src, token), dst in dfa.transitions.items()}
+                  | {(ids[m], token): ids[0] for token in alphabet},
+                  {ids[state] for state in dfa.accepting} | {ids[m]})
+    return nfa, dfa, renamed
+
+
+def automata_battery(quick: bool) -> list[str]:
+    """The automata lines for the statemerge package on the path."""
+    from statemerge.automata import determinize, equivalent, minimize, save_dfa
+
+    def text(dfa) -> str:
+        return sha(save_dfa(dfa))[:16]
+
+    lines = []
+    for case in range(300 if quick else 3000):
+        nfa, dfa, renamed = random_machines(case)
+        subsets = determinize(nfa)
+        lines.append(f"automata case={case} determinize={text(subsets)}"
+                     f" minimize={text(minimize(subsets))} dfa={text(minimize(dfa))}"
+                     f" renamed={text(minimize(renamed))}"
+                     f" equivalent={equivalent(subsets, dfa)},{equivalent(dfa, renamed)}")
+    return lines
+
+
 def golden_battery() -> list[str]:
     """The lines tests/golden.txt pins, for the statemerge package on the path:
     per language one eval set and reference, one rnn.evaluate on a balanced
@@ -370,7 +425,8 @@ def battery(quick: bool) -> list[str]:
     """The battery's lines for the statemerge package on the path.  The golden
     part has no quick variant."""
     return (kmeans_battery(quick) + sampler_battery(quick) + prefix_battery(quick)
-            + merge_battery(quick) + golden_battery() + driver_battery(quick))
+            + merge_battery(quick) + automata_battery(quick) + golden_battery()
+            + driver_battery(quick))
 
 
 def differences(base: list[str], change: list[str], base_name: str,

@@ -2,12 +2,13 @@
 
 Subcommands: train, extract, baseline, eval, sweep {data,kappa,epochs},
 table2, export-dot.  Every command that trains or loads a model starts from
-the shipped protocol (harness.full_scale_config), with explicit training
-flags on top, so --out artifacts reuses the shipped runs.  Every run writes
-its resolved configuration next to its outputs.  @FILE is replaced in place
-by FILE's arguments, one per line; a later argument overrides an earlier one.
-Loaded before numpy, it sets one BLAS thread, because the thread count
-changes the bits that training writes.
+the shipped protocol (harness.full_scale_config), and every experiment from
+the experiment configs' defaults, each with the typed flags on top, so --out
+artifacts reuses the shipped runs.  Every run writes its resolved
+configuration next to its outputs.  @FILE is replaced in place by FILE's
+arguments, one per line; a later argument overrides an earlier one.  Loaded
+before numpy, it sets one BLAS thread, because the thread count changes the
+bits that training writes.
 """
 
 from __future__ import annotations
@@ -52,13 +53,15 @@ def _open_unit_float(text: str) -> float:
 
 
 # Command line argument -> converter, for the TrainingConfig field of that name.
-# n_train and n_dev are at least 2: a balanced draw needs a positive and a negative string.
+# n_train, n_dev and data are at least 2: a balanced draw needs a positive and a negative string.
 TRAINING_FIELDS = {"n_train": _int_at_least(2), "train_len": _int_at_least(0),
                    "n_dev": _int_at_least(2), "dev_len": _int_at_least(0),
                    "embed_dim": _int_at_least(1), "hidden_dim": _int_at_least(1),
                    "epochs": _int_at_least(1)}
-# Command line argument -> ExtractionConfig field.
-EXTRACTION_FIELDS = {"kappa": "kappa", "data": "n_strings", "length": "string_len"}
+# Command line argument -> the ExtractionConfig or ExperimentConfig field it sets, if typed.
+CONFIG_FIELDS = {"kappa": "kappa", "data": "n_strings", "length": "string_len",
+                 "k": "kmeans_k", "threads": "threads"}
+SINGLE_RUNS = ("extract", "baseline", "eval", "sweep kappa")
 
 
 def _training_config(args: argparse.Namespace, language: int) -> TrainingConfig:
@@ -68,29 +71,32 @@ def _training_config(args: argparse.Namespace, language: int) -> TrainingConfig:
                                   if getattr(args, f, None) is not None})
 
 
+def _command(args: argparse.Namespace) -> str:
+    return " ".join(filter(None, (args.command, getattr(args, "kind", None))))
+
+
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The experiment the command runs: extract, baseline, eval and sweep kappa
-    run one language (sweep kappa's default is 2) on --seed's strings; table2
-    and sweep data / epochs run the protocol's seeds."""
-    extraction = ExtractionConfig(**{name: getattr(args, arg)
-                                     for arg, name in EXTRACTION_FIELDS.items()
-                                     if getattr(args, arg, None) is not None})
-    config = ExperimentConfig(extraction=extraction, threads=getattr(args, "threads", 1),
-                              **({"kmeans_k": args.k} if "k" in args else {}))
-    if args.command in ("extract", "baseline", "eval") or getattr(args, "kind", "") == "kappa":
-        return dataclasses.replace(config, languages=(args.language or 2,), seeds=(args.seed,))
-    if args.language is not None:
-        return dataclasses.replace(config, languages=(args.language,))
-    return config
+    """The configs' defaults with every typed flag on top; SINGLE_RUNS run
+    --seed's strings, table2 and sweep data / epochs the protocol's seeds."""
+    typed = {field: getattr(args, arg) for arg, field in CONFIG_FIELDS.items()
+             if getattr(args, arg, None) is not None}
+    extraction = {f.name: typed.pop(f.name) for f in dataclasses.fields(ExtractionConfig)
+                  if f.name in typed}
+    config = ExperimentConfig(extraction=ExtractionConfig(**extraction), **typed)
+    seeds = (args.seed,) if _command(args) in SINGLE_RUNS else config.seeds
+    languages = config.languages if args.language is None else (args.language,)
+    return dataclasses.replace(config, languages=languages, seeds=seeds)
 
 
-def _trained(args: argparse.Namespace, languages: tuple[int, ...]
-             ) -> tuple[list[TrainingConfig], dict[int, list[rnn.Checkpoint]]]:
-    """The training config per language, and the checkpoints of its run in
-    the model cache under --out, trained if the cache lacks it."""
-    training = [_training_config(args, language) for language in languages]
-    return training, {cfg.language: ensure_trained(cfg, Path(args.out) / "models")[0]
-                      for cfg in training}
+def _trained(args: argparse.Namespace) -> tuple[ExperimentConfig, list[TrainingConfig],
+                                                dict[int, list[rnn.Checkpoint]]]:
+    """The experiment config, the training config per language it runs, and
+    the checkpoints of each run in the model cache under --out, trained if
+    the cache lacks it."""
+    config = _experiment_config(args)
+    training = [_training_config(args, language) for language in config.languages]
+    return config, training, {cfg.language: ensure_trained(cfg, Path(args.out) / "models")[0]
+                              for cfg in training}
 
 
 def _best_models(checkpoints: dict[int, list[rnn.Checkpoint]]) -> dict[int, rnn.RnnModel]:
@@ -137,10 +143,8 @@ def cmd_machine(args: argparse.Namespace) -> int:
     """extract, baseline and eval: one model and one eval reference; extract
     and baseline draw one string set from --seed."""
     stored = load_dfa(Path(args.dfa).read_text()) if args.command == "eval" else None
-    language, seed = args.language, args.seed
-    training, checkpoints = _trained(args, (language,))
-    model = best_model(checkpoints[language])
-    config = _experiment_config(args)
+    config, training, checkpoints = _trained(args)
+    (language, model), = _best_models(checkpoints).items()
     reference = rnn.eval_reference(model, harness.eval_set_for(language, config))
     if stored is not None:
         result = fidelity(stored, reference)
@@ -149,15 +153,15 @@ def cmd_machine(args: argparse.Namespace) -> int:
         return 0
     ext = config.extraction
     tree = build_prefix_tree(
-        model, harness.extraction_strings(language, ext.n_strings, ext.string_len, seed))
-    tag = f"tomita{language}_seed{seed}"
+        model, harness.extraction_strings(language, ext.n_strings, ext.string_len, args.seed))
+    tag = f"tomita{language}_seed{args.seed}"
     if args.command == "extract":
-        row, report = harness.run_extraction(language, seed, 0, tree, ext.kappa, reference)
+        row, report = harness.run_extraction(language, args.seed, 0, tree, ext.kappa, reference)
         dfa = report.final
         print(f"tomita {language}: sizes {report.sizes}, "
               f"fidelity vs RNN {row.acc_vs_rnn:.4f}, vs gold {row.acc_vs_gold:.4f}")
     else:
-        row, dfa = harness.run_kmeans_baseline(language, seed, 0, tree, config.kmeans_k,
+        row, dfa = harness.run_kmeans_baseline(language, args.seed, 0, tree, config.kmeans_k,
                                                reference)
         tag += "_kmeans"
         print(f"tomita {language} kmeans: {len(dfa.states)} states, "
@@ -167,8 +171,7 @@ def cmd_machine(args: argparse.Namespace) -> int:
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    config = _experiment_config(args)
-    training, checkpoints = _trained(args, config.languages)
+    config, training, checkpoints = _trained(args)
     rows, summary = harness.reproduce_table2(config, _best_models(checkpoints))
     _write_run(Path(args.out), training, config, ("table2_rows.csv", rows))
     for (language, method), s in sorted(summary.items()):
@@ -179,8 +182,7 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    config = _experiment_config(args)
-    training, checkpoints = _trained(args, config.languages)
+    config, training, checkpoints = _trained(args)
     machines, drawn = {}, {}
     if args.kind == "epochs":
         rows = harness.sweep_epochs(config, checkpoints)
@@ -218,33 +220,30 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="@FILE reads arguments from FILE, one per line (--opt=value), in "
                "place; top-level options go before the subcommand, and a later "
                "argument overrides an earlier one.")
-    parser.add_argument("--language", type=int, choices=LANGUAGE_IDS, default=None)
+    parser.add_argument("--language", type=int, choices=LANGUAGE_IDS)
     parser.add_argument("--seed", type=_int_at_least(0), default=0)
-    parser.add_argument("--out", type=str, default="out",
-                        help="output directory")
+    parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     training = argparse.ArgumentParser(add_help=False)
     for field, convert in TRAINING_FIELDS.items():
-        training.add_argument(f"--{field.replace('_', '-')}", type=convert, default=None,
-                              dest=field)
+        training.add_argument(f"--{field.replace('_', '-')}", type=convert, dest=field)
     sample = argparse.ArgumentParser(add_help=False)
-    # A balanced draw needs a positive and a negative string.
-    sample.add_argument("--data", type=_int_at_least(2), default=300)
-    sample.add_argument("--length", type=_int_at_least(0), default=10)
+    sample.add_argument("--data", type=_int_at_least(2))
+    sample.add_argument("--length", type=_int_at_least(0))
 
     p_train = sub.add_parser("train", help="train a recognizer", parents=[training])
     p_train.set_defaults(func=cmd_train)
 
     p_extract = sub.add_parser("extract", help="state-merging extraction",
                                parents=[training, sample])
-    p_extract.add_argument("--kappa", type=_open_unit_float, default=0.01)
+    p_extract.add_argument("--kappa", type=_open_unit_float)
     p_extract.set_defaults(func=cmd_machine)
 
     p_baseline = sub.add_parser("baseline", help="k-means extraction baseline",
                                 parents=[training, sample])
-    p_baseline.add_argument("--k", type=_int_at_least(1), default=20)
+    p_baseline.add_argument("--k", type=_int_at_least(1))
     p_baseline.set_defaults(func=cmd_machine)
 
     p_eval = sub.add_parser("eval", help="evaluate a stored DFA against a model",
@@ -254,16 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="parameter sweeps")
     p_sweep.add_argument("kind", choices=("data", "kappa", "epochs"))
-    p_sweep.add_argument("--kappa", type=_open_unit_float, default=None)
+    p_sweep.add_argument("--kappa", type=_open_unit_float)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_table2 = sub.add_parser("table2", help="reproduce the accuracy table")
-    p_table2.add_argument("--threads", type=_int_at_least(1), default=1)
+    p_table2.add_argument("--threads", type=_int_at_least(1))
     p_table2.set_defaults(func=cmd_table2)
 
     p_dot = sub.add_parser("export-dot", help="render a stored DFA as DOT")
     p_dot.add_argument("--dfa", required=True)
-    p_dot.add_argument("--out-file", default=None)
+    p_dot.add_argument("--out-file")
     p_dot.set_defaults(func=cmd_export_dot)
 
     return parser
@@ -274,9 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    if args.command in ("extract", "baseline", "eval") and args.language is None:
-        parser.error(f"{args.command} requires --language")
-    if args.command == "sweep" and args.kind == "kappa" and args.kappa is not None:
+    if _command(args) in SINGLE_RUNS and args.language is None:
+        parser.error(f"{_command(args)} requires --language")
+    if _command(args) == "sweep kappa" and args.kappa is not None:
         parser.error("sweep kappa runs its own kappa grid and takes no --kappa")
     try:
         return args.func(args)

@@ -15,8 +15,8 @@ import pytest
 from statemerge import cli, harness, rnn
 from statemerge.automata import load_dfa, save_dfa, to_dot
 from statemerge.cli import _experiment_config, _training_config, build_parser, main
-from statemerge.harness import (RESULT_FIELDS, ExperimentConfig, TrainingConfig, best_model,
-                                ensure_trained, load_finished_run, run_dir, to_csv)
+from statemerge.harness import (RESULT_FIELDS, ExperimentConfig, ExtractionConfig, TrainingConfig,
+                                best_model, ensure_trained, load_finished_run, run_dir, to_csv)
 from statemerge.languages import gold_dfa
 
 TINY = dict(n_train=40, train_len=6, n_dev=20, dev_len=8, embed_dim=4, hidden_dim=8, epochs=2)
@@ -34,6 +34,20 @@ def write_args(path, lines):
     return f"@{path}"
 
 
+# Experiment configs whose every default differs from the shipped protocol's.
+@dataclasses.dataclass(frozen=True)
+class OtherExtraction(ExtractionConfig):
+    kappa: float = 0.02
+    n_strings: int = 301
+    string_len: int = 11
+
+
+@dataclasses.dataclass(frozen=True)
+class OtherExperiment(ExperimentConfig):
+    kmeans_k: int = 21
+    threads: int = 2
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -44,8 +58,16 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
     def test_extract_requires_language(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["extract"])
+        assert exc.value.code == 2
+        assert "error: extract requires --language" in capsys.readouterr().err
+
+    def test_sweep_kappa_requires_language(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "kappa"])
+        assert exc.value.code == 2
+        assert "error: sweep kappa requires --language" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["extract", "--kappa", "0"], ["extract", "--kappa", "1"],
@@ -144,11 +166,25 @@ class TestParser:
         for kind in ("data", "epochs"):
             args = parse(["sweep", kind, "--kappa", "0.3"])
             assert _experiment_config(args).extraction.kappa == 0.3
-        assert _experiment_config(parse(["sweep", "kappa"])).extraction.kappa == 0.01
+        args = parse(["--language", "2", "sweep", "kappa"])
+        assert _experiment_config(args).extraction.kappa == 0.01
 
     def test_seed_and_threads_defaults(self):
         args = build_parser().parse_args(["table2"])
-        assert (args.seed, args.threads) == (0, 1)
+        assert (args.seed, _experiment_config(args).threads) == (0, ExperimentConfig().threads)
+
+    @pytest.mark.parametrize("argv", [
+        ["extract"], ["baseline"], ["table2"], ["sweep", "data"], ["sweep", "epochs"]],
+        ids=["extract", "baseline", "table2", "sweep-data", "sweep-epochs"])
+    def test_the_configs_own_the_experiment_defaults(self, argv, monkeypatch):
+        # No flag typed, so every value comes from the configs' defaults,
+        # whatever they are.
+        monkeypatch.setattr(cli, "ExtractionConfig", OtherExtraction)
+        monkeypatch.setattr(cli, "ExperimentConfig", OtherExperiment)
+        config = _experiment_config(build_parser().parse_args(["--language", "1"] + argv))
+        ext = config.extraction
+        assert (ext.kappa, ext.n_strings, ext.string_len) == (0.02, 301, 11)
+        assert (config.kmeans_k, config.threads) == (21, 2)
 
     def test_only_table2_reads_threads(self):
         parse = build_parser().parse_args
@@ -276,7 +312,8 @@ class TestRecordedRuns:
         assert (resolved["experiment"]["languages"], resolved["experiment"]["seeds"]) == ([1], [3])
 
     def test_sweep_kappa_writes_machines(self, tiny, tmp_path):
-        assert run_cli(["--seed", "3", "--out", str(tmp_path), "sweep", "kappa"]) == 0
+        assert run_cli(["--language", "2", "--seed", "3", "--out", str(tmp_path), "sweep",
+                        "kappa"]) == 0
         resolved = resolved_config(tmp_path)
         config = TrainingConfig(2, 3, **TINY)
         assert resolved["training"] == [config.record()]

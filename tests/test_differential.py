@@ -24,12 +24,13 @@ def test_quick_battery_is_deterministic():
     # 7 languages on four bit generators, each entered fresh and after one
     # draw, 3 balanced sets and 2 eval sets each.  Prefix numbering: 7
     # fixture trees and 7 eval references.  Merging: 7 languages, 2 trees, 3
-    # kappas.  Golden, in full: per language an eval set, an evaluate, state
-    # merging at 2 kappas and k-means on 3 seeds, and a training run.
+    # kappas.  Automata: 300 random machine cases.  Golden, in full: per
+    # language an eval set, an evaluate, state merging at 2 kappas and
+    # k-means on 3 seeds, and a training run.
     # Drivers, per language on seed 0: table 2's two rows, the data sweep's
     # 2 sizes at 2 lengths, 3 kappas, and the epoch sweep's 2 epochs.
-    assert len(first) == (7 * 2 + 2 * 50 + 4 * 2 * 7 * 5 + 7 + 7 + 7 * 2 * 3
-                          + 7 * (1 + 1 + 2 * 3 + 3 + 1) + 7 * (2 + 2 * 2 + 3 + 2)) == 611
+    assert len(first) == (7 * 2 + 2 * 50 + 4 * 2 * 7 * 5 + 7 + 7 + 7 * 2 * 3 + 300
+                          + 7 * (1 + 1 + 2 * 3 + 3 + 1) + 7 * (2 + 2 * 2 + 3 + 2)) == 911
     assert sum(line.startswith("kmeans tomita") for line in first) == 7 * 2
     assert sum(line.startswith("kmeans tied ") for line in first) == 50
     assert sum(line.startswith("kmeans mirrored ") for line in first) == 50
@@ -41,6 +42,7 @@ def test_quick_battery_is_deterministic():
     assert sum(line.startswith("prefix_tree tomita") for line in first) == 7
     assert sum(line.startswith("eval_reference tomita") for line in first) == 7
     assert sum(line.startswith("merge tomita") for line in first) == 7 * 2 * 3
+    assert sum(line.startswith("automata case=") for line in first) == 300
     assert sum(" strings=150x15 " in line for line in first) == 7 * 3
     assert sum(line.startswith("sample_balanced(") for line in first) == 4 * 2 * 7 * 3
     assert sum(line.startswith("sample_eval_set(") for line in first) == 4 * 2 * 7 * 2

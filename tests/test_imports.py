@@ -119,7 +119,6 @@ def train(config: TrainingConfig):
 # Public names of the package that no program code uses, and why each stays.
 UNUSED_KEPT = {
     "automata.Dfa.accepts": "run-semantics reference: a machine's verdict on one string",
-    "automata.equivalent": "acceptance-suite claim: criteria 3 and 4 compare with gold",
     "rnn.Prefixes.state_of": "acceptance-suite claim: criterion 6's extraction check",
     "rnn.kappa_bound": "acceptance-suite claim: criterion 6's safe merge tolerance",
     "rnn.forward": "benchmark tracer: perfbench/tracer.py wraps it by name (ROADMAP item 1)",

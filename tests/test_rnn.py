@@ -421,20 +421,28 @@ class TestTraining:
 
 
 class TestSaturation:
+    """Two worked saturation levels, eps = |h/|h| - sign(h)/sqrt(d)|, and the
+    merge tolerance kappa_bound gives each."""
+
     def test_exact_sign_pattern_is_zero(self, rng):
+        # A state on its own sign pattern is saturated exactly: eps = 0, and the
+        # bound is its exact value 2/d.
         d = 16
-        m = init_model(ALPHABET, 4, d, rng)
         sign = np.where(rng.normal(size=d) >= 0, 1.0, -1.0)
         h = sign / math.sqrt(d)
-        eps = np.linalg.norm(h / np.linalg.norm(h) - sign / math.sqrt(d))
+        eps = float(np.linalg.norm(h / np.linalg.norm(h) - sign / math.sqrt(d)))
         assert eps == 0.0
+        assert kappa_bound(d, eps) == 0.125
 
     def test_formula_on_basis_vector(self):
+        # A basis vector lies far from its sign pattern: eps = 1.0 reaches
+        # 1/sqrt(4), so no tolerance is guaranteed safe.
         h = np.array([1.0, 0.0, 0.0, 0.0])
         sign = np.where(h >= 0, 1.0, -1.0)  # sign(0) fixed as +1
-        eps = np.linalg.norm(h / np.linalg.norm(h) - sign / 2.0)
-        expected = math.sqrt((1 - 0.5) ** 2 + 3 * 0.25)
-        assert eps == pytest.approx(expected, abs=1e-12)
+        eps = float(np.linalg.norm(h / np.linalg.norm(h) - sign / 2.0))
+        assert eps == pytest.approx(math.sqrt((1 - 0.5) ** 2 + 3 * 0.25), abs=1e-12)
+        assert eps >= 1 / math.sqrt(4)
+        assert kappa_bound(4, eps) is None
 
 
 class TestKappaBound:
