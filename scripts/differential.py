@@ -13,7 +13,7 @@ differs.  Every output is one canonical text line.  The script prints the
 first differing lines and exits 1 on any difference, 0 when the outputs are
 equal and 2 when a checkout or a battery fails.
 
-The battery has seven parts.  k-means: ``kmeans.kmeans`` on the
+The battery has eight parts.  k-means: ``kmeans.kmeans`` on the
 prefix trees of the fixture models (Tomita 1-7, seeds 0-5, 30, 100 and 300
 extraction strings of length 10, k = 2, 5 and 20), on 600 sets of tied
 and duplicated points and on 600 mirror-symmetric sets, whose restarts tie
@@ -62,6 +62,13 @@ Drivers: the rows of ``harness.reproduce_table2``, ``harness.sweep_data_size``
 on the tiny runs, with ``ExperimentConfig``'s defaults (the CLI's), one line
 per row without ``wall_time``.  ``--quick`` keeps seed 0, 30 extraction
 strings, 100 eval strings and data sizes 15 and 75.
+Training: ``rnn.loss_and_grads`` on seeded random batches of 1, 3, 32, 52
+and 64 rows of 2 and 101 ids, with the parameters of each fixture model and
+of three fresh ``rnn.init_model`` draws at the shipped dimensions, one line
+of the loss and digests of every gradient's bits; and one
+``harness.ensure_trained`` run at ``perfbench/run.py``'s ``cold_fill``
+sizes, the sha256 over its run directory's files.  ``--quick`` keeps batches
+of 3 and 64 rows of 101 ids, one fresh draw and one epoch.
 
 ``--print`` prints the battery's lines for the ``statemerge`` on the path
 instead, which is what each child process runs.
@@ -92,6 +99,10 @@ GOLDEN_KAPPAS = (0.01, 0.4)
 # Every Tomita language has positive and negative strings of length 12.
 TRAIN_SIZES = dict(n_train=64, train_len=12, n_dev=20, dev_len=12, embed_dim=4,
                    hidden_dim=8, epochs=2, batch_size=16)
+# perfbench/run.py's COLD_FILL: 500 strings of length 100 in batches of 64,
+# so each epoch ends on a batch of 52.
+COLD_FILL = dict(language=2, n_train=500, train_len=100, n_dev=100, dev_len=100,
+                 epochs=8, batch_size=64)
 
 
 def digest(array: np.ndarray) -> str:
@@ -391,6 +402,47 @@ def tiny_runs() -> dict:
     return runs
 
 
+def training_battery(quick: bool) -> list[str]:
+    """The training lines for the statemerge package on the path: the loss and
+    the bits of every gradient of rnn.loss_and_grads on seeded random batches,
+    per fixture model and on fresh shipped-shape parameters, at the shipped
+    protocol's batch shapes (64 and 32 rows of 101 ids), cold_fill's last batch
+    (52 rows) and a few small ones; and the sha256 over one ensure_trained run
+    directory at cold_fill's sizes."""
+    from statemerge.harness import TrainingConfig, ensure_trained, run_dir
+    from statemerge.languages import ALPHABET
+    from statemerge.rnn import init_model, loss_and_grads
+
+    shipped = TrainingConfig(1)
+    sources = {f"fixture{language}": model.params
+               for language, model in fixture_models().items()}
+    sources |= {f"init{seed}": init_model(ALPHABET, shipped.embed_dim, shipped.hidden_dim,
+                                          np.random.default_rng(seed)).params
+                for seed in ((0,) if quick else range(3))}
+    shapes = [(3, 101), (64, 101)] if quick else [
+        (batch, width) for batch in (1, 3, 32, 52, 64) for width in (2, 101)]
+    lines = []
+    for (name, params), (batch, width) in itertools.product(sources.items(), shapes):
+        rng = np.random.default_rng([batch, width])
+        ids = np.empty((batch, width), dtype=np.uint8)
+        ids[:, 0], ids[:, 1:] = len(ALPHABET), rng.integers(0, 2, size=(batch, width - 1))
+        loss, grads = loss_and_grads(params, ids, rng.integers(0, 2, size=ids.shape) == 1)
+        lines.append(f"loss_and_grads {name} batch={batch} width={width} loss={loss!r} "
+                     + " ".join(f"{key}={digest(grads[key])}" for key in sorted(grads)))
+    training = TrainingConfig(**COLD_FILL)
+    if quick:
+        training = dataclasses.replace(training, epochs=1)
+    with tempfile.TemporaryDirectory() as cache:
+        _, metrics = ensure_trained(training, Path(cache))
+        run = hashlib.sha256()
+        for path in sorted(run_dir(training, Path(cache)).iterdir()):
+            data = path.read_bytes()
+            run.update(f"{path.name}\n{len(data)}\n".encode() + data)
+    lines.append(f"ensure_trained cold_fill epochs={training.epochs} run={run.hexdigest()}"
+                 f" loss={metrics[-1].train_loss!r}")
+    return lines
+
+
 def driver_battery(quick: bool) -> list[str]:
     """The experiment drivers' rows for the statemerge package on the path,
     one line per row with wall_time dropped: reproduce_table2,
@@ -426,7 +478,7 @@ def battery(quick: bool) -> list[str]:
     part has no quick variant."""
     return (kmeans_battery(quick) + sampler_battery(quick) + prefix_battery(quick)
             + merge_battery(quick) + automata_battery(quick) + golden_battery()
-            + driver_battery(quick))
+            + driver_battery(quick) + training_battery(quick))
 
 
 def differences(base: list[str], change: list[str], base_name: str,

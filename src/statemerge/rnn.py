@@ -83,19 +83,22 @@ def init_model(alphabet: tuple[str, ...], embed_dim: int, hidden_dim: int,
     return RnnModel(alphabet, params)
 
 
-def _step(params: dict[str, np.ndarray], h: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """One recurrence step of the rows of h (B, d) on token ids tokens (B,)."""
-    return np.tanh(h @ params["w_hh"].T + params["embed"][tokens] @ params["w_ih"].T
-                   + params["b_h"])
+def _step(params: dict[str, np.ndarray], h: np.ndarray, tokens: np.ndarray,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """One recurrence step of the rows of h (B, d) on token ids tokens (B,),
+    into out (B, d) when given: tanh((h U^T + x V^T) + b), summed in place."""
+    x = h @ params["w_hh"].T
+    x += params["embed"][tokens] @ params["w_ih"].T
+    x += params["b_h"]
+    return np.tanh(x, out=out)
 
 
 def _forward_ids(params: dict[str, np.ndarray], ids: np.ndarray) -> np.ndarray:
     """Hidden states for a batch of id sequences (B, T) -> (T, B, d)."""
     h = np.zeros((len(ids), params["w_hh"].shape[0]))
-    hidden = np.zeros((ids.shape[1], *h.shape))
+    hidden = np.empty((ids.shape[1], *h.shape))
     for t in range(ids.shape[1]):
-        h = _step(params, h, ids[:, t])
-        hidden[t] = h
+        h = _step(params, h, ids[:, t], out=hidden[t])
     return hidden
 
 
@@ -120,32 +123,42 @@ def loss_and_grads(params: dict[str, np.ndarray], ids: np.ndarray,
                                        ("embed", "w_ih", "w_hh", "w_out", "b_out"))
     batch, steps = ids.shape
     hidden = _forward_ids(params, ids)
-    logits = hidden @ w_out.T + b_out
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=-1, keepdims=True)
+    # In place: the logits become the log-probabilities, exp their gradient.
+    logp = hidden @ w_out.T + b_out
+    logp -= np.maximum(logp[..., :1], logp[..., 1:])  # the max over 2 classes
+    exp = np.exp(logp)
+    total = exp[..., :1] + exp[..., 1:]  # exp.sum(axis=-1)'s one addition
     y = labels.astype(np.int64)
-    logp = shifted - np.log(exp.sum(axis=-1, keepdims=True))
+    logp -= np.log(total)
     loss = -float(np.take_along_axis(logp, y.T[..., None], axis=-1).sum()) / batch
 
     grads = {k: np.zeros_like(v) for k, v in params.items()}
-    dlogits = probs.copy()
+    dlogits = np.divide(exp, total, out=exp)
+    del logp, total  # freed before the backward pass's buffers: a lower peak
     np.put_along_axis(dlogits, y.T[..., None],
                       np.take_along_axis(dlogits, y.T[..., None], axis=-1) - 1.0, axis=-1)
     dlogits /= batch
     grads["b_out"] = dlogits.sum(axis=(0, 1))
-    carry = np.zeros_like(hidden[0])
+    # Per-step buffers: da, 1 - h*h, and the carry into step t - 1 and its spare.
+    da, slope, carry, spare = np.zeros((4, *hidden[0].shape))
+    order = ids.T[::-1]  # (T, B), last step first: np.add.at's order
+    rows = embed[order]  # each step's token embeddings, then its rows da @ w_ih
     for t in range(steps - 1, -1, -1):
-        h = hidden[t]
+        h, row = hidden[t], rows[steps - 1 - t]
         grads["w_out"] += dlogits[t].T @ h
-        dh = dlogits[t] @ w_out + carry
-        da = dh * (1.0 - h * h)
-        h_prev = hidden[t - 1] if t > 0 else np.zeros_like(h)
-        grads["w_hh"] += da.T @ h_prev
-        grads["w_ih"] += da.T @ embed[ids[:, t]]
+        np.matmul(dlogits[t], w_out, out=da)
+        da += carry
+        np.multiply(h, h, out=slope)
+        da *= np.subtract(1.0, slope, out=slope)
+        grads["w_ih"] += da.T @ row
         grads["b_h"] += da.sum(axis=0)
-        np.add.at(grads["embed"], ids[:, t], da @ w_ih)
-        carry = da @ w_hh
+        np.matmul(da, w_ih, out=row)
+        if t:  # step 0 follows the zero state: its w_hh term (+-0.0 for finite da) adds nothing
+            grads["w_hh"] += da.T @ hidden[t - 1]
+            carry, spare = np.matmul(da, w_hh, out=spare), carry
+    # bincount adds each column's rows from +0.0 in input order, as np.add.at did.
+    grads["embed"] = np.stack([np.bincount(order.ravel(), column.ravel(), minlength=len(embed))
+                               for column in np.moveaxis(rows, -1, 0)], axis=1)
     return loss, grads
 
 
@@ -382,8 +395,8 @@ def save_checkpoint(ckpt: Checkpoint, alphabet: tuple[str, ...]) -> str:
         arr = ckpt.params[name]
         shape = " ".join(str(s) for s in arr.shape)
         lines.append(f"param {name} {shape}")
-        flat = arr.reshape(-1)
-        lines.append(" ".join(repr(float(v)) for v in flat))
+        rows = arr.reshape(len(arr), -1)  # one row's floats and strings alive at a time
+        lines.append(" ".join(" ".join(map(repr, row.tolist())) for row in rows))
     return "\n".join(lines) + "\n"
 
 
@@ -425,6 +438,8 @@ def load_checkpoint(text: str) -> tuple[Checkpoint, tuple[str, ...]]:
                 raise ValueError(f"unrecognized checkpoint line: {line!r}")
             if name in params:
                 raise ValueError(f"repeated checkpoint line: {line!r}")
+            if not all(s.isdecimal() and int(s) > 0 for s in shape):
+                raise ValueError(f"checkpoint param sizes must be positive integers: {line!r}")
             shape_t = tuple(int(s) for s in shape)
             if i + 1 >= len(lines):
                 raise ValueError(f"checkpoint param {name} has no values line")

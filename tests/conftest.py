@@ -275,6 +275,62 @@ def forward_many(model, strings):
     return results
 
 
+def allocating_step(params, h, tokens):
+    """Oracle: the earlier rnn._step, verbatim.
+    One recurrence step of the rows of h (B, d) on token ids tokens (B,)."""
+    return np.tanh(h @ params["w_hh"].T + params["embed"][tokens] @ params["w_ih"].T
+                   + params["b_h"])
+
+
+def allocating_forward_ids(params, ids):
+    """Oracle: the earlier rnn._forward_ids, verbatim but for stepping with
+    allocating_step.  Hidden states for a batch of id sequences (B, T) -> (T, B, d)."""
+    h = np.zeros((len(ids), params["w_hh"].shape[0]))
+    hidden = np.zeros((ids.shape[1], *h.shape))
+    for t in range(ids.shape[1]):
+        h = allocating_step(params, h, ids[:, t])
+        hidden[t] = h
+    return hidden
+
+
+def add_at_loss_and_grads(params, ids, labels):
+    """Oracle: the earlier rnn.loss_and_grads, verbatim but for its forward
+    pass, allocating_forward_ids.  Mean over the batch of per-sequence summed
+    cross-entropy, with full backpropagation through time.  ids: (B, T)
+    including bos; labels: (B, T)."""
+    embed, w_ih, w_hh, w_out, b_out = (params[k] for k in
+                                       ("embed", "w_ih", "w_hh", "w_out", "b_out"))
+    batch, steps = ids.shape
+    hidden = allocating_forward_ids(params, ids)
+    logits = hidden @ w_out.T + b_out
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=-1, keepdims=True)
+    y = labels.astype(np.int64)
+    logp = shifted - np.log(exp.sum(axis=-1, keepdims=True))
+    loss = -float(np.take_along_axis(logp, y.T[..., None], axis=-1).sum()) / batch
+
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    dlogits = probs.copy()
+    np.put_along_axis(dlogits, y.T[..., None],
+                      np.take_along_axis(dlogits, y.T[..., None], axis=-1) - 1.0, axis=-1)
+    dlogits /= batch
+    grads["b_out"] = dlogits.sum(axis=(0, 1))
+    carry = np.zeros_like(hidden[0])
+    for t in range(steps - 1, -1, -1):
+        h = hidden[t]
+        grads["w_out"] += dlogits[t].T @ h
+        dh = dlogits[t] @ w_out + carry
+        da = dh * (1.0 - h * h)
+        h_prev = hidden[t - 1] if t > 0 else np.zeros_like(h)
+        grads["w_hh"] += da.T @ h_prev
+        grads["w_ih"] += da.T @ embed[ids[:, t]]
+        grads["b_h"] += da.sum(axis=0)
+        np.add.at(grads["embed"], ids[:, t], da @ w_ih)
+        carry = da @ w_hh
+    return loss, grads
+
+
 def string_keyed_prefix_tree(model, strings):
     """Oracle: the earlier extraction.build_prefix_tree, verbatim but for its
     last statement, which adds visits by looking each input prefix up by string

@@ -29,8 +29,11 @@ def test_quick_battery_is_deterministic():
     # k-means on 3 seeds, and a training run.
     # Drivers, per language on seed 0: table 2's two rows, the data sweep's
     # 2 sizes at 2 lengths, 3 kappas, and the epoch sweep's 2 epochs.
+    # Training: 7 fixture models and one fresh draw at 2 batch shapes, and a
+    # cold_fill run.
     assert len(first) == (7 * 2 + 2 * 50 + 4 * 2 * 7 * 5 + 7 + 7 + 7 * 2 * 3 + 300
-                          + 7 * (1 + 1 + 2 * 3 + 3 + 1) + 7 * (2 + 2 * 2 + 3 + 2)) == 911
+                          + 7 * (1 + 1 + 2 * 3 + 3 + 1) + 7 * (2 + 2 * 2 + 3 + 2)
+                          + (7 + 1) * 2 + 1) == 928
     assert sum(line.startswith("kmeans tomita") for line in first) == 7 * 2
     assert sum(line.startswith("kmeans tied ") for line in first) == 50
     assert sum(line.startswith("kmeans mirrored ") for line in first) == 50
@@ -43,6 +46,9 @@ def test_quick_battery_is_deterministic():
     assert sum(line.startswith("eval_reference tomita") for line in first) == 7
     assert sum(line.startswith("merge tomita") for line in first) == 7 * 2 * 3
     assert sum(line.startswith("automata case=") for line in first) == 300
+    assert sum(line.startswith("loss_and_grads fixture") for line in first) == 7 * 2
+    assert sum(line.startswith("loss_and_grads init") for line in first) == 2
+    assert sum(line.startswith("ensure_trained cold_fill ") for line in first) == 1
     assert sum(" strings=150x15 " in line for line in first) == 7 * 3
     assert sum(line.startswith("sample_balanced(") for line in first) == 4 * 2 * 7 * 3
     assert sum(line.startswith("sample_eval_set(") for line in first) == 4 * 2 * 7 * 2

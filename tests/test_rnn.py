@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +14,14 @@ from statemerge.rnn import (AdamWHyper, Checkpoint, TrainingError,
                             kappa_bound, load_checkpoint, loss_and_grads,
                             model_from_checkpoint, save_checkpoint, train)
 
-from conftest import (PaddedEvalReference, as_samples, fixture_model, forward_many, labeled,
-                      padded_eval_reference, padded_evaluate, pairs, per_level_number_prefixes)
+from conftest import (PaddedEvalReference, add_at_loss_and_grads, allocating_step, as_samples,
+                      fixture_model, forward_many, labeled, padded_eval_reference,
+                      padded_evaluate, pairs, per_level_number_prefixes)
 
 # The optimizer of every training run, and the default training config's batch size.
 HYPER = rnn.ADAMW
 BATCH = TrainingConfig(1).batch_size
+SHIPPED = Path(__file__).resolve().parent.parent / "artifacts" / "models"
 
 
 class TestInit:
@@ -373,6 +377,61 @@ class TestGradients:
                 assert abs(numeric - grads[name][idx]) / denom <= 1e-4
 
 
+def float_bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+# Parameter sources: fresh init_model parameters at the golden runs' (embed,
+# hidden) = (4, 8) and the shipped (10, 100), and three trained fixture models
+# (10, 100), whose saturated states drive 1 - h*h toward 0.
+PARAM_SOURCES = ["init 4 8", "init 10 100", "fixture 2", "fixture 5", "fixture 7"]
+
+
+def source_params(source):
+    kind, *args = source.split()
+    if kind == "fixture":
+        return fixture_model(int(args[0])).params
+    embed_dim, hidden_dim = map(int, args)
+    return init_model(ALPHABET, embed_dim, hidden_dim, np.random.default_rng(hidden_dim)).params
+
+
+class TestAgainstTheAllocatingOracle:
+    """The in-place recurrence and the one-bincount backward pass keep every
+    sum's operands and order, so loss, gradients and hidden states equal the
+    earlier allocating code's bit for bit."""
+
+    @pytest.mark.parametrize("source", PARAM_SOURCES)
+    def test_loss_and_grads_bit_for_bit(self, source):
+        params = source_params(source)
+        for batch, width, dtype in itertools.product((1, 3, 16, 52, 64), (1, 2, 101),
+                                                     (np.uint8, np.intp)):
+            rng = np.random.default_rng([batch, width])
+            ids = np.empty((batch, width), dtype=dtype)
+            ids[:, 0], ids[:, 1:] = len(ALPHABET), rng.integers(0, 2, size=(batch, width - 1))
+            labels = rng.integers(0, 2, size=(batch, width)).astype(bool)
+            loss, grads = loss_and_grads(params, ids, labels)
+            expected_loss, expected = add_at_loss_and_grads(params, ids, labels)
+            assert float_bits(loss) == float_bits(expected_loss), (batch, width, dtype)
+            assert grads.keys() == expected.keys()
+            for name, grad in expected.items():
+                assert grads[name].shape == grad.shape
+                assert np.array_equal(float_bits(grads[name]), float_bits(grad)), (
+                    name, batch, width, dtype)
+
+    @pytest.mark.parametrize("source", ["init 4 8", "init 10 100", "fixture 6"])
+    @pytest.mark.parametrize("rows", [1, 2, 5, 64, 300, 2000])
+    def test_step_bit_for_bit(self, source, rows):
+        params = source_params(source)
+        rng = np.random.default_rng(rows)
+        h = np.tanh(3.0 * rng.normal(size=(rows, params["w_hh"].shape[0])))
+        tokens = rng.integers(0, len(ALPHABET) + 1, size=rows)
+        expected = float_bits(allocating_step(params, h, tokens))
+        assert np.array_equal(float_bits(rnn._step(params, h, tokens)), expected)
+        out = np.full_like(h, np.nan)
+        assert rnn._step(params, h, tokens, out=out) is out
+        assert np.array_equal(float_bits(out), expected)
+
+
 class TestTraining:
     def test_memorization_loss_decreases(self):
         data = sample_balanced(4, 10, 50, np.random.default_rng(0))
@@ -528,6 +587,20 @@ class TestCheckpointIO:
         text = "\n".join(self.saved_lines(rng) + [extra, "0.0 0.0"]) + "\n"
         with pytest.raises(ValueError, match=f"{why} checkpoint line: '{extra}'"):
             load_checkpoint(text)
+
+    @pytest.mark.parametrize("sizes", ["-1 3", "3 -1", "0 3", "3 0", "3 1.5", "3 x"])
+    def test_rejects_sizes_that_are_not_positive_integers(self, rng, sizes):
+        # reshape would infer a -1 and take 0 as an empty axis.
+        lines = self.saved_lines(rng)
+        lines[lines.index("param w_hh 3 3")] = f"param w_hh {sizes}"
+        with pytest.raises(ValueError, match=f"positive integers: 'param w_hh {sizes}'"):
+            load_checkpoint("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("run", sorted(path.name for path in SHIPPED.glob("tomita*")))
+    def test_resaving_the_last_shipped_checkpoint_reproduces_it(self, run):
+        path = sorted((SHIPPED / run).glob("epoch*.ckpt"))[-1]
+        text = path.read_text()
+        assert save_checkpoint(*load_checkpoint(text)) == text
 
     @pytest.mark.parametrize("dropped", ["alphabet", "param w_hh"])
     def test_rejects_missing_line(self, rng, dropped):
